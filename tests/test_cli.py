@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,37 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+ALL_FAMILIES = ("phi", "penalty-phi", "tv", "budgeted", "combo", "box", "wasserstein")
+SOLVABLE_FAMILIES = ("phi", "tv", "budgeted", "combo", "box", "wasserstein")
+GOLDEN_SCENARIO = ["--costs", "1,5,3", "--probs", "0.2,0.3,0.5", "--alpha", "0.5"]
+GOLDEN_NEWSVENDOR = ["--r", "10", "--c", "2", "--q", "0", "--s", "4", "--gen", "12,10,100,0.9,42"]
+GOLDEN_ARGVS = (
+    [["sensitivity", "--family", f, *GOLDEN_SCENARIO] for f in ALL_FAMILIES]
+    + [["worst-case", "--family", f, "--eps", "0.3", *GOLDEN_SCENARIO] for f in SOLVABLE_FAMILIES]
+    + [["worst-case", "--family", "phi", "--phi", "kl", "--eps", "0.3", *GOLDEN_SCENARIO]]
+    + [
+        ["solve-newsvendor", *GOLDEN_NEWSVENDOR, "--family", f, "--eps", "0.5"]
+        for f in SOLVABLE_FAMILIES
+    ]
+    + [
+        ["frontier", "--family", "budgeted", "--measure", m, "--eps-list", "0,0.5,1",
+         *GOLDEN_NEWSVENDOR]
+        for m in ALL_FAMILIES
+    ]
+    + [["verify", "--trials", "30", "--seed", "2"]]
+)
+# exit code, stdout and stderr of each GOLDEN_ARGVS call, keyed by the
+# space-joined argv; captured before the family registry replaced the
+# per-family dispatch code and never regenerated since
+GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_cli_golden_bytes(argv):
+    golden = json.loads(GOLDEN_FILE.read_text())[" ".join(argv)]
+    assert list(run_cli(argv)) == golden
 
 
 class TestExampleInvocations:
