@@ -1,8 +1,6 @@
 """Worst-case sensitivity toolkit for DRO over discrete nominal distributions."""
 
 from .core import (
-    Budgeted,
-    Combination,
     ConcaveGradientCost,
     KL,
     MODIFIED_CHI2,
@@ -10,13 +8,7 @@ from .core import (
     PhiFunction,
     PiecewiseLinearCost,
     Scenario,
-    SmoothPhi,
     SortedScenario,
-    SymmetricBox,
-    TotalVariation,
-    UncertaintyFamily,
-    WassersteinL1,
-    growth_rate,
     interpolated_cost,
     sort_desc,
     validate,
@@ -60,6 +52,19 @@ from .worstcase import (
     wc_tv,
     wc_wasserstein_pl,
     worst_case,
+)
+from .families import (
+    FAMILIES,
+    Budgeted,
+    Combination,
+    PenaltyPhi,
+    SmoothPhi,
+    SymmetricBox,
+    TotalVariation,
+    UncertaintyFamily,
+    WassersteinL1,
+    build_family,
+    growth_rate,
 )
 from .oracle import (
     AxiomReport,

@@ -25,23 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dro, oracle, riskstats, sensitivity, worstcase
-from .core import (
-    Budgeted,
-    Combination,
-    PHI_BY_NAME,
-    Scenario,
-    SmoothPhi,
-    SymmetricBox,
-    TotalVariation,
-    WassersteinL1,
-    interpolated_cost,
-    validate,
-)
-from .errors import WcsError
+from . import dro, families, oracle, riskstats, sensitivity, worstcase
+from .core import PHI_BY_NAME, PiecewiseLinearCost, Scenario, interpolated_cost, validate
+from .errors import InputFileError, WcsError
+from .families import WassersteinL1
 from .rng import SplitMix64
-
-FAMILY_CHOICES = ("phi", "penalty-phi", "tv", "budgeted", "combo", "box", "wasserstein")
 
 
 def _default_seed() -> int:
@@ -70,64 +58,58 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload)) + "\n")
 
 
+def _read_csv(path: str, primary: str, schema: str) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank data rows; the header's first column must be ``primary``."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    if not rows or not rows[0] or rows[0][0].strip() != primary:
+        raise WcsError(f"{path}: expected header '{schema}'")
+    return rows[0], [row for row in rows[1:] if row]
+
+
+def _numbers(path: str, row: list[str], width: int) -> list[float]:
+    """The first ``width`` cells of a data row as floats."""
+    try:
+        return [float(row[i]) for i in range(width)]
+    except (IndexError, ValueError):
+        raise InputFileError(f"{path}: expected {width} numbers in row {','.join(row)!r}") from None
+
+
 def _read_two_column(path: str, primary: str) -> tuple[list[float], list[float] | None]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0].strip() != primary:
-        raise WcsError(f"{path}: expected header '{primary}[,prob]'")
-    has_prob = len(rows[0]) > 1 and rows[0][1].strip() == "prob"
-    vals, probs = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        vals.append(float(row[0]))
-        if has_prob:
-            probs.append(float(row[1]))
-    return vals, (probs if has_prob else None)
+    header, rows = _read_csv(path, primary, f"{primary}[,prob]")
+    has_prob = len(header) > 1 and header[1].strip() == "prob"
+    table = [_numbers(path, row, 2 if has_prob else 1) for row in rows]
+    return [r[0] for r in table], ([r[1] for r in table] if has_prob else None)
 
 
 def _read_classification(path: str) -> dro.LabeledDataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0].strip() != "label":
-        raise WcsError(f"{path}: expected header 'label,x1,...,xd'")
-    labels = [float(r[0]) for r in rows[1:] if r]
-    feats = [[float(v) for v in r[1:]] for r in rows[1:] if r]
-    return dro.labeled_dataset(feats, labels)
+    header, rows = _read_csv(path, "label", "label,x1,...,xd")
+    table = [_numbers(path, row, len(header)) for row in rows]
+    labels = [r.pop(0) for r in table]  # in place: the rows become the features
+    return dro.labeled_dataset(table, labels)
 
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "costs", None) is not None:
+    if args.costs is not None:
         probs = _floats(args.probs) if args.probs else None
         return validate(_floats(args.costs), probs)
     vals, probs = _read_two_column(args.cost_file, "cost")
     return validate(vals, probs)
 
 
-def _family_from_args(args):
-    name = args.family
-    if name in ("phi", "penalty-phi"):
-        return SmoothPhi(PHI_BY_NAME[args.phi])
-    if name == "tv":
-        return TotalVariation()
-    if name == "budgeted":
-        return Budgeted()
-    if name == "combo":
-        return Combination(args.alpha)
-    if name == "box":
-        return SymmetricBox()
-    if name == "wasserstein":
-        return WassersteinL1(cost_model=None)
-    raise WcsError(f"unknown family {name!r}")
+def _family_from_args(args) -> families.UncertaintyFamily:
+    return families.build_family(args.family, PHI_BY_NAME[args.phi], args.alpha)
 
 
-def _support_points(args, n: int) -> np.ndarray:
-    if getattr(args, "points", None):
-        pts = np.array(_floats(args.points))
-        if pts.size != n:
-            raise WcsError(f"{pts.size} support points for {n} costs")
-        return pts
-    return np.arange(n, dtype=float)
+def _transport_geometry(args, s: Scenario) -> tuple[np.ndarray, PiecewiseLinearCost]:
+    """Support points (--points, default 0..n-1) and the costs interpolated over them."""
+    pts = np.array(_floats(args.points)) if args.points else np.arange(s.n, dtype=float)
+    if pts.size != s.n:
+        raise WcsError(f"{pts.size} support points for {s.n} costs")
+    return pts, interpolated_cost(pts, s.costs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +119,13 @@ def _support_points(args, n: int) -> np.ndarray:
 
 def _cmd_sensitivity(args) -> int:
     s = _scenario_from_args(args)
-    name = args.family
-    if name == "phi":
-        rep = sensitivity.smooth_phi_sensitivity(s, PHI_BY_NAME[args.phi])
-    elif name == "penalty-phi":
-        rep = sensitivity.penalty_phi_sensitivity(s, PHI_BY_NAME[args.phi])
-    elif name == "tv":
-        rep = sensitivity.tv_sensitivity(s)
-    elif name == "budgeted":
-        rep = sensitivity.budgeted_sensitivity(s)
-    elif name == "combo":
-        rep = sensitivity.combination_sensitivity(s, args.alpha)
-    elif name == "box":
-        rep = sensitivity.symmetric_box_sensitivity(s)
-    else:  # wasserstein over piecewise-linear interpolation of the costs
-        pts = _support_points(args, s.n)
-        cost = interpolated_cost(pts, s.costs)
+    fam = _family_from_args(args)
+    if isinstance(fam, WassersteinL1):
+        pts, cost = _transport_geometry(args, s)
         rep = sensitivity.wasserstein_sensitivity(pts, s.probs, cost.ratio_from)
-    _emit({"value": rep.value, "family": name, "growth": rep.growth})
+    else:
+        rep = fam.sensitivity(s)
+    _emit({"value": rep.value, "family": fam.name, "growth": rep.growth})
     return 0
 
 
@@ -178,19 +149,15 @@ def _dual_payload(dual) -> dict | None:
 
 def _cmd_worst_case(args) -> int:
     s = _scenario_from_args(args)
-    name = args.family
-    if name == "wasserstein":
-        pts = _support_points(args, s.n)
-        cost = interpolated_cost(pts, s.costs)
+    fam = _family_from_args(args)
+    if isinstance(fam, WassersteinL1):
+        pts, cost = _transport_geometry(args, s)
         res = worstcase.wc_wasserstein_pl(pts, s.probs, cost, args.eps)
-    elif name == "phi":
-        fam = SmoothPhi(PHI_BY_NAME[args.phi])
-        res = worstcase.worst_case(s, fam, args.eps)
     else:
-        res = worstcase.worst_case(s, _family_from_args(args), args.eps)
+        res = worstcase.worst_case(s, fam, args.eps)
     _emit(
         {
-            "family": name,
+            "family": fam.name,
             "eps": args.eps,
             "value": res.value,
             "q": res.worst_q,
@@ -234,20 +201,14 @@ def _cmd_frontier(args) -> int:
     fam = _family_from_args(args)
     eps_list = _eps_list_from_args(args)
     if args.data_file or args.gen_class:
-        data = _classification_from_args(args)
-        points = dro.frontier(
-            data, None, fam, eps_list, args.measure,
-            phi=PHI_BY_NAME[args.phi], alpha=args.alpha,
-        )
+        problem, data = _classification_from_args(args), None
+    elif args.r is None or args.c is None:
+        raise WcsError("newsvendor frontier needs --r and --c (or use --data-file/--gen-class)")
     else:
-        if args.r is None or args.c is None:
-            raise WcsError("newsvendor frontier needs --r and --c (or use --data-file/--gen-class)")
-        params = _params_from_args(args)
-        demand = _demand_from_args(args)
-        points = dro.frontier(
-            params, demand, fam, eps_list, args.measure,
-            phi=PHI_BY_NAME[args.phi], alpha=args.alpha,
-        )
+        problem, data = _params_from_args(args), _demand_from_args(args)
+    points = dro.frontier(
+        problem, data, fam, eps_list, args.measure, phi=PHI_BY_NAME[args.phi], alpha=args.alpha
+    )
     if args.out:
         with open(args.out, "w", newline="") as fh:
             # vector decisions (weight fits) summarize to their 2-norm in CSV
@@ -326,22 +287,17 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     report: dict = {}
 
-    measures = {
-        "phi": lambda s: sensitivity.smooth_phi_sensitivity(s, PHI_BY_NAME["chi2"]).value,
-        "tv": lambda s: sensitivity.tv_sensitivity(s).value,
-        "budgeted": lambda s: sensitivity.budgeted_sensitivity(s).value,
-        "combo": lambda s: sensitivity.combination_sensitivity(s, 0.5).value,
-        "box": lambda s: sensitivity.symmetric_box_sensitivity(s).value,
+    # the degree-2 penalty form after the deviation measures
+    measures = sorted(
+        (families.build_family(name, alpha=0.5) for name in families.SCENARIO_NAMES),
+        key=lambda fam: fam.homogeneity,
+    )
+    axioms = {
+        fam.name: oracle.deviation_axioms(
+            lambda s: fam.sensitivity(s).value, trials, seed, homogeneity_degree=fam.homogeneity
+        ).all_passed
+        for fam in measures
     }
-    axioms = {}
-    for name, m in measures.items():
-        axioms[name] = oracle.deviation_axioms(m, trials, seed).all_passed
-    axioms["penalty-phi"] = oracle.deviation_axioms(
-        lambda s: sensitivity.penalty_phi_sensitivity(s, PHI_BY_NAME["chi2"]).value,
-        trials,
-        seed,
-        homogeneity_degree=2.0,
-    ).all_passed
     report["axioms"] = axioms
 
     rng = SplitMix64(seed + 1)
@@ -350,27 +306,15 @@ def _cmd_verify(args) -> int:
     for _ in range(min(trials, 50)):
         s = oracle.random_scenario(rng, 2, 4, min_prob=1e-3)
         checks = [
-            (
-                sensitivity.smooth_phi_sensitivity(s, PHI_BY_NAME["chi2"]).value,
-                lambda e, s=s: worstcase.wc_chi2(s, e).value,
-                "sqrt",
-                [10.0**-k for k in range(2, 9)],
-            ),
-            (
-                sensitivity.tv_sensitivity(s).value,
-                lambda e, s=s: worstcase.wc_tv(s, e).value,
-                "linear",
-                [float(np.min(s.probs)) * 10.0**-k for k in range(1, 5)],
-            ),
-            (
-                sensitivity.budgeted_sensitivity(s).value,
-                lambda e, s=s: worstcase.wc_budgeted(s, e).value,
-                "linear",
-                [10.0**-k for k in range(2, 6)],
-            ),
+            (families.SmoothPhi(), [10.0**-k for k in range(2, 9)]),
+            (families.TotalVariation(), [float(np.min(s.probs)) * 10.0**-k for k in range(1, 5)]),
+            (families.Budgeted(), [10.0**-k for k in range(2, 6)]),
         ]
-        for closed, vfun, growth, eps_seq in checks:
-            est = oracle.fd_sensitivity(vfun, growth, eps_seq).estimate
+        for fam, eps_seq in checks:
+            closed = fam.sensitivity(s).value
+            est = oracle.fd_sensitivity(
+                lambda e: fam.worst_case(s, e).value, fam.growth, eps_seq
+            ).estimate
             gap = abs(est - closed) / max(1.0, abs(closed))
             worst_gap = max(worst_gap, gap)
             fd_ok = fd_ok and gap <= 1e-3
@@ -404,9 +348,10 @@ def _cmd_verify(args) -> int:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
-    p.add_argument("--costs", help="comma-separated cost vector")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--costs", help="comma-separated cost vector")
     p.add_argument("--probs", help="comma-separated probabilities (default uniform)")
-    p.add_argument("--cost-file", help="CSV with header cost[,prob]")
+    source.add_argument("--cost-file", help="CSV with header cost[,prob]")
     p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
     p.add_argument("--alpha", type=float, default=0.95, help="CVaR level for combo")
     p.add_argument("--points", help="support points for wasserstein (default 0..n-1)")
@@ -430,25 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sensitivity", help="Table of closed-form worst-case sensitivities")
-    p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
+    p.add_argument("--family", choices=tuple(families.FAMILIES), required=True)
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_sensitivity)
 
     p = sub.add_parser("worst-case", help="exact V(eps), q(eps) and dual certificate")
-    p.add_argument(
-        "--family", choices=("phi", "tv", "budgeted", "combo", "box", "wasserstein"), required=True
-    )
+    p.add_argument("--family", choices=families.WORST_CASE_NAMES, required=True)
     p.add_argument("--eps", type=float, required=True)
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_worst_case)
 
     p = sub.add_parser("frontier", help="mean-sensitivity frontier sweep")
-    p.add_argument(
-        "--family", choices=("phi", "tv", "budgeted", "combo", "box", "wasserstein"), required=True
-    )
+    p.add_argument("--family", choices=families.WORST_CASE_NAMES, required=True)
     p.add_argument("--eps-list", help="comma-separated ascending eps values")
     p.add_argument("--eps-geom", help="start:stop:count geometric eps grid")
-    p.add_argument("--measure", choices=FAMILY_CHOICES, required=True)
+    p.add_argument("--measure", choices=tuple(families.FAMILIES), required=True)
     p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
     p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument(
@@ -463,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-newsvendor", help="SAA or DRO order quantity")
     _add_newsvendor_flags(p)
-    p.add_argument("--family", choices=("phi", "tv", "budgeted", "combo", "box", "wasserstein"))
+    p.add_argument("--family", choices=families.WORST_CASE_NAMES)
     p.add_argument("--eps", type=float)
     p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
     p.add_argument("--alpha", type=float, default=0.95)

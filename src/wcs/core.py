@@ -1,4 +1,4 @@
-"""Shared data model: scenarios, uncertainty-family descriptors, phi functions.
+"""Shared data model: scenarios, phi functions, scalar cost models.
 
 Conventions
 -----------
@@ -7,11 +7,9 @@ with a strictly positive probability vector ``p`` summing to one. The pair is
 immutable after construction; every operation in the toolkit is a pure
 function of immutable values, so all of it is safe to call concurrently.
 
-An *uncertainty family* tags one ambiguity set around ``p``. Each family
-carries a growth rate ``g`` used to normalize the small-set expansion of the
-worst-case expected cost: ``g(eps) = sqrt(eps)`` for smooth phi-divergence
-balls and ``g(eps) = eps`` for every other family here. Only these two rates
-occur; the descriptors fix them rather than exposing an arbitrary ``g``.
+The uncertainty families themselves live in ``families``. Each carries one
+of the two growth-rate labels below: ``g(eps) = sqrt(eps)`` for smooth
+phi-divergence balls and ``g(eps) = eps`` for every other family here.
 
 Sorting convention: descending cost, ties broken by original index ascending
 (stable). Any tie-break yields the same worst-case values; determinism is the
@@ -20,8 +18,9 @@ only requirement.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -235,8 +234,6 @@ class PiecewiseLinearCost:
 
     def _segment(self, z: float) -> int:
         # index of the slope applying just right of z (left of z is index-1 logic)
-        import bisect
-
         return bisect.bisect_right(self.breakpoints, z)
 
     def value(self, z: float) -> float:
@@ -257,8 +254,6 @@ class PiecewiseLinearCost:
         return self.slopes[self._segment(z)]
 
     def slope_left(self, z: float) -> float:
-        import bisect
-
         return self.slopes[bisect.bisect_left(self.breakpoints, z)]
 
     def ratio_candidates(self, y: float) -> list[tuple[float, float]]:
@@ -348,55 +343,6 @@ class ConcaveGradientCost:
 
 
 CostModel = Union[PiecewiseLinearCost, ConcaveGradientCost]
-
-
-# ---------------------------------------------------------------------------
-# Uncertainty family descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothPhi:
-    phi: PhiFunction = MODIFIED_CHI2
-
-
-@dataclass(frozen=True)
-class TotalVariation:
-    pass
-
-
-@dataclass(frozen=True)
-class Budgeted:
-    pass
-
-
-@dataclass(frozen=True)
-class Combination:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"combination level alpha must be in [0,1), got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class SymmetricBox:
-    pass
-
-
-@dataclass(frozen=True)
-class WassersteinL1:
-    cost_model: CostModel = field(default=None)  # type: ignore[assignment]
-
-
-UncertaintyFamily = Union[
-    SmoothPhi, TotalVariation, Budgeted, Combination, SymmetricBox, WassersteinL1
-]
-
-
-def growth_rate(family: UncertaintyFamily) -> str:
-    """g label for the family: sqrt(eps) for smooth phi balls, eps otherwise."""
-    return GROWTH_SQRT if isinstance(family, SmoothPhi) else GROWTH_LINEAR
 
 
 def growth_value(growth: str, eps: float) -> float:

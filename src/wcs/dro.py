@@ -24,20 +24,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    Combination,
-    PhiFunction,
-    PiecewiseLinearCost,
-    Scenario,
-    SymmetricBox,
-    TotalVariation,
-    Budgeted,
-    UncertaintyFamily,
-    WassersteinL1,
-    MODIFIED_CHI2,
-    validate,
-)
+from .core import GROWTH_LINEAR, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost, Scenario, validate
 from .errors import EmptyInput, LengthMismatch, NonConvergence
+from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
 
@@ -66,12 +55,7 @@ class NewsvendorParams:
 
 
 def newsvendor_cost(params: NewsvendorParams, x: float, y: float) -> float:
-    return (
-        -params.r * min(x, y)
-        - params.q * max(x - y, 0.0)
-        + params.s * max(y - x, 0.0)
-        + params.c * x
-    )
+    return float(_newsvendor_cost_vec(params, x, y))
 
 
 def _newsvendor_cost_vec(params: NewsvendorParams, x: float, ys: np.ndarray) -> np.ndarray:
@@ -104,11 +88,8 @@ def demand_quantile(demand: Scenario, tau: float) -> float:
     order = np.argsort(demand.costs, kind="stable")
     atoms = demand.costs[order]
     probs = demand.probs[order]
-    acc: list[float] = []
-    for k in range(1, atoms.size + 1):
-        acc.append(math.fsum(probs[:k].tolist()))
-    for k, cum in enumerate(acc):
-        if cum >= tau:
+    for k in range(atoms.size):
+        if math.fsum(probs[: k + 1].tolist()) >= tau:
             return float(atoms[k])
     return float(atoms[-1])
 
@@ -130,9 +111,6 @@ def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     xs = np.array(sorted(cands))
     vals = np.array([_nominal_objective(params, demand, float(x)) for x in xs])
     return _argmin_smallest(xs, vals)
-
-
-_PL_FAMILIES = (TotalVariation, Budgeted, Combination, SymmetricBox)
 
 
 def _crossing_points(params: NewsvendorParams, atoms: np.ndarray) -> list[float]:
@@ -181,7 +159,7 @@ def dro_newsvendor(
     atoms = np.unique(demand.costs)
     hi = 1.5 * float(np.max(atoms))
     cands = set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())
-    if isinstance(family, _PL_FAMILIES) and atoms.size <= 200:
+    if family.piecewise_linear and atoms.size <= 200:
         cands |= {x for x in _crossing_points(params, atoms) if 0.0 <= x <= hi}
     xs = np.array(sorted(cands))
     vals = np.array([_worst_value(params, demand, family, eps, float(x)).value for x in xs])
@@ -219,25 +197,14 @@ def resolve_measure(
     demand: Scenario | None = None,
 ) -> MeasureFn:
     """Sensitivity selector for frontier sweeps; (scenario, decision) -> value."""
-    if name == "phi":
-        return lambda s, x: sensitivity.smooth_phi_sensitivity(s, phi).value
-    if name == "penalty-phi":
-        return lambda s, x: sensitivity.penalty_phi_sensitivity(s, phi).value
-    if name == "tv":
-        return lambda s, x: sensitivity.tv_sensitivity(s).value
-    if name == "budgeted":
-        return lambda s, x: sensitivity.budgeted_sensitivity(s).value
-    if name == "combo":
-        return lambda s, x: sensitivity.combination_sensitivity(s, alpha).value
-    if name == "box":
-        return lambda s, x: sensitivity.symmetric_box_sensitivity(s).value
-    if name == "wasserstein":
+    family = build_family(name, phi, alpha)
+    if isinstance(family, WassersteinL1):
         if params is None or demand is None:
             raise ValueError("wasserstein measure needs newsvendor params and demand")
         return lambda s, x: sensitivity.wasserstein_sensitivity(
             demand.costs, demand.probs, demand_cost_curve(params, x).ratio_from
         ).value
-    raise ValueError(f"unknown sensitivity measure {name!r}")
+    return lambda s, x: family.sensitivity(s).value
 
 
 def frontier(
@@ -437,9 +404,7 @@ def logreg_wasserstein(
     # the reported sensitivity only needs the SAA norm; plain gradient descent
     # hits its float noise floor near 1e-9, so do not chase tighter tolerances
     saa = logreg_saa(data, tol=max(tol, 1e-8), max_iter=max_iter)
-    report = sensitivity.SensitivityReport(
-        value=float(np.linalg.norm(saa.w)), family=WassersteinL1(cost_model=None), growth="linear"
-    )
+    report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
     if eps == 0.0:
         return saa, report
 

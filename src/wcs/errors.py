@@ -54,5 +54,9 @@ class NonMonotoneEstimates(WcsError, RuntimeError):
     """Finite-difference sensitivity quotients increased; upstream concavity bug."""
 
 
+class InputFileError(WcsError, ValueError):
+    """An input file that cannot be read or has a malformed data row."""
+
+
 class NonConvergence(WcsError, RuntimeError):
     """Iterative solver hit its iteration cap before meeting tolerance."""

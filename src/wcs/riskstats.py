@@ -133,30 +133,31 @@ def cvar_deviation(s: Scenario, alpha) -> float:
     return max(0.0, cv - m)
 
 
+def _kappa(n: int, alpha) -> float:
+    """kappa = n (1 - alpha), checked to lie in (0, n) for n >= 2."""
+    a = alpha.alpha if isinstance(alpha, CvarLevel) else float(alpha)
+    if n < 2:
+        raise KappaOutOfRange(f"need n >= 2, got {n}")
+    kappa = n * (1.0 - a)
+    if not 0.0 < kappa < n:
+        raise KappaOutOfRange(f"kappa = n(1-alpha) = {kappa} outside (0, {n})")
+    return kappa
+
+
 def c_alpha_n(n: int, alpha) -> float:
     """Tight constant bounding CVaR deviation by the standard deviation (uniform p).
 
     The bound and this constant are stated for uniform probabilities only;
     callers must not apply them to non-uniform scenarios.
     """
-    a = alpha.alpha if isinstance(alpha, CvarLevel) else float(alpha)
-    if n < 2:
-        raise KappaOutOfRange(f"need n >= 2, got {n}")
-    kappa = n * (1.0 - a)
-    if not 0.0 < kappa < n:
-        raise KappaOutOfRange(f"kappa = n(1-alpha) = {kappa} outside (0, {n})")
+    kappa = _kappa(n, alpha)
     k = math.floor(kappa)
     return math.sqrt(n * (k + (kappa - k) ** 2) - kappa * kappa) / kappa
 
 
 def tight_cvar_vector(n: int, alpha) -> np.ndarray:
     """Zero-mean vector attaining cvar_deviation / stdev = c_alpha_n under uniform p."""
-    a = alpha.alpha if isinstance(alpha, CvarLevel) else float(alpha)
-    if n < 2:
-        raise KappaOutOfRange(f"need n >= 2, got {n}")
-    kappa = n * (1.0 - a)
-    if not 0.0 < kappa < n:
-        raise KappaOutOfRange(f"kappa = n(1-alpha) = {kappa} outside (0, {n})")
+    kappa = _kappa(n, alpha)
     k = math.floor(kappa)
     d = n * (k + (kappa - k) ** 2) - kappa * kappa
     z = np.full(n, -kappa * kappa / d)

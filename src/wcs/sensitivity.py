@@ -11,25 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import (
-    GROWTH_LINEAR,
-    GROWTH_SQRT,
-    Budgeted,
-    Combination,
-    CostModel,
-    PhiFunction,
-    Scenario,
-    SmoothPhi,
-    SymmetricBox,
-    TotalVariation,
-    UncertaintyFamily,
-    WassersteinL1,
-    sort_desc,
-)
+from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario, sort_desc
 from .errors import UnboundedRatio
 from . import riskstats
 
@@ -37,25 +22,24 @@ from . import riskstats
 @dataclass(frozen=True)
 class SensitivityReport:
     value: float
-    family: UncertaintyFamily
     growth: str
 
 
 def smooth_phi_sensitivity(s: Scenario, phi: PhiFunction) -> SensitivityReport:
     """sqrt(2 Var_p(f) / phi''(1)), growth sqrt(eps)."""
     value = math.sqrt(2.0 * riskstats.variance(s) / phi.curvature)
-    return SensitivityReport(value=value, family=SmoothPhi(phi), growth=GROWTH_SQRT)
+    return SensitivityReport(value=value, growth=GROWTH_SQRT)
 
 
 def penalty_phi_sensitivity(s: Scenario, phi: PhiFunction) -> SensitivityReport:
     """Var_p(f) / phi''(1); linear in the penalty parameter, degree-2 homogeneous."""
     value = riskstats.variance(s) / phi.curvature
-    return SensitivityReport(value=value, family=SmoothPhi(phi), growth=GROWTH_LINEAR)
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
 def tv_sensitivity(s: Scenario) -> SensitivityReport:
     value = 0.5 * (float(np.max(s.costs)) - float(np.min(s.costs)))
-    return SensitivityReport(value=value, family=TotalVariation(), growth=GROWTH_LINEAR)
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
 def budgeted_sensitivity(s: Scenario) -> SensitivityReport:
@@ -63,24 +47,18 @@ def budgeted_sensitivity(s: Scenario) -> SensitivityReport:
     srt = sort_desc(s)
     c = srt.costs_desc - srt.costs_desc[-1]
     value = math.fsum((srt.probs_desc * c).tolist())
-    return SensitivityReport(value=value, family=Budgeted(), growth=GROWTH_LINEAR)
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
 def combination_sensitivity(s: Scenario, alpha) -> SensitivityReport:
-    a = alpha.alpha if isinstance(alpha, riskstats.CvarLevel) else float(alpha)
-    value = riskstats.cvar_deviation(s, a)
-    return SensitivityReport(value=value, family=Combination(a), growth=GROWTH_LINEAR)
+    value = riskstats.cvar_deviation(s, alpha)
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
 def symmetric_box_sensitivity(s: Scenario) -> SensitivityReport:
     """CVaR at level 1/2 minus the mean (the shrinking symmetric-box limit)."""
     value = riskstats.cvar_deviation(s, 0.5)
-    return SensitivityReport(value=value, family=SymmetricBox(), growth=GROWTH_LINEAR)
-
-
-def ratio_oracle_from(cost_model: CostModel) -> Callable[[float], float]:
-    """Transport-ratio oracle y -> sup_z (f(z)-f(y))/||z-y|| for a built-in model."""
-    return cost_model.ratio_from
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
 def wasserstein_sensitivity(points, probs, ratio_oracle) -> SensitivityReport:
@@ -101,26 +79,9 @@ def wasserstein_sensitivity(points, probs, ratio_oracle) -> SensitivityReport:
             raise UnboundedRatio(f"transport ratio from support point {y} is {r}")
         ratios.append(r)
     value = max(0.0, max(ratios))
-    return SensitivityReport(
-        value=value, family=WassersteinL1(cost_model=None), growth=GROWTH_LINEAR
-    )
+    return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 
-def worst_case_sensitivity(s: Scenario, family: UncertaintyFamily) -> SensitivityReport:
-    """Dispatch on the family descriptor (Wasserstein needs its cost model set)."""
-    if isinstance(family, SmoothPhi):
-        return smooth_phi_sensitivity(s, family.phi)
-    if isinstance(family, TotalVariation):
-        return tv_sensitivity(s)
-    if isinstance(family, Budgeted):
-        return budgeted_sensitivity(s)
-    if isinstance(family, Combination):
-        return combination_sensitivity(s, family.alpha)
-    if isinstance(family, SymmetricBox):
-        return symmetric_box_sensitivity(s)
-    if isinstance(family, WassersteinL1):
-        # needs support geometry, not just the cost vector
-        raise ValueError(
-            "use wasserstein_sensitivity(points, probs, oracle) for Wasserstein families"
-        )
-    raise TypeError(f"unknown uncertainty family {family!r}")
+def worst_case_sensitivity(s: Scenario, family) -> SensitivityReport:
+    """Closed form of a ``families`` descriptor (Wasserstein: use wasserstein_sensitivity)."""
+    return family.sensitivity(s)

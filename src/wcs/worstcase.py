@@ -28,17 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Budgeted,
-    Combination,
+    KL,
+    MODIFIED_CHI2,
     PhiFunction,
     PiecewiseLinearCost,
     Scenario,
-    SmoothPhi,
     SortedScenario,
-    SymmetricBox,
-    TotalVariation,
-    UncertaintyFamily,
-    MODIFIED_CHI2,
     sort_desc,
     validate,
 )
@@ -149,12 +144,13 @@ class _PhiTilter:
         self.fmax = float(np.max(np.abs(self.f)))
 
     def _solve_c_exact(self, delta: float) -> float | None:
+        # by identity: a user phi may reuse a built-in's name with other math
         f = self.f
-        if self.phi.name == "kl":
+        if self.phi is KL:
             # sum p exp(delta (f + c)) = 1  =>  c = -logsumexp(delta f; p)/delta
             m = float(delta * f[0])
             return -(m + math.log(math.fsum((self.p * np.exp(delta * f - m)).tolist()))) / delta
-        if self.phi.name == "modified-chi2":
+        if self.phi is MODIFIED_CHI2:
             # sum over active prefix of p (1 + delta (f + c)) = 1, piecewise linear in c
             c_all = (1.0 - self.pk - delta * self.sk) / (delta * self.pk)
             tol = 1e-12 * (1.0 + np.abs(c_all) + self.fmax)
@@ -371,14 +367,13 @@ def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
 
 def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
     """V = (1-eps) mean + eps CVaR_alpha over the shrunk CVaR polytope."""
-    a = alpha.alpha if isinstance(alpha, riskstats.CvarLevel) else float(alpha)
     if not (math.isfinite(eps) and 0.0 <= eps <= 1.0):
         raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
     if s.is_constant():
         return _degenerate(s, eps)
-    g = riskstats.cvar_distribution(s, a)
+    g = riskstats.cvar_distribution(s, alpha)
     q = (1.0 - eps) * s.probs + eps * g
-    value = (1.0 - eps) * riskstats.mean(s) + eps * riskstats.cvar(s, a)
+    value = (1.0 - eps) * riskstats.mean(s) + eps * riskstats.cvar(s, alpha)
     return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
 
 
@@ -482,21 +477,6 @@ def wc_wasserstein_pl(points, probs, cost: PiecewiseLinearCost, eps: float) -> W
 # ---------------------------------------------------------------------------
 
 
-def worst_case(s: Scenario, family: UncertaintyFamily, eps: float) -> WorstCaseResult:
-    """Route a scenario-level family to its exact worst-case solver."""
-    if isinstance(family, SmoothPhi):
-        if family.phi.name == "modified-chi2":
-            return wc_chi2(s, eps)
-        return wc_smooth_phi(s, family.phi, eps)
-    if isinstance(family, TotalVariation):
-        return wc_tv(s, eps)
-    if isinstance(family, Budgeted):
-        return wc_budgeted(s, eps)
-    if isinstance(family, Combination):
-        return wc_combination(s, family.alpha, eps)
-    if isinstance(family, SymmetricBox):
-        return wc_box_symmetric(s, eps)
-    raise TypeError(
-        f"no scenario-level worst case for {family!r}; Wasserstein needs support "
-        "geometry via wc_wasserstein_pl"
-    )
+def worst_case(s: Scenario, family, eps: float) -> WorstCaseResult:
+    """Exact worst case of a ``families`` descriptor (Wasserstein: use wc_wasserstein_pl)."""
+    return family.worst_case(s, eps)

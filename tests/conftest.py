@@ -1,0 +1,7 @@
+"""Let the ``python -m wcs.cli`` processes that tests start import the in-tree package."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

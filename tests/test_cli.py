@@ -223,6 +223,43 @@ class TestSubcommands:
         assert json.loads(out)["x"] == x_env
 
 
+CONTRACT_CASES = {
+    # id: (file content or None, argv with {file} for its path, exit code)
+    "no-cost-input": (None, ["sensitivity", "--family", "tv"], 2),
+    "missing-cost-file": (None, ["sensitivity", "--family", "tv", "--cost-file", "{file}"], 3),
+    "blank-first-line": (
+        "\ncost\n1\n", ["sensitivity", "--family", "tv", "--cost-file", "{file}"], 3
+    ),
+    "row-missing-prob": (
+        "cost,prob\n1,0.5\n2\n",
+        ["worst-case", "--family", "tv", "--eps", "0.1", "--cost-file", "{file}"],
+        3,
+    ),
+    "short-classification-row": (
+        "label,x1\n1,0.5\n-1\n",
+        ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_CASES))
+def test_malformed_input_exits_without_traceback(case, tmp_path):
+    content, argv, expected = CONTRACT_CASES[case]
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcs.cli", *[a.format(file=path) for a in argv]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    if expected == 3:
+        assert set(json.loads(proc.stderr)) == {"code", "message"}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wcs.cli", "sensitivity", "--family", "tv", "--costs", "1,5,3"],

@@ -153,6 +153,26 @@ class TestSmoothPhi:
             b = wcs.wc_chi2(s, eps / 2.0)
             assert a.value == pytest.approx(b.value, abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["modified-chi2", "kl"])
+    def test_user_phi_named_like_a_builtin(self, name):
+        # the closed forms belong to the built-in objects, not to their names:
+        # a user phi that reuses a name must still get its own math
+        from wcs.core import PhiFunction
+
+        chi2_x2 = PhiFunction(
+            name=name,
+            value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+            deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+            inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+            zeta_floor=-2.0,
+            curvature=2.0,
+        )
+        s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
+        want = wcs.wc_chi2(s, 0.05).value
+        assert want == pytest.approx(3.6427, abs=1e-4)
+        assert wcs.worst_case(s, wcs.SmoothPhi(chi2_x2), 0.1).value == pytest.approx(want, abs=1e-8)
+        assert wcs.wc_smooth_phi(s, chi2_x2, 0.1).value == pytest.approx(want, abs=1e-8)
+
     def test_eps_zero_dual(self):
         s = wcs.validate([1, 5, 3])
         r = wcs.wc_smooth_phi(s, wcs.KL, 0.0)
