@@ -36,6 +36,16 @@ def _default_seed() -> int:
     return int(os.environ.get("WCS_SEED", "0"))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -355,6 +365,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
     p.add_argument("--alpha", type=float, default=0.95, help="CVaR level for combo")
     p.add_argument("--points", help="support points for wasserstein (default 0..n-1)")
+    p.set_defaults(scenario_parser=p)
 
 
 def _add_newsvendor_flags(p: argparse.ArgumentParser, required: bool = True):
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve_logreg)
 
     p = sub.add_parser("verify", help="axioms, oracle-vs-closed-form, and bound checks")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
@@ -428,6 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # a cost file carries its own prob column; --probs would be ignored
+    if getattr(args, "probs", None) is not None and args.costs is None:
+        args.scenario_parser.error("argument --probs: not allowed with argument --cost-file")
     try:
         return args.fn(args)
     except (WcsError, ValueError) as exc:

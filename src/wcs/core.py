@@ -58,6 +58,19 @@ class Scenario:
     def is_constant(self) -> bool:
         return bool(np.all(self.costs == self.costs[0]))
 
+    def with_costs(self, costs) -> Scenario:
+        """These probabilities with new costs; only the costs are checked.
+
+        The probabilities were validated when this scenario was built, so
+        they are shared, not copied or re-summed. The costs must match
+        their shape and be finite (a cost formula can overflow).
+        """
+        f = np.array(costs, dtype=float)
+        if f.shape != self.probs.shape:
+            raise LengthMismatch(f"{f.size} costs vs {self.n} probabilities")
+        _check_finite(f)
+        return Scenario(costs=_freeze(f), probs=self.probs)
+
 
 @dataclass(frozen=True, eq=False)
 class SortedScenario:
@@ -88,6 +101,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_finite(f: np.ndarray) -> None:
+    if not np.all(np.isfinite(f)):
+        raise NonFiniteCost(f"non-finite cost entries at {np.nonzero(~np.isfinite(f))[0].tolist()}")
+
+
 def validate(costs, probs=None) -> Scenario:
     """Validate raw vectors into a Scenario.
 
@@ -99,8 +117,7 @@ def validate(costs, probs=None) -> Scenario:
     f = np.atleast_1d(np.asarray(costs, dtype=float)).copy()
     if f.ndim != 1 or f.size == 0:
         raise EmptyInput("costs must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteCost(f"non-finite cost entries at {np.nonzero(~np.isfinite(f))[0].tolist()}")
+    _check_finite(f)
     n = f.size
     if probs is None:
         p = np.full(n, 1.0 / n)
@@ -125,8 +142,8 @@ def sort_desc(s: Scenario) -> SortedScenario:
     order = np.argsort(-s.costs, kind="stable")
     return SortedScenario(
         order=_freeze(order),
-        costs_desc=_freeze(s.costs[order].copy()),
-        probs_desc=_freeze(s.probs[order].copy()),
+        costs_desc=_freeze(s.costs[order]),
+        probs_desc=_freeze(s.probs[order]),
     )
 
 

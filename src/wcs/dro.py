@@ -80,7 +80,10 @@ def demand_cost_curve(params: NewsvendorParams, x: float) -> PiecewiseLinearCost
 
 
 def cost_scenario(params: NewsvendorParams, demand: Scenario, x: float) -> Scenario:
-    return validate(_newsvendor_cost_vec(params, x, demand.costs), demand.probs)
+    # an overflow to inf is the finiteness check's to report, not numpy's
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _newsvendor_cost_vec(params, x, demand.costs)
+    return demand.with_costs(f)
 
 
 def demand_quantile(demand: Scenario, tau: float) -> float:

@@ -1,8 +1,12 @@
 """Scalar risk statistics on scenarios: mean, variance, CVaR and friends.
 
-All sums run over the descending-cost ordering with compensated summation
-(math.fsum), which keeps the 1e-10 equality checks elsewhere in the toolkit
-honest up to n ~ 1e6 atoms.
+Every sum is a correctly rounded math.fsum, which keeps the 1e-10 equality
+checks elsewhere in the toolkit honest up to n ~ 1e6 atoms. fsum does not
+depend on the order of its terms, so the mean and the variance (centred at
+the max cost) read the scenario as it is. Only the rank-dependent
+quantities (CVaR, its maximizer, VaR, the CVaR deviation) sort, once per
+call; callers that already hold a ``SortedScenario`` pass it to
+``cvar_sorted``.
 """
 
 from __future__ import annotations
@@ -34,16 +38,14 @@ def _level(alpha) -> float:
 
 
 def mean(s: Scenario) -> float:
-    srt = sort_desc(s)
-    return math.fsum((srt.probs_desc * srt.costs_desc).tolist())
+    return math.fsum((s.probs * s.costs).tolist())
 
 
 def variance(s: Scenario) -> float:
     # centered at the max cost so constant vectors give exactly 0
-    srt = sort_desc(s)
-    c = srt.costs_desc - srt.costs_desc[0]
-    m = math.fsum((srt.probs_desc * c).tolist())
-    return math.fsum((srt.probs_desc * (c - m) ** 2).tolist())
+    c = s.costs - np.max(s.costs)
+    m = math.fsum((s.probs * c).tolist())
+    return math.fsum((s.probs * (c - m) ** 2).tolist())
 
 
 def greedy_fill(caps: np.ndarray) -> np.ndarray:
@@ -74,15 +76,18 @@ def _cvar_fill(srt: SortedScenario, alpha: float) -> np.ndarray:
     return greedy_fill(srt.probs_desc / (1.0 - alpha))
 
 
+def cvar_sorted(srt: SortedScenario, alpha) -> tuple[float, np.ndarray]:
+    """CVaR and its greedy maximizer (in original atom order) from one sort."""
+    q = _cvar_fill(srt, _level(alpha))
+    return math.fsum((q * srt.costs_desc).tolist()), srt.unsort(q)
+
+
 def cvar(s: Scenario, alpha) -> float:
     """CVaR via the greedy solution of the capped LP max{q'f : 0 <= q <= p/(1-a)}.
 
     alpha = 0 gives the mean; alpha >= 1 - p_(1) gives max(f).
     """
-    a = _level(alpha)
-    srt = sort_desc(s)
-    q = _cvar_fill(srt, a)
-    return math.fsum((q * srt.costs_desc).tolist())
+    return cvar_sorted(sort_desc(s), alpha)[0]
 
 
 def cvar_distribution(s: Scenario, alpha) -> np.ndarray:

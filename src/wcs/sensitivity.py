@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario, sort_desc
+from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario
 from .errors import UnboundedRatio
 from . import riskstats
 
@@ -44,9 +44,7 @@ def tv_sensitivity(s: Scenario) -> SensitivityReport:
 
 def budgeted_sensitivity(s: Scenario) -> SensitivityReport:
     # mean minus min as a sum of nonnegative terms (exact 0 on constants)
-    srt = sort_desc(s)
-    c = srt.costs_desc - srt.costs_desc[-1]
-    value = math.fsum((srt.probs_desc * c).tolist())
+    value = math.fsum((s.probs * (s.costs - np.min(s.costs))).tolist())
     return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 

@@ -212,7 +212,6 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     _check_eps(eps)
     if s.is_constant():
         return _degenerate(s, eps)
-    srt = sort_desc(s)
     if eps == 0.0:
         return WorstCaseResult(
             epsilon=0.0,
@@ -221,6 +220,7 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
             dual=SmoothPhiDual(delta=0.0, c=-riskstats.mean(s)),
         )
 
+    srt = sort_desc(s)
     d_sat, q_sat = _saturation_divergence(phi, srt)
     if eps >= d_sat - 1e-9 * (1.0 + abs(d_sat)):
         q = srt.unsort(q_sat)
@@ -334,7 +334,10 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
     1/(1+eps); the same rank convention defines the VaR atom, which makes
     this formula agree with (CVaR - VaR)/(1+eps) exactly.
     """
-    srt = sort_desc(s)
+    return _budgeted_slope(sort_desc(s), eps)
+
+
+def _budgeted_slope(srt: SortedScenario, eps: float) -> float:
     alpha = eps / (1.0 + eps)
     k = riskstats.partial_fill_rank(srt, alpha)
     if k == 0:
@@ -350,10 +353,9 @@ def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
     e = min(eps, sat)
     if s.is_constant():
         return _degenerate(s, eps)
-    alpha = e / (1.0 + e)
-    value = riskstats.cvar(s, alpha)
-    q = riskstats.cvar_distribution(s, alpha)
-    slope = 0.0 if clamped else budgeted_slope(s, e)
+    srt = sort_desc(s)
+    value, q = riskstats.cvar_sorted(srt, e / (1.0 + e))
+    slope = 0.0 if clamped else _budgeted_slope(srt, e)
     return WorstCaseResult(
         epsilon=eps, value=value, worst_q=_clip_q(q), dual=BudgetedDual(slope=slope),
         clamped=clamped,
@@ -371,9 +373,9 @@ def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
         raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
     if s.is_constant():
         return _degenerate(s, eps)
-    g = riskstats.cvar_distribution(s, alpha)
+    cv, g = riskstats.cvar_sorted(sort_desc(s), alpha)
     q = (1.0 - eps) * s.probs + eps * g
-    value = (1.0 - eps) * riskstats.mean(s) + eps * riskstats.cvar(s, alpha)
+    value = (1.0 - eps) * riskstats.mean(s) + eps * cv
     return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
 
 
@@ -386,9 +388,9 @@ def wc_box(s: Scenario, box: BoxParams) -> WorstCaseResult:
             epsilon=0.0, value=riskstats.mean(s), worst_q=s.probs.copy(), dual=None
         )
     level = (box.U - 1.0) / (box.U - box.L)
-    g = riskstats.cvar_distribution(s, level)
+    cv, g = riskstats.cvar_sorted(sort_desc(s), level)
     q = box.L * s.probs + (1.0 - box.L) * g
-    value = box.L * riskstats.mean(s) + (1.0 - box.L) * riskstats.cvar(s, level)
+    value = box.L * riskstats.mean(s) + (1.0 - box.L) * cv
     return WorstCaseResult(epsilon=0.0, value=value, worst_q=_clip_q(q), dual=None)
 
 

@@ -268,3 +268,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"value": 2.0, "family": "tv", "growth": "linear"}\n'
+
+
+def test_probs_is_a_usage_error_next_to_a_cost_file(tmp_path, capsys):
+    # the file's prob column would win and --probs would be silently ignored
+    path = tmp_path / "costs.csv"
+    path.write_text("cost,prob\n1,0.5\n3,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--family", "budgeted", "--cost-file", str(path), "--probs", "0.9,0.1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--probs: not allowed with argument --cost-file" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_needs_at_least_one_trial(trials, capsys):
+    # zero trials would check nothing and still report "passed": true
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", trials, "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials: must be at least 1" in captured.err

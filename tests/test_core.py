@@ -65,6 +65,27 @@ class TestValidate:
             s.costs[0] = 0.0
 
 
+class TestWithCosts:
+    def test_shares_probs_and_freezes_a_copy_of_the_costs(self):
+        s = wcs.validate([1.0, 2.0, 4.0], [0.2, 0.3, 0.5])
+        raw = np.array([5.0, -1.0, 0.5])
+        t = s.with_costs(raw)
+        raw[0] = 99.0
+        assert t.probs is s.probs
+        assert np.array_equal(t.costs, [5.0, -1.0, 0.5])
+        with pytest.raises(ValueError):
+            t.costs[0] = 0.0
+
+    def test_checks_only_the_costs(self):
+        s = wcs.validate([1.0, 2.0])
+        with pytest.raises(LengthMismatch):
+            s.with_costs([1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteCost):
+            s.with_costs([1.0, math.inf])
+        with pytest.raises(NonFiniteCost):
+            s.with_costs([math.nan, 1.0])
+
+
 class TestSortDesc:
     def test_basic(self):
         srt = wcs.sort_desc(wcs.validate([1, 5, 3]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import wcs
-from wcs import dro
-from wcs.errors import LengthMismatch, NonConvergence
+from wcs import dro, oracle
+from wcs.errors import LengthMismatch, NonConvergence, NonFiniteCost
 from wcs.rng import SplitMix64
 
 PARAMS = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
@@ -94,6 +94,91 @@ class TestDroNewsvendor:
                 d.costs, d.probs, dro.demand_cost_curve(PARAMS, float(x)).ratio_from
             )
             assert rep.value == max(PARAMS.r - PARAMS.q, PARAMS.s)
+
+
+class TestCostScenario:
+    def test_keeps_demand_probabilities(self):
+        d = wcs.validate([10.0, 20.0, 35.0], [0.2, 0.3, 0.5])
+        s = dro.cost_scenario(PARAMS, d, 15.0)
+        assert s.probs is d.probs
+        assert s.costs.tolist() == [dro.newsvendor_cost(PARAMS, 15.0, y) for y in (10, 20, 35)]
+
+    def test_overflowing_cost_is_rejected(self):
+        # r * min(x, y) overflows to -inf for demand near the float limit
+        d = wcs.validate([1e308, 1.0])
+        with pytest.raises(NonFiniteCost):
+            dro.cost_scenario(PARAMS, d, 1e308)
+
+
+def _kink_set(params, atoms, hi):
+    """0, hi, the demand atoms, and every x in (0, hi) where two scenario costs cross.
+
+    Found independently of the solver: on each interval between consecutive
+    breakpoints both cost lines are linear in x, so a sign change of their
+    difference is located by linear interpolation.
+    """
+    kinks = {0.0, hi, *atoms.tolist()}
+    for i in range(atoms.size):
+        for j in range(i + 1, atoms.size):
+            yi, yj = float(atoms[i]), float(atoms[j])
+            grid = sorted({0.0, hi, yi, yj})
+
+            def diff(x):
+                return dro.newsvendor_cost(params, x, yi) - dro.newsvendor_cost(params, x, yj)
+
+            for a, b in zip(grid[:-1], grid[1:]):
+                da, db = diff(a), diff(b)
+                if da * db < 0.0:
+                    kinks.add(a - da * (b - a) / (db - da))
+    return sorted(kinks)
+
+
+ORACLE_POLYTOPES = {
+    "budgeted": (wcs.Budgeted(), lambda s, eps: oracle.budgeted_polytope(s, eps)),
+    "tv": (wcs.TotalVariation(), lambda s, eps: oracle.TvPolytope(eps)),
+    "combo": (wcs.Combination(0.7), lambda s, eps: oracle.combination_polytope(s, 0.7, eps)),
+    "box": (
+        wcs.SymmetricBox(),
+        lambda s, eps: oracle.box_polytope(s, 1.0 / (1.0 + eps), 1.0 + eps),
+    ),
+}
+
+
+class TestNewsvendorAgainstOracle:
+    """V(x*) is the minimum over the kinks of the vertex-enumerated V(x).
+
+    For the polytope families V(x) is piecewise linear in x with kinks only
+    where the cost order of the scenarios changes, so its minimum on
+    [0, 1.5 max y] sits on the kink set.
+    """
+
+    @pytest.mark.parametrize("fkey", list(ORACLE_POLYTOPES))
+    def test_reported_value_is_the_oracle_minimum(self, fkey):
+        family, polytope = ORACLE_POLYTOPES[fkey]
+        rng = SplitMix64(31)
+        for trial in range(6):
+            r = 2.0 + 8.0 * rng.uniform()
+            c = r * (0.1 + 0.8 * rng.uniform())
+            params = dro.NewsvendorParams(r=r, c=c, q=c * 0.9 * rng.uniform(), s=5.0 * rng.uniform())
+            n = 2 + trial % 5
+            atoms = [100.0 * rng.uniform() for _ in range(n)]
+            probs = None
+            if trial % 2:
+                w = [0.2 + rng.uniform() for _ in range(n)]
+                probs = [v / math.fsum(w) for v in w]
+            demand = wcs.validate(atoms, probs)
+            eps = (0.05, 0.3, 0.7)[trial % 3] if fkey == "combo" else 0.1 + 1.4 * rng.uniform()
+
+            def oracle_value(x):
+                s = dro.cost_scenario(params, demand, x)
+                return oracle.brute_force_wc(s, polytope=polytope(s, eps))
+
+            sol = dro.dro_newsvendor(params, demand, family, eps)
+            hi = 1.5 * max(atoms)
+            best = min(oracle_value(x) for x in _kink_set(params, np.unique(atoms), hi))
+            v = sol.worst_case.value
+            assert abs(v - best) <= 1e-9 * (1.0 + abs(best)), (trial, sol.x, v, best)
+            assert abs(v - oracle_value(sol.x)) <= 1e-9 * (1.0 + abs(v))
 
 
 class TestFrontier:
