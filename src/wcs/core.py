@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -253,19 +254,45 @@ class PiecewiseLinearCost:
         # index of the slope applying just right of z (left of z is index-1 logic)
         return bisect.bisect_right(self.breakpoints, z)
 
+    def _step(self, total: float, a: float, b: float, sgn: float) -> float:
+        # f(b) from f(a) = total across the linear piece between knots a and b
+        return total + sgn * self.slopes[self._segment(0.5 * (a + b))] * abs(b - a)
+
+    @cached_property
+    def _knot_values(self) -> tuple[float, ...]:
+        """f at each breakpoint, accumulated knot by knot outward from the anchor.
+
+        ``value`` walks the same knots in the same order, so each entry is
+        the walk's value bit for bit, and a value query is one step from the
+        last knot before its point.
+        """
+        z0, f0 = self.anchor
+        b = self.breakpoints
+        out = [f0] * len(b)
+        right = range(bisect.bisect_right(b, z0), len(b))
+        left = range(bisect.bisect_left(b, z0) - 1, -1, -1)
+        for sgn, idx in ((1.0, right), (-1.0, left)):
+            a, total = z0, f0
+            for j in idx:
+                total = self._step(total, a, b[j], sgn)
+                a, out[j] = b[j], total
+        return tuple(out)
+
     def value(self, z: float) -> float:
         z0, f0 = self.anchor
         if z == z0:
             return f0
-        lo, hi = min(z0, z), max(z0, z)
-        knots = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
-        total = f0
-        sgn = 1.0 if z > z0 else -1.0
-        pts = knots if z > z0 else knots[::-1]
-        for a, b in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (a + b)
-            total += sgn * self.slopes[self._segment(mid)] * abs(b - a)
-        return total
+        b = self.breakpoints
+        # the last knot strictly between the anchor and z, if any
+        if z > z0:
+            sgn, j = 1.0, bisect.bisect_left(b, z) - 1
+            inside = j >= 0 and b[j] > z0
+        else:
+            sgn, j = -1.0, bisect.bisect_right(b, z)
+            inside = j < len(b) and b[j] < z0
+        if not inside:
+            return self._step(f0, z0, z, sgn)
+        return self._step(self._knot_values[j], b[j], z, sgn)
 
     def slope_right(self, z: float) -> float:
         return self.slopes[self._segment(z)]

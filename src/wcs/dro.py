@@ -14,6 +14,15 @@ a uniform grid, and, for families whose value function is piecewise linear
 in x, the pairwise crossing points of scenario cost lines) and refines once
 around the incumbent; the worst-case value is convex in x for every family
 here, so the grid pitch bounds the interior error.
+
+The scan is batched and value-only: the cost vectors of a block of
+candidates form one (m, n) matrix, and the family's ``worst_values`` returns
+V for every row without building a worst-case distribution or a dual.
+Blocks hold about 2^13 matrix entries, which bounds the scan's memory.
+Wasserstein needs the demand geometry, not a cost vector, and is still
+solved per candidate. The reported solution is recomputed at the chosen
+order by the scalar solver, so its value, distribution and certificate are
+the scalar ones.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ from .errors import EmptyInput, LengthMismatch, NonConvergence
 from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
+
+# cost-matrix entries per block of candidate orders in the value-only scans
+_BLOCK_ELEMENTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +70,8 @@ def newsvendor_cost(params: NewsvendorParams, x: float, y: float) -> float:
     return float(_newsvendor_cost_vec(params, x, y))
 
 
-def _newsvendor_cost_vec(params: NewsvendorParams, x: float, ys: np.ndarray) -> np.ndarray:
+def _newsvendor_cost_vec(params: NewsvendorParams, x, ys: np.ndarray) -> np.ndarray:
+    # x may be a column of orders: one row of costs per order
     return (
         -params.r * np.minimum(x, ys)
         - params.q * np.maximum(x - ys, 0.0)
@@ -86,19 +99,27 @@ def cost_scenario(params: NewsvendorParams, demand: Scenario, x: float) -> Scena
     return demand.with_costs(f)
 
 
+def _cost_blocks(params: NewsvendorParams, demand: Scenario, xs: np.ndarray):
+    """The cost matrices f(x, y) of consecutive blocks of candidate orders xs."""
+    rows = max(1, _BLOCK_ELEMENTS // demand.n)
+    for i in range(0, xs.size, rows):
+        # an overflow to inf is the caller's to report, not numpy's
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield _newsvendor_cost_vec(params, xs[i : i + rows, None], demand.costs)
+
+
 def demand_quantile(demand: Scenario, tau: float) -> float:
     """Smallest demand atom whose cumulative mass reaches tau."""
     order = np.argsort(demand.costs, kind="stable")
     atoms = demand.costs[order]
     probs = demand.probs[order]
-    for k in range(atoms.size):
-        if math.fsum(probs[: k + 1].tolist()) >= tau:
-            return float(atoms[k])
-    return float(atoms[-1])
-
-
-def _nominal_objective(params: NewsvendorParams, demand: Scenario, x: float) -> float:
-    return math.fsum((demand.probs * _newsvendor_cost_vec(params, x, demand.costs)).tolist())
+    k = int(np.searchsorted(np.cumsum(probs), tau, side="left"))
+    # exact-comparison refinement against fsum prefixes
+    while k > 0 and math.fsum(probs[:k].tolist()) >= tau:
+        k -= 1
+    while k < atoms.size and math.fsum(probs[: k + 1].tolist()) < tau:
+        k += 1
+    return float(atoms[min(k, atoms.size - 1)])
 
 
 def _argmin_smallest(xs: np.ndarray, vals: np.ndarray) -> float:
@@ -110,26 +131,23 @@ def _argmin_smallest(xs: np.ndarray, vals: np.ndarray) -> float:
 def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     """Nominal expected-cost minimizer; kinks only at demand atoms, ties to smaller x."""
     atoms = np.unique(demand.costs)
-    cands = list(atoms) + [0.5 * (a + b) for a, b in zip(atoms[:-1], atoms[1:])]
-    xs = np.array(sorted(cands))
-    vals = np.array([_nominal_objective(params, demand, float(x)) for x in xs])
+    xs = np.sort(np.concatenate([atoms, 0.5 * (atoms[:-1] + atoms[1:])]))
+    vals = np.concatenate(
+        [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, xs)]
+    )
     return _argmin_smallest(xs, vals)
 
 
-def _crossing_points(params: NewsvendorParams, atoms: np.ndarray) -> list[float]:
+def _crossing_points(params: NewsvendorParams, atoms: np.ndarray) -> np.ndarray:
     # f(., yi) and f(., yj) are parallel outside (yi, yj) and cross at most once
     # inside, where the low-demand line has slope (c - q) and the high-demand
     # line has slope (c - r - s)
-    out = []
     r, q, s = params.r, params.q, params.s
-    denom = r + s - q
-    for i in range(atoms.size):
-        for j in range(i + 1, atoms.size):
-            yi, yj = float(atoms[i]), float(atoms[j])
-            x = (s * yj + (r - q) * yi) / denom
-            if yi < x < yj:
-                out.append(x)
-    return out
+    i, j = np.triu_indices(atoms.size, k=1)
+    yi, yj = atoms[i], atoms[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf fails the bracket test
+        x = (s * yj + (r - q) * yi) / (r + s - q)
+    return x[(yi < x) & (x < yj)]
 
 
 def _worst_value(
@@ -144,6 +162,25 @@ def _worst_value(
             demand.costs, demand.probs, demand_cost_curve(params, x), eps
         )
     return worstcase.worst_case(cost_scenario(params, demand, x), family, eps)
+
+
+def _worst_values(
+    params: NewsvendorParams,
+    demand: Scenario,
+    family: UncertaintyFamily,
+    eps: float,
+    xs: np.ndarray,
+) -> np.ndarray:
+    """V(x) for each candidate order x, value only."""
+    if isinstance(family, WassersteinL1):
+        return np.array([_worst_value(params, demand, family, eps, float(x)).value for x in xs])
+    vals = []
+    for f in _cost_blocks(params, demand, xs):
+        finite = np.all(np.isfinite(f), axis=1)
+        if not np.all(finite):
+            demand.with_costs(f[np.argmin(finite)])  # raises NonFiniteCost, as cost_scenario does
+        vals.append(family.worst_values(f, demand.probs, eps))
+    return np.concatenate(vals)
 
 
 @dataclass(frozen=True)
@@ -163,15 +200,14 @@ def dro_newsvendor(
     hi = 1.5 * float(np.max(atoms))
     cands = set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())
     if family.piecewise_linear and atoms.size <= 200:
-        cands |= {x for x in _crossing_points(params, atoms) if 0.0 <= x <= hi}
+        cross = _crossing_points(params, atoms)
+        cands |= set(cross[(0.0 <= cross) & (cross <= hi)].tolist())
     xs = np.array(sorted(cands))
-    vals = np.array([_worst_value(params, demand, family, eps, float(x)).value for x in xs])
-    x1 = _argmin_smallest(xs, vals)
+    x1 = _argmin_smallest(xs, _worst_values(params, demand, family, eps, xs))
     pitch = hi / 399.0
     local = np.linspace(max(0.0, x1 - pitch), min(hi, x1 + pitch), 40)
     xs2 = np.unique(np.append(local, x1))
-    vals2 = np.array([_worst_value(params, demand, family, eps, float(x)).value for x in xs2])
-    x_star = _argmin_smallest(xs2, vals2)
+    x_star = _argmin_smallest(xs2, _worst_values(params, demand, family, eps, xs2))
     return DroSolution(x=x_star, worst_case=_worst_value(params, demand, family, eps, x_star))
 
 

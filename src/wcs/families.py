@@ -6,10 +6,12 @@ its ``growth`` rate g (sqrt(eps) for smooth phi-divergence balls, eps
 otherwise), whether it is ``piecewise_linear`` (a maximum over the vertices
 of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
-``worst_case(s, eps)``.
+``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
+value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
+candidate scan calls.
 
 Wasserstein is the one family that needs support geometry, not only a cost
-vector: its two methods raise, and callers holding the geometry use
+vector: its scenario-level methods raise, and callers holding the geometry use
 ``sensitivity.wasserstein_sensitivity`` and ``worstcase.wc_wasserstein_pl``.
 """
 
@@ -18,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .core import GROWTH_LINEAR, GROWTH_SQRT, MODIFIED_CHI2, CostModel, PhiFunction
+import numpy as np
+
+from .core import GROWTH_LINEAR, GROWTH_SQRT, MODIFIED_CHI2, CostModel, PhiFunction, Scenario
 from .riskstats import CvarLevel
 from .sensitivity import (
     budgeted_sensitivity,
@@ -28,7 +32,19 @@ from .sensitivity import (
     symmetric_box_sensitivity,
     tv_sensitivity,
 )
-from .worstcase import wc_box_symmetric, wc_budgeted, wc_chi2, wc_combination, wc_smooth_phi, wc_tv
+from .worstcase import (
+    box_symmetric_values,
+    budgeted_values,
+    chi2_values,
+    combination_values,
+    tv_values,
+    wc_box_symmetric,
+    wc_budgeted,
+    wc_chi2,
+    wc_combination,
+    wc_smooth_phi,
+    wc_tv,
+)
 
 
 class UncertaintyFamily:
@@ -38,6 +54,17 @@ class UncertaintyFamily:
     growth: ClassVar[str] = GROWTH_LINEAR
     piecewise_linear: ClassVar[bool] = False
     homogeneity: ClassVar[float] = 1.0
+
+    def worst_values(self, costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+        """worst_case(row, eps).value for each row of a block of finite costs.
+
+        This default solves row by row; families with a batched kernel
+        override it.
+        """
+        return np.array(
+            [self.worst_case(Scenario(costs=row, probs=probs), eps).value for row in costs],
+            dtype=float,
+        )
 
 
 @dataclass(frozen=True)
@@ -57,6 +84,11 @@ class SmoothPhi(UncertaintyFamily):
         if self.phi is MODIFIED_CHI2:
             return wc_chi2(s, eps)
         return wc_smooth_phi(s, self.phi, eps)
+
+    def worst_values(self, costs, probs, eps):
+        if self.phi is MODIFIED_CHI2:
+            return chi2_values(costs, probs, eps)
+        return super().worst_values(costs, probs, eps)
 
 
 @dataclass(frozen=True)
@@ -89,6 +121,9 @@ class TotalVariation(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_tv(s, eps)
 
+    def worst_values(self, costs, probs, eps):
+        return tv_values(costs, probs, eps)
+
 
 @dataclass(frozen=True)
 class Budgeted(UncertaintyFamily):
@@ -102,6 +137,9 @@ class Budgeted(UncertaintyFamily):
 
     def worst_case(self, s, eps):
         return wc_budgeted(s, eps)
+
+    def worst_values(self, costs, probs, eps):
+        return budgeted_values(costs, probs, eps)
 
 
 @dataclass(frozen=True)
@@ -122,6 +160,9 @@ class Combination(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_combination(s, self.alpha, eps)
 
+    def worst_values(self, costs, probs, eps):
+        return combination_values(costs, probs, self.alpha, eps)
+
 
 @dataclass(frozen=True)
 class SymmetricBox(UncertaintyFamily):
@@ -135,6 +176,9 @@ class SymmetricBox(UncertaintyFamily):
 
     def worst_case(self, s, eps):
         return wc_box_symmetric(s, eps)
+
+    def worst_values(self, costs, probs, eps):
+        return box_symmetric_values(costs, probs, eps)
 
 
 @dataclass(frozen=True)

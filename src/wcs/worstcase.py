@@ -404,6 +404,144 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 
 
 # ---------------------------------------------------------------------------
+# Value-only batches: V(eps) for each row of an (m, n) cost block
+# ---------------------------------------------------------------------------
+#
+# Each row is one cost vector under the shared probabilities; rows must be
+# finite. No worst_q or dual is built. The piecewise-linear families return
+# exactly the scalar solver's value; modified chi-square uses the closed form
+# of its active-set optimality conditions, which agrees with wc_chi2 to its
+# bisection tolerance.
+
+
+def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
+    """solve() on the non-constant rows; constant rows get E_p f, as _degenerate does."""
+    const = np.all(costs == costs[:, :1], axis=1)
+    if not np.any(const):
+        return solve(costs)
+    out = np.empty(costs.shape[0])
+    out[const] = riskstats.row_fsums(probs * costs[const])
+    if not np.all(const):
+        out[~const] = solve(costs[~const])
+    return out
+
+
+def budgeted_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+    """wc_budgeted(row, eps).value for each row, bit for bit."""
+    _check_eps(eps)
+    e = min(eps, float(np.max(1.0 / probs - 1.0)))
+    return _by_row(costs, probs, lambda f: riskstats.cvar_rows(f, probs, e / (1.0 + e)))
+
+
+def combination_values(
+    costs: np.ndarray, probs: np.ndarray, alpha: float, eps: float
+) -> np.ndarray:
+    """wc_combination(row, alpha, eps).value for each row, bit for bit."""
+    if not (math.isfinite(eps) and 0.0 <= eps <= 1.0):
+        raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
+
+    def solve(f):
+        cv = riskstats.cvar_rows(f, probs, alpha)
+        return (1.0 - eps) * riskstats.row_fsums(probs * f) + eps * cv
+
+    return _by_row(costs, probs, solve)
+
+
+def box_symmetric_values(costs: np.ndarray, probs: np.ndarray, nu: float) -> np.ndarray:
+    """wc_box_symmetric(row, nu).value for each row, bit for bit."""
+    _check_eps(nu)
+    box = BoxParams(L=1.0 / (1.0 + nu), U=1.0 + nu)
+
+    def solve(f):
+        mean = riskstats.row_fsums(probs * f)
+        if box.L == 1.0:
+            return mean
+        cv = riskstats.cvar_rows(f, probs, (box.U - 1.0) / (box.U - box.L))
+        return box.L * mean + (1.0 - box.L) * cv
+
+    return _by_row(costs, probs, solve)
+
+
+def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+    """wc_tv(row, eps).value for each row, bit for bit: its strip loop, run across rows."""
+    _check_eps(eps)
+    e = min(eps, 2.0)
+
+    def solve(f):
+        order = np.argsort(-f, axis=1, kind="stable")
+        q = probs[order]
+        gain = np.minimum(0.5 * e, 1.0 - q[:, 0])
+        q[:, 0] += gain
+        need = gain
+        for j in range(q.shape[1] - 1, 0, -1):  # strip cheapest-first
+            # a row whose need reached 0 takes min(0, q) = 0 from here on
+            take = np.minimum(need, q[:, j])
+            q[:, j] -= take
+            need = need - take
+            if not np.any(need > 0.0):
+                break
+        return riskstats.row_fsums(q * np.take_along_axis(f, order, axis=1))
+
+    return _by_row(costs, probs, solve)
+
+
+def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+    """wc_chi2(row, eps).value for each row, to the bisection's tolerance.
+
+    With the k costliest atoms active, q_i = p_i (1/P_k + delta (f_i - mu_k))
+    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
+    and the p-weighted sum of squared deviations of the active atoms. The
+    divergence constraint then gives delta^2 W_k = 2 eps - (1 - P_k)/P_k and
+
+        V_k = mu_k + sqrt(W_k (2 eps - (1 - P_k)/P_k)),
+
+    the variance expansion of the chi-square ball (k = n is the unclamped
+    closed form). The optimum is the first k whose active tilts are >= 0 and
+    whose next atom's tilt is <= 0. Costs are centred at the row max and
+    scaled by the row range, so the squares cannot overflow. Past the
+    saturation divergence V is max f; a row with no consistent k goes to
+    the scalar wc_chi2.
+    """
+    _check_eps(eps)
+    if eps == 0.0:
+        return riskstats.row_fsums(probs * costs)
+
+    def solve(raw):
+        order = np.argsort(-raw, axis=1, kind="stable")
+        f = np.take_along_axis(raw, order, axis=1)
+        p = probs[order]
+        top, scale = f[:, :1], f[:, :1] - f[:, -1:]
+        rows = np.arange(f.shape[0])
+        # column k holds the prefix of the k + 1 costliest atoms
+        with np.errstate(all="ignore"):
+            g = (f - top) / scale  # in [-1, 0]
+            P = np.cumsum(p, axis=1)
+            S = np.cumsum(p * g, axis=1)
+            mu = S / P
+            W = np.maximum(np.cumsum(p * g * g, axis=1) - S * mu, 0.0)
+            # the mass left off the prefix, against the row's total rather than 1
+            slack = 2.0 * eps - (P[:, -1:] - P) / P
+            delta = np.sqrt(slack / W)
+            base = 1.0 / P
+            tol = 1e-12 * (base + delta)
+            # atom k, the cheapest active one, keeps a nonnegative tilt ...
+            ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
+            # ... and atom k + 1 would get a nonpositive one
+            ok[:, :-1] &= base[:, :-1] + delta[:, :-1] * (g[:, 1:] - mu[:, :-1]) <= tol[:, :-1]
+            k = np.argmax(ok, axis=1)
+            value = top[:, 0] + scale[:, 0] * (mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k]))
+            pm = np.sum(np.where(g == 0.0, p, 0.0), axis=1)
+            d_sat = 0.5 * (1.0 - pm) / pm
+        saturated = eps >= d_sat - 1e-9 * (1.0 + np.abs(d_sat))
+        value[saturated] = top[saturated, 0]
+        for i in np.nonzero(~saturated & ~ok[rows, k])[0]:
+            value[i] = wc_chi2(Scenario(costs=raw[i], probs=probs), eps).value
+        return value
+
+    return _by_row(costs, probs, solve)
+
+
+# ---------------------------------------------------------------------------
 # Wasserstein (L1 transport) on scalar piecewise-linear costs
 # ---------------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import wcs
 from wcs.core import interpolated_cost, PiecewiseLinearCost, ConcaveGradientCost
+from wcs.rng import SplitMix64
 from wcs.errors import (
     EmptyInput,
     LengthMismatch,
@@ -200,6 +202,44 @@ class TestPiecewiseLinearCost:
         assert c.value(-4.0) == pytest.approx(1.0)
         assert c.value(9.0) == pytest.approx(3.0)
         assert c.ratio_from(0.0) == pytest.approx(4.0)  # best ascent toward f=5
+
+
+def _walk_value(cost, z):
+    """f(z) by walking every knot from the anchor to z, one linear piece at a time."""
+    z0, f0 = cost.anchor
+    if z == z0:
+        return f0
+    lo, hi = min(z0, z), max(z0, z)
+    knots = [lo] + [b for b in cost.breakpoints if lo < b < hi] + [hi]
+    sgn = 1.0 if z > z0 else -1.0
+    pts = knots if z > z0 else knots[::-1]
+    total = f0
+    for a, b in zip(pts[:-1], pts[1:]):
+        slope = cost.slopes[bisect.bisect_right(cost.breakpoints, 0.5 * (a + b))]
+        total += sgn * slope * abs(b - a)
+    return total
+
+
+class TestKnotValues:
+    """Values read through the cached knot values equal the full walk bit for bit."""
+
+    def test_matches_the_walk(self):
+        rng = SplitMix64(41)
+        for trial in range(30):
+            n = 1 + 7 * trial
+            pts = [200.0 * rng.uniform() - 100.0 for _ in range(n)]
+            vals = [rng.gauss_pair()[0] * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
+            costs = [interpolated_cost(pts, vals)]
+            if n > 2:
+                # an anchor inside the knots, so values left of it are walked leftward
+                bp = sorted(pts)
+                slopes = tuple(rng.gauss_pair()[0] for _ in range(n + 1))
+                costs.append(PiecewiseLinearCost(tuple(bp), slopes, anchor=(bp[n // 2] + 0.5, 3.0)))
+            for cost in costs:
+                zs = list(cost.breakpoints) + [cost.anchor[0], -1e3, 1e3]
+                zs += [200.0 * rng.uniform() - 100.0 for _ in range(20)]
+                got = [cost.value(z).hex() for z in zs]
+                assert got == [_walk_value(cost, z).hex() for z in zs], trial
 
 
 class TestConcaveGradientCost:

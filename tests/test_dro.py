@@ -57,6 +57,122 @@ class TestSaa:
             )
 
 
+def _reference_quantile(demand, tau):
+    """The quadratic definition: first sorted atom whose fsum prefix reaches tau."""
+    order = np.argsort(demand.costs, kind="stable")
+    for k in range(order.size):
+        if math.fsum(demand.probs[order[: k + 1]].tolist()) >= tau:
+            return float(demand.costs[order[k]])
+    return float(demand.costs[order[-1]])
+
+
+def _reference_saa(params, demand):
+    """One fsum of p * f per candidate order, atoms and midpoints, ties to smaller x."""
+    atoms = sorted(set(demand.costs.tolist()))
+    xs = sorted(atoms + [0.5 * (a + b) for a, b in zip(atoms[:-1], atoms[1:])])
+    def objective(x):
+        f = np.array([dro.newsvendor_cost(params, x, y) for y in demand.costs])
+        return math.fsum((demand.probs * f).tolist())
+
+    vals = [objective(x) for x in xs]
+    best = min(vals)
+    return min(x for x, v in zip(xs, vals) if v <= best + 1e-12 * (1.0 + abs(best)))
+
+
+class TestSaaBatch:
+    def test_matches_the_per_candidate_objective(self):
+        rng = SplitMix64(23)
+        for trial in range(30):
+            n = 1 + trial * 3
+            if trial % 3 == 0:  # many ties
+                atoms = [float(math.floor(40.0 * rng.uniform())) for _ in range(n)]
+            else:
+                atoms = [100.0 * rng.uniform() for _ in range(n)]
+            w = [0.2 + rng.uniform() for _ in range(n)]
+            probs = [v / math.fsum(w) for v in w] if trial % 2 else None
+            demand = wcs.validate(atoms, probs)
+            c, s = 1.0 + 8.0 * rng.uniform(), 4.0 * rng.uniform()
+            params = dro.NewsvendorParams(r=10.0, c=c, q=0.5, s=s)
+            assert dro.saa_newsvendor(params, demand) == _reference_saa(params, demand)
+
+    def test_demand_quantile_matches_the_quadratic_search(self):
+        rng = SplitMix64(29)
+        for trial in range(40):
+            n = 1 + trial % 9
+            w = [0.2 + rng.uniform() for _ in range(n)]
+            probs = [v / math.fsum(w) for v in w] if trial % 2 else None
+            demand = wcs.validate([float(math.floor(5.0 * rng.uniform())) for _ in range(n)], probs)
+            cum = np.cumsum(np.sort(demand.probs))
+            # the exact cumulative masses, the points between them, and both ends
+            taus = [0.0, 1.0, 1.0 + 1e-9, *cum.tolist(), *(cum - 1e-17).tolist(), rng.uniform()]
+            for tau in taus:
+                assert dro.demand_quantile(demand, tau) == _reference_quantile(demand, tau)
+        quarters = wcs.validate([4.0, 1.0, 3.0, 2.0])
+        taus = (0.25, 0.5, 0.75, 1.0)
+        assert [dro.demand_quantile(quarters, t) for t in taus] == [1.0, 2.0, 3.0, 4.0]
+
+
+def _reference_scan(params, demand, family, eps):
+    """dro_newsvendor with one scalar worst case per candidate order."""
+
+    def argmin(xs, vals):
+        best = min(vals)
+        return min(x for x, v in zip(xs, vals) if v <= best + 1e-12 * (1.0 + abs(best)))
+
+    def value(x):
+        return wcs.worst_case(dro.cost_scenario(params, demand, x), family, eps).value
+
+    atoms = np.unique(demand.costs)
+    hi = 1.5 * float(np.max(atoms))
+    cands = set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())
+    if family.piecewise_linear and atoms.size <= 200:
+        r, q, s = params.r, params.q, params.s
+        for i in range(atoms.size):
+            for j in range(i + 1, atoms.size):
+                yi, yj = float(atoms[i]), float(atoms[j])
+                x = (s * yj + (r - q) * yi) / (r + s - q)
+                if yi < x < yj and 0.0 <= x <= hi:
+                    cands.add(x)
+    xs = sorted(cands)
+    x1 = argmin(xs, [value(x) for x in xs])
+    pitch = hi / 399.0
+    local = np.linspace(max(0.0, x1 - pitch), min(hi, x1 + pitch), 40)
+    xs2 = np.unique(np.append(local, x1)).tolist()
+    x_star = argmin(xs2, [value(x) for x in xs2])
+    return x_star, value(x_star)
+
+
+class TestBatchedScan:
+    """The batched value-only scan picks the per-candidate scan's order, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            wcs.Budgeted(),
+            wcs.TotalVariation(),
+            wcs.Combination(0.7),
+            wcs.SymmetricBox(),
+            wcs.SmoothPhi(),
+        ],
+        ids=lambda f: f.name,
+    )
+    def test_matches_the_per_candidate_scan(self, family):
+        rng = SplitMix64(37)
+        for n in (3, 24, 300):
+            atoms = [rng.exponential(10.0 if rng.uniform() < 0.9 else 100.0) for _ in range(n)]
+            w = [0.05 + rng.exponential(1.0) for _ in range(n)]
+            demand = wcs.validate(atoms, [v / math.fsum(w) for v in w])
+            q, s = 0.5 * rng.uniform(), 4.0 * rng.uniform()
+            params = dro.NewsvendorParams(r=10.0, c=2.0, q=q, s=s)
+            eps = 0.6 if family.name == "combo" else 0.25 + rng.uniform()
+            sol = dro.dro_newsvendor(params, demand, family, eps)
+            assert (sol.x, sol.worst_case.value) == _reference_scan(params, demand, family, eps), n
+
+    def test_overflowing_candidate_is_rejected(self):
+        with pytest.raises(NonFiniteCost):
+            dro.dro_newsvendor(PARAMS, wcs.validate([1e308, 1.0]), wcs.Budgeted(), 0.5)
+
+
 class TestDroNewsvendor:
     def test_two_atom_budgeted_worked_instance(self):
         d = uniform_demand([10, 20])

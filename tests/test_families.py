@@ -1,7 +1,12 @@
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 import wcs
 from wcs import families
+from wcs.rng import SplitMix64
 
 NAMES = ("phi", "penalty-phi", "tv", "budgeted", "combo", "box", "wasserstein")
 
@@ -78,3 +83,118 @@ class TestDescriptors:
             wcs.worst_case(s, wcs.WassersteinL1(None), 0.1)
         with pytest.raises(ValueError):
             wcs.worst_case_sensitivity(s, wcs.WassersteinL1(None))
+
+
+def _blocks():
+    """(label, cost block, probs) over uniform and non-uniform p and three cost scales.
+
+    Every block has a constant row and a row of many ties; the rows of the
+    last block sit on the chi-square active-set boundary, where the two tied
+    zeros of [2, 1, 0, 0] get tilt 0 at eps = 11/18.
+    """
+    rng = SplitMix64(404)
+    out = []
+    for n, uniform in ((2, True), (7, False), (40, True), (40, False)):
+        w = [rng.exponential(1.0) + 0.05 for _ in range(n)]
+        p = np.full(n, 1.0 / n) if uniform else np.array([v / math.fsum(w) for v in w])
+        rows = [[rng.exponential(1.0) for _ in range(n)] for _ in range(8)]
+        rows.append([3.0] * n)
+        rows.append([float(math.floor(3.0 * rng.uniform())) for _ in range(n)])
+        for scale in (1.0, 1e150, 1e-150):
+            out.append((f"n={n}/uniform={uniform}/scale={scale}", scale * np.array(rows), p))
+    boundary = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 1.0], [7.0, 5.0, 3.0, 3.0]])
+    out.append(("boundary", boundary, np.full(4, 0.25)))
+    return out
+
+
+def _scalar_values(family, block, probs, eps):
+    demand = wcs.validate(block[0], probs)
+    return [family.worst_case(demand.with_costs(row), eps).value for row in block]
+
+
+def _user_phi():
+    """phi(z) = (z - 1)^2, a chi-square that is not the built-in object."""
+    return dict(
+        value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+        inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+        zeta_floor=-2.0,
+        curvature=2.0,
+    )
+
+
+class TestWorstValues:
+    """``worst_values`` against ``worst_case(...).value`` row by row."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            wcs.Budgeted(),
+            wcs.TotalVariation(),
+            wcs.Combination(0.8),
+            wcs.Combination(0.0),
+            wcs.SymmetricBox(),
+        ],
+        ids=repr,
+    )
+    def test_piecewise_linear_families_bit_for_bit(self, family):
+        # eps = 60 lies past every budgeted saturation point here and clamps tv
+        eps_list = (0.0, 0.3, 1.0) if family.name == "combo" else (0.0, 0.3, 1.0, 60.0)
+        for label, block, probs in _blocks():
+            for eps in eps_list:
+                got = family.worst_values(block, probs, eps)
+                want = _scalar_values(family, block, probs, eps)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (label, eps)
+
+    def test_chi2_matches_the_scalar_solver(self):
+        fam = wcs.SmoothPhi()
+        for label, block, probs in _blocks():
+            if "scale=1.0" in label or label == "boundary":
+                # unclamped, clamped, the boundary tie, and past saturation
+                eps_list = (0.0, 0.001, 0.3, 11.0 / 18.0, 1.0, 60.0)
+            else:
+                # the scalar's bisection cannot bracket clamped cases at this scale
+                eps_list = (0.0, 0.001, 0.01)
+            for eps in eps_list:
+                got = fam.worst_values(block, probs, eps)
+                want = _scalar_values(fam, block, probs, eps)
+                for row, g, w in zip(block, got, want):
+                    assert abs(g - w) <= 1e-9 * (abs(w) + np.ptp(row)), (label, eps, g, w)
+
+    def test_chi2_is_scale_equivariant_where_the_scalar_cannot_bracket(self):
+        fam = wcs.SmoothPhi()
+        for label, block, probs in _blocks():
+            if "scale=1.0" not in label:
+                continue
+            unit = fam.worst_values(block, probs, 0.7)
+            for scale in (1e150, 1e-150):
+                got = fam.worst_values(scale * block, probs, 0.7)
+                assert np.allclose(got, scale * unit, rtol=1e-9, atol=0.0), label
+
+    def test_chi2_row_without_a_consistent_active_set_goes_to_the_scalar(self):
+        # the row's range overflows, so the centred closed form is undefined
+        block = np.array([[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]])
+        probs = np.full(3, 1.0 / 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = wcs.SmoothPhi().worst_values(block, probs, 0.1)
+            want = _scalar_values(wcs.SmoothPhi(), block, probs, 0.1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_default_solves_row_by_row(self):
+        _, block, probs = _blocks()[1]
+        for fam in (wcs.SmoothPhi(wcs.KL), wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))):
+            want = _scalar_values(fam, block, probs, 0.3)
+            assert fam.worst_values(block, probs, 0.3).tolist() == want
+        for fam in (wcs.PenaltyPhi(), wcs.WassersteinL1()):
+            with pytest.raises(TypeError):
+                fam.worst_values(block, probs, 0.3)
+
+    def test_eps_errors_match_the_scalar(self):
+        _, block, probs = _blocks()[0]
+        for fam, eps in ((wcs.Budgeted(), -1.0), (wcs.TotalVariation(), math.inf),
+                         (wcs.Combination(0.5), 1.5), (wcs.SymmetricBox(), -0.1),
+                         (wcs.SmoothPhi(), math.nan)):
+            with pytest.raises(wcs.errors.EpsOutOfRange):
+                fam.worst_values(block, probs, eps)
+

@@ -360,6 +360,16 @@ class TestWassersteinPl:
             r.value, abs=1e-10
         )
 
+    def test_interpolated_cost_at_n_400(self):
+        # every ratio candidate reads the cached knot values instead of walking all knots
+        rng = SplitMix64(43)
+        pts = [100.0 * rng.uniform() for _ in range(400)]
+        cost = wcs.interpolated_cost(pts, [rng.exponential(3.0) for _ in range(400)])
+        r = wcs.wc_wasserstein_pl(pts, None, cost, 0.2)
+        # the steepest ascent from a support point runs along the steepest piece
+        assert r.dual.lam == max(abs(v) for v in cost.slopes)
+        assert r.value == wcs.mean(wcs.validate([cost.value(y) for y in pts])) + 0.2 * r.dual.lam
+
     def test_constant_cost(self):
         flat = wcs.PiecewiseLinearCost((), (0.0,), anchor=(0.0, 2.0))
         r = wcs.wc_wasserstein_pl([0.0, 3.0], [0.5, 0.5], flat, 1.0)
