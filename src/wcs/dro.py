@@ -34,7 +34,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import GROWTH_LINEAR, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost, Scenario, validate
-from .errors import EmptyInput, LengthMismatch, NonConvergence
+from .errors import EmptyInput, LengthMismatch, NegativeDemand, NonConvergence, NonFiniteCost
 from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
@@ -111,15 +111,7 @@ def _cost_blocks(params: NewsvendorParams, demand: Scenario, xs: np.ndarray):
 def demand_quantile(demand: Scenario, tau: float) -> float:
     """Smallest demand atom whose cumulative mass reaches tau."""
     order = np.argsort(demand.costs, kind="stable")
-    atoms = demand.costs[order]
-    probs = demand.probs[order]
-    k = int(np.searchsorted(np.cumsum(probs), tau, side="left"))
-    # exact-comparison refinement against fsum prefixes
-    while k > 0 and math.fsum(probs[:k].tolist()) >= tau:
-        k -= 1
-    while k < atoms.size and math.fsum(probs[: k + 1].tolist()) < tau:
-        k += 1
-    return float(atoms[min(k, atoms.size - 1)])
+    return float(demand.costs[order][riskstats.prefix_rank(demand.probs[order], tau)])
 
 
 def _argmin_smallest(xs: np.ndarray, vals: np.ndarray) -> float:
@@ -128,8 +120,14 @@ def _argmin_smallest(xs: np.ndarray, vals: np.ndarray) -> float:
     return float(np.min(xs[vals <= best + tol]))
 
 
+def _check_demand(demand: Scenario) -> None:
+    if np.any(demand.costs < 0.0):
+        raise NegativeDemand(f"negative demand atoms at {np.nonzero(demand.costs < 0.0)[0].tolist()}")
+
+
 def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     """Nominal expected-cost minimizer; kinks only at demand atoms, ties to smaller x."""
+    _check_demand(demand)
     atoms = np.unique(demand.costs)
     xs = np.sort(np.concatenate([atoms, 0.5 * (atoms[:-1] + atoms[1:])]))
     vals = np.concatenate(
@@ -193,6 +191,7 @@ def dro_newsvendor(
     params: NewsvendorParams, demand: Scenario, family: UncertaintyFamily, eps: float
 ) -> DroSolution:
     """Minimize the family's exact worst-case cost over the order quantity."""
+    _check_demand(demand)
     if eps == 0.0:
         x0 = saa_newsvendor(params, demand)
         return DroSolution(x=x0, worst_case=_worst_value(params, demand, family, 0.0, x0))
@@ -350,6 +349,9 @@ def labeled_dataset(features, labels) -> LabeledDataset:
         raise LengthMismatch(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +-1")
+    bad = ~np.all(np.isfinite(X), axis=1)
+    if np.any(bad):
+        raise NonFiniteCost(f"non-finite features in rows {np.nonzero(bad)[0].tolist()}")
     return LabeledDataset(features=X, labels=y)
 
 
@@ -382,30 +384,55 @@ class LogregFit:
     separable: bool
 
 
-def logreg_saa(data: LabeledDataset, tol: float = 1e-8, max_iter: int = 50_000) -> LogregFit:
-    """Average log-loss minimizer by gradient descent with backtracking.
+def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -> LogregFit:
+    """Proximal gradient from w = 0 on eps ||w||_2 + logloss(w).
 
-    On separable data there is no finite minimizer; the run still terminates
-    at the gradient-norm criterion and the fit is flagged separable.
+    The step doubles each iteration and halves until the trial w+ passes
+    2 step <grad(w+) - grad(w), d> <= ||d||^2 with d = w+ - w, which by
+    convexity certifies the quadratic upper bound of backtracking proximal
+    gradient (Beck & Teboulle 2009) without subtracting two nearly equal
+    losses; the accepted gradient is the next iteration's. The stop is the
+    optimality residual ||grad + eps w/||w|| ||, or max(||grad|| - eps, 0)
+    at w = 0, so w = 0 returns at iteration 0 once eps >= ||grad(0)||.
     """
     w = np.zeros(data.d)
-    loss = logloss(data, w)
+    g = logloss_grad(data, w)
     step = 1.0
-    for it in range(1, max_iter + 1):
-        g = logloss_grad(data, w)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
+    for it in range(max_iter + 1):
+        nw = float(np.linalg.norm(w))
+        # max(nan, 0.0) is nan (max(0.0, nan) would be 0.0): a NaN never reads as converged
+        if nw == 0.0:
+            resid = max(float(np.linalg.norm(g)) - eps, 0.0)
+        else:
+            resid = float(np.linalg.norm(g + eps * w / nw))
+        if resid <= tol:
             margins = data.labels * (data.features @ w)
-            return LogregFit(w, loss, gn, it - 1, separable=bool(np.all(margins > 0)))
+            separable = eps == 0.0 and bool(np.all(margins > 0))
+            return LogregFit(w, eps * nw + logloss(data, w), resid, it, separable)
+        if it == max_iter:
+            break
         step *= 2.0
-        while step > 1e-18:
-            w_new = w - step * g
-            loss_new = logloss(data, w_new)
-            if loss_new <= loss - 0.5 * step * gn * gn:
+        while True:
+            v = w - step * g
+            nv = float(np.linalg.norm(v))
+            # the prox of step * eps ||.||: shrink towards 0, exactly 0 inside the ball
+            w_new = np.zeros_like(v) if nv <= step * eps else (1.0 - step * eps / nv) * v
+            g_new = logloss_grad(data, w_new)
+            d = w_new - w
+            if 2.0 * step * float((g_new - g) @ d) <= float(d @ d) or step <= 1e-18:
                 break
             step *= 0.5
-        w, loss = w_new, loss_new
-    raise NonConvergence(f"gradient norm {gn:.3e} > tol {tol} after {max_iter} iterations")
+        w, g = w_new, g_new
+    raise NonConvergence(f"optimality residual {resid:.3e} > tol {tol} after {max_iter} iterations")
+
+
+def logreg_saa(data: LabeledDataset, tol: float = 1e-8, max_iter: int = 50_000) -> LogregFit:
+    """Average log-loss minimizer: the eps = 0 proximal-gradient fit.
+
+    On separable data there is no finite minimizer; the run still stops at
+    the gradient-norm criterion and the fit is flagged separable.
+    """
+    return _prox_descent(data, 0.0, tol, max_iter)
 
 
 def robust_logreg_objective(
@@ -434,69 +461,17 @@ def logreg_wasserstein(
 ) -> tuple[LogregFit, sensitivity.SensitivityReport]:
     """Minimize eps ||w||_2 + average log-loss; sensitivity is ||w_SAA||_2.
 
-    Subgradient descent with diminishing steps warm-starts a proximal
-    polish whose shrinkage step returns w = 0 exactly once
+    One proximal-gradient loop from w = 0 solves both the SAA fit and the
+    regularized fit, each to optimality residual <= tol. The shrinkage step
+    makes w = 0 exact, and it is the fit at iteration 0 once
     eps >= ||(1/2n) sum y_i x_i||_2 (the zero-subgradient condition).
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    # the reported sensitivity only needs the SAA norm; plain gradient descent
-    # hits its float noise floor near 1e-9, so do not chase tighter tolerances
-    saa = logreg_saa(data, tol=max(tol, 1e-8), max_iter=max_iter)
+    saa = logreg_saa(data, tol=tol, max_iter=max_iter)
     report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
-    if eps == 0.0:
-        return saa, report
-
-    g0 = logloss_grad(data, np.zeros(data.d))
-    if eps >= float(np.linalg.norm(g0)):
-        w = np.zeros(data.d)
-        fit = LogregFit(w, robust_logreg_objective(data, w, eps), 0.0, 0, separable=False)
-        return fit, report
-
-    def objective(w):
-        return eps * float(np.linalg.norm(w)) + logloss(data, w)
-
-    # phase 1: diminishing-step subgradient descent from the origin
-    w = np.zeros(data.d)
-    best_w, best_f = w.copy(), objective(w)
-    for k in range(1, 301):
-        sub = logloss_grad(data, w)
-        nw = float(np.linalg.norm(w))
-        if nw > 0:
-            sub = sub + eps * w / nw
-        w = w - (0.5 / math.sqrt(k)) * sub
-        f = objective(w)
-        if f < best_f:
-            best_w, best_f = w.copy(), f
-    w = best_w
-
-    # phase 2: proximal polish (shrinkage snaps exactly to zero)
-    step = 1.0
-    loss = logloss(data, w)
-    for it in range(1, max_iter + 1):
-        g = logloss_grad(data, w)
-        step *= 2.0
-        while True:
-            v = w - step * g
-            nv = float(np.linalg.norm(v))
-            w_new = np.zeros_like(v) if nv <= step * eps else (1.0 - step * eps / nv) * v
-            loss_new = logloss(data, w_new)
-            dw = w_new - w
-            if loss_new <= loss + float(g @ dw) + float(dw @ dw) / (2.0 * step) or step <= 1e-18:
-                break
-            step *= 0.5
-        moved = float(np.linalg.norm(w_new - w)) / step
-        w, loss = w_new, loss_new
-        nw = float(np.linalg.norm(w))
-        resid = (
-            max(0.0, float(np.linalg.norm(logloss_grad(data, w))) - eps)
-            if nw == 0.0
-            else float(np.linalg.norm(logloss_grad(data, w) + eps * w / nw))
-        )
-        if resid <= tol or moved <= tol * 1e-3:
-            fit = LogregFit(w, objective(w), resid, it, separable=False)
-            return fit, report
-    raise NonConvergence(f"prox residual {resid:.3e} > tol {tol} after {max_iter} iterations")
+    fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, max_iter)
+    return fit, report
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,11 @@ class ProbSumMismatch(WcsError, ValueError):
 
 
 class NonFiniteCost(WcsError, ValueError):
-    """NaN or infinite entries in a cost vector."""
+    """NaN or infinite entries in a cost vector or a feature matrix."""
+
+
+class NegativeDemand(WcsError, ValueError):
+    """A newsvendor demand atom below zero; zero demand is valid."""
 
 
 class KappaOutOfRange(WcsError, ValueError):

@@ -130,15 +130,21 @@ def partial_fill_rank(srt: SortedScenario, alpha: float) -> int:
     greedy CVaR fill; the strict inequality makes the piecewise-slope
     identity for budgeted sets hold exactly on discrete data.
     """
-    target = 1.0 - alpha
-    cum = np.cumsum(srt.probs_desc)
-    k = int(np.searchsorted(cum, target, side="left"))
-    # exact-comparison refinement against fsum prefixes
-    while k > 0 and math.fsum(srt.probs_desc[:k].tolist()) >= target:
+    return prefix_rank(srt.probs_desc, 1.0 - alpha)
+
+
+def prefix_rank(probs: np.ndarray, target: float) -> int:
+    """First index whose fsum prefix probs[0] + ... + probs[k] reaches target.
+
+    The last index if no prefix does. A cumsum search places k, and fsum
+    prefixes refine it, so the comparison is exact.
+    """
+    k = int(np.searchsorted(np.cumsum(probs), target, side="left"))
+    while k > 0 and math.fsum(probs[:k].tolist()) >= target:
         k -= 1
-    while k < srt.n and math.fsum(srt.probs_desc[: k + 1].tolist()) < target:
+    while k < probs.size and math.fsum(probs[: k + 1].tolist()) < target:
         k += 1
-    return min(k, srt.n - 1)
+    return min(k, probs.size - 1)
 
 
 def var_quantile(s: Scenario, alpha) -> float:

@@ -260,6 +260,43 @@ def test_malformed_input_exits_without_traceback(case, tmp_path):
         assert set(json.loads(proc.stderr)) == {"code", "message"}
 
 
+REJECTED_INPUTS = {
+    # id: (file content, argv with {file} for its path, error code)
+    "non-finite-feature": (
+        "label,x1,x2\n1,0.5,1\n-1,nan,1\n1,inf,1\n",
+        ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
+        "NonFiniteCost",
+    ),
+    "negative-demand-saa": (
+        "demand\n-5\n-10\n-3\n",
+        ["solve-newsvendor", "--r", "10", "--c", "2", "--s", "4", "--demand-file", "{file}"],
+        "NegativeDemand",
+    ),
+    "negative-demand-wasserstein": (
+        "demand\n-5\n-10\n-3\n",
+        ["solve-newsvendor", "--r", "10", "--c", "2", "--s", "4", "--family", "wasserstein",
+         "--eps", "0.5", "--demand-file", "{file}"],
+        "NegativeDemand",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUTS))
+def test_rejected_input_exits_three_with_its_code(case, tmp_path):
+    content, argv, code = REJECTED_INPUTS[case]
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcs.cli", *[a.format(file=path) for a in argv]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    # one JSON line and nothing else: no traceback, no numpy warning
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["code"] == code
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wcs.cli", "sensitivity", "--family", "tv", "--costs", "1,5,3"],

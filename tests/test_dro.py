@@ -5,7 +5,7 @@ import pytest
 
 import wcs
 from wcs import dro, oracle
-from wcs.errors import LengthMismatch, NonConvergence, NonFiniteCost
+from wcs.errors import LengthMismatch, NegativeDemand, NonConvergence, NonFiniteCost
 from wcs.rng import SplitMix64
 
 PARAMS = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
@@ -422,6 +422,98 @@ class TestLogreg:
             dro.labeled_dataset([[1, 1]], [1, -1])
         with pytest.raises(ValueError):
             dro.labeled_dataset([[1], [2]], [1, 2])
+
+
+class TestProxDescent:
+    """The one proximal-gradient loop behind logreg_saa and logreg_wasserstein."""
+
+    @staticmethod
+    def residual(ds, w, eps):
+        g = dro.logloss_grad(ds, w)
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return max(float(np.linalg.norm(g)) - eps, 0.0)
+        return float(np.linalg.norm(g + eps * w / nw))
+
+    def test_instance_where_loss_differences_stalled(self):
+        ds = dro.gen_synth_classification(1000, 10, 0.3, seed=2)
+        fit, _ = dro.logreg_wasserstein(ds, 0.19036360653900758)
+        assert fit.grad_norm <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_battery_meets_tol_with_its_certificate(self, tol):
+        for seed in range(3):
+            for n, d, margin in ((50, 2, 0.4), (120, 4, 1.0), (40, 2, 8.0)):
+                ds = dro.gen_synth_classification(n, d, margin, seed=seed)
+                g0 = float(np.linalg.norm(dro.logloss_grad(ds, np.zeros(ds.d))))
+                for eps in (0.0, 0.01, 0.1, 0.5 * g0, 0.99 * g0, 0.999999 * g0):
+                    fit, _ = dro.logreg_wasserstein(ds, eps, tol=tol)
+                    assert fit.grad_norm <= tol
+                    assert fit.grad_norm == self.residual(ds, fit.w, eps)
+                    nw = float(np.linalg.norm(fit.w))
+                    assert fit.objective == eps * nw + dro.logloss(ds, fit.w)
+
+    def test_saa_is_the_eps_zero_fit(self):
+        ds = dro.gen_synth_classification(80, 3, 0.5, seed=4)
+        saa = dro.logreg_saa(ds)
+        fit, rep = dro.logreg_wasserstein(ds, 0.0)
+        assert np.array_equal(saa.w, fit.w)
+        assert (saa.objective, saa.grad_norm, saa.iterations, saa.separable) == (
+            fit.objective, fit.grad_norm, fit.iterations, fit.separable
+        )
+        assert rep.value == float(np.linalg.norm(saa.w))
+
+    def test_zero_fit_past_the_threshold_takes_no_iteration(self):
+        ds = dro.gen_synth_classification(60, 2, 0.7, seed=8)
+        g0 = float(np.linalg.norm(dro.logloss_grad(ds, np.zeros(ds.d))))
+        for eps in (g0, 1.5 * g0, 10.0):
+            fit, _ = dro.logreg_wasserstein(ds, eps)
+            assert np.array_equal(fit.w, np.zeros(ds.d))
+            assert fit.iterations == 0
+            assert not fit.separable
+
+    def test_separable_set_converges_at_tight_tol(self):
+        ds = dro.gen_synth_classification(40, 2, 8.0, seed=2)
+        fit = dro.logreg_saa(ds, tol=1e-10)
+        assert fit.separable
+        assert fit.grad_norm <= 1e-10
+        robust, _ = dro.logreg_wasserstein(ds, 0.1, tol=1e-10)
+        assert robust.grad_norm <= 1e-10
+        assert not robust.separable
+
+    def test_nan_gradient_never_reads_as_converged(self):
+        # bypasses labeled_dataset, which rejects the NaN cell
+        ds = dro.LabeledDataset(np.array([[1.0, np.nan], [1.0, 2.0]]), np.array([1.0, -1.0]))
+        with pytest.raises(NonConvergence):
+            dro.logreg_saa(ds, max_iter=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_are_rejected(self, bad):
+        with pytest.raises(NonFiniteCost):
+            dro.labeled_dataset([[1.0, 0.5], [1.0, bad]], [1, -1])
+
+
+class TestNegativeDemand:
+    NEGATIVE = [-5.0, -10.0, -3.0]
+
+    def test_saa_rejects(self):
+        with pytest.raises(NegativeDemand):
+            dro.saa_newsvendor(PARAMS, uniform_demand(self.NEGATIVE))
+
+    @pytest.mark.parametrize("family", [wcs.Budgeted(), wcs.WassersteinL1(None)])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_dro_rejects(self, family, eps):
+        with pytest.raises(NegativeDemand):
+            dro.dro_newsvendor(PARAMS, uniform_demand([4.0, -1.0, 7.0]), family, eps)
+
+    def test_frontier_rejects(self):
+        with pytest.raises(NegativeDemand):
+            dro.frontier(PARAMS, uniform_demand(self.NEGATIVE), wcs.Budgeted(), [0.0, 0.5], "budgeted")
+
+    def test_zero_demand_stays_valid(self):
+        d = uniform_demand([0.0, 10.0, 3.0])
+        assert dro.saa_newsvendor(PARAMS, d) == 10.0
+        assert dro.dro_newsvendor(PARAMS, d, wcs.Budgeted(), 0.5).x >= 0.0
 
 
 class TestGenerators:

@@ -94,6 +94,30 @@ class TestVarQuantile:
                 assert wcs.var_quantile(s, alpha) == srt.costs_desc[partial[0]]
 
 
+class TestPrefixRank:
+    @staticmethod
+    def reference(probs, target):
+        for k in range(len(probs)):
+            if math.fsum(probs[: k + 1]) >= target:
+                return k
+        return len(probs) - 1
+
+    def test_examples(self):
+        quarters = np.full(4, 0.25)
+        ranks = [wcs.riskstats.prefix_rank(quarters, t) for t in (0.0, 0.25, 0.26, 0.5, 1.0, 1.5)]
+        assert ranks == [0, 0, 1, 1, 3, 3]
+
+    def test_matches_the_fsum_definition(self):
+        rng = SplitMix64(23)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            probs = oracle.random_scenario(rng, n, n).probs
+            tenths = [0.1 * rng.randint(0, 11) for _ in range(3)]
+            for target in [rng.uniform()] + tenths + [math.fsum(probs[: rng.randint(1, n)].tolist())]:
+                want = self.reference(probs.tolist(), target)
+                assert wcs.riskstats.prefix_rank(probs, target) == want
+
+
 class TestCvarDeviation:
     def test_examples(self):
         assert wcs.cvar_deviation(scenario([0, 10]), 0.5) == pytest.approx(5.0)
