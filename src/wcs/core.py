@@ -14,6 +14,9 @@ phi-divergence balls and ``g(eps) = eps`` for every other family here.
 Sorting convention: descending cost, ties broken by original index ascending
 (stable). Any tie-break yields the same worst-case values; determinism is the
 only requirement.
+
+Summation convention: every scalar sum is ``exact_sum``, the correctly
+rounded sum of its terms, so no result depends on the order of the terms.
 """
 
 from __future__ import annotations
@@ -38,6 +41,59 @@ PROB_SUM_TOL = 1e-12
 
 GROWTH_SQRT = "sqrt"
 GROWTH_LINEAR = "linear"
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded sums
+# ---------------------------------------------------------------------------
+
+# below this many terms math.fsum over a list is as fast as the bins
+_EXACT_SUM_CUTOFF = 1024
+_CHUNK = 1 << 16
+# frexp exponents run from -1073 (smallest subnormal) to 1024 (largest finite)
+_EXP_OFFSET = 1074
+_BINS = 2100
+_HALF = float(1 << 26)
+# a chunk's bin sums stay below 2^43 (2^16 terms of |half| < 2^27), so int64
+# bins accumulate 2^20 chunks exactly
+_MAX_BINNED = _CHUNK << 20
+
+
+def exact_sum(a) -> float:
+    """Correctly rounded sum of a 1-d float array: math.fsum(a.tolist()) bit for bit.
+
+    Each finite entry is m * 2^(e - 53) with an integer mantissa m, |m| < 2^53
+    (np.frexp, then an exact scale by 2^53). Split into 26-bit halves, the
+    mantissas are summed exactly per exponent by np.bincount, chunk by chunk,
+    into int64 bins; one Python-int sum over the non-empty bins and Python's
+    correctly rounded int division give the result. Short arrays, arrays
+    with a non-finite entry (fsum's inf/nan rules apply) and arrays beyond
+    the int64 bins' exact range go to math.fsum.
+
+    One difference from fsum: fsum raises OverflowError whenever a partial
+    sum overflows, which depends on the order of the terms; exact_sum raises
+    it only when the exact total rounds beyond the largest finite double.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size < _EXACT_SUM_CUTOFF or a.size > _MAX_BINNED or not np.isfinite(a).all():
+        return math.fsum(a.tolist())
+    hi_bins = np.zeros(_BINS, dtype=np.int64)
+    lo_bins = np.zeros(_BINS, dtype=np.int64)
+    for start in range(0, a.size, _CHUNK):
+        m, e = np.frexp(a[start : start + _CHUNK])
+        m *= 2.0**53  # exact: a 53-bit integer mantissa
+        hi = np.floor(m / _HALF)
+        lo = m - hi * _HALF  # in [0, 2^26), exact
+        e += _EXP_OFFSET
+        hi_bins += np.bincount(e, weights=hi, minlength=_BINS).astype(np.int64)
+        lo_bins += np.bincount(e, weights=lo, minlength=_BINS).astype(np.int64)
+    total = sum(h << (b + 26) for b, h in enumerate(hi_bins.tolist()) if h)
+    total += sum(lo << b for b, lo in enumerate(lo_bins.tolist()) if lo)
+    if total == 0:
+        # an exact zero is -0.0 only if fsum makes it so and every term is -0.0
+        return math.fsum([-0.0]) if np.signbit(a).all() else 0.0
+    # entry = m * 2^(b - 1127) with b = e + 1074
+    return total / (1 << (_EXP_OFFSET + 53))
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +188,37 @@ def validate(costs, probs=None) -> Scenario:
             raise NonPositiveProbability(
                 f"probabilities must be strictly positive and finite, got min {float(np.min(p))!r}"
             )
-        total = math.fsum(p.tolist())
+        total = exact_sum(p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ProbSumMismatch(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
     return Scenario(costs=_freeze(f), probs=_freeze(p))
 
 
 def sort_desc(s: Scenario) -> SortedScenario:
-    """Stable descending-cost ordering; ties keep original index order."""
-    order = np.argsort(-s.costs, kind="stable")
+    """Stable descending-cost ordering; ties keep original index order.
+
+    An unstable argsort places the atoms, and one int64 sort of the keys
+    run * n + index puts each run of equal costs back in index order, so
+    the order equals np.argsort(-costs, kind="stable") (exact for
+    n < 3e9, where run * n fits in int64).
+    """
+    costs = s.costs
+    order = np.argsort(-costs)
+    costs_desc = costs[order]
+    tie = costs_desc[1:] == costs_desc[:-1]
+    if tie.any():
+        n = costs.size
+        run = np.zeros(n, dtype=np.int64)
+        np.cumsum(~tie, out=run[1:])
+        run *= n
+        order += run
+        order.sort()
+        order -= run
+        # 0.0 and -0.0 tie but differ in bits: gather again
+        costs_desc = costs[order]
     return SortedScenario(
         order=_freeze(order),
-        costs_desc=_freeze(s.costs[order]),
+        costs_desc=_freeze(costs_desc),
         probs_desc=_freeze(s.probs[order]),
     )
 
@@ -181,7 +256,7 @@ class PhiFunction:
         return np.asarray(zeta, dtype=float) * z - self.value(z)
 
     def divergence(self, q: np.ndarray, p: np.ndarray) -> float:
-        return float(math.fsum((p * self.value(q / p)).tolist()))
+        return exact_sum(p * self.value(q / p))
 
 
 def _chi2_value(z):

@@ -34,7 +34,16 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import GROWTH_LINEAR, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost, Scenario, validate
-from .errors import EmptyInput, LengthMismatch, NegativeDemand, NonConvergence, NonFiniteCost
+from .errors import (
+    EmptyInput,
+    EpsOutOfRange,
+    InvalidLabel,
+    InvalidNewsvendorParams,
+    LengthMismatch,
+    NegativeDemand,
+    NonConvergence,
+    NonFiniteCost,
+)
 from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
@@ -57,7 +66,7 @@ class NewsvendorParams:
 
     def __post_init__(self):
         if not (0.0 <= self.q < self.c < self.r and self.s >= 0.0):
-            raise ValueError(
+            raise InvalidNewsvendorParams(
                 f"need 0 <= q < c < r and s >= 0, got r={self.r} c={self.c} q={self.q} s={self.s}"
             )
 
@@ -348,7 +357,7 @@ def labeled_dataset(features, labels) -> LabeledDataset:
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +-1")
+        raise InvalidLabel("labels must be +-1")
     bad = ~np.all(np.isfinite(X), axis=1)
     if np.any(bad):
         raise NonFiniteCost(f"non-finite features in rows {np.nonzero(bad)[0].tolist()}")
@@ -467,7 +476,7 @@ def logreg_wasserstein(
     eps >= ||(1/2n) sum y_i x_i||_2 (the zero-subgradient condition).
     """
     if eps < 0:
-        raise ValueError("eps must be >= 0")
+        raise EpsOutOfRange("eps must be >= 0")
     saa = logreg_saa(data, tol=tol, max_iter=max_iter)
     report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
     fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, max_iter)

@@ -34,6 +34,14 @@ class NegativeDemand(WcsError, ValueError):
     """A newsvendor demand atom below zero; zero demand is valid."""
 
 
+class InvalidNewsvendorParams(WcsError, ValueError):
+    """Newsvendor prices outside 0 <= salvage < cost < revenue, or a negative shortage penalty."""
+
+
+class InvalidLabel(WcsError, ValueError):
+    """A classification label other than +1 or -1."""
+
+
 class KappaOutOfRange(WcsError, ValueError):
     """n*(1-alpha) outside (0, n) in the CVaR/standard-deviation constant."""
 

@@ -1,13 +1,14 @@
 """Scalar risk statistics on scenarios: mean, variance, CVaR and friends.
 
-Every sum is a correctly rounded math.fsum, which keeps the 1e-10 equality
-checks elsewhere in the toolkit honest up to n ~ 1e6 atoms. fsum does not
-depend on the order of its terms, so the mean and the variance (centred at
-the max cost) read the scenario as it is. Only the rank-dependent
-quantities (CVaR, its maximizer, VaR, the CVaR deviation) sort, once per
-call; callers that already hold a ``SortedScenario`` pass it to
-``cvar_sorted``. ``row_fsums`` and ``cvar_rows`` work on each row of an
-(m, n) cost block at once, bit for bit as the scalar forms.
+Every sum is correctly rounded by ``core.exact_sum``, which keeps the 1e-10
+equality checks elsewhere in the toolkit honest up to n ~ 1e6 atoms. A
+correctly rounded sum does not depend on the order of its terms, so the
+mean and the variance (centred at the max cost) read the scenario as it
+is. Only the rank-dependent quantities (CVaR, its maximizer, VaR, the CVaR
+deviation) sort, once per call; callers that already hold a
+``SortedScenario`` pass it to ``cvar_sorted``. ``row_fsums`` and
+``cvar_rows`` work on each row of an (m, n) cost block at once, bit for bit
+as the scalar forms; their rows are short, so they sum with math.fsum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario, SortedScenario, sort_desc
+from .core import Scenario, SortedScenario, exact_sum, sort_desc
 from .errors import KappaOutOfRange
 
 
@@ -39,35 +40,35 @@ def _level(alpha) -> float:
 
 
 def mean(s: Scenario) -> float:
-    return math.fsum((s.probs * s.costs).tolist())
+    return exact_sum(s.probs * s.costs)
 
 
 def variance(s: Scenario) -> float:
     # centered at the max cost so constant vectors give exactly 0
     c = s.costs - np.max(s.costs)
-    m = math.fsum((s.probs * c).tolist())
-    return math.fsum((s.probs * (c - m) ** 2).tolist())
+    m = exact_sum(s.probs * c)
+    return exact_sum(s.probs * (c - m) ** 2)
 
 
 def greedy_fill(caps: np.ndarray) -> np.ndarray:
     """Fill mass 1 left to right under per-slot caps; caps must sum to >= 1.
 
     Returns q with q[i] = caps[i] for the fully used prefix, one partial
-    entry, zeros after. Prefix sums are refined with fsum so the partial
-    mass is the correctly rounded remainder.
+    entry, zeros after. Prefix sums are refined with exact sums so the
+    partial mass is the correctly rounded remainder.
     """
     n = caps.shape[0]
     cum = np.cumsum(caps)
     k = int(np.searchsorted(cum, 1.0, side="right"))
-    # fsum-refine the cutoff in case cumsum rounding misplaced it
-    while k > 0 and math.fsum(caps[:k].tolist()) > 1.0:
+    # refine the cutoff with exact sums in case cumsum rounding misplaced it
+    while k > 0 and exact_sum(caps[:k]) > 1.0:
         k -= 1
-    while k < n and math.fsum(caps[: k + 1].tolist()) <= 1.0:
+    while k < n and exact_sum(caps[: k + 1]) <= 1.0:
         k += 1
     q = np.zeros(n)
     q[:k] = caps[:k]
     if k < n:
-        q[k] = 1.0 - math.fsum(caps[:k].tolist())
+        q[k] = 1.0 - exact_sum(caps[:k])
     return q
 
 
@@ -80,7 +81,7 @@ def _cvar_fill(srt: SortedScenario, alpha: float) -> np.ndarray:
 def cvar_sorted(srt: SortedScenario, alpha) -> tuple[float, np.ndarray]:
     """CVaR and its greedy maximizer (in original atom order) from one sort."""
     q = _cvar_fill(srt, _level(alpha))
-    return math.fsum((q * srt.costs_desc).tolist()), srt.unsort(q)
+    return exact_sum(q * srt.costs_desc), srt.unsort(q)
 
 
 def row_fsums(a: np.ndarray) -> np.ndarray:
@@ -134,15 +135,15 @@ def partial_fill_rank(srt: SortedScenario, alpha: float) -> int:
 
 
 def prefix_rank(probs: np.ndarray, target: float) -> int:
-    """First index whose fsum prefix probs[0] + ... + probs[k] reaches target.
+    """First index whose exact prefix sum probs[0] + ... + probs[k] reaches target.
 
-    The last index if no prefix does. A cumsum search places k, and fsum
-    prefixes refine it, so the comparison is exact.
+    The last index if no prefix does. A cumsum search places k, and exact
+    prefix sums refine it, so the comparison is exact.
     """
     k = int(np.searchsorted(np.cumsum(probs), target, side="left"))
-    while k > 0 and math.fsum(probs[:k].tolist()) >= target:
+    while k > 0 and exact_sum(probs[:k]) >= target:
         k -= 1
-    while k < probs.size and math.fsum(probs[: k + 1].tolist()) < target:
+    while k < probs.size and exact_sum(probs[: k + 1]) < target:
         k += 1
     return min(k, probs.size - 1)
 
@@ -165,8 +166,8 @@ def cvar_deviation(s: Scenario, alpha) -> float:
     srt = sort_desc(s)
     c = srt.costs_desc - srt.costs_desc[-1]
     q = _cvar_fill(srt, a)
-    cv = math.fsum((q * c).tolist())
-    m = math.fsum((srt.probs_desc * c).tolist())
+    cv = exact_sum(q * c)
+    m = exact_sum(srt.probs_desc * c)
     return max(0.0, cv - m)
 
 

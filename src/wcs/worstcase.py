@@ -34,6 +34,7 @@ from .core import (
     PiecewiseLinearCost,
     Scenario,
     SortedScenario,
+    exact_sum,
     sort_desc,
     validate,
 )
@@ -109,7 +110,7 @@ def _clip_q(q: np.ndarray) -> np.ndarray:
 
 
 def _dot(q: np.ndarray, f: np.ndarray) -> float:
-    return math.fsum((q * f).tolist())
+    return exact_sum(q * f)
 
 
 def _degenerate(s: Scenario, eps: float) -> WorstCaseResult:
@@ -149,7 +150,7 @@ class _PhiTilter:
         if self.phi is KL:
             # sum p exp(delta (f + c)) = 1  =>  c = -logsumexp(delta f; p)/delta
             m = float(delta * f[0])
-            return -(m + math.log(math.fsum((self.p * np.exp(delta * f - m)).tolist()))) / delta
+            return -(m + math.log(exact_sum(self.p * np.exp(delta * f - m)))) / delta
         if self.phi is MODIFIED_CHI2:
             # sum over active prefix of p (1 + delta (f + c)) = 1, piecewise linear in c
             c_all = (1.0 - self.pk - delta * self.sk) / (delta * self.pk)
@@ -168,7 +169,7 @@ class _PhiTilter:
         f, p, phi = self.f, self.p, self.phi
 
         def g(c: float) -> float:
-            return math.fsum((p * phi.inverse_clamped(delta * (f + c))).tolist()) - 1.0
+            return exact_sum(p * phi.inverse_clamped(delta * (f + c))) - 1.0
 
         lo, hi = -float(f[0]), -float(f[-1])
         if g(lo) > 0.0 or g(hi) < 0.0:  # numerically flat or degenerate; midpoint is fine
@@ -198,12 +199,12 @@ class _PhiTilter:
 def _saturation_divergence(phi: PhiFunction, srt: SortedScenario) -> tuple[float, np.ndarray]:
     """Divergence of the cheapest point mass on the argmax-cost atoms."""
     top = srt.costs_desc == srt.costs_desc[0]
-    pm = math.fsum(srt.probs_desc[top].tolist())
+    pm = exact_sum(srt.probs_desc[top])
     q = np.where(top, srt.probs_desc / pm, 0.0)
     phi0 = float(phi.value(np.array(0.0)))
     if not math.isfinite(phi0):
         return math.inf, q
-    d = math.fsum((srt.probs_desc * np.where(top, phi.value(np.array(1.0 / pm)), phi0)).tolist())
+    d = exact_sum(srt.probs_desc * np.where(top, phi.value(np.array(1.0 / pm)), phi0))
     return d, q
 
 
@@ -293,6 +294,25 @@ def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
 # ---------------------------------------------------------------------------
 
 
+def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> None:
+    """Take need[r] from row r of q in place, last column first; column 0 is kept.
+
+    The loop it stands for runs j = n-1 .. 1: take = min(need, q[j]),
+    q[j] -= take, need -= take, until need <= 0. np.cumsum adds in sequence
+    and x + (-y) == x - y, so before[:, t] is that loop's need on reaching
+    column n-1-t bit for bit; the loop empties every column before the
+    first one that covers its need, and takes the need from that one.
+    """
+    tail = q[:, :0:-1]  # a view: columns n-1 .. 1
+    before = np.cumsum(np.concatenate((need[:, None], -tail[:, :-1]), axis=1), axis=1)
+    covered = tail >= before
+    width = tail.shape[1]
+    t = np.where(covered.any(axis=1), np.argmax(covered, axis=1), width)
+    tail[np.arange(width) < t[:, None]] = 0.0
+    rows = np.flatnonzero(t < width)
+    tail[rows, t[rows]] -= before[rows, t[rows]]
+
+
 def wc_tv(s: Scenario, eps: float) -> WorstCaseResult:
     """Exact maximizer over {q : sum |q - p| <= eps}; eps > 2 clamps to the simplex."""
     _check_eps(eps)
@@ -304,13 +324,7 @@ def wc_tv(s: Scenario, eps: float) -> WorstCaseResult:
     q = srt.probs_desc.copy()
     gain = min(0.5 * e, 1.0 - q[0])
     q[0] += gain
-    need = gain
-    for j in range(srt.n - 1, 0, -1):  # strip cheapest-first
-        take = min(need, q[j])
-        q[j] -= take
-        need -= take
-        if need <= 0.0:
-            break
+    _strip_cheapest(q[None, :], np.array([gain]))
     dual = TvDual(
         theta=0.5 * (srt.costs_desc[0] + srt.costs_desc[-1]),
         lam=0.5 * (srt.costs_desc[0] - srt.costs_desc[-1]),
@@ -342,7 +356,7 @@ def _budgeted_slope(srt: SortedScenario, eps: float) -> float:
     k = riskstats.partial_fill_rank(srt, alpha)
     if k == 0:
         return 0.0
-    return math.fsum((srt.probs_desc[:k] * (srt.costs_desc[:k] - srt.costs_desc[k])).tolist())
+    return exact_sum(srt.probs_desc[:k] * (srt.costs_desc[:k] - srt.costs_desc[k]))
 
 
 def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
@@ -463,7 +477,7 @@ def box_symmetric_values(costs: np.ndarray, probs: np.ndarray, nu: float) -> np.
 
 
 def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_tv(row, eps).value for each row, bit for bit: its strip loop, run across rows."""
+    """wc_tv(row, eps).value for each row, bit for bit: its strip, run across rows."""
     _check_eps(eps)
     e = min(eps, 2.0)
 
@@ -472,14 +486,7 @@ def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
         q = probs[order]
         gain = np.minimum(0.5 * e, 1.0 - q[:, 0])
         q[:, 0] += gain
-        need = gain
-        for j in range(q.shape[1] - 1, 0, -1):  # strip cheapest-first
-            # a row whose need reached 0 takes min(0, q) = 0 from here on
-            take = np.minimum(need, q[:, j])
-            q[:, j] -= take
-            need = need - take
-            if not np.any(need > 0.0):
-                break
+        _strip_cheapest(q, gain)
         return riskstats.row_fsums(q * np.take_along_axis(f, order, axis=1))
 
     return _by_row(costs, probs, solve)

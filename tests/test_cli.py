@@ -278,6 +278,21 @@ REJECTED_INPUTS = {
          "--eps", "0.5", "--demand-file", "{file}"],
         "NegativeDemand",
     ),
+    "newsvendor-cost-above-revenue": (
+        "demand\n5\n10\n3\n",
+        ["solve-newsvendor", "--r", "1", "--c", "2", "--demand-file", "{file}"],
+        "InvalidNewsvendorParams",
+    ),
+    "negative-logreg-eps": (
+        "label,x1,x2\n1,0.5,1\n-1,0.2,1\n",
+        ["solve-logreg", "--eps", "-0.1", "--data-file", "{file}"],
+        "EpsOutOfRange",
+    ),
+    "label-not-plus-minus-one": (
+        "label,x1,x2\n1,0.5,1\n2,0.2,1\n",
+        ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
+        "InvalidLabel",
+    ),
 }
 
 

@@ -1,11 +1,12 @@
 import bisect
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import wcs
-from wcs.core import interpolated_cost, PiecewiseLinearCost, ConcaveGradientCost
+from wcs.core import interpolated_cost, exact_sum, PiecewiseLinearCost, ConcaveGradientCost
 from wcs.rng import SplitMix64
 from wcs.errors import (
     EmptyInput,
@@ -123,6 +124,124 @@ class TestSortDesc:
                 wcs.wc_budgeted(b, eps).value, abs=1e-14
             )
             assert wcs.wc_chi2(a, eps).value == pytest.approx(wcs.wc_chi2(b, eps).value, abs=1e-12)
+
+
+def _fsum_outcome(fn, a):
+    """fn(a) as its bits, or the exception type it raises."""
+    try:
+        return struct.pack("<d", fn(a))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_as_fsum(a):
+    a = np.asarray(a, dtype=float)
+    assert _fsum_outcome(exact_sum, a) == _fsum_outcome(lambda x: math.fsum(x.tolist()), a)
+
+
+class TestExactSum:
+    """exact_sum against math.fsum, bit for bit (the sign of zero included)."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_sizes_around_the_cutoff_and_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        _assert_same_as_fsum(rng.standard_normal(n))
+        _assert_same_as_fsum(rng.exponential(size=n) * 10.0 ** rng.integers(-300, 300, n))
+
+    def test_a_million_terms(self):
+        rng = np.random.default_rng(1)
+        _assert_same_as_fsum(rng.exponential(size=1_000_000) * rng.uniform(-1.0, 1.0, 1_000_000))
+
+    def test_random_magnitudes_and_cancellation(self):
+        rng = np.random.default_rng(2)
+        for trial in range(200):
+            n = int(rng.integers(1024, 5000))
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+            if trial % 2:
+                a[n // 2 :] = -a[: n - n // 2]  # the big terms cancel in pairs
+                a[int(rng.integers(n))] += 1e-300
+            _assert_same_as_fsum(a)
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(3)
+        tiny = 5e-324 * rng.integers(-(1 << 52), 1 << 52, 3000)
+        _assert_same_as_fsum(tiny)
+        _assert_same_as_fsum(np.concatenate([tiny, [2.2250738585072014e-308, -1e-310]]))
+        _assert_same_as_fsum(np.full(2000, 5e-324))
+
+    def test_huge_mixtures(self):
+        a = np.tile([1e300, -1e300, 1e-300, 3.0, 1.7e308, -1.7e308], 400)
+        _assert_same_as_fsum(a)
+        _assert_same_as_fsum(np.concatenate([a, [1e308, 7e307]]))
+        assert math.isfinite(exact_sum(np.concatenate([a, [1e308, 7e307]])))
+
+    def test_signed_zeros(self):
+        _assert_same_as_fsum(np.full(3000, -0.0))
+        _assert_same_as_fsum(np.full(3000, 0.0))
+        mixed = np.where(np.arange(3000) % 3 == 0, -0.0, 0.0)
+        _assert_same_as_fsum(mixed)
+        cancel = np.concatenate([np.full(1500, 1.5), np.full(1500, -1.5)])
+        _assert_same_as_fsum(cancel)
+        assert math.copysign(1.0, exact_sum(cancel)) == 1.0
+
+    @pytest.mark.parametrize(
+        "special", [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [math.inf, math.nan]]
+    )
+    def test_non_finite_returns_or_raises_as_fsum(self, special):
+        a = np.concatenate([np.ones(2000), special])
+        _assert_same_as_fsum(a)
+
+    def test_total_beyond_the_largest_double_overflows(self):
+        a = np.full(2000, 1.7e308)
+        with pytest.raises(OverflowError):
+            exact_sum(a)
+        _assert_same_as_fsum(a)
+
+    def test_overflow_only_when_the_total_overflows(self):
+        # fsum raises on the intermediate 2 * max; the exact total is max
+        big = 1.7976931348623157e308
+        a = np.concatenate([[big, big, -big], np.zeros(2000)])
+        with pytest.raises(OverflowError):
+            math.fsum(a.tolist())
+        assert exact_sum(a) == big
+
+
+class TestStableOrder:
+    """sort_desc's order against numpy's stable argsort of -costs."""
+
+    @staticmethod
+    def _assert_stable(costs):
+        s = wcs.validate(costs)
+        srt = wcs.sort_desc(s)
+        ref = np.argsort(-s.costs, kind="stable")
+        assert np.array_equal(srt.order, ref)
+        assert np.array_equal(srt.costs_desc.view(np.int64), s.costs[ref].view(np.int64))
+        assert np.array_equal(srt.probs_desc, s.probs[ref])
+
+    def test_single_atom(self):
+        self._assert_stable([3.0])
+
+    @pytest.mark.parametrize("n", [2, 17, 5000])
+    def test_all_equal(self, n):
+        self._assert_stable(np.full(n, 2.5))
+
+    def test_signed_zero_mixes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            c = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            c[rng.random(n) < 0.2] = 1.0
+            self._assert_stable(c)
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            self._assert_stable(rng.integers(-3, 4, n).astype(float))
+        self._assert_stable(rng.integers(0, 1000, 200_000).astype(float))
+
+    def test_distinct_costs(self):
+        self._assert_stable(np.random.default_rng(6).standard_normal(100_000))
 
 
 class TestPhiFunctions:

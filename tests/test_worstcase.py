@@ -7,7 +7,7 @@ import wcs
 from wcs import oracle
 from wcs.errors import EpsOutOfRange
 from wcs.rng import SplitMix64
-from wcs.worstcase import _PhiTilter
+from wcs.worstcase import _PhiTilter, _strip_cheapest
 
 ALL_SCENARIO_FAMILIES = [
     wcs.SmoothPhi(wcs.MODIFIED_CHI2),
@@ -260,6 +260,41 @@ class TestTv:
             assert r.dual.lam == pytest.approx(
                 float(np.max(np.abs(s.costs - r.dual.theta))), abs=1e-12
             )
+
+    @staticmethod
+    def _strip_loop(q, need):
+        # the cheapest-first strip as a loop: the reference for _strip_cheapest
+        q = q.copy()
+        for j in range(q.size - 1, 0, -1):
+            take = min(need, q[j])
+            q[j] -= take
+            need -= take
+            if need <= 0.0:
+                break
+        return q
+
+    def test_strip_matches_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(2000):
+            n = int(rng.integers(2, 40))
+            p = np.full(n, 1.0 / n) if trial % 3 == 0 else rng.exponential(size=n) + 1e-3
+            p = p / p.sum()
+            e = (0.0, 2.0, rng.uniform(0.0, 2.0), 2.0 * (1.0 - p[0]))[trial % 4]
+            q = p.copy()
+            gain = min(0.5 * e, 1.0 - q[0])
+            q[0] += gain
+            ref = self._strip_loop(q, gain)
+            _strip_cheapest(q[None, :], np.array([gain]))
+            assert np.array_equal(q.view(np.int64), ref.view(np.int64))
+
+    def test_strip_rows_are_independent(self):
+        rng = np.random.default_rng(8)
+        q = rng.exponential(size=(50, 12)) + 1e-3
+        q /= q.sum(axis=1, keepdims=True)
+        need = rng.uniform(0.0, 1.0, 50) * (1.0 - q[:, 0])
+        ref = np.array([self._strip_loop(row, w) for row, w in zip(q, need)])
+        _strip_cheapest(q, need)
+        assert np.array_equal(q.view(np.int64), ref.view(np.int64))
 
 
 class TestBudgeted:
