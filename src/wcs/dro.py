@@ -18,7 +18,9 @@ here, so the grid pitch bounds the interior error.
 The scan is batched and value-only: the cost vectors of a block of
 candidates form one (m, n) matrix, and the family's ``worst_values`` returns
 V for every row without building a worst-case distribution or a dual.
-Blocks hold about 2^13 matrix entries, which bounds the scan's memory.
+The piecewise-linear families, modified chi-square and KL solve the whole
+block at once; only a user phi goes row by row. Blocks hold about 2^13
+matrix entries, which bounds the scan's memory.
 Wasserstein needs the demand geometry, not a cost vector, and is still
 solved per candidate. The reported solution is recomputed at the chosen
 order by the scalar solver, so its value, distribution and certificate are
@@ -37,12 +39,15 @@ from .core import GROWTH_LINEAR, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost
 from .errors import (
     EmptyInput,
     EpsOutOfRange,
+    InvalidEpsList,
+    InvalidGeneratorArgs,
     InvalidLabel,
     InvalidNewsvendorParams,
     LengthMismatch,
     NegativeDemand,
     NonConvergence,
     NonFiniteCost,
+    UnsupportedFamily,
 )
 from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
@@ -247,7 +252,7 @@ def resolve_measure(
     family = build_family(name, phi, alpha)
     if isinstance(family, WassersteinL1):
         if params is None or demand is None:
-            raise ValueError("wasserstein measure needs newsvendor params and demand")
+            raise UnsupportedFamily("wasserstein measure needs newsvendor params and demand")
         return lambda s, x: sensitivity.wasserstein_sensitivity(
             demand.costs, demand.probs, demand_cost_curve(params, x).ratio_from
         ).value
@@ -271,7 +276,7 @@ def frontier(
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_arr) or any(b < a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps_list must be non-negative and ascending")
+        raise InvalidEpsList("eps_list must be non-negative and ascending")
     if isinstance(problem, LabeledDataset):
         return _logreg_frontier(problem, family, eps_arr, measure, **measure_kwargs)
     params, demand = problem, data
@@ -302,7 +307,7 @@ def _logreg_frontier(
     **measure_kwargs,
 ) -> list[FrontierPoint]:
     if not isinstance(family, WassersteinL1):
-        raise ValueError("dataset sweeps support only the transport (WassersteinL1) family")
+        raise UnsupportedFamily("dataset sweeps support only the transport (WassersteinL1) family")
     measure_name = measure if isinstance(measure, str) else None
     if measure_name not in (None, "wasserstein"):
         measure = resolve_measure(measure_name, **measure_kwargs)
@@ -494,7 +499,7 @@ def gen_mixture_demand(
     """Two-component exponential mixture; per draw: u1 picks the component
     (u1 < p_low -> low mean), u2 maps through -mu ln(1 - u2)."""
     if n < 1 or mu_low <= 0 or mu_high <= 0 or not 0.0 <= p_low <= 1.0:
-        raise ValueError("need n >= 1, positive means, p_low in [0,1]")
+        raise InvalidGeneratorArgs("need n >= 1, positive means, p_low in [0,1]")
     rng = SplitMix64(seed)
     out = np.empty(n)
     for i in range(n):
@@ -516,7 +521,7 @@ def gen_synth_classification(n: int, d: int, margin: float, seed: int = 0) -> La
     sine value is discarded). An all-one intercept column is appended.
     """
     if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
+        raise InvalidGeneratorArgs("need n >= 2 and d >= 1")
     rng = SplitMix64(seed)
     X = np.empty((n, d + 1))
     y = np.empty(n)

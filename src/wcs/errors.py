@@ -42,6 +42,18 @@ class InvalidLabel(WcsError, ValueError):
     """A classification label other than +1 or -1."""
 
 
+class InvalidEpsList(WcsError, ValueError):
+    """A frontier eps list with a negative or a descending entry."""
+
+
+class InvalidGeneratorArgs(WcsError, ValueError):
+    """Synthetic-data sizes, means or mixing weights outside their ranges."""
+
+
+class UnsupportedFamily(WcsError, ValueError):
+    """A family or measure that the operation cannot solve with the data it was given."""
+
+
 class KappaOutOfRange(WcsError, ValueError):
     """n*(1-alpha) outside (0, n) in the CVaR/standard-deviation constant."""
 

@@ -8,7 +8,10 @@ of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
-candidate scan calls.
+candidate scan calls. The piecewise-linear families and the built-in
+modified chi-square and KL balls solve a block at once (the phi kernels are
+chosen by identity, so a user phi named "kl" keeps its own math); a user
+phi solves it row by row.
 
 Wasserstein is the one family that needs support geometry, not only a cost
 vector: its scenario-level methods raise, and callers holding the geometry use
@@ -22,7 +25,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import GROWTH_LINEAR, GROWTH_SQRT, MODIFIED_CHI2, CostModel, PhiFunction, Scenario
+from .core import (
+    GROWTH_LINEAR,
+    GROWTH_SQRT,
+    KL,
+    MODIFIED_CHI2,
+    CostModel,
+    PhiFunction,
+    Scenario,
+)
 from .riskstats import CvarLevel
 from .sensitivity import (
     budgeted_sensitivity,
@@ -37,6 +48,7 @@ from .worstcase import (
     budgeted_values,
     chi2_values,
     combination_values,
+    kl_values,
     tv_values,
     wc_box_symmetric,
     wc_budgeted,
@@ -88,6 +100,8 @@ class SmoothPhi(UncertaintyFamily):
     def worst_values(self, costs, probs, eps):
         if self.phi is MODIFIED_CHI2:
             return chi2_values(costs, probs, eps)
+        if self.phi is KL:
+            return kl_values(costs, probs, eps)
         return super().worst_values(costs, probs, eps)
 
 

@@ -293,6 +293,30 @@ REJECTED_INPUTS = {
         ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
         "InvalidLabel",
     ),
+    # the argvs below read no file
+    "descending-eps-list": (
+        "",
+        ["frontier", "--family", "budgeted", "--measure", "budgeted", "--eps-list", "0.4,0.2",
+         "--r", "10", "--c", "2", "--q", "0", "--s", "4", "--gen", "20,10,100,0.9,42"],
+        "InvalidEpsList",
+    ),
+    "empty-generated-demand": (
+        "",
+        ["solve-newsvendor", "--r", "10", "--c", "2", "--q", "0", "--s", "4",
+         "--gen", "0,10,100,0.9,42"],
+        "InvalidGeneratorArgs",
+    ),
+    "one-row-generated-dataset": (
+        "",
+        ["solve-logreg", "--gen-class", "1,3,0.7,11", "--eps", "0.1"],
+        "InvalidGeneratorArgs",
+    ),
+    "budgeted-dataset-sweep": (
+        "",
+        ["frontier", "--family", "budgeted", "--measure", "budgeted", "--eps-list", "0,0.1",
+         "--gen-class", "40,2,1,2"],
+        "UnsupportedFamily",
+    ),
 }
 
 

@@ -153,6 +153,7 @@ class TestBatchedScan:
             wcs.Combination(0.7),
             wcs.SymmetricBox(),
             wcs.SmoothPhi(),
+            pytest.param(wcs.SmoothPhi(wcs.KL), id="phi-kl"),
         ],
         ids=lambda f: f.name,
     )

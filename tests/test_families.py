@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -181,11 +182,97 @@ class TestWorstValues:
             want = _scalar_values(wcs.SmoothPhi(), block, probs, 0.1)
         np.testing.assert_array_equal(got, want)
 
+    def test_kl_matches_the_scalar_solver(self):
+        fam = wcs.SmoothPhi(wcs.KL)
+        for label, block, probs in _blocks():
+            if "scale=1.0" not in label and label != "boundary":
+                # the scalar's absolute delta bounds miss the root at these scales
+                continue
+            # eps = 1 clamps the two-atom rows; 60 lies past every saturation point
+            for eps in (0.0, 0.001, 0.3, 1.0, 60.0):
+                got = fam.worst_values(block, probs, eps)
+                want = _scalar_values(fam, block, probs, eps)
+                for row, g, w in zip(block, got, want):
+                    assert abs(g - w) <= 1e-9 * np.ptp(row), (label, eps, g, w)
+
+    def test_kl_is_scale_equivariant_where_the_scalar_cannot_solve(self):
+        # wc_smooth_phi misses the root at 1e150 and raises NoBracket at 1e-150
+        # and 1e-200; the kernel solves on the standardised costs
+        fam = wcs.SmoothPhi(wcs.KL)
+        for label, block, probs in _blocks():
+            if "scale=1.0" not in label:
+                continue
+            width = np.ptp(block, axis=1)
+            for eps in (0.001, 0.3, 1.0):
+                unit = fam.worst_values(block, probs, eps)
+                for lam, t in ((1e150, 0.0), (1e-150, 0.0), (1e-200, 0.0), (3.0, -7.5), (0.5, 1e3)):
+                    got = fam.worst_values(lam * block + t, probs, eps)
+                    want = lam * unit + t
+                    tol = 1e-12 * (np.abs(want) + lam * width)
+                    assert np.all(np.abs(got - want) <= tol), (label, eps, lam, t)
+
+    def test_kl_tilt_meets_the_divergence_equation(self):
+        # independent of the kernel: in 50-digit decimals, find the tilt
+        # q ~ p exp(delta f) whose mean is the kernel's V, then its D(q | p)
+        f = [0.3, 2.5, -1.25, 4.0, 4.0, 1.75]
+        w = [0.4, 1.3, 0.2, 0.35, 0.15, 2.1]
+        probs = np.array([v / math.fsum(w) for v in w])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            atoms = [(decimal.Decimal(pi), decimal.Decimal(fi)) for pi, fi in zip(probs.tolist(), f)]
+
+            def tilt(delta):
+                weights = [(pi * (delta * fi).exp(), fi) for pi, fi in atoms]
+                z = sum(wi for wi, _ in weights)
+                mean = sum(wi * fi for wi, fi in weights) / z
+                return mean, delta * mean - z.ln()
+
+            for eps in (0.001, 0.3, 1.0):
+                (value,) = wcs.SmoothPhi(wcs.KL).worst_values(np.array([f]), probs, eps)
+                lo, hi = decimal.Decimal(0), decimal.Decimal(100)
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    if tilt(mid)[0] < decimal.Decimal(value):
+                        lo = mid
+                    else:
+                        hi = mid
+                divergence = float(tilt((lo + hi) / 2)[1])
+                assert abs(divergence - eps) <= 1e-12 * eps, (eps, divergence)
+
+    def test_kl_needs_no_scalar_solve_on_finite_ranges(self, monkeypatch):
+        # saturated rows and every Newton run, at every scale, stay in the kernel
+        def scalar(*args):
+            raise AssertionError("scalar fallback")
+
+        monkeypatch.setattr(wcs.worstcase, "wc_smooth_phi", scalar)
+        for label, block, probs in _blocks():
+            for eps in (0.001, 0.3, 1.0, 60.0):
+                assert np.all(np.isfinite(wcs.SmoothPhi(wcs.KL).worst_values(block, probs, eps)))
+
+    def test_kl_row_with_an_overflowing_range_goes_to_the_scalar(self):
+        block = np.array([[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]])
+        probs = np.full(3, 1.0 / 3.0)
+        fam = wcs.SmoothPhi(wcs.KL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = fam.worst_values(block, probs, 0.1)
+            want = _scalar_values(fam, block, probs, 0.1)
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-9 * 2.0
+
+    def test_kl_eps_errors_match_the_scalar(self):
+        _, block, probs = _blocks()[0]
+        for eps in (math.nan, -0.1, math.inf):
+            with pytest.raises(wcs.errors.EpsOutOfRange):
+                wcs.SmoothPhi(wcs.KL).worst_values(block, probs, eps)
+            with pytest.raises(wcs.errors.EpsOutOfRange):
+                _scalar_values(wcs.SmoothPhi(wcs.KL), block, probs, eps)
+
     def test_default_solves_row_by_row(self):
         _, block, probs = _blocks()[1]
-        for fam in (wcs.SmoothPhi(wcs.KL), wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))):
-            want = _scalar_values(fam, block, probs, 0.3)
-            assert fam.worst_values(block, probs, 0.3).tolist() == want
+        fam = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
+        want = _scalar_values(fam, block, probs, 0.3)
+        assert fam.worst_values(block, probs, 0.3).tolist() == want
         for fam in (wcs.PenaltyPhi(), wcs.WassersteinL1()):
             with pytest.raises(TypeError):
                 fam.worst_values(block, probs, 0.3)
