@@ -9,22 +9,35 @@ with 0 <= q < c < r and s >= 0 (q is the unit salvage value here, not a
 probability vector). The SAA optimizer is the empirical demand quantile at
 the critical fractile (r + s - c) / (r + s - q).
 
-The robust outer search enumerates candidate order quantities (demand atoms,
-a uniform grid, and, for families whose value function is piecewise linear
-in x, the pairwise crossing points of scenario cost lines) and refines once
-around the incumbent; the worst-case value is convex in x for every family
-here, so the grid pitch bounds the interior error.
+The worst-case value V(x) is convex in x for every family here: it is a
+supremum of costs that are convex in x. For the piecewise-linear families
+(a maximum over the vertices of a polytope that does not depend on the
+costs) V is moreover linear between consecutive kinks: the demand atoms and
+the orders where two scenario cost lines cross, past which the cost ranking
+changes (the LP view of CVaR, Rockafellar & Uryasev 2000). So the search
+over them is exact: a bisection on the atoms (with 0 and 1.5 max y) finds
+the best atom, a second bisection on the kinks in the two atom gaps around
+it finds the minimizer, and the smallest kink whose V is within
+1e-12 (1 + |V*|) of the minimum is returned. Crossings are generated only
+inside that bracket, so a solve costs O(log n) value evaluations of one or
+two rows and no all-pairs array. The returned bracket (the neighbouring
+kinks) and the two one-sided slopes of V there certify the minimizer.
 
-The scan is batched and value-only: the cost vectors of a block of
-candidates form one (m, n) matrix, and the family's ``worst_values`` returns
-V for every row without building a worst-case distribution or a dual.
-The piecewise-linear families, modified chi-square and KL solve the whole
-block at once; only a user phi goes row by row. Blocks hold about 2^13
-matrix entries, which bounds the scan's memory.
-Wasserstein needs the demand geometry, not a cost vector, and is still
-solved per candidate. The reported solution is recomputed at the chosen
-order by the scalar solver, so its value, distribution and certificate are
-the scalar ones.
+The smooth phi balls and Wasserstein still scan candidate orders: the
+atoms, a 400-point grid on [0, 1.5 max y] and a 40-point refine around the
+incumbent. The scan is batched and value-only: the cost vectors of a block
+of candidates form one (m, n) matrix, and the family's ``worst_values``
+returns V for every row without building a worst-case distribution or a
+dual. Modified chi-square and KL solve the whole block at once; only a
+user phi goes row by row. Blocks hold about 2^13 matrix entries, which
+bounds the scan's memory. Wasserstein needs the demand geometry, not a
+cost vector, and is solved per candidate. For these families the bracket
+is the pair of scanned neighbours of the chosen order: by convexity it
+holds the minimizer, but nothing bounds V's error inside it.
+
+Either way the reported solution is recomputed at the chosen order by the
+scalar solver, so its value, distribution and certificate are the scalar
+ones.
 """
 
 from __future__ import annotations
@@ -55,6 +68,8 @@ from . import riskstats, sensitivity, worstcase
 
 # cost-matrix entries per block of candidate orders in the value-only scans
 _BLOCK_ELEMENTS = 1 << 13
+# proximal-gradient iterations before a logistic fit raises NonConvergence
+_MAX_ITER = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +165,36 @@ def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     return _argmin_smallest(xs, vals)
 
 
-def _crossing_points(params: NewsvendorParams, atoms: np.ndarray) -> np.ndarray:
-    # f(., yi) and f(., yj) are parallel outside (yi, yj) and cross at most once
-    # inside, where the low-demand line has slope (c - q) and the high-demand
-    # line has slope (c - r - s)
+def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The sorted orders in (lo, hi) where two scenario cost lines cross.
+
+    f(., yi) and f(., yj) with yi < yj are parallel outside (yi, yj) and
+    cross once inside, at x = (s yj + (r - q) yi) / (r + s - q), where the
+    low-demand line has slope (c - q) and the high-demand line (c - r - s).
+    x grows with yj, so for each yi the yj whose crossing lands in (lo, hi)
+    are one window of the sorted atoms, found by searchsorted on s * atoms.
+    A crossing within rounding of an atom is dropped: in exact arithmetic it
+    is that atom (every crossing is, at s = 0), and its V differs from the
+    atom's only by rounding, which could turn the bisection the wrong way.
+    """
     r, q, s = params.r, params.q, params.s
-    i, j = np.triu_indices(atoms.size, k=1)
-    yi, yj = atoms[i], atoms[j]
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf fails the bracket test
-        x = (s * yj + (r - q) * yi) / (r + s - q)
-    return x[(yi < x) & (x < yj)]
+    i = np.arange(np.searchsorted(atoms, hi))  # a crossing lies above its yi
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf fails the bracket tests
+        base = (r - q) * atoms[i]
+        d = r + s - q
+        slack = 1e-9 * (abs(hi * d) + np.abs(base))  # widen the windows for rounding
+        sa = s * atoms
+        j0 = np.maximum(np.searchsorted(sa, lo * d - base - slack), i + 1)
+        j1 = np.searchsorted(sa, hi * d - base + slack, side="right")
+        counts = np.maximum(j1 - j0, 0)
+        starts = np.cumsum(counts) - counts
+        jj = np.arange(counts.sum()) + np.repeat(j0 - starts, counts)
+        yi, yj = np.repeat(atoms[i], counts), atoms[jj]
+        x = (s * yj + (r - q) * yi) / d
+    x = x[(yi < x) & (x < yj) & (lo < x) & (x < hi)]
+    k = np.searchsorted(atoms, x)  # atoms[k - 1] < x <= atoms[k]
+    apart = np.minimum(x - atoms[k - 1], atoms[k] - x) > 4.0 * np.spacing(x)
+    return np.unique(x[apart])
 
 
 def _worst_value(
@@ -197,8 +232,103 @@ def _worst_values(
 
 @dataclass(frozen=True)
 class DroSolution:
+    """The chosen order x, the scalar worst case at x, and its certificate.
+
+    ``bracket`` holds the searched orders next to x on each side (x itself
+    at an end of the range) and ``slopes`` the secant slopes of V from x to
+    them (-inf and +inf at an end). Since V is convex, left slope <= 0 <=
+    right slope puts a minimizer inside the bracket. For the
+    piecewise-linear families the bracket ends are the neighbouring kinks of
+    V, so the slopes are its one-sided derivatives at x and the certificate
+    is exact. Both are None at eps = 0, where x is the SAA order.
+    """
+
     x: float
     worst_case: worstcase.WorstCaseResult
+    bracket: tuple[float, float] | None = None
+    slopes: tuple[float, float] | None = None
+
+
+def _certificate(x, v, left, right):
+    """(bracket, slopes) from V(x) = v and the (order, V) pairs next to x; None at a range end."""
+    s_left = -math.inf if left is None else (v - left[1]) / (x - left[0])
+    s_right = math.inf if right is None else (right[1] - v) / (right[0] - x)
+    return (left[0] if left else x, right[0] if right else x), (s_left, s_right)
+
+
+def _kink_search(params, demand, family, eps):
+    """(x*, bracket, slopes) for a piecewise-linear family, by bisection over V's kinks."""
+    atoms = np.unique(demand.costs)
+    grid = np.union1d(atoms, [0.0, 1.5 * float(atoms[-1])]).tolist()
+    memo: dict[float, float] = {}
+
+    def values(xs):
+        new = [x for x in xs if x not in memo]
+        if new:
+            vals = _worst_values(params, demand, family, eps, np.array(new))
+            memo.update(zip(new, vals.tolist()))
+        return [memo[x] for x in xs]
+
+    def first_rise(xs):
+        """First i with V(xs[i + 1]) >= V(xs[i]): by convexity, the minimum of V over xs."""
+        lo, hi = 0, len(xs) - 1
+        while lo < hi:
+            m = (lo + hi) // 2
+            a, b = values(xs[m : m + 2])
+            lo, hi = (m + 1, hi) if b < a else (lo, m)
+        return lo
+
+    def first_within(xs, level):
+        """First i with V(xs[i]) <= level, where V falls along xs and xs[-1] qualifies."""
+        lo, hi = 0, len(xs) - 1
+        m = hi - 1  # usually xs[-1] is the answer: try its neighbour first
+        while lo < hi:
+            lo, hi = (lo, m) if values([xs[m]])[0] <= level else (m + 1, hi)
+            m = (lo + hi) // 2
+        return lo
+
+    def kinks(a, b):
+        """Every kink in [grid[a], grid[b]], sorted."""
+        lo, hi = grid[a], grid[b]
+        return np.union1d(grid[a : b + 1], _crossings(params, atoms, lo, hi)).tolist()
+
+    values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
+    k = first_rise(grid)
+    a = max(k - 1, 0)
+    ks = kinks(a, min(k + 1, len(grid) - 1))
+    m = first_rise(ks)
+    v = values([ks[m]])[0]
+    level = v + 1e-12 * (1.0 + abs(v))
+    if a > 0 and values([grid[a]])[0] <= level:
+        # V is flat at its minimum, which may reach further left than the bracket
+        j = first_within(grid[: a + 1], level)
+        ks = kinks(max(j - 1, 0), j + 1)
+        m = ks.index(grid[j])
+    i = first_within(ks[: m + 1], level)
+    x = ks[i]
+    nbrs = (ks[i - 1] if i > 0 else None, ks[i + 1] if i + 1 < len(ks) else None)
+    values([y for y in (x, *nbrs) if y is not None])
+    left, right = (None if y is None else (y, memo[y]) for y in nbrs)
+    bracket, slopes = _certificate(x, memo[x], left, right)
+    return x, bracket, slopes
+
+
+def _grid_search(params, demand, family, eps):
+    """(x*, bracket, slopes) from a grid-and-atoms scan and one refine around the incumbent."""
+    atoms = np.unique(demand.costs)
+    hi = 1.5 * float(np.max(atoms))
+    xs = np.array(sorted(set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())))
+    x1 = _argmin_smallest(xs, _worst_values(params, demand, family, eps, xs))
+    pitch = hi / 399.0
+    local = np.linspace(max(0.0, x1 - pitch), min(hi, x1 + pitch), 40)
+    xs2 = np.unique(np.append(local, x1))
+    vals = _worst_values(params, demand, family, eps, xs2)
+    x_star = _argmin_smallest(xs2, vals)
+    i = int(np.searchsorted(xs2, x_star))
+    left = (float(xs2[i - 1]), float(vals[i - 1])) if i > 0 else None
+    right = (float(xs2[i + 1]), float(vals[i + 1])) if i + 1 < xs2.size else None
+    bracket, slopes = _certificate(x_star, float(vals[i]), left, right)
+    return x_star, bracket, slopes
 
 
 def dro_newsvendor(
@@ -209,19 +339,14 @@ def dro_newsvendor(
     if eps == 0.0:
         x0 = saa_newsvendor(params, demand)
         return DroSolution(x=x0, worst_case=_worst_value(params, demand, family, 0.0, x0))
-    atoms = np.unique(demand.costs)
-    hi = 1.5 * float(np.max(atoms))
-    cands = set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())
-    if family.piecewise_linear and atoms.size <= 200:
-        cross = _crossing_points(params, atoms)
-        cands |= set(cross[(0.0 <= cross) & (cross <= hi)].tolist())
-    xs = np.array(sorted(cands))
-    x1 = _argmin_smallest(xs, _worst_values(params, demand, family, eps, xs))
-    pitch = hi / 399.0
-    local = np.linspace(max(0.0, x1 - pitch), min(hi, x1 + pitch), 40)
-    xs2 = np.unique(np.append(local, x1))
-    x_star = _argmin_smallest(xs2, _worst_values(params, demand, family, eps, xs2))
-    return DroSolution(x=x_star, worst_case=_worst_value(params, demand, family, eps, x_star))
+    search = _kink_search if family.piecewise_linear else _grid_search
+    x_star, bracket, slopes = search(params, demand, family, eps)
+    return DroSolution(
+        x=x_star,
+        worst_case=_worst_value(params, demand, family, eps, x_star),
+        bracket=bracket,
+        slopes=slopes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +438,8 @@ def _logreg_frontier(
         measure = resolve_measure(measure_name, **measure_kwargs)
     points = []
     for eps in eps_arr:
-        fit, _ = logreg_wasserstein(dataset, eps, tol=tol)
+        # the regularized fit only: logreg_wasserstein would also fit the SAA model
+        fit = _prox_descent(dataset, eps, tol, _MAX_ITER)
         margins = dataset.labels * (dataset.features @ fit.w)
         losses = np.logaddexp(0.0, -margins)
         s_w = validate(losses, np.full(dataset.n, 1.0 / dataset.n))
@@ -370,12 +496,9 @@ def labeled_dataset(features, labels) -> LabeledDataset:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # min(t, -t) = -|t|, so exp never overflows; unlike -abs(t) it keeps a NaN's sign bit
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logloss(data: LabeledDataset, w: np.ndarray) -> float:
@@ -440,7 +563,7 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -
     raise NonConvergence(f"optimality residual {resid:.3e} > tol {tol} after {max_iter} iterations")
 
 
-def logreg_saa(data: LabeledDataset, tol: float = 1e-8, max_iter: int = 50_000) -> LogregFit:
+def logreg_saa(data: LabeledDataset, tol: float = 1e-8, max_iter: int = _MAX_ITER) -> LogregFit:
     """Average log-loss minimizer: the eps = 0 proximal-gradient fit.
 
     On separable data there is no finite minimizer; the run still stops at
@@ -471,7 +594,7 @@ def robust_logreg_objective(
 
 
 def logreg_wasserstein(
-    data: LabeledDataset, eps: float, tol: float = 1e-8, max_iter: int = 50_000
+    data: LabeledDataset, eps: float, tol: float = 1e-8, max_iter: int = _MAX_ITER
 ) -> tuple[LogregFit, sensitivity.SensitivityReport]:
     """Minimize eps ||w||_2 + average log-loss; sensitivity is ||w_SAA||_2.
 

@@ -8,7 +8,7 @@ of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
-candidate scan calls. The piecewise-linear families and the built-in
+search calls. The piecewise-linear families and the built-in
 modified chi-square and KL balls solve a block at once (the phi kernels are
 chosen by identity, so a user phi named "kl" keeps its own math); a user
 phi solves it row by row.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,8 +143,22 @@ def _reference_scan(params, demand, family, eps):
     return x_star, value(x_star)
 
 
+def _pairwise_crossings(params, atoms):
+    """Every x strictly inside (yi, yj) where the cost lines of atoms yi < yj cross."""
+    r, q, s = params.r, params.q, params.s
+    i, j = np.triu_indices(atoms.size, k=1)
+    yi, yj = atoms[i], atoms[j]
+    x = (s * yj + (r - q) * yi) / (r + s - q)
+    return x[(yi < x) & (x < yj)]
+
+
 class TestBatchedScan:
-    """The batched value-only scan picks the per-candidate scan's order, bit for bit."""
+    """The batched value-only scan picks the per-candidate scan's order, bit for bit.
+
+    The piecewise-linear families are searched over the kinks of V instead,
+    so there the reference scan only bounds the value: V(x*) is no larger
+    than the scan's V, and x* is a kink.
+    """
 
     @pytest.mark.parametrize(
         "family",
@@ -167,11 +182,140 @@ class TestBatchedScan:
             params = dro.NewsvendorParams(r=10.0, c=2.0, q=q, s=s)
             eps = 0.6 if family.name == "combo" else 0.25 + rng.uniform()
             sol = dro.dro_newsvendor(params, demand, family, eps)
-            assert (sol.x, sol.worst_case.value) == _reference_scan(params, demand, family, eps), n
+            x_ref, v_ref = _reference_scan(params, demand, family, eps)
+            if not family.piecewise_linear:
+                assert (sol.x, sol.worst_case.value) == (x_ref, v_ref), n
+                continue
+            assert sol.worst_case.value <= v_ref + 1e-12 * (1.0 + abs(v_ref)), n
+            atoms = np.unique(demand.costs)
+            kinks = np.concatenate([atoms, _pairwise_crossings(params, atoms)])
+            assert sol.x in kinks.tolist(), n
 
     def test_overflowing_candidate_is_rejected(self):
         with pytest.raises(NonFiniteCost):
             dro.dro_newsvendor(PARAMS, wcs.validate([1e308, 1.0]), wcs.Budgeted(), 0.5)
+
+
+PL_FAMILIES = [wcs.Budgeted(), wcs.TotalVariation(), wcs.Combination(0.7), wcs.SymmetricBox()]
+
+
+def _values(params, demand, family, eps, xs):
+    """V at each order in xs, through the family's batched values on explicit cost rows."""
+    out = []
+    for k in range(0, len(xs), 64):
+        rows = [dro.cost_scenario(params, demand, float(x)).costs for x in xs[k : k + 64]]
+        out.extend(family.worst_values(np.array(rows), demand.probs, eps).tolist())
+    return np.array(out)
+
+
+class TestKinkSearch:
+    """The piecewise-linear families: the smallest exact minimizer over V's kinks, certified."""
+
+    @pytest.mark.parametrize("s", [0.0, 4.0])
+    @pytest.mark.parametrize("family", PL_FAMILIES, ids=lambda f: f.name)
+    def test_matches_a_dense_kink_scan(self, family, s):
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(1000, seed=42))
+        params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5, s=s)
+        eps = 0.6 if family.name == "combo" else 0.3
+        sol = dro.dro_newsvendor(params, demand, family, eps)
+        atoms = np.unique(demand.costs)
+        hi = 1.5 * float(atoms[-1])
+        # at s = 0 every crossing is an atom in exact arithmetic
+        cross = _pairwise_crossings(params, atoms) if s > 0.0 else np.array([])
+        kinks = np.unique(np.concatenate([[0.0, hi], atoms, cross]))
+        # dense near x*: every kink within six atoms of it; sparse elsewhere
+        near = np.searchsorted(atoms, sol.x)
+        lo, top = atoms[max(near - 6, 0)], atoms[min(near + 6, atoms.size - 1)]
+        dense = (kinks >= lo) & (kinks <= top)
+        dense[::499] = True
+        xs = kinks[dense]
+        vals = _values(params, demand, family, eps, xs)
+        best = float(np.min(vals))
+        level = best + 1e-12 * (1.0 + abs(best))
+        v = sol.worst_case.value
+        assert v <= level
+        assert sol.x == float(np.min(xs[vals <= level]))
+        # the bracket is x*'s two neighbours in the kink set; the slopes are V's there
+        i = int(np.searchsorted(kinks, sol.x))
+        assert kinks[i] == sol.x
+        assert sol.bracket == (kinks[i - 1], kinks[i + 1])
+        v_left, v_right = _values(params, demand, family, eps, sol.bracket)
+        gaps = (sol.x - kinks[i - 1], kinks[i + 1] - sol.x)
+        assert sol.slopes == ((v - v_left) / gaps[0], (v_right - v) / gaps[1])
+        # and they certify: V falls into x* and does not fall after it
+        assert sol.slopes[0] * gaps[0] < -1e-12 * (1.0 + abs(v))
+        assert sol.slopes[1] * gaps[1] >= -1e-12 * (1.0 + abs(v))
+
+    def test_flat_minimum_returns_the_smallest_order(self):
+        # s = 0 and eps = 0.6: the worst case puts 0.2 = (c - q)/(r + s - q) on the
+        # demand above the order, so V is flat on [10, 20]
+        params = dro.NewsvendorParams(r=10, c=2, q=0, s=0)
+        sol = dro.dro_newsvendor(params, uniform_demand([10.0, 20.0]), wcs.Budgeted(), 0.6)
+        assert sol.x == 10.0
+        assert sol.bracket == (0.0, 20.0)
+        assert sol.slopes[0] < 0.0 and abs(sol.slopes[1]) <= 1e-12
+
+    def test_flat_minimum_across_atoms_returns_the_smallest_order(self):
+        # the atoms at 0 and 1000 carry the whole worst case, 1/7 = (c - q)/(r + s - q)
+        # of it above the order, for every order from the crossing of the 0 and 60
+        # lines up to that of the 0 and 1000 lines: V is flat across 40, 50 and 60
+        demand = wcs.validate([0.0, 40.0, 50.0, 60.0, 1000.0], [0.5, 1 / 7, 1 / 7, 1 / 7, 1 / 14])
+        sol = dro.dro_newsvendor(PARAMS, demand, wcs.Budgeted(), 1.0)
+        assert sol.x == (4.0 * 60.0 + 10.0 * 0.0) / 14.0
+        assert sol.bracket == ((4.0 * 50.0) / 14.0, 40.0)
+        flat = [dro.cost_scenario(PARAMS, demand, x) for x in (40.0, 50.0, 60.0, 200.0)]
+        for s in flat:
+            v = wcs.worst_case(s, wcs.Budgeted(), 1.0).value
+            assert v == pytest.approx(sol.worst_case.value, abs=1e-12 * abs(v))
+
+    @pytest.mark.parametrize("family", PL_FAMILIES, ids=lambda f: f.name)
+    def test_near_atom_crossings_are_dropped_at_s_zero(self, family):
+        # at s = 0 the crossing formula returns each low atom up to rounding; such
+        # a point is no kink, and as a bracket end it would make the slopes noise
+        params = dro.NewsvendorParams(r=10, c=2, q=0.7, s=0)
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(100, seed=4))
+        atoms = np.unique(demand.costs)
+        assert np.count_nonzero(~np.isin(_pairwise_crossings(params, atoms), atoms)) > 0
+        assert dro._crossings(params, atoms, 0.0, 1.5 * float(atoms[-1])).size == 0
+        for eps in (0.1, 0.3, 0.5, 0.8):
+            sol = dro.dro_newsvendor(params, demand, family, eps)
+            grid = [0.0, *atoms.tolist()]
+            assert sol.x in grid and sol.bracket[0] in grid and sol.bracket[1] in grid
+            vals = _values(params, demand, family, eps, atoms)
+            best = float(np.min(vals))
+            assert sol.worst_case.value <= best + 1e-12 * (1.0 + abs(best))
+
+    @pytest.mark.parametrize("family", PL_FAMILIES, ids=lambda f: f.name)
+    def test_overflow_at_the_range_end_is_rejected(self, family):
+        # r x overflows only for orders near 1.5 max y, which the bisection need not visit
+        params = dro.NewsvendorParams(r=100.0, c=1.0, q=0.0, s=1.0)
+        with pytest.raises(NonFiniteCost):
+            dro.dro_newsvendor(params, wcs.demand_scenario([14.0, 23.0, 75.0, 3e307]), family, 0.3)
+
+    @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
+    def test_scanned_families_bracket_their_choice(self, family):
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(60, seed=3))
+        sol = dro.dro_newsvendor(PARAMS, demand, family, 0.4)
+        (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
+        assert lo < sol.x < hi and s_left <= 0.0 <= s_right
+        values = _values(PARAMS, demand, family, 0.4, [lo, sol.x, hi])
+        v_left, v, v_right = values
+        assert (s_left, s_right) == ((v - v_left) / (sol.x - lo), (v_right - v) / (hi - sol.x))
+        saa = dro.dro_newsvendor(PARAMS, demand, family, 0.0)
+        assert saa.bracket is None and saa.slopes is None
+
+    @pytest.mark.parametrize("family", [wcs.Budgeted(), wcs.TotalVariation()], ids=lambda f: f.name)
+    def test_large_n_needs_no_all_pairs_array(self, family):
+        # all pairs at n = 1e4 are 5e7 crossings, 400 MB per float array
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(10_000, seed=7))
+        tracemalloc.start()
+        try:
+            sol = dro.dro_newsvendor(PARAMS, demand, family, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert sol.slopes[0] <= 0.0 <= sol.slopes[1]
 
 
 class TestDroNewsvendor:
@@ -341,6 +485,18 @@ class TestFrontier:
         pts_phi = dro.frontier(ds, None, wcs.WassersteinL1(None), [0.0, 0.1], "phi")
         assert pts_phi[0].sensitivity > pts_phi[1].sensitivity
 
+    def test_dataset_sweep_fits_once_per_eps(self, monkeypatch):
+        ds = dro.gen_synth_classification(60, 3, 0.4, seed=9)
+        eps_list = [0.0, 0.02, 0.1]
+        expected = [dro.logreg_wasserstein(ds, e)[0].w for e in eps_list]
+        calls = []
+        fit = dro._prox_descent
+        monkeypatch.setattr(dro, "_prox_descent", lambda *a: calls.append(a[1]) or fit(*a))
+        pts = dro.frontier(ds, None, wcs.WassersteinL1(None), eps_list, "tv")
+        assert calls == eps_list
+        for pt, w in zip(pts, expected):
+            assert pt.decision.tobytes() == w.tobytes()
+
     def test_dataset_sweep_requires_transport_family(self):
         ds = dro.gen_synth_classification(20, 1, 0.5, seed=5)
         with pytest.raises(ValueError):
@@ -423,6 +579,24 @@ class TestLogreg:
             dro.labeled_dataset([[1, 1]], [1, -1])
         with pytest.raises(ValueError):
             dro.labeled_dataset([[1], [2]], [1, 2])
+
+
+def _masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, 750.0, 1e308, np.inf, tiny, 2.2e-308, 1e-300, 36.7, 37.5, 709.9]
+    t = np.array(special + [-v for v in special] + [np.nan, -np.nan])
+    rng = SplitMix64(5)
+    t = np.concatenate([t, [rng.exponential(20.0) * (rng.uniform() - 0.5) for _ in range(2000)]])
+    assert dro._sigmoid(t).view(np.uint64).tolist() == _masked_sigmoid(t).view(np.uint64).tolist()
 
 
 class TestProxDescent:
