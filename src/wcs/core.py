@@ -30,11 +30,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    DuplicateSupportPoints,
     EmptyInput,
+    InvalidCostCurve,
     LengthMismatch,
     NonFiniteCost,
     NonPositiveProbability,
+    OutsideCostDomain,
     ProbSumMismatch,
+    UnknownGrowth,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -314,16 +318,16 @@ class PiecewiseLinearCost:
     def __post_init__(self):
         b = self.breakpoints
         if len(self.slopes) != len(b) + 1:
-            raise ValueError("need len(slopes) == len(breakpoints) + 1")
+            raise InvalidCostCurve("need len(slopes) == len(breakpoints) + 1")
         if any(not math.isfinite(v) for v in self.slopes):
-            raise ValueError("slopes must be finite")
+            raise InvalidCostCurve("slopes must be finite")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise InvalidCostCurve("breakpoints must be strictly increasing")
         lo, hi = self.domain
         if not lo < hi:
-            raise ValueError("empty domain")
+            raise InvalidCostCurve("empty domain")
         if not (lo <= self.anchor[0] <= hi):
-            raise ValueError("anchor outside domain")
+            raise InvalidCostCurve("anchor outside domain")
 
     def _segment(self, z: float) -> int:
         # index of the slope applying just right of z (left of z is index-1 logic)
@@ -386,7 +390,7 @@ class PiecewiseLinearCost:
         """
         lo, hi = self.domain
         if not (lo <= y <= hi):
-            raise ValueError(f"support point {y} outside cost domain {self.domain}")
+            raise OutsideCostDomain(f"support point {y} outside cost domain {self.domain}")
         fy = self.value(y)
         cands: list[tuple[float, float]] = []
         if y > lo:
@@ -433,7 +437,7 @@ def interpolated_cost(points, values) -> PiecewiseLinearCost:
     idx = np.argsort(xs, kind="stable")
     xs, fs = xs[idx], fs[idx]
     if xs.size != np.unique(xs).size:
-        raise ValueError("support points must be distinct")
+        raise DuplicateSupportPoints("support points must be distinct")
     if xs.size == 1:
         return PiecewiseLinearCost((), (0.0,), (float(xs[0]), float(fs[0])))
     slopes = tuple((fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) for i in range(xs.size - 1))
@@ -469,4 +473,4 @@ def growth_value(growth: str, eps: float) -> float:
         return math.sqrt(eps)
     if growth == GROWTH_LINEAR:
         return eps
-    raise ValueError(f"unknown growth label {growth!r}")
+    raise UnknownGrowth(f"unknown growth label {growth!r}")

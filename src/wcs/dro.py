@@ -154,15 +154,58 @@ def _check_demand(demand: Scenario) -> None:
         raise NegativeDemand(f"negative demand atoms at {np.nonzero(demand.costs < 0.0)[0].tolist()}")
 
 
+def _memoised(evaluate):
+    """(values, memo): values(xs) lists V at the orders xs, calling evaluate only on new ones."""
+    memo: dict[float, float] = {}
+
+    def values(xs):
+        new = [x for x in xs if x not in memo]
+        if new:
+            memo.update(zip(new, evaluate(np.array(new)).tolist()))
+        return [memo[x] for x in xs]
+
+    return values, memo
+
+
+def _first_rise(values, xs) -> int:
+    """First i with V(xs[i + 1]) >= V(xs[i]): by convexity, the minimum of V over xs."""
+    lo, hi = 0, len(xs) - 1
+    while lo < hi:
+        m = (lo + hi) // 2
+        a, b = values(xs[m : m + 2])
+        lo, hi = (m + 1, hi) if b < a else (lo, m)
+    return lo
+
+
+def _first_within(values, xs, level) -> int:
+    """First i with V(xs[i]) <= level, where V falls along xs and xs[-1] qualifies."""
+    lo, hi = 0, len(xs) - 1
+    m = hi - 1  # usually xs[-1] is the answer: try its neighbour first
+    while lo < hi:
+        lo, hi = (lo, m) if values([xs[m]])[0] <= level else (m + 1, hi)
+        m = (lo + hi) // 2
+    return lo
+
+
 def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
-    """Nominal expected-cost minimizer; kinks only at demand atoms, ties to smaller x."""
+    """Nominal expected-cost minimizer; kinks only at demand atoms, ties to smaller x.
+
+    The candidates are the atoms and the midpoints between them. The nominal
+    cost is convex in x, so a bisection finds its minimum over them, and a
+    second one the smallest candidate within 1e-12 (1 + |min|) of it: O(log n)
+    cost rows, each summed exactly.
+    """
     _check_demand(demand)
     atoms = np.unique(demand.costs)
-    xs = np.sort(np.concatenate([atoms, 0.5 * (atoms[:-1] + atoms[1:])]))
-    vals = np.concatenate(
-        [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, xs)]
+    xs = np.sort(np.concatenate([atoms, 0.5 * (atoms[:-1] + atoms[1:])])).tolist()
+    values, _ = _memoised(
+        lambda new: np.concatenate(
+            [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, new)]
+        )
     )
-    return _argmin_smallest(xs, vals)
+    m = _first_rise(values, xs)
+    v = values([xs[m]])[0]
+    return xs[_first_within(values, xs[: m + 1], v + 1e-12 * (1.0 + abs(v)))]
 
 
 def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -260,32 +303,7 @@ def _kink_search(params, demand, family, eps):
     """(x*, bracket, slopes) for a piecewise-linear family, by bisection over V's kinks."""
     atoms = np.unique(demand.costs)
     grid = np.union1d(atoms, [0.0, 1.5 * float(atoms[-1])]).tolist()
-    memo: dict[float, float] = {}
-
-    def values(xs):
-        new = [x for x in xs if x not in memo]
-        if new:
-            vals = _worst_values(params, demand, family, eps, np.array(new))
-            memo.update(zip(new, vals.tolist()))
-        return [memo[x] for x in xs]
-
-    def first_rise(xs):
-        """First i with V(xs[i + 1]) >= V(xs[i]): by convexity, the minimum of V over xs."""
-        lo, hi = 0, len(xs) - 1
-        while lo < hi:
-            m = (lo + hi) // 2
-            a, b = values(xs[m : m + 2])
-            lo, hi = (m + 1, hi) if b < a else (lo, m)
-        return lo
-
-    def first_within(xs, level):
-        """First i with V(xs[i]) <= level, where V falls along xs and xs[-1] qualifies."""
-        lo, hi = 0, len(xs) - 1
-        m = hi - 1  # usually xs[-1] is the answer: try its neighbour first
-        while lo < hi:
-            lo, hi = (lo, m) if values([xs[m]])[0] <= level else (m + 1, hi)
-            m = (lo + hi) // 2
-        return lo
+    values, memo = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
 
     def kinks(a, b):
         """Every kink in [grid[a], grid[b]], sorted."""
@@ -293,18 +311,18 @@ def _kink_search(params, demand, family, eps):
         return np.union1d(grid[a : b + 1], _crossings(params, atoms, lo, hi)).tolist()
 
     values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
-    k = first_rise(grid)
+    k = _first_rise(values, grid)
     a = max(k - 1, 0)
     ks = kinks(a, min(k + 1, len(grid) - 1))
-    m = first_rise(ks)
+    m = _first_rise(values, ks)
     v = values([ks[m]])[0]
     level = v + 1e-12 * (1.0 + abs(v))
     if a > 0 and values([grid[a]])[0] <= level:
         # V is flat at its minimum, which may reach further left than the bracket
-        j = first_within(grid[: a + 1], level)
+        j = _first_within(values, grid[: a + 1], level)
         ks = kinks(max(j - 1, 0), j + 1)
         m = ks.index(grid[j])
-    i = first_within(ks[: m + 1], level)
+    i = _first_within(values, ks[: m + 1], level)
     x = ks[i]
     nbrs = (ks[i - 1] if i > 0 else None, ks[i + 1] if i + 1 < len(ks) else None)
     values([y for y in (x, *nbrs) if y is not None])

@@ -62,6 +62,27 @@ class EpsOutOfRange(WcsError, ValueError):
     """Set size outside the family's admissible range."""
 
 
+class InvalidBoxParams(WcsError, ValueError):
+    """A likelihood-ratio band outside 0 <= L <= 1 <= U."""
+
+
+class InvalidCostCurve(WcsError, ValueError):
+    """A piecewise-linear cost with mismatched or non-finite slopes, unsorted breakpoints,
+    an empty domain or an anchor outside it."""
+
+
+class OutsideCostDomain(WcsError, ValueError):
+    """A support point outside the domain of its piecewise-linear cost."""
+
+
+class DuplicateSupportPoints(WcsError, ValueError):
+    """Interpolation through support points that are not distinct."""
+
+
+class UnknownGrowth(WcsError, ValueError):
+    """A growth label other than "sqrt" and "linear"."""
+
+
 class NoBracket(WcsError, RuntimeError):
     """Outer dual root-finding could not bracket a sign change."""
 

@@ -6,24 +6,25 @@ and clamped (eps beyond the family's saturation point) regimes. Constant
 costs never error: every wc_* returns V(eps) = E_p(f) with q = p, flagged
 degenerate, instead of dividing by a zero variance.
 
-The smooth-phi solver works on the two first-order conditions of the
-penalized dual
+The smooth-phi solves work on the standardised costs
+g = (f - max f)/(max f - min f) in [-1, 0]: V is translation-equivariant
+and positively homogeneous in f, so V, the multiplier delta and the shift
+c map back, and no cost scale can underflow a variance or push the root of
+the divergence equation out of reach. The worst case tilts p as
+q_i = p_i [phi']^{-1}(delta (g_i + c)), with [phi']^{-1} clamped at its
+domain edge so q >= 0, where
 
-    sum_i p_i [phi*]'(delta (f_i + c)) = 1          (stationarity in c)
-    divergence(q(delta, c) | p) = eps               (stationarity in delta)
+    sum_i p_i [phi']^{-1}(delta (g_i + c)) = 1          (stationarity in c)
+    divergence(q(delta, c) | p) = eps                   (stationarity in delta)
 
-by nested root-finding: c by bisection (monotone in c) to 1e-12, delta by
-bracketed bisection to 1e-12, with [phi']^{-1} clamped at its domain edge so
-the q >= 0 constraint is honored when the small-set closed forms would go
-negative. For the built-in modified chi-square and KL generators the inner
-equation also has a closed-form solution; it is used when available and is
-tested to agree with the bisection path.
+Modified chi-square solves both in closed form on its active set (the
+costliest atoms keeping mass); KL solves c in closed form and delta by
+safeguarded Newton, with D'(delta) = delta Var_q(g). A user phi runs the
+nested bisection, c inside and delta outside, each to full precision; it is
+also the last resort of the two built-in solves.
 
 The value-only batches at the end (``*_values``) return V(eps) for each row
-of a cost block. For KL, ``kl_values`` skips the nested bisection: on the
-standardised costs g = (f - max f)/(max f - min f) the tilt is
-q ~ p exp(delta g), and safeguarded Newton in delta, run across all rows at
-once, solves D(q | p) = eps with D'(delta) = delta Var_q(g).
+of a cost block, with the same chi-square and KL kernels run across rows.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from .core import (
     sort_desc,
     validate,
 )
-from .errors import EpsOutOfRange, NoBracket
+from .errors import EpsOutOfRange, InvalidBoxParams, NoBracket
 from . import riskstats
 
-_C_TOL = 1e-12
-_DELTA_TOL = 1e-12
-_DELTA_LO = 1e-14
-_DELTA_CAP = 1e18
+# splits of a bracket; each bisection stops earlier once its ends are adjacent doubles
+_BISECTIONS = 200
+_DELTA_CAP = 1e300
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class BoxParams:
 
     def __post_init__(self):
         if not (0.0 <= self.L <= 1.0 <= self.U):
-            raise ValueError(f"need 0 <= L <= 1 <= U, got L={self.L}, U={self.U}")
+            raise InvalidBoxParams(f"need 0 <= L <= 1 <= U, got L={self.L}, U={self.U}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,64 @@ def _check_eps(eps: float):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Standardised:
+    """g = (f / half - top) / scale in [-1, 0]: top is max f / half, scale the range of f / half.
+
+    half is 2 when max f - min f overflows, else 1. Every family's V is
+    translation-equivariant and positively homogeneous in f, so a solve on g
+    maps back: V = half (top + scale E_q g), and the tilt argument
+    delta_g (g + c_g) is delta (f + c) for the delta and c of ``dual``.
+    """
+
+    g: np.ndarray
+    top: float
+    scale: float
+    half: float
+
+    def value(self, vg: float) -> float:
+        return self.half * (self.top + self.scale * vg)
+
+    def dual(self, delta: float, c: float) -> SmoothPhiDual:
+        return SmoothPhiDual(
+            delta=delta / self.half / self.scale, c=self.half * (self.scale * c - self.top)
+        )
+
+
+def _standardise(f: np.ndarray) -> _Standardised:
+    half, top, bottom = 1.0, float(np.max(f)), float(np.min(f))
+    if math.isinf(top - bottom):
+        half, f, top, bottom = 2.0, f / 2.0, top / 2.0, bottom / 2.0
+    return _Standardised(g=(f - top) / (top - bottom), top=top, scale=top - bottom, half=half)
+
+
+def _tilted(
+    st: _Standardised, q: np.ndarray, delta: float, c: float, eps: float
+) -> WorstCaseResult:
+    """The result for a tilt q, in atom order, solved on st.g with multiplier delta and shift c."""
+    return WorstCaseResult(
+        epsilon=eps, value=st.value(_dot(q, st.g)), worst_q=_clip_q(q), dual=st.dual(delta, c)
+    )
+
+
+def _nominal(s: Scenario) -> WorstCaseResult:
+    m = riskstats.mean(s)
+    return WorstCaseResult(
+        epsilon=0.0, value=m, worst_q=s.probs.copy(), dual=SmoothPhiDual(delta=0.0, c=-m)
+    )
+
+
+def _point_mass(s: Scenario, q: np.ndarray, eps: float) -> WorstCaseResult:
+    """Past the saturation divergence: all mass on the argmax-cost atoms, so V = max f."""
+    return WorstCaseResult(
+        epsilon=eps, value=float(np.max(s.costs)), worst_q=_clip_q(q), dual=None, clamped=True
+    )
+
+
+def _saturated(eps: float, d_sat: float) -> bool:
+    return eps >= d_sat - 1e-9 * (1.0 + abs(d_sat))
+
+
 class _PhiTilter:
     """Inner-c solver with prefix sums cached across the outer delta search."""
 
@@ -180,10 +238,10 @@ class _PhiTilter:
         lo, hi = -float(f[0]), -float(f[-1])
         if g(lo) > 0.0 or g(hi) < 0.0:  # numerically flat or degenerate; midpoint is fine
             return 0.5 * (lo + hi)
-        for _ in range(200):
-            if hi - lo <= _C_TOL * max(1.0, abs(lo), abs(hi)):
-                break
+        for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             if g(mid) < 0.0:
                 lo = mid
             else:
@@ -214,85 +272,130 @@ def _saturation_divergence(phi: PhiFunction, srt: SortedScenario) -> tuple[float
     return d, q
 
 
+def _bisect_tilt(
+    phi: PhiFunction, gs: SortedScenario, eps: float
+) -> tuple[np.ndarray, float, float]:
+    """(q, delta, c) on sorted standardised costs by nested bisection: c inside, delta outside.
+
+    D(delta) rises from 0 at delta = 0. The bracket grows from [0, 1] by
+    squaring its top, and is split at geometric midpoints while it spans
+    more than a factor 2. Both bisections run to full precision, since a
+    near-tie among the costliest atoms makes D steep in delta and sum q
+    steep in c.
+    """
+    tilter = _PhiTilter(phi, gs)
+
+    def residual(delta: float) -> float:
+        q_desc, _ = tilter.tilt(delta)
+        return eps - phi.divergence(q_desc, gs.probs_desc)
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) > 0.0:
+        lo, hi = hi, max(2.0, hi * hi)
+        if hi > _DELTA_CAP:
+            raise NoBracket(
+                f"could not bracket the divergence equation for eps={eps} on delta in [0, {hi}]"
+            )
+    for _ in range(_BISECTIONS):
+        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q_desc, c = tilter.tilt(hi)
+    return q_desc, hi, c
+
+
+def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float, float] | None:
+    """(q, delta, c) of the modified chi-square tilt on sorted standardised costs, or None.
+
+    The active count comes from ``_chi2_prefix``, the test ``chi2_values``
+    runs; P_k, mu_k and W_k are then summed exactly, two-pass, over the
+    active atoms, since prefix sums leave W with a rounding error that shows
+    in the divergence. None when no active count passes the test.
+    """
+    g, p = gs.costs_desc, gs.probs_desc
+    k, found, _ = _chi2_prefix(g[None, :], p[None, :], eps)
+    if not found[0]:
+        return None
+    k = int(k[0]) + 1
+    ga, pa = g[:k], p[:k]
+    mass = exact_sum(pa)
+    mu = exact_sum(pa * ga) / mass
+    w = exact_sum(pa * (ga - mu) ** 2)
+    slack = 2.0 * eps - exact_sum(p[k:]) / mass
+    if not (slack > 0.0 and w > 0.0):
+        return None
+    delta = math.sqrt(slack / w)
+    q = np.zeros_like(p)
+    q[:k] = pa * np.maximum(1.0 / mass + delta * (ga - mu), 0.0)
+    return q, delta, (1.0 / mass - 1.0) / delta - mu
+
+
+def _sorted_tilt(s: Scenario, st: _Standardised, phi: PhiFunction, eps: float) -> WorstCaseResult:
+    """The tilt solved on the costs sorted once: chi2 by its active set, else nested bisection."""
+    srt = sort_desc(s)
+    d_sat, q_sat = _saturation_divergence(phi, srt)
+    if _saturated(eps, d_sat):
+        return _point_mass(s, srt.unsort(q_sat), eps)
+    gs = SortedScenario(order=srt.order, costs_desc=st.g[srt.order], probs_desc=srt.probs_desc)
+    solved = _chi2_active_tilt(gs, eps) if phi is MODIFIED_CHI2 else None
+    q_desc, delta, c = solved or _bisect_tilt(phi, gs, eps)
+    return _tilted(st, srt.unsort(q_desc), delta, c, eps)
+
+
+def _kl_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
+    """KL without a sort: q = p exp(delta g) / Z with delta from the batched Newton."""
+    top = s.costs == np.max(s.costs)
+    pm = exact_sum(s.probs[top])
+    if _saturated(eps, -math.log(pm)):
+        return _point_mass(s, np.where(top, s.probs / pm, 0.0), eps)
+    _, delta = _kl_tilt(st.g[None, :], s.probs, eps)
+    delta = float(delta[0])
+    if math.isnan(delta):
+        return _sorted_tilt(s, st, KL, eps)
+    w = s.probs * np.exp(delta * st.g)
+    z = exact_sum(w)
+    return _tilted(st, w / z, delta, -math.log(z) / delta, eps)
+
+
 def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     """Exact worst case over the phi-divergence ball of radius eps."""
     _check_eps(eps)
     if s.is_constant():
         return _degenerate(s, eps)
     if eps == 0.0:
-        return WorstCaseResult(
-            epsilon=0.0,
-            value=riskstats.mean(s),
-            worst_q=s.probs.copy(),
-            dual=SmoothPhiDual(delta=0.0, c=-riskstats.mean(s)),
-        )
-
-    srt = sort_desc(s)
-    d_sat, q_sat = _saturation_divergence(phi, srt)
-    if eps >= d_sat - 1e-9 * (1.0 + abs(d_sat)):
-        q = srt.unsort(q_sat)
-        return WorstCaseResult(
-            epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=None, clamped=True
-        )
-
-    tilter = _PhiTilter(phi, srt)
-
-    def residual(delta: float) -> float:
-        q_desc, _ = tilter.tilt(delta)
-        return eps - phi.divergence(q_desc, srt.probs_desc)
-
-    lo, hi = _DELTA_LO, 1.0
-    while residual(hi) > 0.0:
-        hi *= 2.0
-        if hi > _DELTA_CAP:
-            raise NoBracket(
-                f"could not bracket the divergence equation for eps={eps} "
-                f"on delta in [{_DELTA_LO}, {hi}]"
-            )
-    for _ in range(200):
-        if hi - lo <= _DELTA_TOL * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    delta = 0.5 * (lo + hi)
-    q_desc, c = tilter.tilt(delta)
-    q = srt.unsort(q_desc)
-    return WorstCaseResult(
-        epsilon=eps,
-        value=_dot(q, s.costs),
-        worst_q=_clip_q(q),
-        dual=SmoothPhiDual(delta=delta, c=c),
-    )
+        return _nominal(s)
+    st = _standardise(s.costs)
+    # by identity: a user phi may reuse a built-in's name with other math
+    if phi is KL:
+        return _kl_tilt_result(s, st, eps)
+    return _sorted_tilt(s, st, phi, eps)
 
 
 def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
     """Modified chi-square ball: closed form while the tilt stays nonnegative.
 
-    q_i = p_i (1 + sqrt(2 eps / Var) (f_i - mean)); if any entry would go
-    negative the exact clamped dual solve takes over.
+    q_i = p_i (1 + sqrt(2 eps / Var) (f_i - mean)), computed on the
+    standardised costs without a sort; if the cheapest atom's mass would go
+    negative, the active-set solve of wc_smooth_phi takes over.
     """
     _check_eps(eps)
     if s.is_constant():
         return _degenerate(s, eps)
     if eps == 0.0:
-        return WorstCaseResult(
-            epsilon=0.0,
-            value=riskstats.mean(s),
-            worst_q=s.probs.copy(),
-            dual=SmoothPhiDual(delta=0.0, c=-riskstats.mean(s)),
-        )
-    m = riskstats.mean(s)
-    var = riskstats.variance(s)
-    delta = math.sqrt(2.0 * eps / var)
-    q = s.probs * (1.0 + delta * (s.costs - m))
-    if np.min(q) < 0.0:
-        return wc_smooth_phi(s, MODIFIED_CHI2, eps)
-    return WorstCaseResult(
-        epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=SmoothPhiDual(delta, -m)
-    )
+        return _nominal(s)
+    st = _standardise(s.costs)
+    m = _dot(s.probs, st.g)
+    var = exact_sum(s.probs * (st.g - m) ** 2)
+    if var > 0.0:
+        delta = math.sqrt(2.0 * eps / var)
+        # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
+        if delta * (1.0 + m) <= 1.0:
+            return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
+    return _sorted_tilt(s, st, MODIFIED_CHI2, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +534,7 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # finite. No worst_q or dual is built. The piecewise-linear families return
 # exactly the scalar solver's value; modified chi-square uses the closed form
 # of its active-set optimality conditions and KL a batched Newton tilt, which
-# agree with wc_chi2 and wc_smooth_phi to their bisection tolerance.
+# agree with wc_chi2 and wc_smooth_phi to within 1e-12 of the row's range.
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
@@ -498,22 +601,47 @@ def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     return _by_row(costs, probs, solve)
 
 
+def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
+    """(k, found, E_q g) per row of standardised costs sorted descending.
+
+    Column k holds the prefix of the k + 1 costliest atoms. With them
+    active, q_i = p_i (1/P_k + delta (g_i - mu_k)) on them and 0 elsewhere,
+    where P_k, mu_k and W_k are the mass, the mean and the p-weighted sum of
+    squared deviations of the active atoms. The divergence constraint gives
+    delta^2 W_k = 2 eps - (1 - P_k)/P_k and E_q g = mu_k + sqrt(W_k (2 eps -
+    (1 - P_k)/P_k)), the variance expansion of the chi-square ball (k = n - 1
+    is the unclamped closed form). The optimum is the first k whose active
+    tilts are >= 0 and whose next atom's tilt is <= 0; found is False on a
+    row where no k passes.
+    """
+    rows = np.arange(g.shape[0])
+    with np.errstate(all="ignore"):
+        P = np.cumsum(p, axis=1)
+        S = np.cumsum(p * g, axis=1)
+        mu = S / P
+        W = np.maximum(np.cumsum(p * g * g, axis=1) - S * mu, 0.0)
+        # the mass left off the prefix, against the row's total rather than 1
+        slack = 2.0 * eps - (P[:, -1:] - P) / P
+        delta = np.sqrt(slack / W)
+        base = 1.0 / P
+        tol = 1e-12 * (base + delta)
+        # atom k, the cheapest active one, keeps a nonnegative tilt ...
+        ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
+        # ... and atom k + 1 would get a nonpositive one
+        ok[:, :-1] &= base[:, :-1] + delta[:, :-1] * (g[:, 1:] - mu[:, :-1]) <= tol[:, :-1]
+        k = np.argmax(ok, axis=1)
+        return k, ok[rows, k], mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k])
+
+
 def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_chi2(row, eps).value for each row, to the bisection's tolerance.
+    """wc_chi2(row, eps).value for each row, to within 1e-12 of the row's range.
 
-    With the k costliest atoms active, q_i = p_i (1/P_k + delta (f_i - mu_k))
-    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
-    and the p-weighted sum of squared deviations of the active atoms. The
-    divergence constraint then gives delta^2 W_k = 2 eps - (1 - P_k)/P_k and
-
-        V_k = mu_k + sqrt(W_k (2 eps - (1 - P_k)/P_k)),
-
-    the variance expansion of the chi-square ball (k = n is the unclamped
-    closed form). The optimum is the first k whose active tilts are >= 0 and
-    whose next atom's tilt is <= 0. Costs are centred at the row max and
-    scaled by the row range, so the squares cannot overflow. Past the
-    saturation divergence V is max f; a row with no consistent k goes to
-    the scalar wc_chi2.
+    Each row is sorted, its costs centred at the row max and scaled by the
+    row range, so the squares cannot overflow, and ``_chi2_prefix`` finds
+    its active set and V from prefix sums. Past the saturation divergence V
+    is max f; a row with no consistent active set goes to wc_chi2, which
+    standardises an overflowing range on f / 2 and ends in the nested
+    bisection where the active-set test fails again.
     """
     _check_eps(eps)
     if eps == 0.0:
@@ -524,30 +652,15 @@ def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
         f = np.take_along_axis(raw, order, axis=1)
         p = probs[order]
         top, scale = f[:, :1], f[:, :1] - f[:, -1:]
-        rows = np.arange(f.shape[0])
-        # column k holds the prefix of the k + 1 costliest atoms
         with np.errstate(all="ignore"):
             g = (f - top) / scale  # in [-1, 0]
-            P = np.cumsum(p, axis=1)
-            S = np.cumsum(p * g, axis=1)
-            mu = S / P
-            W = np.maximum(np.cumsum(p * g * g, axis=1) - S * mu, 0.0)
-            # the mass left off the prefix, against the row's total rather than 1
-            slack = 2.0 * eps - (P[:, -1:] - P) / P
-            delta = np.sqrt(slack / W)
-            base = 1.0 / P
-            tol = 1e-12 * (base + delta)
-            # atom k, the cheapest active one, keeps a nonnegative tilt ...
-            ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
-            # ... and atom k + 1 would get a nonpositive one
-            ok[:, :-1] &= base[:, :-1] + delta[:, :-1] * (g[:, 1:] - mu[:, :-1]) <= tol[:, :-1]
-            k = np.argmax(ok, axis=1)
-            value = top[:, 0] + scale[:, 0] * (mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k]))
+            _, found, vg = _chi2_prefix(g, p, eps)
+            value = top[:, 0] + scale[:, 0] * vg
             pm = np.sum(np.where(g == 0.0, p, 0.0), axis=1)
             d_sat = 0.5 * (1.0 - pm) / pm
         saturated = eps >= d_sat - 1e-9 * (1.0 + np.abs(d_sat))
         value[saturated] = top[saturated, 0]
-        for i in np.nonzero(~saturated & ~ok[rows, k])[0]:
+        for i in np.nonzero(~saturated & ~found)[0]:
             value[i] = wc_chi2(Scenario(costs=raw[i], probs=probs), eps).value
         return value
 
@@ -558,8 +671,8 @@ _KL_TOL = 1e-14
 _KL_MAX_ITER = 100
 
 
-def _kl_tilt_means(g: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """E_q g of the KL tilt q ~ p exp(delta g) with D(q | p) = eps, per row of g.
+def _kl_tilt(g: np.ndarray, probs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E_q g, delta) of the KL tilt q ~ p exp(delta g) with D(q | p) = eps, per row of g.
 
     D(delta) = delta E_q g - log E_p exp(delta g) rises with delta, with
     D'(delta) = delta Var_q g (Ben-Tal et al. 2013). Newton runs across all
@@ -568,10 +681,13 @@ def _kl_tilt_means(g: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     or doubles delta while hi is unbounded. Each row needs some g = 0 and
     g <= 0 elsewhere, so exp(delta g) <= 1 cannot overflow and the top atoms
     keep E_p exp(delta g) >= their mass. A row stops when |D - eps| is at
-    most _KL_TOL eps plus the rounding of D's two terms; a row still open
-    after _KL_MAX_ITER steps is NaN.
+    most _KL_TOL eps plus the rounding of D's two terms, or when its
+    bracket closes to adjacent doubles: at small eps the rounding of log Z
+    can exceed that bound, and delta is then exact to its last bit. A row
+    still open after _KL_MAX_ITER steps is NaN in both outputs.
     """
     out = np.full(g.shape[0], np.nan)
+    out_delta = np.full(g.shape[0], np.nan)
     rows = np.arange(g.shape[0])
     lo = np.zeros(g.shape[0])
     hi = np.full(g.shape[0], np.inf)
@@ -586,6 +702,7 @@ def _kl_tilt_means(g: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
             resid = first - log_z - eps
             done = np.abs(resid) <= _KL_TOL * eps + 2.0**-51 * (np.abs(first) + np.abs(log_z))
             out[rows[done]] = mean[done]
+            out_delta[rows[done]] = delta[done]
             keep = ~done
             if not np.any(keep):
                 break
@@ -594,21 +711,30 @@ def _kl_tilt_means(g: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
             var = np.sum(w * (g - mean[:, None]) ** 2, axis=1) / z
             lo = np.where(resid < 0.0, delta, lo)
             hi = np.where(resid > 0.0, delta, hi)
+            # lo and hi failed the stop already, so a row whose bracket holds no
+            # other double never passes it: its delta is exact, the residual noise
+            closed = ~(np.nextafter(lo, hi) < hi)
+            out[rows[closed]] = mean[closed]
+            out_delta[rows[closed]] = delta[closed]
+            keep = ~closed
+            rows, g, delta, lo, hi = rows[keep], g[keep], delta[keep], lo[keep], hi[keep]
+            w, z, mean, resid, var = w[keep], z[keep], mean[keep], resid[keep], var[keep]
             step = delta - resid / (delta * var)
             fallback = np.where(np.isinf(hi), 2.0 * delta, 0.5 * (lo + hi))
             delta = np.where((lo < step) & (step < hi), step, fallback)
-    return out
+    return out, out_delta
 
 
 def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, KL, eps).value for each row, to the bisection's tolerance.
+    """wc_smooth_phi(row, KL, eps).value for each row, to within 1e-12 of the row's range.
 
     Costs are standardised to g = (f - max f) / (max f - min f) in [-1, 0],
     the worst-case tilt q ~ p exp(delta g) is solved for every row at once
-    (``_kl_tilt_means``), and V = max f + (max f - min f) E_q g. Past the
+    (``_kl_tilt``), and V = max f + (max f - min f) E_q g. Past the
     saturation divergence -log(mass on the argmax atoms) V is max f. A row
-    whose range overflows, or whose Newton run hits its cap, goes to the
-    scalar wc_smooth_phi.
+    whose range overflows, or whose Newton run hits its cap, goes to
+    wc_smooth_phi, which standardises an overflowing range on f / 2 and ends
+    in the nested bisection where Newton fails again.
     """
     _check_eps(eps)
     if eps == 0.0:
@@ -625,7 +751,7 @@ def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
         tilt = np.flatnonzero(~saturated & np.isfinite(scale))
         if tilt.size:
             g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
-            value[tilt] = top[tilt] + scale[tilt] * _kl_tilt_means(g, probs, eps)
+            value[tilt] = top[tilt] + scale[tilt] * _kl_tilt(g, probs, eps)[0]
         for i in np.flatnonzero(np.isnan(value)):
             value[i] = wc_smooth_phi(Scenario(costs=raw[i], probs=probs), KL, eps).value
         return value

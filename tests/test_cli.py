@@ -38,7 +38,10 @@ GOLDEN_ARGVS = (
 )
 # exit code, stdout and stderr of each GOLDEN_ARGVS call, keyed by the
 # space-joined argv; captured before the family registry replaced the
-# per-family dispatch code and never regenerated since
+# per-family dispatch code. Only the three smooth-phi records were
+# re-captured since: the two `worst-case --family phi` calls (chi2 and KL)
+# and `solve-newsvendor --family phi`, whose last digits moved when the
+# smooth-phi solves went to standardised costs (same order x)
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 
 
@@ -365,3 +368,13 @@ def test_verify_needs_at_least_one_trial(trials, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--trials: must be at least 1" in captured.err
+
+
+def test_duplicate_support_points_exit_three_with_a_typed_code():
+    code, out, err = run_cli(
+        ["sensitivity", "--family", "wasserstein", "--costs", "1,2,3", "--points", "0,0,1"]
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "code": "DuplicateSupportPoints", "message": "support points must be distinct"
+    }

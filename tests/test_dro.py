@@ -112,6 +112,27 @@ class TestSaaBatch:
         taus = (0.25, 0.5, 0.75, 1.0)
         assert [dro.demand_quantile(quarters, t) for t in taus] == [1.0, 2.0, 3.0, 4.0]
 
+    def test_large_n_needs_no_n_by_n_array(self, monkeypatch):
+        # every atom and midpoint at n = 1e4 is 2e4 cost rows, 1.6 GB as one array
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(10_000, seed=42))
+        rows = []
+        cost_vec = dro._newsvendor_cost_vec
+
+        def counted(params, x, ys):
+            rows.append(np.size(x))
+            return cost_vec(params, x, ys)
+
+        monkeypatch.setattr(dro, "_newsvendor_cost_vec", counted)
+        tracemalloc.start()
+        try:
+            x = dro.saa_newsvendor(PARAMS, demand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert sum(rows) <= 4 * math.ceil(math.log2(2 * demand.n))
+        assert x == dro.demand_quantile(demand, PARAMS.critical_fractile)
+
 
 def _reference_scan(params, demand, family, eps):
     """dro_newsvendor with one scalar worst case per candidate order."""

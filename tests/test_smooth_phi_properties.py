@@ -1,0 +1,87 @@
+"""Property-based invariants of the smooth phi-divergence worst cases.
+
+For the built-in modified chi-square and KL balls and a user phi (solved
+by the nested bisection), on random scenarios of up to 8 atoms:
+
+- V(0) = E_p f, and V <= max f for every eps (up to the rounding of E_p f,
+  as the probabilities sum to 1 only to rounding);
+- V is non-decreasing in eps;
+- worst_q is a distribution to 1e-12, lies in the ball (to 1e-12, or to
+  the 1e-9 saturation band when the result is clamped) and reproduces V;
+- V does not depend on the order of the atoms.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import wcs
+from wcs.core import PhiFunction
+
+USER_PHI = PhiFunction(
+    name="chi2-times-two",
+    value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+    deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+    inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+    zeta_floor=-2.0,
+    curvature=2.0,
+)
+FAMILIES = (wcs.SmoothPhi(wcs.MODIFIED_CHI2), wcs.SmoothPhi(wcs.KL), wcs.SmoothPhi(USER_PHI))
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 8))
+    costs = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    return wcs.validate(costs, [w / total for w in weights])
+
+
+families = st.sampled_from(FAMILIES)
+radii = st.floats(0.0, 4.0)
+
+
+def _tol(s) -> float:
+    return 1e-12 * float(np.max(np.abs(s.costs)))
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), eps=radii)
+def test_nominal_at_zero_and_below_the_max(family, s, eps):
+    assert family.worst_case(s, 0.0).value == wcs.mean(s)
+    assert family.worst_case(s, eps).value <= float(np.max(s.costs)) + _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), a=radii, b=radii)
+def test_monotone_in_eps(family, s, a, b):
+    lo, hi = sorted((a, b))
+    assert family.worst_case(s, lo).value <= family.worst_case(s, hi).value + _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), eps=radii)
+def test_worst_q_is_feasible_and_reproduces_the_value(family, s, eps):
+    r = family.worst_case(s, eps)
+    q = r.worst_q
+    assert np.all(q >= 0.0)
+    assert abs(math.fsum(q.tolist()) - 1.0) <= 1e-12
+    slack = 1e-9 * (1.0 + eps) if r.clamped else 1e-12
+    assert family.phi.divergence(q, s.probs) <= eps + slack
+    assert abs(math.fsum((q * s.costs).tolist()) - r.value) <= _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), eps=radii, data=st.data())
+def test_invariant_under_permuting_atoms(family, s, eps, data):
+    perm = np.array(data.draw(st.permutations(range(s.n))))
+    moved = wcs.validate(s.costs[perm], s.probs[perm])
+    v, w = family.worst_case(s, eps).value, family.worst_case(moved, eps).value
+    assert abs(v - w) <= _tol(s)

@@ -503,3 +503,115 @@ class TestFamilyInvariants:
         assert r.degenerate
         assert r.value == pytest.approx(3.5)
         assert np.allclose(r.worst_q, s.probs)
+
+
+def _user_chi2_x2():
+    """phi(z) = (z - 1)^2: no closed-form inner solve, so the nested bisection runs."""
+    from wcs.core import PhiFunction
+
+    return PhiFunction(
+        name="chi2-times-two",
+        value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+        inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+        zeta_floor=-2.0,
+        curvature=2.0,
+    )
+
+
+SMOOTH_PHI_FAMILIES = [
+    wcs.SmoothPhi(wcs.MODIFIED_CHI2),
+    wcs.SmoothPhi(wcs.KL),
+    wcs.SmoothPhi(_user_chi2_x2()),
+]
+
+
+class TestScaleFreeSmoothPhi:
+    """Every smooth-phi solve works on standardised costs, so no cost scale breaks it."""
+
+    def test_tiny_costs_are_solved(self):
+        # the variance underflowed to 0.0 (ZeroDivisionError) and KL found no bracket
+        s = wcs.validate([1e-200, 2e-200, 3e-200])
+        for phi in (wcs.MODIFIED_CHI2, wcs.KL):
+            r = wcs.SmoothPhi(phi).worst_case(s, 0.5)
+            assert 2e-200 < r.value < 3e-200 and not r.clamped
+            assert abs(phi.divergence(r.worst_q, s.probs) - 0.5) <= 1e-12 * 0.5
+
+    def test_chi2_stays_inside_the_cost_range(self):
+        # both costs exceed 1.0000000001, yet the delta bisection returned 0.99934
+        s = wcs.validate(
+            [1.000000000147217, 1.000000000147246], [0.20800734362858495, 0.791992656371415]
+        )
+        v = wcs.wc_chi2(s, 0.01).value
+        assert 1.000000000147217 <= v <= 1.000000000147246
+        (batch,) = wcs.SmoothPhi().worst_values(s.costs[None, :], s.probs, 0.01)
+        assert abs(v - batch) <= 1e-12 * np.ptp(s.costs)
+        # 200 rows of 20 draws near 1e150: the bisection returned 0.0 for some
+        rng = SplitMix64(8)
+        rows = np.array([[1e150 * rng.exponential(1.0) for _ in range(20)] for _ in range(200)])
+        probs = np.full(20, 1.0 / 20)
+        for eps in (0.3, 0.5):
+            batch = wcs.SmoothPhi().worst_values(rows, probs, eps)
+            for row, b in zip(rows, batch):
+                v = wcs.wc_chi2(wcs.validate(row, probs), eps).value
+                assert row.min() <= v <= row.max(), (eps, v)
+                assert abs(v - b) <= 1e-12 * np.ptp(row), (eps, v, b)
+
+    def test_kl_on_huge_costs_tilts_to_the_top(self):
+        # the delta bisection stopped at delta = 4.6e-13 for a root near 1e-151
+        # and returned V = 1.333e150 < E_p f with a worst_q summing to 1/3
+        s = wcs.validate(1e150 * np.array([1.0, 2.0, 4.0]))
+        r = wcs.wc_smooth_phi(s, wcs.KL, 0.3)
+        unit = wcs.wc_smooth_phi(wcs.validate([1.0, 2.0, 4.0]), wcs.KL, 0.3)
+        assert r.value == pytest.approx(3.3052e150, rel=1e-4)
+        assert r.value == pytest.approx(1e150 * unit.value, rel=1e-14)
+        assert math.fsum(r.worst_q.tolist()) == pytest.approx(1.0, abs=1e-15)
+        assert abs(wcs.KL.divergence(r.worst_q, s.probs) - 0.3) <= 1e-12 * 0.3
+
+    def test_kl_residual_does_not_grow_with_the_cost_scale(self):
+        # an absolute stop in delta left 4e-14, 7e-10 and 9e-7 at scales 1, 1e3, 1e6
+        rng = SplitMix64(3)
+        costs = np.array([rng.exponential(1.0) for _ in range(40)])
+        for scale in (1.0, 1e3, 1e6):
+            s = wcs.validate(scale * costs)
+            r = wcs.wc_smooth_phi(s, wcs.KL, 0.3)
+            assert abs(wcs.KL.divergence(r.worst_q, s.probs) - 0.3) <= 1e-12 * 0.3, scale
+
+    @pytest.mark.parametrize("family", SMOOTH_PHI_FAMILIES, ids=lambda f: f.phi.name)
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e3, 1e6, 1e150])
+    def test_gates_at_every_cost_scale(self, family, scale):
+        rng = SplitMix64(5)
+        unit = np.array([rng.exponential(1.0) for _ in range(12)])
+        w = [0.05 + rng.exponential(1.0) for _ in range(12)]
+        probs = np.array([v / math.fsum(w) for v in w])
+        s = wcs.validate(scale * unit, probs)
+        width = np.ptp(s.costs)
+        # chi2 drops no atom at the first three and 1, 3 and 6 atoms at the others
+        for eps in (0.01, 0.05, 0.3, 1.0, 1.5, 3.0):
+            r = family.worst_case(s, eps)
+            assert not r.clamped
+            d = family.phi.divergence(r.worst_q, s.probs)
+            assert abs(d - eps) <= 1e-12 * eps, (eps, d)
+            assert s.costs.min() <= r.value <= s.costs.max()
+            (batch,) = family.worst_values(s.costs[None, :], s.probs, eps)
+            assert abs(batch - r.value) <= 1e-12 * width, (eps, batch, r.value)
+            for lam, t in ((3.0, -7.5 * scale), (0.5, 1e3 * scale)):
+                moved = family.worst_case(wcs.validate(lam * s.costs + t, probs), eps).value
+                want = lam * r.value + t
+                assert abs(moved - want) <= 1e-12 * (abs(want) + lam * width), (eps, lam, t)
+
+    def test_user_phi_uses_the_bisection_and_chi2_the_active_set(self, monkeypatch):
+        from wcs import worstcase
+
+        calls = []
+        real = worstcase._bisect_tilt
+        monkeypatch.setattr(
+            worstcase, "_bisect_tilt", lambda phi, gs, eps: calls.append(phi) or real(phi, gs, eps)
+        )
+        s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
+        clamped = wcs.wc_chi2(s, 0.3)
+        assert clamped.worst_q[0] == 0.0 and calls == []
+        assert wcs.wc_smooth_phi(s, wcs.KL, 0.3).dual is not None and calls == []
+        user = _user_chi2_x2()
+        assert wcs.wc_smooth_phi(s, user, 0.6).value == pytest.approx(clamped.value, abs=1e-12)
+        assert calls == [user]
