@@ -193,11 +193,13 @@ def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     The candidates are the atoms and the midpoints between them. The nominal
     cost is convex in x, so a bisection finds its minimum over them, and a
     second one the smallest candidate within 1e-12 (1 + |min|) of it: O(log n)
-    cost rows, each summed exactly.
+    cost rows, each summed exactly. The midpoint of two adjacent doubles
+    rounds to one of them, and a repeated candidate would read as a flat
+    minimum to the bisection, so the candidates are deduplicated.
     """
     _check_demand(demand)
     atoms = np.unique(demand.costs)
-    xs = np.sort(np.concatenate([atoms, 0.5 * (atoms[:-1] + atoms[1:])])).tolist()
+    xs = np.union1d(atoms, 0.5 * (atoms[:-1] + atoms[1:])).tolist()
     values, _ = _memoised(
         lambda new: np.concatenate(
             [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, new)]

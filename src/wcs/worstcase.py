@@ -278,7 +278,9 @@ def _bisect_tilt(
     """(q, delta, c) on sorted standardised costs by nested bisection: c inside, delta outside.
 
     D(delta) rises from 0 at delta = 0. The bracket grows from [0, 1] by
-    squaring its top, and is split at geometric midpoints while it spans
+    squaring its top. While its bottom is 0 it is cut at hi / 2^k with k
+    doubling from 1, so a root down to the smallest double is reached in
+    about 11 cuts; then it is split at geometric midpoints while it spans
     more than a factor 2. Both bisections run to full precision, since a
     near-tie among the costliest atoms makes D steep in delta and sum q
     steep in c.
@@ -296,8 +298,14 @@ def _bisect_tilt(
             raise NoBracket(
                 f"could not bracket the divergence equation for eps={eps} on delta in [0, {hi}]"
             )
+    cut = 1
     for _ in range(_BISECTIONS):
-        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        if lo == 0.0:
+            mid, cut = max(math.ldexp(hi, -cut), math.ulp(0.0)), 2 * cut
+        elif 2.0 * lo < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        else:
+            mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         if residual(mid) > 0.0:
@@ -346,11 +354,25 @@ def _sorted_tilt(s: Scenario, st: _Standardised, phi: PhiFunction, eps: float) -
     return _tilted(st, srt.unsort(q_desc), delta, c, eps)
 
 
+def _kl_saturation(costs: np.ndarray, probs: np.ndarray, eps: float):
+    """(argmax mask, its mass, saturated) for one scenario's costs or per row of a block.
+
+    KL's worst case is the point mass on the argmax atoms once eps reaches
+    -log of their mass. One scenario's mass is summed exactly, a block's
+    row by row with np.sum.
+    """
+    top = costs == np.max(costs, axis=-1, keepdims=True)
+    if costs.ndim == 1:
+        mass = exact_sum(probs[top])
+    else:
+        mass = np.sum(np.where(top, probs, 0.0), axis=1)
+    return top, mass, _saturated(eps, -np.log(mass))
+
+
 def _kl_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
     """KL without a sort: q = p exp(delta g) / Z with delta from the batched Newton."""
-    top = s.costs == np.max(s.costs)
-    pm = exact_sum(s.probs[top])
-    if _saturated(eps, -math.log(pm)):
+    top, pm, saturated = _kl_saturation(s.costs, s.probs, eps)
+    if saturated:
         return _point_mass(s, np.where(top, s.probs / pm, 0.0), eps)
     _, delta = _kl_tilt(st.g[None, :], s.probs, eps)
     delta = float(delta[0])
@@ -661,6 +683,9 @@ def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
         saturated = eps >= d_sat - 1e-9 * (1.0 + np.abs(d_sat))
         value[saturated] = top[saturated, 0]
         for i in np.nonzero(~saturated & ~found)[0]:
+            # wc_chi2 itself, not its bisection alone: an overflowing range solves
+            # there on f / 2, and every fallback row is wc_chi2's value bit for bit
+            # (test_families pins it), at the price of one repeated active-set test
             value[i] = wc_chi2(Scenario(costs=raw[i], probs=probs), eps).value
         return value
 
@@ -745,14 +770,17 @@ def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             scale = top - np.min(raw, axis=1)
         value = np.full(raw.shape[0], np.nan)
-        d_sat = -np.log(np.sum(np.where(raw == top[:, None], probs, 0.0), axis=1))
-        saturated = eps >= d_sat - 1e-9 * (1.0 + d_sat)
+        _, _, saturated = _kl_saturation(raw, probs, eps)
         value[saturated] = top[saturated]
         tilt = np.flatnonzero(~saturated & np.isfinite(scale))
         if tilt.size:
             g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
             value[tilt] = top[tilt] + scale[tilt] * _kl_tilt(g, probs, eps)[0]
         for i in np.flatnonzero(np.isnan(value)):
+            # wc_smooth_phi itself, not its bisection alone: an overflowing range
+            # solves there by Newton on f / 2, and every fallback row is its value
+            # bit for bit (test_families pins it), at the price of one repeated
+            # Newton run on a row whose run hit its cap
             value[i] = wc_smooth_phi(Scenario(costs=raw[i], probs=probs), KL, eps).value
         return value
 

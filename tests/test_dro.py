@@ -133,6 +133,17 @@ class TestSaaBatch:
         assert sum(rows) <= 4 * math.ceil(math.log2(2 * demand.n))
         assert x == dro.demand_quantile(demand, PARAMS.critical_fractile)
 
+    def test_adjacent_double_atoms(self):
+        # the midpoint of two adjacent doubles is one of them: a repeated
+        # candidate must not read as a flat minimum and stop the search early
+        params = dro.NewsvendorParams(r=10.0, c=0.5, q=0.0, s=100.0)
+        for pair in ([3.0, 3.0000000000000004], [0.1 + 0.2, 0.3], [1.0, math.nextafter(1.0, 2.0)]):
+            for rest in ([1.0 / 3.0, 2.0, 100.0], [0.5, 50.0, 60.0, 100.0]):
+                demand = uniform_demand(pair + rest)
+                x = dro.saa_newsvendor(params, demand)
+                assert x == dro.demand_quantile(demand, params.critical_fractile) == 100.0
+                assert x == _reference_saa(params, demand)
+
 
 def _reference_scan(params, demand, family, eps):
     """dro_newsvendor with one scalar worst case per candidate order."""

@@ -615,3 +615,34 @@ class TestScaleFreeSmoothPhi:
         user = _user_chi2_x2()
         assert wcs.wc_smooth_phi(s, user, 0.6).value == pytest.approx(clamped.value, abs=1e-12)
         assert calls == [user]
+
+    def test_user_phi_bisection_reaches_a_multiplier_far_below_one(self):
+        # phi = K (z - 1)^2 with K = 1e-200 is chi2 scaled by 2K: the same tilt
+        # solves it at eps 2K times chi2's, with a multiplier 2K times chi2's,
+        # below the 2^-200 that halving [0, 1] reached. The bisection is called
+        # directly: wc_smooth_phi's absolute 1e-9 saturation slack reads any
+        # eps this small as saturated.
+        from wcs import worstcase
+        from wcs.core import PhiFunction
+
+        K = 1e-200
+        tiny = PhiFunction(
+            name="chi2-times-1e-200",
+            value=lambda z: K * (np.asarray(z, dtype=float) - 1.0) ** 2,
+            deriv=lambda z: 2.0 * K * (np.asarray(z, dtype=float) - 1.0),
+            inv_deriv=lambda zeta: 1.0 + np.asarray(zeta, dtype=float) / (2.0 * K),
+            zeta_floor=-2.0 * K,
+            curvature=2.0 * K,
+        )
+        s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
+        srt = wcs.sort_desc(s)
+        st = worstcase._standardise(s.costs)
+        gs = wcs.SortedScenario(
+            order=srt.order, costs_desc=st.g[srt.order], probs_desc=srt.probs_desc
+        )
+        for eps in (0.05, 0.3):
+            q, delta, _ = worstcase._bisect_tilt(tiny, gs, 2.0 * K * eps)
+            chi2 = wcs.wc_chi2(s, eps)
+            assert np.allclose(srt.unsort(q), chi2.worst_q, rtol=0.0, atol=1e-12)
+            assert delta == pytest.approx(2.0 * K * chi2.dual.delta * st.scale, rel=1e-12)
+            assert abs(tiny.divergence(q, gs.probs_desc) - 2.0 * K * eps) <= 1e-12 * 2.0 * K * eps
