@@ -11,12 +11,17 @@ The uncertainty families themselves live in ``families``. Each carries one
 of the two growth-rate labels below: ``g(eps) = sqrt(eps)`` for smooth
 phi-divergence balls and ``g(eps) = eps`` for every other family here.
 
-Sorting convention: descending cost, ties broken by original index ascending
-(stable). Any tie-break yields the same worst-case values; determinism is the
-only requirement.
+Rank convention: descending cost, ties broken by original index ascending
+(stable), as ``desc_order`` returns it. Any tie-break yields the same
+worst-case values; determinism is the only requirement. A solver that needs
+only the atoms above one quantile and the order near it sorts just that
+window (``riskstats.select_tail``), and ranks every atom the same way.
 
 Summation convention: every scalar sum is ``exact_sum``, the correctly
 rounded sum of its terms, so no result depends on the order of the terms.
+Where one large set is summed against many small refinements, its exact
+total is kept as an integer (``exact_total``), the refinements add their
+own terms to it, and each comparison rounds once (``round_total``).
 """
 
 from __future__ import annotations
@@ -63,16 +68,48 @@ _HALF = float(1 << 26)
 _MAX_BINNED = _CHUNK << 20
 
 
+def exact_total(a) -> int:
+    """Exact sum of a finite 1-d float array, as an integer count of 2^-1127.
+
+    Each entry is m * 2^(e - 53) with an integer mantissa m, |m| < 2^53
+    (np.frexp, then an exact scale by 2^53). Split into 26-bit halves, the
+    mantissas are summed exactly per exponent by np.bincount, chunk by chunk,
+    into int64 bins, and one Python-int sum over the non-empty bins gives
+    the total. Totals of disjoint parts add exactly, so a sum over a large
+    set is taken once and its refinements add only their own terms; the
+    array must be finite with at most 2^36 entries.
+    """
+    a = np.asarray(a, dtype=float)
+    hi_bins = np.zeros(_BINS, dtype=np.int64)
+    lo_bins = np.zeros(_BINS, dtype=np.int64)
+    for start in range(0, a.size, _CHUNK):
+        m, e = np.frexp(a[start : start + _CHUNK])
+        m *= 2.0**53  # exact: a 53-bit integer mantissa
+        hi = m / _HALF
+        np.floor(hi, out=hi)
+        m -= hi * _HALF  # the low half, in [0, 2^26), exact
+        e += _EXP_OFFSET
+        hi_bins += np.bincount(e, weights=hi, minlength=_BINS).astype(np.int64)
+        lo_bins += np.bincount(e, weights=m, minlength=_BINS).astype(np.int64)
+    # entry = m * 2^(b - 1127) with b = e + 1074
+    used = np.flatnonzero(hi_bins | lo_bins)
+    return sum(
+        (h << (b + 26)) + (lo << b)
+        for b, h, lo in zip(used.tolist(), hi_bins[used].tolist(), lo_bins[used].tolist())
+    )
+
+
+def round_total(total: int) -> float:
+    """The double nearest total * 2^-1127 (Python's int division rounds correctly)."""
+    return total / (1 << (_EXP_OFFSET + 53))
+
+
 def exact_sum(a) -> float:
     """Correctly rounded sum of a 1-d float array: math.fsum(a.tolist()) bit for bit.
 
-    Each finite entry is m * 2^(e - 53) with an integer mantissa m, |m| < 2^53
-    (np.frexp, then an exact scale by 2^53). Split into 26-bit halves, the
-    mantissas are summed exactly per exponent by np.bincount, chunk by chunk,
-    into int64 bins; one Python-int sum over the non-empty bins and Python's
-    correctly rounded int division give the result. Short arrays, arrays
-    with a non-finite entry (fsum's inf/nan rules apply) and arrays beyond
-    the int64 bins' exact range go to math.fsum.
+    ``exact_total`` then one ``round_total``. Short arrays, arrays with a
+    non-finite entry (fsum's inf/nan rules apply) and arrays beyond the
+    int64 bins' exact range go to math.fsum.
 
     One difference from fsum: fsum raises OverflowError whenever a partial
     sum overflows, which depends on the order of the terms; exact_sum raises
@@ -81,23 +118,11 @@ def exact_sum(a) -> float:
     a = np.asarray(a, dtype=float)
     if a.size < _EXACT_SUM_CUTOFF or a.size > _MAX_BINNED or not np.isfinite(a).all():
         return math.fsum(a.tolist())
-    hi_bins = np.zeros(_BINS, dtype=np.int64)
-    lo_bins = np.zeros(_BINS, dtype=np.int64)
-    for start in range(0, a.size, _CHUNK):
-        m, e = np.frexp(a[start : start + _CHUNK])
-        m *= 2.0**53  # exact: a 53-bit integer mantissa
-        hi = np.floor(m / _HALF)
-        lo = m - hi * _HALF  # in [0, 2^26), exact
-        e += _EXP_OFFSET
-        hi_bins += np.bincount(e, weights=hi, minlength=_BINS).astype(np.int64)
-        lo_bins += np.bincount(e, weights=lo, minlength=_BINS).astype(np.int64)
-    total = sum(h << (b + 26) for b, h in enumerate(hi_bins.tolist()) if h)
-    total += sum(lo << b for b, lo in enumerate(lo_bins.tolist()) if lo)
+    total = exact_total(a)
     if total == 0:
         # an exact zero is -0.0 only if fsum makes it so and every term is -0.0
         return math.fsum([-0.0]) if np.signbit(a).all() else 0.0
-    # entry = m * 2^(b - 1127) with b = e + 1074
-    return total / (1 << (_EXP_OFFSET + 53))
+    return round_total(total)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +223,14 @@ def validate(costs, probs=None) -> Scenario:
     return Scenario(costs=_freeze(f), probs=_freeze(p))
 
 
-def sort_desc(s: Scenario) -> SortedScenario:
-    """Stable descending-cost ordering; ties keep original index order.
+def desc_order(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, costs[order]): descending cost, ties in index order.
 
     An unstable argsort places the atoms, and one int64 sort of the keys
     run * n + index puts each run of equal costs back in index order, so
     the order equals np.argsort(-costs, kind="stable") (exact for
     n < 3e9, where run * n fits in int64).
     """
-    costs = s.costs
     order = np.argsort(-costs)
     costs_desc = costs[order]
     tie = costs_desc[1:] == costs_desc[:-1]
@@ -220,6 +244,12 @@ def sort_desc(s: Scenario) -> SortedScenario:
         order -= run
         # 0.0 and -0.0 tie but differ in bits: gather again
         costs_desc = costs[order]
+    return order, costs_desc
+
+
+def sort_desc(s: Scenario) -> SortedScenario:
+    """Stable descending-cost ordering; ties keep original index order."""
+    order, costs_desc = desc_order(s.costs)
     return SortedScenario(
         order=_freeze(order),
         costs_desc=_freeze(costs_desc),

@@ -58,6 +58,10 @@ class KappaOutOfRange(WcsError, ValueError):
     """n*(1-alpha) outside (0, n) in the CVaR/standard-deviation constant."""
 
 
+class InvalidCvarLevel(WcsError, ValueError):
+    """A CVaR tail level alpha outside [0, 1)."""
+
+
 class EpsOutOfRange(WcsError, ValueError):
     """Set size outside the family's admissible range."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario, exact_sum
-from .errors import UnboundedRatio
+from .errors import LengthMismatch, UnboundedRatio
 from . import riskstats
 
 
@@ -69,7 +69,7 @@ def wasserstein_sensitivity(points, probs, ratio_oracle) -> SensitivityReport:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     p = np.atleast_1d(np.asarray(probs, dtype=float))
     if p.shape != pts.shape:
-        raise ValueError(f"{pts.size} support points vs {p.size} probabilities")
+        raise LengthMismatch(f"{pts.size} support points vs {p.size} probabilities")
     ratios = []
     for y in pts:
         r = float(ratio_oracle(float(y)))

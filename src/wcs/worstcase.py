@@ -425,7 +425,7 @@ def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
 # ---------------------------------------------------------------------------
 
 
-def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> None:
+def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> np.ndarray:
     """Take need[r] from row r of q in place, last column first; column 0 is kept.
 
     The loop it stands for runs j = n-1 .. 1: take = min(need, q[j]),
@@ -433,6 +433,7 @@ def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> None:
     and x + (-y) == x - y, so before[:, t] is that loop's need on reaching
     column n-1-t bit for bit; the loop empties every column before the
     first one that covers its need, and takes the need from that one.
+    Returns whether each row's need was covered.
     """
     tail = q[:, :0:-1]  # a view: columns n-1 .. 1
     before = np.cumsum(np.concatenate((need[:, None], -tail[:, :-1]), axis=1), axis=1)
@@ -442,28 +443,41 @@ def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> None:
     tail[np.arange(width) < t[:, None]] = 0.0
     rows = np.flatnonzero(t < width)
     tail[rows, t[rows]] -= before[rows, t[rows]]
+    return t < width
 
 
 def wc_tv(s: Scenario, eps: float) -> WorstCaseResult:
-    """Exact maximizer over {q : sum |q - p| <= eps}; eps > 2 clamps to the simplex."""
+    """Exact maximizer over {q : sum |q - p| <= eps}; eps > 2 clamps to the simplex.
+
+    The argmax atom gains min(eps/2, 1 - its mass), stripped from the
+    cheapest atoms up. Only the cheap side that covers the strip is sorted:
+    a window from above the strip's boundary down to the cheapest atom.
+    """
     _check_eps(eps)
     clamped = eps > 2.0
     e = min(eps, 2.0)
     if s.is_constant():
         return _degenerate(s, eps)
-    srt = sort_desc(s)
-    q = srt.probs_desc.copy()
-    gain = min(0.5 * e, 1.0 - q[0])
-    q[0] += gain
-    _strip_cheapest(q[None, :], np.array([gain]))
-    dual = TvDual(
-        theta=0.5 * (srt.costs_desc[0] + srt.costs_desc[-1]),
-        lam=0.5 * (srt.costs_desc[0] - srt.costs_desc[-1]),
-    )
-    q_orig = srt.unsort(q)
+    top = int(np.argmax(s.costs))
+    gain = min(0.5 * e, 1.0 - float(s.probs[top]))
+
+    def strip(split: riskstats.Split):
+        # the whole order starts with the argmax atom, which keeps its mass
+        whole = split.window[0] == top
+        cheap = split.window[1:] if whole else split.window
+        row = np.concatenate(([0.0], s.probs[cheap]))
+        if not (_strip_cheapest(row[None, :], np.array([gain]))[0] or whole):
+            return None
+        return cheap, row[1:]
+
+    cheap, kept = riskstats.select(s.costs, s.probs, 1.0 - gain, strip, through_end=True)
+    q = s.probs.copy()
+    q[top] += gain
+    q[cheap] = kept
+    top_cost, bottom_cost = s.costs[top], s.costs[cheap[-1]]
+    dual = TvDual(theta=0.5 * (top_cost + bottom_cost), lam=0.5 * (top_cost - bottom_cost))
     return WorstCaseResult(
-        epsilon=eps, value=_dot(q_orig, s.costs), worst_q=_clip_q(q_orig), dual=dual,
-        clamped=clamped,
+        epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=dual, clamped=clamped
     )
 
 
@@ -479,15 +493,17 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
     1/(1+eps); the same rank convention defines the VaR atom, which makes
     this formula agree with (CVaR - VaR)/(1+eps) exactly.
     """
-    return _budgeted_slope(sort_desc(s), eps)
+    return _budgeted_slope(s, eps, None)
 
 
-def _budgeted_slope(srt: SortedScenario, eps: float) -> float:
+def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> float:
+    """The slope, its VaR atom found on the split near if it lies there."""
     alpha = eps / (1.0 + eps)
-    k = riskstats.partial_fill_rank(srt, alpha)
-    if k == 0:
-        return 0.0
-    return exact_sum(srt.probs_desc[:k] * (srt.costs_desc[:k] - srt.costs_desc[k]))
+    tail = None if near is None else near.tail(s.probs, 1.0 - alpha, strict=True)
+    if tail is None:
+        tail = riskstats.var_tail(s, alpha)
+    before = tail.before_last()
+    return exact_sum(s.probs[before] * (s.costs[before] - s.costs[tail.last]))
 
 
 def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
@@ -498,11 +514,10 @@ def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
     e = min(eps, sat)
     if s.is_constant():
         return _degenerate(s, eps)
-    srt = sort_desc(s)
-    value, q = riskstats.cvar_sorted(srt, e / (1.0 + e))
-    slope = 0.0 if clamped else _budgeted_slope(srt, e)
+    q, tail = riskstats.cvar_fill(s, e / (1.0 + e))
+    slope = 0.0 if clamped else _budgeted_slope(s, e, None if tail is None else tail.split)
     return WorstCaseResult(
-        epsilon=eps, value=value, worst_q=_clip_q(q), dual=BudgetedDual(slope=slope),
+        epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=BudgetedDual(slope=slope),
         clamped=clamped,
     )
 
@@ -518,9 +533,9 @@ def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
         raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
     if s.is_constant():
         return _degenerate(s, eps)
-    cv, g = riskstats.cvar_sorted(sort_desc(s), alpha)
+    g, _ = riskstats.cvar_fill(s, alpha)
     q = (1.0 - eps) * s.probs + eps * g
-    value = (1.0 - eps) * riskstats.mean(s) + eps * cv
+    value = (1.0 - eps) * riskstats.mean(s) + eps * _dot(g, s.costs)
     return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
 
 
@@ -532,10 +547,9 @@ def wc_box(s: Scenario, box: BoxParams) -> WorstCaseResult:
         return WorstCaseResult(
             epsilon=0.0, value=riskstats.mean(s), worst_q=s.probs.copy(), dual=None
         )
-    level = (box.U - 1.0) / (box.U - box.L)
-    cv, g = riskstats.cvar_sorted(sort_desc(s), level)
+    g, _ = riskstats.cvar_fill(s, (box.U - 1.0) / (box.U - box.L))
     q = box.L * s.probs + (1.0 - box.L) * g
-    value = box.L * riskstats.mean(s) + (1.0 - box.L) * cv
+    value = box.L * riskstats.mean(s) + (1.0 - box.L) * _dot(g, s.costs)
     return WorstCaseResult(epsilon=0.0, value=value, worst_q=_clip_q(q), dual=None)
 
 

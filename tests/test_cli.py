@@ -74,6 +74,13 @@ class TestExampleInvocations:
         assert code == 3 and out == ""
         assert json.loads(err)["code"] == "NonPositiveProbability"
 
+    def test_cvar_level_out_of_range(self):
+        code, out, err = run_cli(
+            ["sensitivity", "--family", "combo", "--alpha", "1.5", "--costs", "1,2,3"]
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["code"] == "InvalidCvarLevel"
+
     def test_byte_identical_across_runs(self):
         invocations = [
             ["sensitivity", "--family", "tv", "--costs", "1,5,3"],

@@ -6,7 +6,7 @@ import pytest
 import wcs
 from wcs import oracle
 from wcs.core import PhiFunction, PiecewiseLinearCost
-from wcs.errors import UnboundedRatio
+from wcs.errors import LengthMismatch, UnboundedRatio
 from wcs.rng import SplitMix64
 
 # chi-square generator scaled to curvature 2: phi(z) = (z-1)^2
@@ -133,6 +133,10 @@ class TestWasserstein:
     def test_unbounded_ratio(self):
         with pytest.raises(UnboundedRatio):
             wcs.wasserstein_sensitivity([0.0], [1.0], lambda y: math.inf)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            wcs.wasserstein_sensitivity([0.0, 1.0], [1.0], lambda y: 1.0)
 
 
 class TestDispatch:
