@@ -316,29 +316,73 @@ def _bisect_tilt(
     return q_desc, hi, c
 
 
+def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
+    """The active count of ``_chi2_prefix``'s test, each prefix measured in its own spread.
+
+    The batch test squares g, so where the k + 1 costliest atoms span less
+    than about 1e-154 of the range, W_k underflows and no k passes. Here a
+    Welford update keeps W_k / s_k^2 for the prefix spread s_k = -g_k,
+    rescaled as s_k grows, and the test runs in units of s_k. One Python
+    pass over the atoms; only rows the batch test leaves open come here.
+    """
+    gl, pl = g.tolist(), p.tolist()
+    total = math.fsum(pl)
+    mass = mean = w = spread = 0.0
+    for k, (gk, pk) in enumerate(zip(gl, pl)):
+        if -gk > spread:
+            ratio = spread / -gk
+            w *= ratio * ratio
+            spread = -gk
+        d = gk - mean
+        mass += pk
+        mean += pk * d / mass
+        if spread == 0.0:
+            continue
+        w += pk * (d / spread) * ((gk - mean) / spread)
+        slack = 2.0 * eps - (total - mass) / mass
+        if not (slack > 0.0 and w > 0.0):
+            continue
+        delta, base = math.sqrt(slack / w), 1.0 / mass
+        tol = 1e-12 * (base + delta)
+        if base + delta * (gk - mean) / spread < -tol:
+            continue
+        if k + 1 == len(gl) or base + delta * (gl[k + 1] - mean) / spread <= tol:
+            return k + 1
+    return None
+
+
 def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float, float] | None:
     """(q, delta, c) of the modified chi-square tilt on sorted standardised costs, or None.
 
     The active count comes from ``_chi2_prefix``, the test ``chi2_values``
-    runs; P_k, mu_k and W_k are then summed exactly, two-pass, over the
-    active atoms, since prefix sums leave W with a rounding error that shows
-    in the divergence. None when no active count passes the test.
+    runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
+    mu_k and W_k are then summed exactly, two-pass, over the active atoms,
+    since prefix sums leave W with a rounding error that shows in the
+    divergence. In the second case the deviations are measured in the
+    active atoms' spread, so W does not underflow. None when no active
+    count passes the test.
     """
     g, p = gs.costs_desc, gs.probs_desc
     k, found, _ = _chi2_prefix(g[None, :], p[None, :], eps)
-    if not found[0]:
-        return None
-    k = int(k[0]) + 1
+    if found[0]:
+        k, spread = int(k[0]) + 1, 1.0
+    else:
+        k = _chi2_spread_count(g, p, eps)
+        if k is None:
+            return None
+        spread = -float(g[k - 1])
     ga, pa = g[:k], p[:k]
     mass = exact_sum(pa)
     mu = exact_sum(pa * ga) / mass
-    w = exact_sum(pa * (ga - mu) ** 2)
+    dev = (ga - mu) / spread
+    w = exact_sum(pa * dev**2)
     slack = 2.0 * eps - exact_sum(p[k:]) / mass
     if not (slack > 0.0 and w > 0.0):
         return None
     delta = math.sqrt(slack / w)
     q = np.zeros_like(p)
-    q[:k] = pa * np.maximum(1.0 / mass + delta * (ga - mu), 0.0)
+    q[:k] = pa * np.maximum(1.0 / mass + delta * dev, 0.0)
+    delta /= spread
     return q, delta, (1.0 / mass - 1.0) / delta - mu
 
 

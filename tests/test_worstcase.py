@@ -537,6 +537,23 @@ class TestScaleFreeSmoothPhi:
             assert 2e-200 < r.value < 3e-200 and not r.clamped
             assert abs(phi.divergence(r.worst_q, s.probs) - 0.5) <= 1e-12 * 0.5
 
+    def test_chi2_active_atoms_closer_than_the_square_root_of_the_smallest_double(self):
+        # the top two costs differ by 2.85e-306 of the range: W of the active set
+        # underflowed to 0, no active count passed and the bisection found no bracket
+        cases = (
+            ([0.0, 2.85025536e-306, -1.0], None, 0.5),
+            ([-7201.14, -2.85e-306, -6.24e-204, -345219.6, -398909.2, -337349.8], None, 1.4156),
+        )
+        for costs, probs, eps in cases:
+            s = wcs.validate(costs, probs)
+            r = wcs.wc_chi2(s, eps)
+            assert not r.clamped and math.isfinite(r.dual.delta)
+            assert abs(wcs.MODIFIED_CHI2.divergence(r.worst_q, s.probs) - eps) <= 1e-12 * eps
+            top_two = np.sort(s.costs)[-2:]
+            assert top_two[0] <= r.value <= top_two[1]
+            (batch,) = wcs.SmoothPhi().worst_values(s.costs[None, :], s.probs, eps)
+            assert batch == r.value
+
     def test_chi2_stays_inside_the_cost_range(self):
         # both costs exceed 1.0000000001, yet the delta bisection returned 0.99934
         s = wcs.validate(
