@@ -3,8 +3,8 @@
 Each family gets its exact maximizer over the stated ambiguity set, a dual
 certificate where one exists, and flags for the degenerate (constant-cost)
 and clamped (eps beyond the family's saturation point) regimes. Constant
-costs never error: every wc_* returns V(eps) = E_p(f) with q = p, flagged
-degenerate, instead of dividing by a zero variance.
+costs never error: every wc_* returns V(eps) = the common cost with q = p,
+flagged degenerate, instead of dividing by a zero variance.
 
 The smooth-phi solves work on the standardised costs
 g = (f - max f)/(max f - min f) in [-1, 0]: V is translation-equivariant
@@ -120,9 +120,10 @@ def _dot(q: np.ndarray, f: np.ndarray) -> float:
 
 
 def _degenerate(s: Scenario, eps: float) -> WorstCaseResult:
+    # the common cost itself: E_p f can round an ulp above it, as sum p is 1 only to rounding
     return WorstCaseResult(
         epsilon=eps,
-        value=riskstats.mean(s),
+        value=float(s.costs[0]),
         worst_q=s.probs.copy(),
         dual=None,
         degenerate=True,
@@ -618,12 +619,12 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
-    """solve() on the non-constant rows; constant rows get E_p f, as _degenerate does."""
+    """solve() on the non-constant rows; constant rows get their cost, as _degenerate does."""
     const = np.all(costs == costs[:, :1], axis=1)
     if not np.any(const):
         return solve(costs)
     out = np.empty(costs.shape[0])
-    out[const] = riskstats.row_fsums(probs * costs[const])
+    out[const] = costs[const, 0]
     if not np.all(const):
         out[~const] = solve(costs[~const])
     return out
@@ -725,7 +726,7 @@ def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     """
     _check_eps(eps)
     if eps == 0.0:
-        return riskstats.row_fsums(probs * costs)
+        return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
 
     def solve(raw):
         order = np.argsort(-raw, axis=1, kind="stable")
@@ -821,7 +822,7 @@ def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     """
     _check_eps(eps)
     if eps == 0.0:
-        return riskstats.row_fsums(probs * costs)
+        return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
 
     def solve(raw):
         top = np.max(raw, axis=1)

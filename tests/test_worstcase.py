@@ -503,6 +503,13 @@ class TestFamilyInvariants:
         assert r.degenerate
         assert r.value == pytest.approx(3.5)
         assert np.allclose(r.worst_q, s.probs)
+        # E_p f is 0.05468750000000001 here, as the masses sum to 1 only to rounding
+        s = wcs.validate([0.0546875] * 5, [0.2] * 5)
+        assert wcs.mean(s) > 0.0546875
+        assert wcs.worst_case(s, family, 0.5).value == 0.0546875
+        rows = np.array([[0.0546875] * 5, [0.0, 1.0, 2.0, 3.0, 4.0]])
+        for eps in (0.0, 0.5):
+            assert family.worst_values(rows, s.probs, eps)[0] == 0.0546875
 
 
 def _user_chi2_x2():
