@@ -92,10 +92,7 @@ def _boundary(head: int, w: np.ndarray, target: float, strict: bool) -> tuple[in
         return round_total(head + exact_total(w[:j])) if head else exact_sum(w[:j])
 
     start = round_total(head)
-    cum = w.cumsum()
-    if head:
-        cum += start
-    k = int(cum.searchsorted(target, "left" if strict else "right"))
+    k = int((start + w.cumsum()).searchsorted(target, "left" if strict else "right"))
     s_k = total(k) if k else start
     while k > 0 and not below(s_k, target):
         k -= 1
@@ -191,8 +188,6 @@ def _split(costs: np.ndarray, weights: np.ndarray, target: float, margin: int, t
     cum *= np.sum(weights) / cum[-1]
     r = int(np.searchsorted(cum, target))
     above, below = r - margin, r + margin
-    if above < 0 and (through_end or below >= sample.size):
-        return _whole(desc_order(costs)[0])
     top = float(sample[order[above]]) if above >= 0 else math.inf
     bottom = float(sample[order[below]]) if below < sample.size and not through_end else -math.inf
     in_head = costs > top
