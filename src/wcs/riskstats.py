@@ -14,8 +14,9 @@ window, and exact sums check that it holds the boundary; a boundary outside
 it widens it, up to every atom, which is also the window whenever n is
 below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
-``cvar_sorted`` and ``greedy_fill`` run the same fill on a whole order (no
-head, every atom in the window).
+``cvar_sorted`` runs the same fill on a whole order (no head, every atom in
+the window), and ``greedy_fill`` and ``prefix_rank`` the same boundary
+search on an array already in rank order.
 ``row_fsums`` and ``cvar_rows`` work on each row of an (m, n) cost block
 at once, bit for bit as the scalar forms; their rows are short, so they
 sum with math.fsum.
@@ -92,7 +93,10 @@ def _boundary(head: int, w: np.ndarray, target: float, strict: bool) -> tuple[in
         return round_total(head + exact_total(w[:j])) if head else exact_sum(w[:j])
 
     start = round_total(head)
-    k = int((start + w.cumsum()).searchsorted(target, "left" if strict else "right"))
+    cum = w.cumsum()
+    if head:
+        cum += start
+    k = int(cum.searchsorted(target, "left" if strict else "right"))
     s_k = total(k) if k else start
     while k > 0 and not below(s_k, target):
         k -= 1
@@ -237,7 +241,12 @@ def greedy_fill(caps: np.ndarray) -> np.ndarray:
     entry, zeros after. The cutoff comes from exact prefix sums, so the
     partial mass is the correctly rounded remainder.
     """
-    return _whole(np.arange(caps.size)).tail(caps, 1.0).fill()
+    k, mass = _boundary(0, caps, 1.0, strict=False)
+    q = np.zeros(caps.size)
+    q[:k] = caps[:k]
+    if k < caps.size:
+        q[k] = 1.0 - mass
+    return q
 
 
 def cvar_fill(s: Scenario, alpha) -> tuple[np.ndarray, Tail | None]:
@@ -333,7 +342,7 @@ def cvar_deviation(s: Scenario, alpha) -> float:
     against float wobble in the subtraction.
     """
     q, _ = cvar_fill(s, alpha)
-    c = s.costs - np.min(s.costs)
+    c = s.costs - s.costs.min()
     return max(0.0, exact_sum(q * c) - exact_sum(s.probs * c))
 
 
