@@ -19,7 +19,6 @@ from .riskstats import (
     cvar,
     cvar_deviation,
     cvar_distribution,
-    cvar_sorted,
     mean,
     tight_cvar_vector,
     var_quantile,

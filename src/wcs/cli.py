@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -142,19 +143,8 @@ def _cmd_sensitivity(args) -> int:
 def _dual_payload(dual) -> dict | None:
     if dual is None:
         return None
-    if isinstance(dual, worstcase.SmoothPhiDual):
-        return {"delta": dual.delta, "c": dual.c}
-    if isinstance(dual, worstcase.TvDual):
-        return {"theta": dual.theta, "lambda": dual.lam}
-    if isinstance(dual, worstcase.BudgetedDual):
-        return {"slope": dual.slope}
-    if isinstance(dual, worstcase.WassersteinDual):
-        return {
-            "lambda": dual.lam,
-            "validity_radius": dual.validity_radius,
-            "attained": dual.attained,
-        }
-    return None
+    # keys in field order; the field `lam` prints as "lambda", a Python keyword
+    return {("lambda" if k == "lam" else k): v for k, v in dataclasses.asdict(dual).items()}
 
 
 def _cmd_worst_case(args) -> int:

@@ -9,35 +9,27 @@ with 0 <= q < c < r and s >= 0 (q is the unit salvage value here, not a
 probability vector). The SAA optimizer is the empirical demand quantile at
 the critical fractile (r + s - c) / (r + s - q).
 
-The worst-case value V(x) is convex in x for every family here: it is a
-supremum of costs that are convex in x. For the piecewise-linear families
-(a maximum over the vertices of a polytope that does not depend on the
-costs) V is moreover linear between consecutive kinks: the demand atoms and
-the orders where two scenario cost lines cross, past which the cost ranking
-changes (the LP view of CVaR, Rockafellar & Uryasev 2000). So the search
-over them is exact: a bisection on the atoms (with 0 and 1.5 max y) finds
-the best atom, a second bisection on the kinks in the two atom gaps around
-it finds the minimizer, and the smallest kink whose V is within
-1e-12 (1 + |V*|) of the minimum is returned. Crossings are generated only
-inside that bracket, so a solve costs O(log n) value evaluations of one or
-two rows and no all-pairs array. The returned bracket (the neighbouring
-kinks) and the two one-sided slopes of V there certify the minimizer.
+One search serves every family. It reads V, the worst-case value, at its
+kinks on [0, 1.5 max y]: the demand atoms, the range ends and, for the
+piecewise-linear families, the orders where two scenario cost lines cross
+(the LP view of CVaR, Rockafellar & Uryasev 2000). V is a supremum of
+costs convex in x, so bisections find the best atom and then the best kink
+in the two atom gaps around it; crossings are generated only there, so a
+solve reads V at O(log n) orders and builds no all-pairs array. First-order
+Wasserstein is not convex (its multiplier rises with x below min y), so it
+reads every kink, the multiplier's own included. Of orders within the tie
+tolerance 1e-12 (1 + |V|) of the least V, the smallest is returned.
 
-The smooth phi balls and Wasserstein still scan candidate orders: the
-atoms, a 400-point grid on [0, 1.5 max y] and a 40-point refine around the
-incumbent. The scan is batched and value-only: the cost vectors of a block
-of candidates form one (m, n) matrix, and the family's ``worst_values``
-returns V for every row without building a worst-case distribution or a
-dual. Modified chi-square and KL solve the whole block at once; only a
-user phi goes row by row. Blocks hold about 2^13 matrix entries, which
-bounds the scan's memory. Wasserstein needs the demand geometry, not a
-cost vector, and is solved per candidate. For these families the bracket
-is the pair of scanned neighbours of the chosen order: by convexity it
-holds the minimizer, but nothing bounds V's error inside it.
+Polytope families and Wasserstein have V linear between kinks, so the best
+kink is exact. A smooth phi ball has a unique worst q, so V is
+differentiable between atoms and may dip inside a gap: ``_refine`` shrinks
+the bracket around the best kink by rounds of evenly spaced orders.
 
-Either way the reported solution is recomputed at the chosen order by the
-scalar solver, so its value, distribution and certificate are the scalar
-ones.
+V is read in batches, value only: a block of orders is one (m, n) cost
+matrix of about 2^13 entries, and the family's ``worst_values`` returns V
+of every row. Modified chi-square and KL solve a block at once, a user phi
+row by row, and Wasserstein, which needs the demand geometry, order by
+order. The reported worst case is the scalar solver's at x*.
 """
 
 from __future__ import annotations
@@ -62,12 +54,16 @@ from .errors import (
     NonFiniteCost,
     UnsupportedFamily,
 )
-from .families import UncertaintyFamily, WassersteinL1, build_family
+from .families import SmoothPhi, UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
 
 # cost-matrix entries per block of candidate orders in the value-only scans
 _BLOCK_ELEMENTS = 1 << 13
+# orders per refine round, and the most rounds: 13 shrinks of about 16x
+# reach a double's resolution
+_ROUND = 32
+_ROUNDS = 13
 # proximal-gradient iterations before a logistic fit raises NonConvergence
 _MAX_ITER = 50_000
 
@@ -143,10 +139,9 @@ def demand_quantile(demand: Scenario, tau: float) -> float:
     return float(demand.costs[order][riskstats.prefix_rank(demand.probs[order], tau)])
 
 
-def _argmin_smallest(xs: np.ndarray, vals: np.ndarray) -> float:
-    best = float(np.min(vals))
-    tol = 1e-12 * (1.0 + abs(best))
-    return float(np.min(xs[vals <= best + tol]))
+def _tol(v: float) -> float:
+    """The tie tolerance of a value v: two values closer than this are equal."""
+    return 1e-12 * (1.0 + abs(v))
 
 
 def _check_demand(demand: Scenario) -> None:
@@ -155,7 +150,7 @@ def _check_demand(demand: Scenario) -> None:
 
 
 def _memoised(evaluate):
-    """(values, memo): values(xs) lists V at the orders xs, calling evaluate only on new ones."""
+    """values(xs) lists V at the orders xs, calling evaluate only on new ones."""
     memo: dict[float, float] = {}
 
     def values(xs):
@@ -164,7 +159,7 @@ def _memoised(evaluate):
             memo.update(zip(new, evaluate(np.array(new)).tolist()))
         return [memo[x] for x in xs]
 
-    return values, memo
+    return values
 
 
 def _first_rise(values, xs) -> int:
@@ -200,14 +195,14 @@ def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     _check_demand(demand)
     atoms = np.unique(demand.costs)
     xs = np.union1d(atoms, 0.5 * (atoms[:-1] + atoms[1:])).tolist()
-    values, _ = _memoised(
+    values = _memoised(
         lambda new: np.concatenate(
             [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, new)]
         )
     )
     m = _first_rise(values, xs)
     v = values([xs[m]])[0]
-    return xs[_first_within(values, xs[: m + 1], v + 1e-12 * (1.0 + abs(v)))]
+    return xs[_first_within(values, xs[: m + 1], v + _tol(v))]
 
 
 def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -279,13 +274,14 @@ def _worst_values(
 class DroSolution:
     """The chosen order x, the scalar worst case at x, and its certificate.
 
-    ``bracket`` holds the searched orders next to x on each side (x itself
+    ``bracket`` = (lo, hi) holds searched orders on each side of x (x itself
     at an end of the range) and ``slopes`` the secant slopes of V from x to
-    them (-inf and +inf at an end). Since V is convex, left slope <= 0 <=
-    right slope puts a minimizer inside the bracket. For the
-    piecewise-linear families the bracket ends are the neighbouring kinks of
-    V, so the slopes are its one-sided derivatives at x and the certificate
-    is exact. Both are None at eps = 0, where x is the SAA order.
+    them (-inf and +inf at an end). For convex V, left <= 0 <= right puts a
+    minimizer in the bracket, where V >= V(x) - max(-left (hi - x),
+    right (x - lo)). For the piecewise-linear families and Wasserstein the
+    ends are the neighbouring kinks, so the slopes are V's one-sided
+    derivatives at x and the certificate is exact; for smooth phi the
+    bracket is refined. Both are None at eps = 0, where x is the SAA order.
     """
 
     x: float
@@ -294,61 +290,80 @@ class DroSolution:
     slopes: tuple[float, float] | None = None
 
 
-def _certificate(x, v, left, right):
-    """(bracket, slopes) from V(x) = v and the (order, V) pairs next to x; None at a range end."""
-    s_left = -math.inf if left is None else (v - left[1]) / (x - left[0])
-    s_right = math.inf if right is None else (right[1] - v) / (right[0] - x)
-    return (left[0] if left else x, right[0] if right else x), (s_left, s_right)
-
-
 def _kink_search(params, demand, family, eps):
-    """(x*, bracket, slopes) for a piecewise-linear family, by bisection over V's kinks."""
+    """(x*, bracket, slopes): V's best kink, refined around it when V is smooth."""
     atoms = np.unique(demand.costs)
     grid = np.union1d(atoms, [0.0, 1.5 * float(atoms[-1])]).tolist()
-    values, memo = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
+    values = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
 
     def kinks(a, b):
         """Every kink in [grid[a], grid[b]], sorted."""
+        if not family.piecewise_linear:
+            return grid[a : b + 1]
         lo, hi = grid[a], grid[b]
         return np.union1d(grid[a : b + 1], _crossings(params, atoms, lo, hi)).tolist()
 
     values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
-    k = _first_rise(values, grid)
-    a = max(k - 1, 0)
-    ks = kinks(a, min(k + 1, len(grid) - 1))
-    m = _first_rise(values, ks)
-    v = values([ks[m]])[0]
-    level = v + 1e-12 * (1.0 + abs(v))
-    if a > 0 and values([grid[a]])[0] <= level:
-        # V is flat at its minimum, which may reach further left than the bracket
-        j = _first_within(values, grid[: a + 1], level)
-        ks = kinks(max(j - 1, 0), j + 1)
-        m = ks.index(grid[j])
-    i = _first_within(values, ks[: m + 1], level)
+    if isinstance(family, WassersteinL1):
+        # V = E_p f + eps lambda* with lambda* = max(s, (r + s - q) x / min y - s)
+        # below min y and max(s, r - q) above: not convex, but linear between
+        # the atoms, the range ends and the kink where lambda* leaves s
+        y0, d = float(atoms[0]), params.r + params.s - params.q
+        grid = np.union1d(grid, [min(2.0 * params.s * y0 / d, y0)]).tolist()
+        vals = values(grid)
+        level = min(vals) + _tol(min(vals))
+        ks, i = grid, next(j for j, v in enumerate(vals) if v <= level)
+    else:
+        k = _first_rise(values, grid)
+        a = max(k - 1, 0)
+        ks = kinks(a, min(k + 1, len(grid) - 1))
+        m = _first_rise(values, ks)
+        v = values([ks[m]])[0]
+        level = v + _tol(v)
+        if a > 0 and values([grid[a]])[0] <= level:
+            # V is flat at its minimum, which may reach further left than the bracket
+            j = _first_within(values, grid[: a + 1], level)
+            ks = kinks(max(j - 1, 0), j + 1)
+            m = ks.index(grid[j])
+        i = _first_within(values, ks[: m + 1], level)
     x = ks[i]
-    nbrs = (ks[i - 1] if i > 0 else None, ks[i + 1] if i + 1 < len(ks) else None)
-    values([y for y in (x, *nbrs) if y is not None])
-    left, right = (None if y is None else (y, memo[y]) for y in nbrs)
-    bracket, slopes = _certificate(x, memo[x], left, right)
-    return x, bracket, slopes
+    lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)]
+    if isinstance(family, SmoothPhi):
+        x, lo, hi = _refine(values, x, lo, hi)
+    v_lo, v, v_hi = values([lo, x, hi])
+    s_left = (v - v_lo) / (x - lo) if lo < x else -math.inf
+    s_right = (v_hi - v) / (hi - x) if x < hi else math.inf
+    return x, (lo, hi), (s_left, s_right)
 
 
-def _grid_search(params, demand, family, eps):
-    """(x*, bracket, slopes) from a grid-and-atoms scan and one refine around the incumbent."""
-    atoms = np.unique(demand.costs)
-    hi = 1.5 * float(np.max(atoms))
-    xs = np.array(sorted(set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())))
-    x1 = _argmin_smallest(xs, _worst_values(params, demand, family, eps, xs))
-    pitch = hi / 399.0
-    local = np.linspace(max(0.0, x1 - pitch), min(hi, x1 + pitch), 40)
-    xs2 = np.unique(np.append(local, x1))
-    vals = _worst_values(params, demand, family, eps, xs2)
-    x_star = _argmin_smallest(xs2, vals)
-    i = int(np.searchsorted(xs2, x_star))
-    left = (float(xs2[i - 1]), float(vals[i - 1])) if i > 0 else None
-    right = (float(xs2[i + 1]), float(vals[i + 1])) if i + 1 < xs2.size else None
-    bracket, slopes = _certificate(x_star, float(vals[i]), left, right)
-    return x_star, bracket, slopes
+def _refine(values, x, lo, hi):
+    """(x, lo, hi) with the bracket [lo, hi] shrunk around the order x.
+
+    Each round reads V at _ROUND evenly spaced orders, one batch; one
+    replaces x only if lower by more than the tolerance, so a minimum at a
+    kink stays there. The bracket becomes x's neighbours while V there is
+    no lower than V(x), so it keeps certifying left <= 0 <= right. Rounds
+    stop when it would not, when it stops shrinking, or when convexity (a
+    secant on one side of x, extended) bounds V on it within the tolerance
+    of V(x).
+    """
+    v = values([x])[0]
+    for _ in range(_ROUNDS):
+        pts = sorted({lo, x, hi, *np.linspace(lo, hi, _ROUND + 2).tolist()})
+        vals = values(pts)
+        j = int(np.argmin(vals))
+        if v - vals[j] > _tol(v):
+            x, v = pts[j], vals[j]
+        i = pts.index(x)
+        ia, ib = max(i - 1, 0), min(i + 1, len(pts) - 1)
+        if (pts[ia], pts[ib]) == (lo, hi) or min(vals[ia], vals[ib]) < v:
+            break
+        lo, hi = pts[ia], pts[ib]
+        if lo < x < hi:
+            gap = max((vals[ia] - v) * (hi - x) / (x - lo), (vals[ib] - v) * (x - lo) / (hi - x))
+            if gap <= _tol(v):
+                break
+    return x, lo, hi
 
 
 def dro_newsvendor(
@@ -359,14 +374,8 @@ def dro_newsvendor(
     if eps == 0.0:
         x0 = saa_newsvendor(params, demand)
         return DroSolution(x=x0, worst_case=_worst_value(params, demand, family, 0.0, x0))
-    search = _kink_search if family.piecewise_linear else _grid_search
-    x_star, bracket, slopes = search(params, demand, family, eps)
-    return DroSolution(
-        x=x_star,
-        worst_case=_worst_value(params, demand, family, eps, x_star),
-        bracket=bracket,
-        slopes=slopes,
-    )
+    x, bracket, slopes = _kink_search(params, demand, family, eps)
+    return DroSolution(x, _worst_value(params, demand, family, eps, x), bracket, slopes)
 
 
 # ---------------------------------------------------------------------------

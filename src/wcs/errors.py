@@ -54,6 +54,10 @@ class UnsupportedFamily(WcsError, ValueError):
     """A family or measure that the operation cannot solve with the data it was given."""
 
 
+class UnknownFamily(WcsError, ValueError):
+    """A family name that is not in the registry."""
+
+
 class KappaOutOfRange(WcsError, ValueError):
     """n*(1-alpha) outside (0, n) in the CVaR/standard-deviation constant."""
 

@@ -8,10 +8,11 @@ of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
-search calls. The piecewise-linear families and the built-in
-modified chi-square and KL balls solve a block at once (the phi kernels are
-chosen by identity, so a user phi named "kl" keeps its own math); a user
-phi solves it row by row.
+search calls; ``piecewise_linear`` tells that search whether the orders
+where two scenario cost lines cross are kinks of V. The piecewise-linear
+families and the built-in modified chi-square and KL balls solve a block
+at once (the phi kernels are chosen by identity, so a user phi named "kl"
+keeps its own math); a user phi solves it row by row.
 
 Wasserstein is the one family that needs support geometry, not only a cost
 vector: its scenario-level methods raise, and callers holding the geometry use
@@ -34,6 +35,7 @@ from .core import (
     PhiFunction,
     Scenario,
 )
+from .errors import UnknownFamily
 from .riskstats import CvarLevel
 from .sensitivity import (
     budgeted_sensitivity,
@@ -233,7 +235,7 @@ def build_family(
 ) -> UncertaintyFamily:
     """The registered family called ``name``; it takes whichever of phi, alpha it has as fields."""
     if name not in FAMILIES:
-        raise ValueError(f"unknown uncertainty family {name!r}")
+        raise UnknownFamily(f"unknown uncertainty family {name!r}")
     options = {"phi": phi, "alpha": alpha}
     cls = FAMILIES[name]
     return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})

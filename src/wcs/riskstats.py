@@ -14,9 +14,8 @@ window, and exact sums check that it holds the boundary; a boundary outside
 it widens it, up to every atom, which is also the window whenever n is
 below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
-``cvar_sorted`` runs the same fill on a whole order (no head, every atom in
-the window), and ``greedy_fill`` and ``prefix_rank`` the same boundary
-search on an array already in rank order.
+``greedy_fill`` and ``prefix_rank`` run the same boundary search on an
+array already in rank order.
 ``row_fsums`` and ``cvar_rows`` work on each row of an (m, n) cost block
 at once, bit for bit as the scalar forms; their rows are short, so they
 sum with math.fsum.
@@ -256,16 +255,6 @@ def cvar_fill(s: Scenario, alpha) -> tuple[np.ndarray, Tail | None]:
         return s.probs.copy(), None
     tail = select_tail(s.costs, s.probs / (1.0 - a), 1.0)
     return tail.fill(), tail
-
-
-def cvar_sorted(srt: SortedScenario, alpha) -> tuple[float, np.ndarray]:
-    """CVaR and its greedy maximizer (in original atom order) from one sort."""
-    a = _level(alpha)
-    if a == 0.0:
-        q = srt.unsort(srt.probs_desc)
-    else:
-        q = _whole(srt.order).tail(srt.unsort(srt.probs_desc / (1.0 - a)), 1.0).fill()
-    return exact_sum(q * srt.unsort(srt.costs_desc)), q
 
 
 def row_fsums(a: np.ndarray) -> np.ndarray:

@@ -41,7 +41,9 @@ GOLDEN_ARGVS = (
 # per-family dispatch code. Only the three smooth-phi records were
 # re-captured since: the two `worst-case --family phi` calls (chi2 and KL)
 # and `solve-newsvendor --family phi`, whose last digits moved when the
-# smooth-phi solves went to standardised costs (same order x)
+# smooth-phi solves went to standardised costs (same order x), and whose
+# order moved again, to a lower V, when the grid scan gave way to the
+# refined kink search
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 
 

@@ -185,11 +185,10 @@ def _pairwise_crossings(params, atoms):
 
 
 class TestBatchedScan:
-    """The batched value-only scan picks the per-candidate scan's order, bit for bit.
+    """No family's V(x*) exceeds a grid scan's V, one scalar worst case per candidate.
 
-    The piecewise-linear families are searched over the kinks of V instead,
-    so there the reference scan only bounds the value: V(x*) is no larger
-    than the scan's V, and x* is a kink.
+    The piecewise-linear families are searched over the kinks of V, so
+    their x* is moreover a kink.
     """
 
     @pytest.mark.parametrize(
@@ -215,10 +214,9 @@ class TestBatchedScan:
             eps = 0.6 if family.name == "combo" else 0.25 + rng.uniform()
             sol = dro.dro_newsvendor(params, demand, family, eps)
             x_ref, v_ref = _reference_scan(params, demand, family, eps)
-            if not family.piecewise_linear:
-                assert (sol.x, sol.worst_case.value) == (x_ref, v_ref), n
-                continue
             assert sol.worst_case.value <= v_ref + 1e-12 * (1.0 + abs(v_ref)), n
+            if not family.piecewise_linear:
+                continue
             atoms = np.unique(demand.costs)
             kinks = np.concatenate([atoms, _pairwise_crossings(params, atoms)])
             assert sol.x in kinks.tolist(), n
@@ -348,6 +346,56 @@ class TestKinkSearch:
             tracemalloc.stop()
         assert peak < 20e6
         assert sol.slopes[0] <= 0.0 <= sol.slopes[1]
+
+
+class TestRefinedSearch:
+    """Smooth phi: the best kink, refined inside its bracket; Wasserstein: every kink."""
+
+    @pytest.mark.parametrize("s", [0.0, 4.0])
+    @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
+    def test_bracket_holds_the_minimum_of_a_dense_scan(self, family, s):
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(1000, seed=42))
+        params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5, s=s)
+        sol = dro.dro_newsvendor(params, demand, family, 0.3)
+        (lo, hi), v = sol.bracket, sol.worst_case.value
+        assert lo < sol.x < hi and sol.slopes[0] <= 0.0 <= sol.slopes[1]
+        atoms = np.unique(demand.costs)
+        # every atom, a grid over the range, and a fine grid over the bracket
+        grid = np.linspace(0.0, 1.5 * float(atoms[-1]), 1000)
+        xs = np.unique(np.concatenate([atoms, grid, np.linspace(lo, hi, 101)]))
+        vals = _values(params, demand, family, 0.3, xs)
+        best = float(np.min(vals))
+        assert lo <= xs[np.argmin(vals)] <= hi
+        assert v <= best + 1e-12 * (1.0 + abs(best))
+
+    def test_wasserstein_is_no_worse_than_a_grid(self):
+        def value(params, demand, eps, x):
+            curve = dro.demand_cost_curve(params, float(x))
+            return wcs.wc_wasserstein_pl(demand.costs, demand.probs, curve, eps).value
+
+        def grid_minimum(params, demand, eps):
+            """The least V over the atoms, 400 orders on the range and 40 around the best."""
+            hi = 1.5 * float(np.max(demand.costs))
+            xs = np.union1d(demand.costs, np.linspace(0.0, hi, 400))
+            vals = [value(params, demand, eps, x) for x in xs]
+            x1 = xs[int(np.argmin(vals))]
+            local = np.linspace(max(0.0, x1 - hi / 399.0), min(hi, x1 + hi / 399.0), 40)
+            return min(vals + [value(params, demand, eps, x) for x in local])
+
+        rng = SplitMix64(53)
+        for n in (1, 2, 5, 12):
+            demand = wcs.demand_scenario([rng.exponential(30.0) for _ in range(n)])
+            for s in (0.0, 4.0):
+                params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5 * rng.uniform(), s=s)
+                # at large eps the best order falls below min y, where V is not convex
+                for eps in (0.05, 0.5, 2.0, 10.0, 50.0):
+                    sol = dro.dro_newsvendor(params, demand, wcs.WassersteinL1(), eps)
+                    v_ref = grid_minimum(params, demand, eps)
+                    tol = 1e-12 * (1.0 + abs(v_ref))
+                    assert sol.worst_case.value <= v_ref + tol, (n, s, eps)
+                    # V is linear between the searched kinks: its one-sided slopes at x*
+                    (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
+                    assert s_left <= 0.0 and (hi == sol.x or s_right * (hi - sol.x) >= -tol)
 
 
 class TestDroNewsvendor:

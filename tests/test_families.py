@@ -7,6 +7,7 @@ import pytest
 
 import wcs
 from wcs import families
+from wcs.errors import UnknownFamily, WcsError
 from wcs.rng import SplitMix64
 
 NAMES = ("phi", "penalty-phi", "tv", "budgeted", "combo", "box", "wasserstein")
@@ -35,6 +36,11 @@ class TestRegistry:
             wcs.build_family("nope")
         with pytest.raises(ValueError):
             wcs.build_family("combo", alpha=1.0)
+
+    def test_unknown_name_raises_a_typed_error(self):
+        with pytest.raises(UnknownFamily, match="unknown uncertainty family 'nope'"):
+            wcs.build_family("nope")
+        assert issubclass(UnknownFamily, WcsError) and issubclass(UnknownFamily, ValueError)
 
 
 class TestDescriptors:
