@@ -16,9 +16,10 @@ piecewise-linear families, the orders where two scenario cost lines cross
 costs convex in x, so bisections find the best atom and then the best kink
 in the two atom gaps around it; crossings are generated only there, so a
 solve reads V at O(log n) orders and builds no all-pairs array. First-order
-Wasserstein is not convex (its multiplier rises with x below min y), so it
-reads every kink, the multiplier's own included. Of orders within the tie
-tolerance 1e-12 (1 + |V|) of the least V, the smallest is returned.
+Wasserstein is convex only from the smallest positive atom y1 up (its
+multiplier rises with x below y1): the bisections run there, and the kinks
+below y1, 0 and the multiplier's own, are read one by one. Of orders within
+the tie tolerance 1e-12 (1 + |V|) of the least V, the smallest is returned.
 
 Polytope families and Wasserstein have V linear between kinks, so the best
 kink is exact. A smooth phi ball has a unique worst q, so V is
@@ -54,7 +55,7 @@ from .errors import (
     NonFiniteCost,
     UnsupportedFamily,
 )
-from .families import SmoothPhi, UncertaintyFamily, WassersteinL1, build_family
+from .families import UncertaintyFamily, WassersteinL1, build_family
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
 
@@ -304,31 +305,36 @@ def _kink_search(params, demand, family, eps):
         return np.union1d(grid[a : b + 1], _crossings(params, atoms, lo, hi)).tolist()
 
     values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
-    if isinstance(family, WassersteinL1):
-        # V = E_p f + eps lambda* with lambda* = max(s, (r + s - q) x / min y - s)
-        # below min y and max(s, r - q) above: not convex, but linear between
-        # the atoms, the range ends and the kink where lambda* leaves s
-        y0, d = float(atoms[0]), params.r + params.s - params.q
-        grid = np.union1d(grid, [min(2.0 * params.s * y0 / d, y0)]).tolist()
-        vals = values(grid)
-        level = min(vals) + _tol(min(vals))
-        ks, i = grid, next(j for j, v in enumerate(vals) if v <= level)
+    wasserstein, below = isinstance(family, WassersteinL1), []
+    if wasserstein and atoms[-1] > 0.0:
+        # V = E_p f + eps lambda*, with lambda* = max(s, (r + s - q) x / y1 - s)
+        # below the smallest positive atom y1 (an atom at 0 adds only s) and
+        # max(s, r - q) from y1 up: V is convex on each side and linear
+        # between kinks, so the kinks below y1 are read and the rest bisected
+        y1, d = float(atoms[atoms > 0.0][0]), params.r + params.s - params.q
+        below = sorted({z for z in (0.0, 2.0 * params.s * y1 / d) if z < y1})
+        grid = grid[grid.index(y1) :]
+    k = _first_rise(values, grid)
+    a = max(k - 1, 0)
+    ks = kinks(a, min(k + 1, len(grid) - 1))
+    m = _first_rise(values, ks)
+    v = min(values([ks[m]]) + values(below))
+    level = v + _tol(v)
+    if a > 0 and values([grid[a]])[0] <= level:
+        # V is flat at its minimum, which may reach further left than the bracket
+        j = _first_within(values, grid[: a + 1], level)
+        ks = kinks(max(j - 1, 0), j + 1)
+        m = ks.index(grid[j])
+    if min(values(below), default=math.inf) <= level:
+        ks = below + grid[:1]
+        i = next(j for j, u in enumerate(values(below)) if u <= level)
     else:
-        k = _first_rise(values, grid)
-        a = max(k - 1, 0)
-        ks = kinks(a, min(k + 1, len(grid) - 1))
-        m = _first_rise(values, ks)
-        v = values([ks[m]])[0]
-        level = v + _tol(v)
-        if a > 0 and values([grid[a]])[0] <= level:
-            # V is flat at its minimum, which may reach further left than the bracket
-            j = _first_within(values, grid[: a + 1], level)
-            ks = kinks(max(j - 1, 0), j + 1)
-            m = ks.index(grid[j])
         i = _first_within(values, ks[: m + 1], level)
     x = ks[i]
     lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)]
-    if isinstance(family, SmoothPhi):
+    if below and x == grid[0]:
+        lo = below[-1]
+    if not (family.piecewise_linear or wasserstein):
         x, lo, hi = _refine(values, x, lo, hi)
     v_lo, v, v_hi = values([lo, x, hi])
     s_left = (v - v_lo) / (x - lo) if lo < x else -math.inf

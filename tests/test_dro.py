@@ -349,7 +349,7 @@ class TestKinkSearch:
 
 
 class TestRefinedSearch:
-    """Smooth phi: the best kink, refined inside its bracket; Wasserstein: every kink."""
+    """Smooth phi: the best kink, refined inside its bracket; Wasserstein: its exact kinks."""
 
     @pytest.mark.parametrize("s", [0.0, 4.0])
     @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
@@ -383,8 +383,11 @@ class TestRefinedSearch:
             return min(vals + [value(params, demand, eps, x) for x in local])
 
         rng = SplitMix64(53)
-        for n in (1, 2, 5, 12):
-            demand = wcs.demand_scenario([rng.exponential(30.0) for _ in range(n)])
+        demands = [wcs.demand_scenario([rng.exponential(30.0) for _ in range(n)]) for n in (1, 2, 5, 12)]
+        # atoms at zero demand: the multiplier's kink sits at the smallest positive atom
+        demands += [uniform_demand([0.0, 10.0]), uniform_demand([0.0, 0.0, 3.0, 12.0])]
+        for demand in demands:
+            n = demand.n
             for s in (0.0, 4.0):
                 params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5 * rng.uniform(), s=s)
                 # at large eps the best order falls below min y, where V is not convex
