@@ -454,6 +454,27 @@ class TestCostScenario:
             dro.cost_scenario(PARAMS, d, 1e308)
 
 
+class TestUserPhiValues:
+    def test_orders_without_a_batched_kernel_keep_their_values(self):
+        # a user phi has no batched kernel; V at these orders is pinned bit for bit
+        phi = wcs.PhiFunction(
+            name="chi2-times-two",
+            value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+            deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+            inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+            zeta_floor=-2.0,
+            curvature=2.0,
+        )
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(3, seed=42))
+        xs = np.array([0.0, 4.218852587151469, 12.5])
+        got = dro._worst_values(PARAMS, demand, wcs.SmoothPhi(phi), 0.3, xs)
+        assert [repr(v) for v in got.tolist()] == [
+            "52.960813322492186",
+            "10.379147621606656",
+            "-8.723264931521438",
+        ]
+
+
 def _kink_set(params, atoms, hi):
     """0, hi, the demand atoms, and every x in (0, hi) where two scenario costs cross.
 
