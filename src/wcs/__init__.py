@@ -64,7 +64,6 @@ from .families import (
     UncertaintyFamily,
     WassersteinL1,
     build_family,
-    growth_rate,
 )
 from .oracle import (
     AxiomReport,

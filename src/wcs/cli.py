@@ -27,9 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import dro, families, oracle, riskstats, sensitivity, worstcase
-from .core import PHI_BY_NAME, PiecewiseLinearCost, Scenario, interpolated_cost, validate
+from .core import PHI_BY_NAME, Scenario, interpolated_cost, validate
 from .errors import InputFileError, WcsError
-from .families import WassersteinL1
 from .rng import SplitMix64
 
 
@@ -106,21 +105,20 @@ def _read_classification(path: str) -> dro.LabeledDataset:
 def _scenario_from_args(args) -> Scenario:
     if args.costs is not None:
         probs = _floats(args.probs) if args.probs else None
-        return validate(_floats(args.costs), probs)
-    vals, probs = _read_two_column(args.cost_file, "cost")
-    return validate(vals, probs)
+        s = validate(_floats(args.costs), probs)
+    else:
+        s = validate(*_read_two_column(args.cost_file, "cost"))
+    if args.family != "wasserstein":
+        return s
+    # transport geometry: support points (--points, default 0..n-1), costs interpolated over them
+    pts = np.array(_floats(args.points)) if args.points else np.arange(s.n, dtype=float)
+    if pts.size != s.n:
+        raise WcsError(f"{pts.size} support points for {s.n} costs")
+    return dataclasses.replace(s, points=pts, curve=interpolated_cost(pts, s.costs))
 
 
 def _family_from_args(args) -> families.UncertaintyFamily:
     return families.build_family(args.family, PHI_BY_NAME[args.phi], args.alpha)
-
-
-def _transport_geometry(args, s: Scenario) -> tuple[np.ndarray, PiecewiseLinearCost]:
-    """Support points (--points, default 0..n-1) and the costs interpolated over them."""
-    pts = np.array(_floats(args.points)) if args.points else np.arange(s.n, dtype=float)
-    if pts.size != s.n:
-        raise WcsError(f"{pts.size} support points for {s.n} costs")
-    return pts, interpolated_cost(pts, s.costs)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +129,7 @@ def _transport_geometry(args, s: Scenario) -> tuple[np.ndarray, PiecewiseLinearC
 def _cmd_sensitivity(args) -> int:
     s = _scenario_from_args(args)
     fam = _family_from_args(args)
-    if isinstance(fam, WassersteinL1):
-        pts, cost = _transport_geometry(args, s)
-        rep = sensitivity.wasserstein_sensitivity(pts, s.probs, cost.ratio_from)
-    else:
-        rep = fam.sensitivity(s)
+    rep = fam.sensitivity(s)
     _emit({"value": rep.value, "family": fam.name, "growth": rep.growth})
     return 0
 
@@ -150,11 +144,7 @@ def _dual_payload(dual) -> dict | None:
 def _cmd_worst_case(args) -> int:
     s = _scenario_from_args(args)
     fam = _family_from_args(args)
-    if isinstance(fam, WassersteinL1):
-        pts, cost = _transport_geometry(args, s)
-        res = worstcase.wc_wasserstein_pl(pts, s.probs, cost, args.eps)
-    else:
-        res = worstcase.worst_case(s, fam, args.eps)
+    res = worstcase.worst_case(s, fam, args.eps)
     _emit(
         {
             "family": fam.name,

@@ -30,7 +30,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -132,10 +132,17 @@ def exact_sum(a) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Discrete nominal model: costs f_i with probability masses p_i > 0."""
+    """Discrete nominal model: costs f_i with probability masses p_i > 0.
+
+    A transport set also reads each atom's support point (``points``) and the
+    piecewise-linear cost the costs are read off (``curve``). ``validate`` and
+    ``with_costs`` leave both None, so a re-costed scenario keeps no stale curve.
+    """
 
     costs: np.ndarray
     probs: np.ndarray
+    points: np.ndarray | None = None
+    curve: PiecewiseLinearCost | None = None
 
     @property
     def n(self) -> int:
@@ -493,9 +500,6 @@ class ConcaveGradientCost:
     def ratio_from(self, y) -> float:
         g = np.atleast_1d(np.asarray(self.gradient(np.asarray(y, dtype=float)), dtype=float))
         return float(np.linalg.norm(g, ord=self.dual_norm_order))
-
-
-CostModel = Union[PiecewiseLinearCost, ConcaveGradientCost]
 
 
 def growth_value(growth: str, eps: float) -> float:

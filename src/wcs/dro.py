@@ -28,16 +28,16 @@ the bracket around the best kink by rounds of evenly spaced orders.
 
 V is read in batches, value only: a block of orders is one (m, n) cost
 matrix of about 2^13 entries, and the family's ``worst_values`` returns V
-of every row. Modified chi-square and KL solve a block at once, a user phi
-row by row, and Wasserstein, which needs the demand geometry, order by
+of every row. Modified chi-square and KL solve a block at once; a family
+without a batched kernel (a user phi, Wasserstein) is solved order by
 order. The reported worst case is the scalar solver's at x*.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -119,10 +119,12 @@ def demand_cost_curve(params: NewsvendorParams, x: float) -> PiecewiseLinearCost
 
 
 def cost_scenario(params: NewsvendorParams, demand: Scenario, x: float) -> Scenario:
+    """f(x, y) over the demand atoms y, with the atoms as support points and the
+    cost curve z -> f(x, z) attached: the transport geometry Wasserstein reads."""
     # an overflow to inf is the finiteness check's to report, not numpy's
     with np.errstate(over="ignore", invalid="ignore"):
         f = _newsvendor_cost_vec(params, x, demand.costs)
-    return demand.with_costs(f)
+    return replace(demand.with_costs(f), points=demand.costs, curve=demand_cost_curve(params, x))
 
 
 def _cost_blocks(params: NewsvendorParams, demand: Scenario, xs: np.ndarray):
@@ -238,20 +240,6 @@ def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float
     return np.unique(x[apart])
 
 
-def _worst_value(
-    params: NewsvendorParams,
-    demand: Scenario,
-    family: UncertaintyFamily,
-    eps: float,
-    x: float,
-) -> worstcase.WorstCaseResult:
-    if isinstance(family, WassersteinL1):
-        return worstcase.wc_wasserstein_pl(
-            demand.costs, demand.probs, demand_cost_curve(params, x), eps
-        )
-    return worstcase.worst_case(cost_scenario(params, demand, x), family, eps)
-
-
 def _worst_values(
     params: NewsvendorParams,
     demand: Scenario,
@@ -259,15 +247,18 @@ def _worst_values(
     eps: float,
     xs: np.ndarray,
 ) -> np.ndarray:
-    """V(x) for each candidate order x, value only."""
-    if isinstance(family, WassersteinL1):
-        return np.array([_worst_value(params, demand, family, eps, float(x)).value for x in xs])
+    """V(x) for each candidate order x, value only; order by order for a family without a
+    batched kernel, whose rows equal the scalar call's bit for bit (the cost is elementwise)."""
     vals = []
     for f in _cost_blocks(params, demand, xs):
         finite = np.all(np.isfinite(f), axis=1)
         if not np.all(finite):
             demand.with_costs(f[np.argmin(finite)])  # raises NonFiniteCost, as cost_scenario does
-        vals.append(family.worst_values(f, demand.probs, eps))
+        block = family.worst_values(f, demand.probs, eps)
+        if block is None:
+            s_xs = (cost_scenario(params, demand, float(x)) for x in xs)
+            return np.array([worstcase.worst_case(s_x, family, eps).value for s_x in s_xs])
+        vals.append(block)
     return np.concatenate(vals)
 
 
@@ -379,9 +370,11 @@ def dro_newsvendor(
     _check_demand(demand)
     if eps == 0.0:
         x0 = saa_newsvendor(params, demand)
-        return DroSolution(x=x0, worst_case=_worst_value(params, demand, family, 0.0, x0))
+        s_x = cost_scenario(params, demand, x0)
+        return DroSolution(x=x0, worst_case=worstcase.worst_case(s_x, family, 0.0))
     x, bracket, slopes = _kink_search(params, demand, family, eps)
-    return DroSolution(x, _worst_value(params, demand, family, eps, x), bracket, slopes)
+    s_x = cost_scenario(params, demand, x)
+    return DroSolution(x, worstcase.worst_case(s_x, family, eps), bracket, slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +390,31 @@ class FrontierPoint:
     sensitivity: float
 
 
-MeasureFn = Callable[[Scenario, float], float]
-
-
-def resolve_measure(
-    name: str,
-    *,
-    phi: PhiFunction = MODIFIED_CHI2,
-    alpha: float = 0.95,
-    params: NewsvendorParams | None = None,
-    demand: Scenario | None = None,
-) -> MeasureFn:
-    """Sensitivity selector for frontier sweeps; (scenario, decision) -> value."""
-    family = build_family(name, phi, alpha)
-    if isinstance(family, WassersteinL1):
-        if params is None or demand is None:
-            raise UnsupportedFamily("wasserstein measure needs newsvendor params and demand")
-        return lambda s, x: sensitivity.wasserstein_sensitivity(
-            demand.costs, demand.probs, demand_cost_curve(params, x).ratio_from
-        ).value
-    return lambda s, x: family.sensitivity(s).value
-
-
 def frontier(
     problem,
     data,
     family: UncertaintyFamily,
     eps_list: Sequence[float],
-    measure: MeasureFn | str,
-    **measure_kwargs,
+    measure: str,
+    phi: PhiFunction = MODIFIED_CHI2,
+    alpha: float = 0.95,
+    tol: float = 1e-8,
 ) -> list[FrontierPoint]:
     """Sweep eps, solve the DRO at each size, report (mean, sensitivity) at the solution.
 
-    Newsvendor sweeps take (NewsvendorParams, demand Scenario) and any
-    supported family. Logistic sweeps take (LabeledDataset, None) with the
-    transport family; the decision is the weight vector and the measures
-    act on the per-sample loss distribution.
+    ``measure`` names the family whose sensitivity is reported. Newsvendor
+    sweeps take (NewsvendorParams, demand Scenario) and any supported family.
+    Logistic sweeps take (LabeledDataset, None) with the transport family;
+    the decision is the weight vector and the measures act on the
+    per-sample loss distribution.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_arr) or any(b < a for a, b in zip(eps_arr, eps_arr[1:])):
         raise InvalidEpsList("eps_list must be non-negative and ascending")
+    measure_family = build_family(measure, phi, alpha)
     if isinstance(problem, LabeledDataset):
-        return _logreg_frontier(problem, family, eps_arr, measure, **measure_kwargs)
+        return _logreg_frontier(problem, family, eps_arr, measure_family, tol)
     params, demand = problem, data
-    if isinstance(measure, str):
-        measure = resolve_measure(measure, params=params, demand=demand, **measure_kwargs)
     points = []
     for eps in eps_arr:
         sol = dro_newsvendor(params, demand, family, eps)
@@ -451,7 +424,7 @@ def frontier(
                 eps=eps,
                 decision=sol.x,
                 nominal_mean=riskstats.mean(s_x),
-                sensitivity=measure(s_x, sol.x),
+                sensitivity=measure_family.sensitivity(s_x).value,
             )
         )
     return points
@@ -461,16 +434,11 @@ def _logreg_frontier(
     dataset: LabeledDataset,
     family: UncertaintyFamily,
     eps_arr: list[float],
-    measure: MeasureFn | str,
-    *,
-    tol: float = 1e-8,
-    **measure_kwargs,
+    measure: UncertaintyFamily,
+    tol: float,
 ) -> list[FrontierPoint]:
     if not isinstance(family, WassersteinL1):
         raise UnsupportedFamily("dataset sweeps support only the transport (WassersteinL1) family")
-    measure_name = measure if isinstance(measure, str) else None
-    if measure_name not in (None, "wasserstein"):
-        measure = resolve_measure(measure_name, **measure_kwargs)
     points = []
     for eps in eps_arr:
         # the regularized fit only: logreg_wasserstein would also fit the SAA model
@@ -478,11 +446,11 @@ def _logreg_frontier(
         margins = dataset.labels * (dataset.features @ fit.w)
         losses = np.logaddexp(0.0, -margins)
         s_w = validate(losses, np.full(dataset.n, 1.0 / dataset.n))
-        if measure_name == "wasserstein":
+        if measure.name == "wasserstein":
             # the regularized form is exact: V(eps, w) = eps ||w|| + loss
             sens = float(np.linalg.norm(fit.w))
         else:
-            sens = measure(s_w, 0.0)
+            sens = measure.sensitivity(s_w).value
         points.append(
             FrontierPoint(
                 eps=eps,

@@ -58,6 +58,14 @@ class UnknownFamily(WcsError, ValueError):
     """A family name that is not in the registry."""
 
 
+class NoWorstCase(WcsError, TypeError):
+    """A worst case asked of a family that bounds no set (a phi-divergence penalty)."""
+
+
+class NoTransportGeometry(WcsError, TypeError, ValueError):
+    """A Wasserstein solve on a scenario that carries no support points and cost curve."""
+
+
 class KappaOutOfRange(WcsError, ValueError):
     """n*(1-alpha) outside (0, n) in the CVaR/standard-deviation constant."""
 
@@ -101,6 +109,18 @@ class UnboundedRatio(WcsError, ValueError):
 
 class ResolutionTooCoarse(WcsError, ValueError):
     """Simplex grid step too large relative to min(p)."""
+
+
+class InvalidOracleMode(WcsError, ValueError):
+    """A brute-force oracle given both or neither of a membership test and a polytope."""
+
+
+class UnknownPolytope(WcsError, TypeError):
+    """A polytope descriptor the brute-force oracle cannot enumerate."""
+
+
+class InvalidEpsSequence(WcsError, ValueError):
+    """A finite-difference eps sequence that is empty, not positive or not strictly decreasing."""
 
 
 class NonMonotoneEstimates(WcsError, RuntimeError):

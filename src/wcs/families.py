@@ -12,11 +12,13 @@ search calls; ``piecewise_linear`` tells that search whether the orders
 where two scenario cost lines cross are kinks of V. The piecewise-linear
 families and the built-in modified chi-square and KL balls solve a block
 at once (the phi kernels are chosen by identity, so a user phi named "kl"
-keeps its own math); a user phi solves it row by row.
+keeps its own math); for the other families ``worst_values`` returns None
+and the caller solves row by row.
 
-Wasserstein is the one family that needs support geometry, not only a cost
-vector: its scenario-level methods raise, and callers holding the geometry use
-``sensitivity.wasserstein_sensitivity`` and ``worstcase.wc_wasserstein_pl``.
+Wasserstein reads the transport geometry a scenario carries besides its
+costs: the support points ``s.points`` and the piecewise-linear cost
+``s.curve`` the costs are read off. ``dro.cost_scenario`` attaches both;
+a scenario without them raises ``NoTransportGeometry``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from .core import (
     GROWTH_SQRT,
     KL,
     MODIFIED_CHI2,
-    CostModel,
     PhiFunction,
+    PiecewiseLinearCost,
     Scenario,
 )
-from .errors import UnknownFamily
+from .errors import NoTransportGeometry, NoWorstCase, UnknownFamily
 from .riskstats import CvarLevel
 from .sensitivity import (
     budgeted_sensitivity,
@@ -44,6 +46,7 @@ from .sensitivity import (
     smooth_phi_sensitivity,
     symmetric_box_sensitivity,
     tv_sensitivity,
+    wasserstein_sensitivity,
 )
 from .worstcase import (
     box_symmetric_values,
@@ -58,6 +61,7 @@ from .worstcase import (
     wc_combination,
     wc_smooth_phi,
     wc_tv,
+    wc_wasserstein_pl,
 )
 
 
@@ -69,16 +73,10 @@ class UncertaintyFamily:
     piecewise_linear: ClassVar[bool] = False
     homogeneity: ClassVar[float] = 1.0
 
-    def worst_values(self, costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-        """worst_case(row, eps).value for each row of a block of finite costs.
-
-        This default solves row by row; families with a batched kernel
-        override it.
-        """
-        return np.array(
-            [self.worst_case(Scenario(costs=row, probs=probs), eps).value for row in costs],
-            dtype=float,
-        )
+    def worst_values(self, costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray | None:
+        """worst_case(row, eps).value for each row of a block of finite costs, or
+        None for a family without a batched kernel (families with one override this)."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class SmoothPhi(UncertaintyFamily):
             return chi2_values(costs, probs, eps)
         if self.phi is KL:
             return kl_values(costs, probs, eps)
-        return super().worst_values(costs, probs, eps)
+        return None
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class PenaltyPhi(UncertaintyFamily):
         return penalty_phi_sensitivity(s, self.phi)
 
     def worst_case(self, s, eps):
-        raise TypeError(f"no worst case for {self!r}: a penalty bounds no set")
+        raise NoWorstCase(f"no worst case for {self!r}: a penalty bounds no set")
 
 
 @dataclass(frozen=True)
@@ -199,22 +197,21 @@ class SymmetricBox(UncertaintyFamily):
 
 @dataclass(frozen=True)
 class WassersteinL1(UncertaintyFamily):
-    """L1 transport budget on the support points."""
-
-    cost_model: CostModel | None = None
+    """L1 transport budget on the support points ``s.points``, costs read off ``s.curve``."""
 
     name = "wasserstein"
 
     def sensitivity(self, s):
-        raise ValueError(
-            "use wasserstein_sensitivity(points, probs, oracle) for Wasserstein families"
-        )
+        return wasserstein_sensitivity(s.points, s.probs, _transport_curve(s).ratio_from)
 
     def worst_case(self, s, eps):
-        raise TypeError(
-            f"no scenario-level worst case for {self!r}; Wasserstein needs support "
-            "geometry via wc_wasserstein_pl"
-        )
+        return wc_wasserstein_pl(s.points, s.probs, _transport_curve(s), eps)
+
+
+def _transport_curve(s: Scenario) -> PiecewiseLinearCost:
+    if s.points is None or s.curve is None:
+        raise NoTransportGeometry("a Wasserstein set needs the scenario's points and curve")
+    return s.curve
 
 
 # in CLI choice order
@@ -226,7 +223,7 @@ FAMILIES: dict[str, type[UncertaintyFamily]] = {
 }
 # families with a worst case to compute or decide against
 WORST_CASE_NAMES = tuple(name for name, cls in FAMILIES.items() if cls is not PenaltyPhi)
-# families whose sensitivity reads only the scenario
+# families whose sensitivity reads only the scenario's costs and probabilities
 SCENARIO_NAMES = tuple(name for name, cls in FAMILIES.items() if cls is not WassersteinL1)
 
 
@@ -239,8 +236,3 @@ def build_family(
     options = {"phi": phi, "alpha": alpha}
     cls = FAMILIES[name]
     return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
-
-
-def growth_rate(family: UncertaintyFamily) -> str:
-    """g label for the family: sqrt(eps) for smooth phi balls, eps otherwise."""
-    return family.growth

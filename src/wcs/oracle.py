@@ -17,7 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Scenario, growth_value, validate
-from .errors import NonMonotoneEstimates, ResolutionTooCoarse
+from .errors import (
+    InvalidEpsSequence,
+    InvalidOracleMode,
+    NonMonotoneEstimates,
+    ResolutionTooCoarse,
+    UnknownPolytope,
+)
 from .rng import SplitMix64
 
 
@@ -109,7 +115,7 @@ def brute_force_wc(
     grid value, exact to within resolution * range(f) of the true optimum.
     """
     if (member is None) == (polytope is None):
-        raise ValueError("pass exactly one of member= or polytope=")
+        raise InvalidOracleMode("pass exactly one of member= or polytope=")
     f = s.costs
     if polytope is not None:
         if isinstance(polytope, CapPolytope):
@@ -117,7 +123,7 @@ def brute_force_wc(
         elif isinstance(polytope, TvPolytope):
             verts = _tv_vertices(polytope, s.probs)
         else:
-            raise TypeError(f"unknown polytope descriptor {polytope!r}")
+            raise UnknownPolytope(f"unknown polytope descriptor {polytope!r}")
         return max(math.fsum((q * f).tolist()) for q in verts)
 
     step = resolution if resolution is not None else float(np.min(s.probs)) / 20.0
@@ -165,7 +171,7 @@ def fd_sensitivity(v: Callable[[float], float], growth: str, eps_seq) -> FdRepor
     """
     eps = [float(e) for e in eps_seq]
     if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_seq must be positive and strictly decreasing")
+        raise InvalidEpsSequence("eps_seq must be positive and strictly decreasing")
     v0 = v(0.0)
     values = [v(e) for e in eps]
     linear = [(val - v0) / e for val, e in zip(values, eps)]

@@ -81,5 +81,5 @@ def wasserstein_sensitivity(points, probs, ratio_oracle) -> SensitivityReport:
 
 
 def worst_case_sensitivity(s: Scenario, family) -> SensitivityReport:
-    """Closed form of a ``families`` descriptor (Wasserstein: use wasserstein_sensitivity)."""
+    """Closed form of a ``families`` descriptor (Wasserstein reads s.points and s.curve)."""
     return family.sensitivity(s)

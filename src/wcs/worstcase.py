@@ -923,5 +923,5 @@ def wc_wasserstein_pl(points, probs, cost: PiecewiseLinearCost, eps: float) -> W
 
 
 def worst_case(s: Scenario, family, eps: float) -> WorstCaseResult:
-    """Exact worst case of a ``families`` descriptor (Wasserstein: use wc_wasserstein_pl)."""
+    """Exact worst case of a ``families`` descriptor (Wasserstein reads s.points and s.curve)."""
     return family.worst_case(s, eps)

@@ -375,15 +375,15 @@ class TestConcaveGradientCost:
 
 class TestFamilies:
     def test_growth_rates(self):
-        assert wcs.growth_rate(wcs.SmoothPhi(wcs.KL)) == "sqrt"
+        assert wcs.SmoothPhi(wcs.KL).growth == "sqrt"
         for fam in (
             wcs.TotalVariation(),
             wcs.Budgeted(),
             wcs.Combination(0.5),
             wcs.SymmetricBox(),
-            wcs.WassersteinL1(None),
+            wcs.WassersteinL1(),
         ):
-            assert wcs.growth_rate(fam) == "linear"
+            assert fam.growth == "linear"
 
     def test_combination_level_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,13 @@ import pytest
 
 import wcs
 from wcs import dro, oracle
-from wcs.errors import LengthMismatch, NegativeDemand, NonConvergence, NonFiniteCost
+from wcs.errors import (
+    LengthMismatch,
+    NegativeDemand,
+    NonConvergence,
+    NonFiniteCost,
+    NoTransportGeometry,
+)
 from wcs.rng import SplitMix64
 
 PARAMS = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
@@ -418,7 +425,7 @@ class TestDroNewsvendor:
             wcs.Budgeted(),
             wcs.Combination(0.5),
             wcs.SymmetricBox(),
-            wcs.WassersteinL1(None),
+            wcs.WassersteinL1(),
         ]
         for fam in fams:
             assert dro.dro_newsvendor(PARAMS, d, fam, 0.0).x == x0
@@ -427,7 +434,7 @@ class TestDroNewsvendor:
         d = uniform_demand([10, 20, 30, 40])
         x0 = dro.saa_newsvendor(PARAMS, d)
         for eps in (0.01, 0.1):
-            sol = dro.dro_newsvendor(PARAMS, d, wcs.WassersteinL1(None), eps)
+            sol = dro.dro_newsvendor(PARAMS, d, wcs.WassersteinL1(), eps)
             assert sol.x == pytest.approx(x0, abs=1e-9)
 
     def test_wasserstein_sensitivity_constant_in_x(self):
@@ -452,6 +459,34 @@ class TestCostScenario:
         d = wcs.validate([1e308, 1.0])
         with pytest.raises(NonFiniteCost):
             dro.cost_scenario(PARAMS, d, 1e308)
+
+    def test_carries_the_transport_geometry(self):
+        d = wcs.validate([10.0, 20.0, 35.0], [0.2, 0.3, 0.5])
+        fam = wcs.WassersteinL1()
+        for x in (0.0, 15.0, 20.0, 50.0):
+            s = dro.cost_scenario(PARAMS, d, x)
+            curve = dro.demand_cost_curve(PARAMS, x)
+            assert s.points is d.costs and s.curve == curve
+            for eps in (0.0, 0.5, 10.0):
+                got = fam.worst_case(s, eps)
+                want = wcs.wc_wasserstein_pl(d.costs, d.probs, curve, eps)
+                for field in dataclasses.fields(want):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    if isinstance(b, np.ndarray):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+                    else:
+                        assert a == b, field.name
+            assert fam.sensitivity(s) == wcs.wasserstein_sensitivity(d.costs, d.probs, curve.ratio_from)
+
+    def test_only_cost_scenario_attaches_geometry(self):
+        s = dro.cost_scenario(PARAMS, wcs.validate([10.0, 20.0]), 15.0)
+        # validate and a re-costed scenario carry none, so no curve goes stale
+        for bare in (wcs.validate([1.0, 5.0, 3.0]), s.with_costs(s.costs)):
+            assert bare.points is None and bare.curve is None
+            with pytest.raises(NoTransportGeometry):
+                wcs.WassersteinL1().worst_case(bare, 0.1)
+            with pytest.raises(NoTransportGeometry):
+                wcs.WassersteinL1().sensitivity(bare)
 
 
 class TestUserPhiValues:
@@ -578,7 +613,7 @@ class TestFrontier:
 
     def test_dataset_sweep(self):
         ds = dro.gen_synth_classification(40, 2, 0.5, seed=5)
-        pts = dro.frontier(ds, None, wcs.WassersteinL1(None), [0.0, 0.1, 0.3], "wasserstein")
+        pts = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1, 0.3], "wasserstein")
         means = [p.nominal_mean for p in pts]
         sens = [p.sensitivity for p in pts]
         assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
@@ -586,7 +621,7 @@ class TestFrontier:
         assert sens[-1] == 0.0  # fully shrunk fit
         assert isinstance(pts[0].decision, np.ndarray)
         # measures acting on the per-sample loss distribution also work
-        pts_phi = dro.frontier(ds, None, wcs.WassersteinL1(None), [0.0, 0.1], "phi")
+        pts_phi = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1], "phi")
         assert pts_phi[0].sensitivity > pts_phi[1].sensitivity
 
     def test_dataset_sweep_fits_once_per_eps(self, monkeypatch):
@@ -596,7 +631,7 @@ class TestFrontier:
         calls = []
         fit = dro._prox_descent
         monkeypatch.setattr(dro, "_prox_descent", lambda *a: calls.append(a[1]) or fit(*a))
-        pts = dro.frontier(ds, None, wcs.WassersteinL1(None), eps_list, "tv")
+        pts = dro.frontier(ds, None, wcs.WassersteinL1(), eps_list, "tv")
         assert calls == eps_list
         for pt, w in zip(pts, expected):
             assert pt.decision.tobytes() == w.tobytes()
@@ -779,7 +814,7 @@ class TestNegativeDemand:
         with pytest.raises(NegativeDemand):
             dro.saa_newsvendor(PARAMS, uniform_demand(self.NEGATIVE))
 
-    @pytest.mark.parametrize("family", [wcs.Budgeted(), wcs.WassersteinL1(None)])
+    @pytest.mark.parametrize("family", [wcs.Budgeted(), wcs.WassersteinL1()])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_dro_rejects(self, family, eps):
         with pytest.raises(NegativeDemand):

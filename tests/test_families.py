@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import wcs
-from wcs import families
-from wcs.errors import UnknownFamily, WcsError
+from wcs import dro, families
+from wcs.errors import NoWorstCase, UnknownFamily, WcsError
 from wcs.rng import SplitMix64
 
 NAMES = ("phi", "penalty-phi", "tv", "budgeted", "combo", "box", "wasserstein")
@@ -31,7 +31,7 @@ class TestRegistry:
         assert wcs.build_family("penalty-phi", wcs.KL) == wcs.PenaltyPhi(wcs.KL)
         assert wcs.build_family("combo", wcs.KL, 0.3) == wcs.Combination(0.3)
         assert wcs.build_family("tv", wcs.KL, 0.3) == wcs.TotalVariation()
-        assert wcs.build_family("wasserstein") == wcs.WassersteinL1(None)
+        assert wcs.build_family("wasserstein") == wcs.WassersteinL1()
         with pytest.raises(ValueError):
             wcs.build_family("nope")
         with pytest.raises(ValueError):
@@ -58,7 +58,6 @@ class TestDescriptors:
         for name, (growth, pl, degree) in table.items():
             fam = wcs.build_family(name)
             assert (fam.growth, fam.piecewise_linear, fam.homogeneity) == (growth, pl, degree)
-            assert wcs.growth_rate(fam) == growth
 
     def test_methods_match_the_per_family_functions(self):
         s = scenario()
@@ -87,9 +86,14 @@ class TestDescriptors:
         with pytest.raises(TypeError):
             wcs.worst_case(s, wcs.PenaltyPhi(), 0.1)
         with pytest.raises(TypeError):
-            wcs.worst_case(s, wcs.WassersteinL1(None), 0.1)
+            wcs.worst_case(s, wcs.WassersteinL1(), 0.1)
         with pytest.raises(ValueError):
-            wcs.worst_case_sensitivity(s, wcs.WassersteinL1(None))
+            wcs.worst_case_sensitivity(s, wcs.WassersteinL1())
+
+    def test_penalty_raises_its_typed_error(self):
+        with pytest.raises(NoWorstCase):
+            wcs.PenaltyPhi().worst_case(scenario(), 0.1)
+        assert issubclass(NoWorstCase, TypeError)
 
 
 def _blocks():
@@ -274,14 +278,20 @@ class TestWorstValues:
             with pytest.raises(wcs.errors.EpsOutOfRange):
                 _scalar_values(wcs.SmoothPhi(wcs.KL), block, probs, eps)
 
-    def test_default_solves_row_by_row(self):
+    def test_no_kernel_is_solved_order_by_order(self):
         _, block, probs = _blocks()[1]
-        fam = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
-        want = _scalar_values(fam, block, probs, 0.3)
-        assert fam.worst_values(block, probs, 0.3).tolist() == want
-        for fam in (wcs.PenaltyPhi(), wcs.WassersteinL1()):
-            with pytest.raises(TypeError):
-                fam.worst_values(block, probs, 0.3)
+        user = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
+        for fam in (user, wcs.PenaltyPhi(), wcs.WassersteinL1()):
+            assert fam.worst_values(block, probs, 0.3) is None
+        # the newsvendor search then reads each order's scalar worst case
+        params = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
+        demand = wcs.validate([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0])
+        xs = np.array([0.0, 5.5, 8.0, 25.0])
+        for fam in (user, wcs.WassersteinL1()):
+            want = [fam.worst_case(dro.cost_scenario(params, demand, x), 0.3).value for x in xs]
+            assert dro._worst_values(params, demand, fam, 0.3, xs).tolist() == want
+        with pytest.raises(TypeError):
+            dro._worst_values(params, demand, wcs.PenaltyPhi(), 0.3, xs)
 
     def test_eps_errors_match_the_scalar(self):
         _, block, probs = _blocks()[0]

@@ -5,7 +5,13 @@ import pytest
 
 import wcs
 from wcs import oracle
-from wcs.errors import NonMonotoneEstimates, ResolutionTooCoarse
+from wcs.errors import (
+    InvalidEpsSequence,
+    InvalidOracleMode,
+    NonMonotoneEstimates,
+    ResolutionTooCoarse,
+    UnknownPolytope,
+)
 from wcs.rng import SplitMix64
 
 
@@ -66,6 +72,23 @@ class TestBruteForce:
             member = lambda q: bool(np.all(q <= (1 + eps) * s.probs + 1e-12))
             grid = oracle.brute_force_wc(s, member=member, resolution=res)
             assert grid - 1e-12 <= closed <= grid + span + 1e-9
+
+
+class TestTypedErrors:
+    def test_brute_force_mode(self):
+        with pytest.raises(InvalidOracleMode):
+            oracle.brute_force_wc(wcs.validate([0, 10]))
+        assert issubclass(InvalidOracleMode, ValueError)
+
+    def test_unknown_polytope(self):
+        with pytest.raises(UnknownPolytope):
+            oracle.brute_force_wc(wcs.validate([0, 10]), polytope=object())
+        assert issubclass(UnknownPolytope, TypeError)
+
+    def test_fd_eps_sequence(self):
+        with pytest.raises(InvalidEpsSequence):
+            oracle.fd_sensitivity(lambda e: e, "linear", [1e-2, 1e-2])
+        assert issubclass(InvalidEpsSequence, ValueError)
 
 
 class TestFdSensitivity:

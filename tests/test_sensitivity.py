@@ -150,7 +150,7 @@ class TestDispatch:
         assert wcs.worst_case_sensitivity(s, wcs.Combination(0.5)).value == pytest.approx(4 / 3)
         assert wcs.worst_case_sensitivity(s, wcs.SymmetricBox()).value == pytest.approx(4 / 3)
         with pytest.raises(ValueError):
-            wcs.worst_case_sensitivity(s, wcs.WassersteinL1(None))
+            wcs.worst_case_sensitivity(s, wcs.WassersteinL1())
 
 
 class TestDeviationAxioms:

@@ -617,8 +617,10 @@ class TestScaleFreeSmoothPhi:
             d = family.phi.divergence(r.worst_q, s.probs)
             assert abs(d - eps) <= 1e-12 * eps, (eps, d)
             assert s.costs.min() <= r.value <= s.costs.max()
-            (batch,) = family.worst_values(s.costs[None, :], s.probs, eps)
-            assert abs(batch - r.value) <= 1e-12 * width, (eps, batch, r.value)
+            batch = family.worst_values(s.costs[None, :], s.probs, eps)
+            # a user phi has no batched kernel
+            if batch is not None:
+                assert abs(batch[0] - r.value) <= 1e-12 * width, (eps, batch, r.value)
             for lam, t in ((3.0, -7.5 * scale), (0.5, 1e3 * scale)):
                 moved = family.worst_case(wcs.validate(lam * s.costs + t, probs), eps).value
                 want = lam * r.value + t
