@@ -41,7 +41,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import GROWTH_LINEAR, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost, Scenario, validate
+from .core import (
+    GROWTH_LINEAR,
+    MODIFIED_CHI2,
+    PhiFunction,
+    PiecewiseLinearCost,
+    Scenario,
+    distinct,
+    validate,
+)
 from .errors import (
     EmptyInput,
     EpsOutOfRange,
@@ -196,8 +204,8 @@ def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
     minimum to the bisection, so the candidates are deduplicated.
     """
     _check_demand(demand)
-    atoms = np.unique(demand.costs)
-    xs = np.union1d(atoms, 0.5 * (atoms[:-1] + atoms[1:])).tolist()
+    atoms = distinct(demand.costs)
+    xs = distinct(np.concatenate((atoms, 0.5 * (atoms[:-1] + atoms[1:])))).tolist()
     values = _memoised(
         lambda new: np.concatenate(
             [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, new)]
@@ -237,7 +245,7 @@ def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float
     x = x[(yi < x) & (x < yj) & (lo < x) & (x < hi)]
     k = np.searchsorted(atoms, x)  # atoms[k - 1] < x <= atoms[k]
     apart = np.minimum(x - atoms[k - 1], atoms[k] - x) > 4.0 * np.spacing(x)
-    return np.unique(x[apart])
+    return distinct(x[apart])
 
 
 def _worst_values(
@@ -284,8 +292,8 @@ class DroSolution:
 
 def _kink_search(params, demand, family, eps):
     """(x*, bracket, slopes): V's best kink, refined around it when V is smooth."""
-    atoms = np.unique(demand.costs)
-    grid = np.union1d(atoms, [0.0, 1.5 * float(atoms[-1])]).tolist()
+    atoms = distinct(demand.costs)
+    grid = distinct(np.concatenate((atoms, [0.0, 1.5 * float(atoms[-1])]))).tolist()
     values = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
 
     def kinks(a, b):
@@ -293,7 +301,8 @@ def _kink_search(params, demand, family, eps):
         if not family.piecewise_linear:
             return grid[a : b + 1]
         lo, hi = grid[a], grid[b]
-        return np.union1d(grid[a : b + 1], _crossings(params, atoms, lo, hi)).tolist()
+        crossings = _crossings(params, atoms, lo, hi)
+        return distinct(np.concatenate((grid[a : b + 1], crossings))).tolist()
 
     values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
     wasserstein, below = isinstance(family, WassersteinL1), []

@@ -14,6 +14,11 @@ window, and exact sums check that it holds the boundary; a boundary outside
 it widens it, up to every atom, which is also the window whenever n is
 below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
+The CVaR-type values (CVaR, the CVaR deviation, and through them the
+budgeted, combination and box worst cases and sensitivities) sum only
+their fill's support, the head and the window atoms up to the boundary
+(``Tail.dot``), bit for bit as the dense fill's sum; value-only callers
+never build the dense fill.
 ``greedy_fill`` and ``prefix_rank`` run the same boundary search on an
 array already in rank order.
 ``row_fsums`` and ``cvar_rows`` work on each row of an (m, n) cost block
@@ -30,7 +35,15 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .core import Scenario, SortedScenario, desc_order, exact_sum, exact_total, round_total
+from .core import (
+    EXACT_SUM_CUTOFF,
+    Scenario,
+    SortedScenario,
+    desc_order,
+    exact_sum,
+    exact_total,
+    round_total,
+)
 from .errors import InvalidCvarLevel, KappaOutOfRange
 
 # atoms in the sample that brackets a window; below twice this n the window is every atom
@@ -167,6 +180,32 @@ class Tail:
             q[window[self.k]] = self.target - self.mass
         return q
 
+    def dot(self, values: np.ndarray) -> float:
+        """exact_sum(self.fill() * values) bit for bit, for finite values, from the fill's support.
+
+        The head, the window atoms before the boundary and the boundary's
+        partial term hold the products the dense fill holds, and every other
+        product is a zero, so their exact totals agree. A zero total takes
+        the dense sum, as its sign depends on every term, and so do arrays
+        below ``EXACT_SUM_CUTOFF``, where math.fsum is the cheaper sum. The
+        head's weights are gathered here again, not kept from ``Split.tail``:
+        a kept copy raised the peak memory of a large solve and slowed its
+        next allocations by more than the gather costs.
+        """
+        if values.size < EXACT_SUM_CUTOFF:
+            return exact_sum(self.fill() * values)
+        head = self.weights[self.split.head]
+        head *= values[self.split.head]
+        window = self.split.window[: self.k + 1]
+        w = self.weights[window]
+        if self.k < self.split.window.size:
+            w[-1] = self.target - self.mass
+        w *= values[window]
+        head, rest = exact_total(head), exact_total(w)
+        if head is None or rest is None or head + rest == 0:
+            return exact_sum(self.fill() * values)
+        return round_total(head + rest)
+
 
 def _whole(order: np.ndarray) -> Split:
     """The split with no head and the whole rank order as its window."""
@@ -248,13 +287,21 @@ def greedy_fill(caps: np.ndarray) -> np.ndarray:
     return q
 
 
+def cvar_tail(s: Scenario, alpha) -> Tail | None:
+    """The Tail of the greedy maximizer of the CVaR LP at level alpha (None at alpha = 0, where it is p)."""
+    a = _level(alpha)
+    return None if a == 0.0 else select_tail(s.costs, s.probs / (1.0 - a), 1.0)
+
+
 def cvar_fill(s: Scenario, alpha) -> tuple[np.ndarray, Tail | None]:
     """Greedy maximizer of the CVaR LP at level alpha, in atom order, and its Tail (None at alpha = 0)."""
-    a = _level(alpha)
-    if a == 0.0:
-        return s.probs.copy(), None
-    tail = select_tail(s.costs, s.probs / (1.0 - a), 1.0)
-    return tail.fill(), tail
+    tail = cvar_tail(s, alpha)
+    return (s.probs.copy() if tail is None else tail.fill()), tail
+
+
+def tail_cvar(s: Scenario, tail: Tail | None) -> float:
+    """CVaR from its Tail (``cvar_tail``): the mean without one, else the tail's sum against the costs."""
+    return mean(s) if tail is None else tail.dot(s.costs)
 
 
 def row_fsums(a: np.ndarray) -> np.ndarray:
@@ -287,7 +334,7 @@ def cvar(s: Scenario, alpha) -> float:
 
     alpha = 0 gives the mean; alpha >= 1 - p_(1) gives max(f).
     """
-    return exact_sum(cvar_fill(s, alpha)[0] * s.costs)
+    return tail_cvar(s, cvar_tail(s, alpha))
 
 
 def cvar_distribution(s: Scenario, alpha) -> np.ndarray:
@@ -330,9 +377,10 @@ def cvar_deviation(s: Scenario, alpha) -> float:
     (deviation axiom D1) without changing it otherwise; it is clamped at 0
     against float wobble in the subtraction.
     """
-    q, _ = cvar_fill(s, alpha)
+    tail = cvar_tail(s, alpha)
     c = s.costs - s.costs.min()
-    return max(0.0, exact_sum(q * c) - exact_sum(s.probs * c))
+    m = exact_sum(s.probs * c)
+    return max(0.0, (m if tail is None else tail.dot(c)) - m)
 
 
 def _kappa(n: int, alpha) -> float:

@@ -551,18 +551,27 @@ def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> fl
     return exact_sum(s.probs[before] * (s.costs[before] - s.costs[tail.last]))
 
 
+def _budget_saturation(probs: np.ndarray) -> float:
+    """max_i (1/p_i - 1), the eps beyond which the cap set holds the whole simplex.
+
+    fl(1/p) falls as p rises and fl(y - 1) rises with y, so the max is at the smallest p.
+    """
+    return 1.0 / float(probs.min()) - 1.0
+
+
 def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
     """Cap set 0 <= q <= (1+eps) p; V equals CVaR at level eps/(1+eps) exactly."""
     _check_eps(eps)
-    sat = float(np.max(1.0 / s.probs - 1.0))
+    sat = _budget_saturation(s.probs)
     clamped = eps > sat
     e = min(eps, sat)
     if s.is_constant():
         return _degenerate(s, eps)
     q, tail = riskstats.cvar_fill(s, e / (1.0 + e))
     slope = 0.0 if clamped else _budgeted_slope(s, e, None if tail is None else tail.split)
+    value = riskstats.tail_cvar(s, tail)
     return WorstCaseResult(
-        epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=BudgetedDual(slope=slope),
+        epsilon=eps, value=value, worst_q=_clip_q(q), dual=BudgetedDual(slope=slope),
         clamped=clamped,
     )
 
@@ -578,9 +587,9 @@ def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
         raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
     if s.is_constant():
         return _degenerate(s, eps)
-    g, _ = riskstats.cvar_fill(s, alpha)
+    g, tail = riskstats.cvar_fill(s, alpha)
     q = (1.0 - eps) * s.probs + eps * g
-    value = (1.0 - eps) * riskstats.mean(s) + eps * _dot(g, s.costs)
+    value = (1.0 - eps) * riskstats.mean(s) + eps * riskstats.tail_cvar(s, tail)
     return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
 
 
@@ -592,9 +601,9 @@ def wc_box(s: Scenario, box: BoxParams) -> WorstCaseResult:
         return WorstCaseResult(
             epsilon=0.0, value=riskstats.mean(s), worst_q=s.probs.copy(), dual=None
         )
-    g, _ = riskstats.cvar_fill(s, (box.U - 1.0) / (box.U - box.L))
+    g, tail = riskstats.cvar_fill(s, (box.U - 1.0) / (box.U - box.L))
     q = box.L * s.probs + (1.0 - box.L) * g
-    value = box.L * riskstats.mean(s) + (1.0 - box.L) * _dot(g, s.costs)
+    value = box.L * riskstats.mean(s) + (1.0 - box.L) * riskstats.tail_cvar(s, tail)
     return WorstCaseResult(epsilon=0.0, value=value, worst_q=_clip_q(q), dual=None)
 
 
@@ -633,7 +642,7 @@ def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
 def budgeted_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     """wc_budgeted(row, eps).value for each row, bit for bit."""
     _check_eps(eps)
-    e = min(eps, float(np.max(1.0 / probs - 1.0)))
+    e = min(eps, _budget_saturation(probs))
     return _by_row(costs, probs, lambda f: riskstats.cvar_rows(f, probs, e / (1.0 + e)))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wcs
+from wcs import core
 from wcs.core import interpolated_cost, exact_sum, PiecewiseLinearCost, ConcaveGradientCost
 from wcs.rng import SplitMix64
 from wcs.errors import (
@@ -204,6 +205,33 @@ class TestExactSum:
         with pytest.raises(OverflowError):
             math.fsum(a.tolist())
         assert exact_sum(a) == big
+
+    @pytest.mark.parametrize("at", [0, 70_000, 199_999])
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_entry_in_any_chunk_is_seen_in_the_bins(self, at, special):
+        a = np.random.default_rng(at).standard_normal(200_000)
+        a[at] = special
+        assert core.exact_total(a) is None
+        assert core.exact_total(np.delete(a, at)) is not None
+        _assert_same_as_fsum(a)
+
+
+class TestDistinct:
+    """core.distinct against np.unique, bit for bit (the sign of zero included)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 1000])
+    def test_matches_np_unique(self, n):
+        rng = np.random.default_rng(n)
+        zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        for a in (
+            rng.standard_normal(n),
+            rng.integers(-3, 4, n).astype(float),
+            zeros,
+            np.where(rng.random(n) < 0.3, rng.integers(-2, 3, n), zeros),
+        ):
+            want = np.unique(a).tobytes()
+            assert core.distinct(a).tobytes() == want
+            assert core.distinct(a.tolist()).tobytes() == want
 
 
 class TestStableOrder:

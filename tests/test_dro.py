@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -875,3 +877,16 @@ class TestGenerators:
         assert np.linalg.norm(saa.w) < 1.0
         fit, _ = dro.logreg_wasserstein(ds, 0.3, tol=1e-8)
         assert np.array_equal(fit.w, np.zeros(ds.d))
+
+
+def test_a_newsvendor_solve_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call under numpy 2; a solve must not pay for it."""
+    code = (
+        "import sys, numpy as np, wcs\n"
+        "from wcs import dro\n"
+        "d = wcs.validate(np.arange(1.0, 41.0))\n"
+        "dro.dro_newsvendor(dro.NewsvendorParams(r=10, c=2, q=0, s=4), d, wcs.Budgeted(), 0.5)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

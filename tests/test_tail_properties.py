@@ -10,12 +10,17 @@ On random scenarios of up to 40 atoms, with costs drawn from a few values
 - worst_q is a distribution to 1e-12, lies in the family's set (to 1e-12)
   and reproduces V;
 - V does not depend on the order of the atoms;
-- the batched ``worst_values`` returns ``.value`` bit for bit.
+- the batched ``worst_values`` returns ``.value`` bit for bit;
+- ``Tail.dot`` is the dense sum of its fill, bit for bit, on any values.
 
 Each example runs with ``riskstats._SAMPLE`` lowered to 2, so scenarios of
 4 atoms and more go through the sampled window and its widening rather
-than a sort of every atom. Examples are derandomized, so every run checks
-the same cases.
+than a sort of every atom, and with ``riskstats.EXACT_SUM_CUTOFF`` lowered
+to 0, so ``Tail.dot`` sums the fill's support instead of the dense fill.
+Examples are derandomized, so every run checks the same cases. A
+deterministic case pins the zero-total fallback, and one at n = 1e5 (a
+real head and window, summed in bins) compares every CVaR-type value with
+the dense fill's fsum.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import wcs
 from wcs import riskstats
+from wcs.core import exact_sum
 
 FAMILIES = (wcs.Budgeted(), wcs.TotalVariation(), wcs.Combination(0.6), wcs.SymmetricBox())
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -55,12 +61,13 @@ def radius(family, eps: float) -> float:
 
 
 def windowed(test):
-    """Run the test with a two-atom sample, so small scenarios take the window path."""
+    """Run the test with a two-atom sample, so small scenarios take the window path and sum their support."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(riskstats, "_SAMPLE", 2)
+            mp.setattr(riskstats, "EXACT_SUM_CUTOFF", 0)
             test(*args, **kwargs)
 
     return run
@@ -134,3 +141,74 @@ def test_batched_values_are_the_scalar_values(family, s, eps):
     eps = radius(family, eps)
     batch = family.worst_values(s.costs[None, :], s.probs, eps)[0]
     assert batch.hex() == family.worst_case(s, eps).value.hex()
+
+
+@PROPERTY_SETTINGS
+@given(s=scenarios(), level=st.floats(0.0, 0.999), strict=st.booleans(), data=st.data())
+@windowed
+def test_tail_dot_is_the_dense_sum_of_its_fill(s, level, strict, data):
+    values = np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([-2.0, -0.0, 0.0, 1.0]) | st.floats(-1e300, 1e300),
+                min_size=s.n,
+                max_size=s.n,
+            )
+        )
+    )
+    if strict:
+        tail = riskstats.select_tail(s.costs, s.probs, 1.0 - level, strict=True)
+    else:
+        tail = riskstats.select_tail(s.costs, s.probs / (1.0 - level), 1.0)
+    assert repr(tail.dot(values)) == repr(exact_sum(tail.fill() * values))
+
+
+@pytest.mark.parametrize("cutoff", [0, None])
+def test_a_zero_total_takes_the_sign_of_every_term(monkeypatch, cutoff):
+    """Every support term is -0.0: the sum is fsum's -0.0 only if the zeros outside the support are too.
+
+    math.fsum returns -0.0 for all -0.0 terms from Python 3.12 on, and 0.0 before.
+    """
+    n = 2048
+    if cutoff is not None:
+        monkeypatch.setattr(riskstats, "EXACT_SUM_CUTOFF", cutoff)
+    s = wcs.validate(np.arange(n, 0.0, -1.0))
+    tail = riskstats.cvar_tail(s, 0.5)  # the top half and a zero partial term
+    values = np.full(n, -0.0)
+    assert repr(tail.dot(values)) == repr(math.fsum([-0.0]))
+    values[n // 2 + 1 :] = 1.0  # 0 * 1.0 = +0.0 outside the support
+    assert np.signbit(tail.fill()[: n // 2 + 1] * values[: n // 2 + 1]).all()
+    assert repr(tail.dot(values)) == repr(exact_sum(tail.fill() * values)) == "0.0"
+
+
+def _dense(q, values) -> float:
+    return math.fsum((q * values).tolist())
+
+
+@pytest.mark.parametrize("kind", ["mixture", "ties"])
+def test_tail_sums_match_the_dense_fill_at_1e5(kind):
+    n = 100_000
+    rng = np.random.default_rng(13)
+    if kind == "ties":
+        costs = rng.integers(-3, 4, n) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    else:
+        costs = rng.exponential(np.where(rng.random(n) < 0.9, 10.0, 100.0))
+    weights = rng.exponential(1.0, n) + 0.05
+    s = wcs.validate(costs, weights / math.fsum(weights.tolist()))
+    mean = _dense(s.probs, s.costs)
+    for alpha in (0.0, 0.1, 0.5, 0.9, 0.999):
+        q = riskstats.cvar_distribution(s, alpha)
+        assert repr(riskstats.cvar(s, alpha)) == repr(_dense(q, s.costs))
+        c = s.costs - s.costs.min()
+        dev = max(0.0, _dense(q, c) - _dense(s.probs, c))
+        assert repr(riskstats.cvar_deviation(s, alpha)) == repr(dev)
+        r = wcs.wc_combination(s, alpha, 0.5)
+        assert repr(r.value) == repr(0.5 * mean + 0.5 * _dense(q, s.costs))
+    for eps in (0.0, 0.5, 3.0):
+        r = wcs.wc_budgeted(s, eps)
+        assert repr(r.value) == repr(_dense(r.worst_q, s.costs))
+    for nu in (0.5, 3.0):
+        L, U = 1.0 / (1.0 + nu), 1.0 + nu
+        q = riskstats.cvar_distribution(s, (U - 1.0) / (U - L))
+        r = wcs.wc_box_symmetric(s, nu)
+        assert repr(r.value) == repr(L * mean + (1.0 - L) * _dense(q, s.costs))
