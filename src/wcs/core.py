@@ -19,13 +19,17 @@ window (``riskstats.select_tail``), and ranks every atom the same way.
 
 Summation convention: every scalar sum is ``exact_sum``, the correctly
 rounded sum of its terms, so no result depends on the order of the terms.
-Where one large set is summed against many small refinements, its exact
-total is kept as an integer (``exact_total``), the refinements add their
-own terms to it, and each comparison rounds once (``round_total``). A sum
-against a vector that is zero outside a known support (a CVaR fill) adds
-the exact totals of the support's parts and rounds once, which is the
-dense sum's value whenever that total is not zero. A non-finite term is
-seen in the binned totals, not in a separate pass over the terms.
+A sum of products p_i f_i passes both factors (``exact_sum(p, f)``), and
+the kernel forms each chunk's products itself, so no n-sized product is
+built. Where one large set is summed against many small refinements, its
+exact total is kept as an integer (``exact_total``), the refinements add
+their own terms to it, and each comparison rounds once (``round_total``).
+A sum against a vector that is zero outside a known support (a CVaR fill)
+adds the exact totals of the support's parts and rounds once, which is
+the dense sum's value whenever that total is not zero. The kernel bins
+each term by the sign and exponent bits of its double and sums its two
+halves exactly with np.bincount; a non-finite term is seen in the top
+bins, not in a separate pass over the terms.
 """
 
 from __future__ import annotations
@@ -62,76 +66,116 @@ GROWTH_LINEAR = "linear"
 
 # below this many terms math.fsum over a list is as fast as the bins
 EXACT_SUM_CUTOFF = 1024
-_CHUNK = 1 << 16
-# frexp exponents run from -1073 (smallest subnormal) to 1024 (largest finite)
-_EXP_OFFSET = 1074
-_BINS = 2100
-_HALF = float(1 << 26)
-# a chunk's bin sums stay below 2^43 (2^16 terms of |half| < 2^27), so int64
-# bins accumulate 2^20 chunks exactly
-_MAX_BINNED = _CHUNK << 20
+_CHUNK = 1 << 14
+# a term's bin is its sign and biased exponent E, the top 12 bits of its double
+_BINS = 1 << 12
+_BIN_SHIFT = np.uint64(52)
+# the high half keeps the top 27 significant bits; the low half holds the other 26
+_LOW_BITS = 26
+_HIGH_MASK = np.uint64(((1 << 64) - 1) ^ ((1 << _LOW_BITS) - 1))
+# a term with E >= 1 is an integer m < 2^53 times 2^(E - 1075), one with E = 0 (a
+# subnormal or zero) is m times 2^-1074; totals count 2^-1127 = 2^(-1074 - 53)
+_UNIT_SHIFT = np.maximum(np.arange(_BINS) & 0x7FF, 1) + 52
+# in a bin, halves are integers below 2^27 units, so a chunk's bin sums stay below
+# 2^41 units and the float bins add this many chunks exactly (below 2^53 units)
+_FLUSH = 1 << 12
+# from this E up, _FLUSH chunks of bin sums could pass the largest double (2^(E - 996)
+# for the high halves), so those terms are summed scaled by 2^-64; E = 2047 is inf or nan
+_TOP_E = 2020
+_TOP_SCALE = 64
 
 
-def exact_total(a) -> int | None:
-    """Exact sum of a 1-d float array, as an integer count of 2^-1127; None if an entry is not finite.
-
-    Each entry is m * 2^(e - 53) with an integer mantissa m, |m| < 2^53
-    (np.frexp, then an exact scale by 2^53). Split into 26-bit halves, the
-    mantissas are summed exactly per exponent by np.bincount, chunk by chunk,
-    into int64 bins, and one Python-int sum over the non-empty bins gives
-    the total. An inf or nan entry makes its chunk's high-half bin sums
-    non-finite, which is checked on the bins, not on the entries. Totals of
-    disjoint parts add exactly, so a sum over a large set is taken once and
-    its refinements add only their own terms; the array may hold at most
-    2^36 entries.
-    """
-    a = np.asarray(a, dtype=float)
-    hi_bins = np.zeros(_BINS, dtype=np.int64)
-    lo_bins = np.zeros(_BINS, dtype=np.int64)
-    for start in range(0, a.size, _CHUNK):
-        m, e = np.frexp(a[start : start + _CHUNK])
-        m *= 2.0**53  # exact: a 53-bit integer mantissa
-        hi = m * (1.0 / _HALF)
-        np.floor(hi, out=hi)
-        e += _EXP_OFFSET
-        hi_sums = np.bincount(e, weights=hi, minlength=_BINS)
-        if not np.isfinite(hi_sums).all():
-            return None
-        hi *= _HALF
-        m -= hi  # the low half, in [0, 2^26), exact
-        hi_bins += hi_sums.astype(np.int64)
-        lo_bins += np.bincount(e, weights=m, minlength=_BINS).astype(np.int64)
-    # entry = m * 2^(b - 1127) with b = e + 1074
-    used = np.flatnonzero(hi_bins | lo_bins)
+def _bin_total(hi_bins: np.ndarray, lo_bins: np.ndarray) -> int:
+    """The exact total, in units of 2^-1127, of float bins of high and low halves."""
+    used = np.flatnonzero((hi_bins != 0.0) | (lo_bins != 0.0))
+    shift = _UNIT_SHIFT[used]
+    # each bin sum is an integer count of its unit below 2^53, so the scaling is exact
+    hi = np.ldexp(hi_bins[used], 1127 - _LOW_BITS - shift).astype(np.int64)
+    lo = np.ldexp(lo_bins[used], 1127 - shift).astype(np.int64)
     return sum(
-        (h << (b + 26)) + (lo << b)
-        for b, h, lo in zip(used.tolist(), hi_bins[used].tolist(), lo_bins[used].tolist())
+        (h << (s + _LOW_BITS)) + (lo_ << s)
+        for s, h, lo_ in zip(shift.tolist(), hi.tolist(), lo.tolist())
     )
+
+
+def exact_total(a, b=None) -> int | None:
+    """Exact sum of a 1-d float array, or of the products fl(a_i * b_i), as an integer count of 2^-1127.
+
+    None if a term is not finite. The kernel reads each double's own bits:
+    a shift by 52 gives its bin (sign and biased exponent), a mask keeps its
+    top 27 significant bits and one subtraction gives the exact low half.
+    Within a bin every half is an integer multiple of one power of two, so
+    np.bincount sums each half exactly in float64, chunk by chunk, and the
+    float bins add up across chunks until they are turned into integers
+    once (``_bin_total``). Terms of 2^997 and above, whose bins could
+    overflow, are summed scaled by 2^-64, and an inf or nan term is seen in
+    those top bins before any low half is formed. With b, each chunk's
+    products are formed inside the loop, as a * b forms them (an
+    overflowing product warns there as it would), and no n-sized product
+    array is built. Totals of disjoint parts add exactly, so a sum over a
+    large set is taken once and its refinements add only their own terms.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    if b is not None:
+        b = np.ascontiguousarray(b, dtype=float)
+    size = min(a.size, _CHUNK)
+    bins = np.empty(size, dtype=np.uint64)
+    hi = np.empty(size)
+    low = np.empty(size)
+    hi_bins = np.zeros(_BINS)
+    lo_bins = np.zeros(_BINS)
+    total = 0
+    for count, start in enumerate(range(0, a.size, _CHUNK), 1):
+        x = a[start : start + _CHUNK]
+        m = x.size
+        if b is not None:
+            x = np.multiply(x, b[start : start + m], out=low[:m])
+        u = x.view(np.uint64)
+        e = np.right_shift(u, _BIN_SHIFT, out=bins[:m]).view(np.intp)
+        h = np.bitwise_and(u, _HIGH_MASK, out=hi[:m].view(np.uint64)).view(float)
+        hi_sums = np.bincount(e, weights=h, minlength=_BINS)
+        top = hi_sums.reshape(2, -1)[:, _TOP_E:].any()
+        if top:
+            big = x[(e & 0x7FF) >= _TOP_E]
+            if not np.isfinite(big).all():
+                return None
+            total += exact_total(big * 2.0**-_TOP_SCALE) << _TOP_SCALE
+        # the low half, exact; in place over the products when there are some
+        lo_sums = np.bincount(e, weights=np.subtract(x, h, out=low[:m]), minlength=_BINS)
+        if top:
+            hi_sums.reshape(2, -1)[:, _TOP_E:] = lo_sums.reshape(2, -1)[:, _TOP_E:] = 0.0
+        hi_bins += hi_sums
+        lo_bins += lo_sums
+        if count % _FLUSH == 0:
+            total += _bin_total(hi_bins, lo_bins)
+            hi_bins[:] = lo_bins[:] = 0.0
+    return total + _bin_total(hi_bins, lo_bins)
 
 
 def round_total(total: int) -> float:
     """The double nearest total * 2^-1127 (Python's int division rounds correctly)."""
-    return total / (1 << (_EXP_OFFSET + 53))
+    return total / (1 << 1127)
 
 
-def exact_sum(a) -> float:
-    """Correctly rounded sum of a 1-d float array: math.fsum(a.tolist()) bit for bit.
+def exact_sum(a, b=None) -> float:
+    """Correctly rounded sum of a 1-d float array, or of the products fl(a_i * b_i).
 
+    math.fsum(a.tolist()), or math.fsum((a * b).tolist()), bit for bit:
     ``exact_total`` then one ``round_total``. Short arrays, arrays with a
-    non-finite entry (fsum's inf/nan rules apply) and arrays beyond the
-    int64 bins' exact range go to math.fsum.
+    non-finite term (fsum's inf/nan rules apply) go to math.fsum.
 
     One difference from fsum: fsum raises OverflowError whenever a partial
     sum overflows, which depends on the order of the terms; exact_sum raises
     it only when the exact total rounds beyond the largest finite double.
     """
     a = np.asarray(a, dtype=float)
-    total = exact_total(a) if EXACT_SUM_CUTOFF <= a.size <= _MAX_BINNED else None
-    if total is None:
-        return math.fsum(a.tolist())
-    if total == 0:
+    total = exact_total(a, b) if a.size >= EXACT_SUM_CUTOFF else None
+    if total is None or total == 0:
+        terms = a if b is None else a * b
+        if total is None:
+            return math.fsum(terms.tolist())
         # an exact zero is -0.0 only if fsum makes it so and every term is -0.0
-        return math.fsum([-0.0]) if np.signbit(a).all() else 0.0
+        return math.fsum([-0.0]) if np.signbit(terms).all() else 0.0
     return round_total(total)
 
 
@@ -322,7 +366,7 @@ class PhiFunction:
         return np.asarray(zeta, dtype=float) * z - self.value(z)
 
     def divergence(self, q: np.ndarray, p: np.ndarray) -> float:
-        return exact_sum(p * self.value(q / p))
+        return exact_sum(p, self.value(q / p))
 
 
 def _chi2_value(z):

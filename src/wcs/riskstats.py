@@ -18,7 +18,8 @@ The CVaR-type values (CVaR, the CVaR deviation, and through them the
 budgeted, combination and box worst cases and sensitivities) sum only
 their fill's support, the head and the window atoms up to the boundary
 (``Tail.dot``), bit for bit as the dense fill's sum; value-only callers
-never build the dense fill.
+never build the dense fill. The budgeted slope sums the atoms ranked
+before the VaR atom the same way (``Tail.excess``).
 ``greedy_fill`` and ``prefix_rank`` run the same boundary search on an
 array already in rank order.
 ``row_fsums`` and ``cvar_rows`` work on each row of an (m, n) cost block
@@ -71,14 +72,34 @@ def _level(alpha) -> float:
 
 
 def mean(s: Scenario) -> float:
-    return exact_sum(s.probs * s.costs)
+    return exact_sum(s.probs, s.costs)
 
 
 def variance(s: Scenario) -> float:
     # centered at the max cost so constant vectors give exactly 0
     c = s.costs - np.max(s.costs)
-    m = exact_sum(s.probs * c)
-    return exact_sum(s.probs * (c - m) ** 2)
+    m = exact_sum(s.probs, c)
+    c -= m
+    c *= c
+    return exact_sum(s.probs, c)
+
+
+def centred(s: Scenario) -> tuple[np.ndarray, float, float]:
+    """(c, E_p c, half) for the costs centred at their min, c = (f - min f) / half.
+
+    half is 1 unless f - min f overflows a double; that shows as an inf
+    E_p c, not in a pass of its own, and the costs are then centred again
+    on f / 2, as ``worstcase._standardise`` does, with half = 2. A
+    deviation of c times half is the deviation of f.
+    """
+    low = s.costs.min()
+    with np.errstate(over="ignore"):
+        c = s.costs - low
+    m = exact_sum(s.probs, c)
+    if math.isinf(m):
+        c = s.costs / 2.0 - low / 2.0
+        return c, exact_sum(s.probs, c), 2.0
+    return c, m, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +154,15 @@ class Split:
     window: np.ndarray
     through_end: bool  # the window holds the cheapest atom
 
-    def tail(self, weights: np.ndarray, target: float, strict: bool = False) -> Tail | None:
-        """The Tail of weights up to target on this split, or None if its boundary lies outside the window."""
-        head = exact_total(weights[self.head]) if self.head.size else 0
+    def tail(
+        self, weights: np.ndarray, target: float, strict: bool = False, head: int | None = None
+    ) -> Tail | None:
+        """The Tail of weights up to target on this split, or None if its boundary lies outside the window.
+
+        head is the exact total of the head's weights, if the caller has it.
+        """
+        if head is None:
+            head = exact_total(weights[self.head]) if self.head.size else 0
         if head and not _below(strict)(round_total(head), target):
             return None
         k, mass = _boundary(head, weights[self.window], target, strict)
@@ -166,11 +193,6 @@ class Tail:
         window = self.split.window
         return int(window[min(self.k, window.size - 1)])
 
-    def before_last(self) -> np.ndarray:
-        """Original indices of the atoms ranked before ``last``, in any order."""
-        window = self.split.window
-        return np.concatenate((self.split.head, window[: min(self.k, window.size - 1)]))
-
     def fill(self) -> np.ndarray:
         """The greedy fill in atom order: full weight before the boundary, target - mass on it."""
         window = self.split.window
@@ -193,18 +215,41 @@ class Tail:
         next allocations by more than the gather costs.
         """
         if values.size < EXACT_SUM_CUTOFF:
-            return exact_sum(self.fill() * values)
-        head = self.weights[self.split.head]
-        head *= values[self.split.head]
+            return exact_sum(self.fill(), values)
+        head = exact_total(self.weights[self.split.head], values[self.split.head])
         window = self.split.window[: self.k + 1]
         w = self.weights[window]
         if self.k < self.split.window.size:
             w[-1] = self.target - self.mass
-        w *= values[window]
-        head, rest = exact_total(head), exact_total(w)
+        rest = exact_total(w, values[window])
         if head is None or rest is None or head + rest == 0:
-            return exact_sum(self.fill() * values)
+            return exact_sum(self.fill(), values)
         return round_total(head + rest)
+
+    def excess(self, values: np.ndarray, head_weights: np.ndarray | None = None) -> float:
+        """Sum of weights_i (values_i - values[last]) over the atoms ranked before ``last``.
+
+        Correctly rounded, for finite values: the head's and the window's
+        exact totals rounded once, or, where that total is zero (its sign
+        depends on every term) and below ``EXACT_SUM_CUTOFF``, the dense
+        sum. head_weights are weights[split.head], if the caller has them.
+        """
+        at = values[self.last]
+        window = self.split.window[: min(self.k, self.split.window.size - 1)]
+        head = self.split.head
+        if values.size >= EXACT_SUM_CUTOFF:
+            total = 0
+            if head.size:
+                gaps = values[head]
+                gaps -= at
+                total = exact_total(
+                    self.weights[head] if head_weights is None else head_weights, gaps
+                )
+            rest = exact_total(self.weights[window], values[window] - at)
+            if total is not None and rest is not None and total + rest != 0:
+                return round_total(total + rest)
+        before = np.concatenate((head, window)) if head.size else window
+        return exact_sum(self.weights[before], values[before] - at)
 
 
 def _whole(order: np.ndarray) -> Split:
@@ -378,9 +423,8 @@ def cvar_deviation(s: Scenario, alpha) -> float:
     against float wobble in the subtraction.
     """
     tail = cvar_tail(s, alpha)
-    c = s.costs - s.costs.min()
-    m = exact_sum(s.probs * c)
-    return max(0.0, (m if tail is None else tail.dot(c)) - m)
+    c, m, half = centred(s)
+    return half * max(0.0, (m if tail is None else tail.dot(c)) - m)
 
 
 def _kappa(n: int, alpha) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario, exact_sum
+from .core import GROWTH_LINEAR, GROWTH_SQRT, PhiFunction, Scenario
 from .errors import LengthMismatch, UnboundedRatio
 from . import riskstats
 
@@ -44,7 +44,8 @@ def tv_sensitivity(s: Scenario) -> SensitivityReport:
 
 def budgeted_sensitivity(s: Scenario) -> SensitivityReport:
     # mean minus min as a sum of nonnegative terms (exact 0 on constants)
-    value = exact_sum(s.probs * (s.costs - np.min(s.costs)))
+    _, m, half = riskstats.centred(s)
+    value = half * m
     return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 

@@ -42,6 +42,7 @@ from .core import (
     Scenario,
     SortedScenario,
     exact_sum,
+    exact_total,
     sort_desc,
     validate,
 )
@@ -116,7 +117,7 @@ def _clip_q(q: np.ndarray) -> np.ndarray:
 
 
 def _dot(q: np.ndarray, f: np.ndarray) -> float:
-    return exact_sum(q * f)
+    return exact_sum(q, f)
 
 
 def _degenerate(s: Scenario, eps: float) -> WorstCaseResult:
@@ -180,11 +181,22 @@ def _tilted(
     )
 
 
-def _nominal(s: Scenario) -> WorstCaseResult:
+def _nominal(s: Scenario, eps: float = 0.0) -> WorstCaseResult:
     m = riskstats.mean(s)
     return WorstCaseResult(
-        epsilon=0.0, value=m, worst_q=s.probs.copy(), dual=SmoothPhiDual(delta=0.0, c=-m)
+        epsilon=eps, value=m, worst_q=s.probs.copy(), dual=SmoothPhiDual(delta=0.0, c=-m)
     )
+
+
+def _unresolved(phi: PhiFunction, eps: float) -> bool:
+    """Whether eps is too small for any tilt to move V off E_p f by 2^-53 of the cost range.
+
+    On g in [-1, 0], V - E_p f is about the range times sqrt(2 eps Var_p g / phi''(1))
+    <= sqrt(eps / (2 phi''(1))), so below eps = 2^-105 phi''(1) the nominal p is the
+    worst case to within rounding. There the tilt of the costliest atom rounds
+    away, and a solve would only chase the rounding of sum p.
+    """
+    return eps < 2.0**-105 * phi.curvature
 
 
 def _point_mass(s: Scenario, q: np.ndarray, eps: float) -> WorstCaseResult:
@@ -215,7 +227,7 @@ class _PhiTilter:
         if self.phi is KL:
             # sum p exp(delta (f + c)) = 1  =>  c = -logsumexp(delta f; p)/delta
             m = float(delta * f[0])
-            return -(m + math.log(exact_sum(self.p * np.exp(delta * f - m)))) / delta
+            return -(m + math.log(exact_sum(self.p, np.exp(delta * f - m)))) / delta
         if self.phi is MODIFIED_CHI2:
             # sum over active prefix of p (1 + delta (f + c)) = 1, piecewise linear in c
             c_all = (1.0 - self.pk - delta * self.sk) / (delta * self.pk)
@@ -234,7 +246,7 @@ class _PhiTilter:
         f, p, phi = self.f, self.p, self.phi
 
         def g(c: float) -> float:
-            return exact_sum(p * phi.inverse_clamped(delta * (f + c))) - 1.0
+            return exact_sum(p, phi.inverse_clamped(delta * (f + c))) - 1.0
 
         lo, hi = -float(f[0]), -float(f[-1])
         if g(lo) > 0.0 or g(hi) < 0.0:  # numerically flat or degenerate; midpoint is fine
@@ -269,7 +281,7 @@ def _saturation_divergence(phi: PhiFunction, srt: SortedScenario) -> tuple[float
     phi0 = float(phi.value(np.array(0.0)))
     if not math.isfinite(phi0):
         return math.inf, q
-    d = exact_sum(srt.probs_desc * np.where(top, phi.value(np.array(1.0 / pm)), phi0))
+    d = exact_sum(srt.probs_desc, np.where(top, phi.value(np.array(1.0 / pm)), phi0))
     return d, q
 
 
@@ -374,9 +386,9 @@ def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float
         spread = -float(g[k - 1])
     ga, pa = g[:k], p[:k]
     mass = exact_sum(pa)
-    mu = exact_sum(pa * ga) / mass
+    mu = exact_sum(pa, ga) / mass
     dev = (ga - mu) / spread
-    w = exact_sum(pa * dev**2)
+    w = exact_sum(pa, dev**2)
     slack = 2.0 * eps - exact_sum(p[k:]) / mass
     if not (slack > 0.0 and w > 0.0):
         return None
@@ -433,8 +445,8 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     _check_eps(eps)
     if s.is_constant():
         return _degenerate(s, eps)
-    if eps == 0.0:
-        return _nominal(s)
+    if eps == 0.0 or _unresolved(phi, eps):
+        return _nominal(s, eps)
     st = _standardise(s.costs)
     # by identity: a user phi may reuse a built-in's name with other math
     if phi is KL:
@@ -456,7 +468,9 @@ def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
         return _nominal(s)
     st = _standardise(s.costs)
     m = _dot(s.probs, st.g)
-    var = exact_sum(s.probs * (st.g - m) ** 2)
+    dev = st.g - m
+    dev *= dev
+    var = exact_sum(s.probs, dev)
     if var > 0.0:
         delta = math.sqrt(2.0 * eps / var)
         # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
@@ -542,13 +556,18 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
 
 
 def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> float:
-    """The slope, its VaR atom found on the split near if it lies there."""
+    """The slope, its VaR atom found on the split near if it lies there.
+
+    There the head's masses are gathered once, for the VaR boundary and for the slope.
+    """
     alpha = eps / (1.0 + eps)
-    tail = None if near is None else near.tail(s.probs, 1.0 - alpha, strict=True)
-    if tail is None:
-        tail = riskstats.var_tail(s, alpha)
-    before = tail.before_last()
-    return exact_sum(s.probs[before] * (s.costs[before] - s.costs[tail.last]))
+    if near is not None:
+        head = s.probs[near.head]
+        total = exact_total(head) if head.size else 0
+        tail = near.tail(s.probs, 1.0 - alpha, strict=True, head=total)
+        if tail is not None:
+            return tail.excess(s.costs, head)
+    return riskstats.var_tail(s, alpha).excess(s.costs)
 
 
 def _budget_saturation(probs: np.ndarray) -> float:
@@ -830,7 +849,7 @@ def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     in the nested bisection where Newton fails again.
     """
     _check_eps(eps)
-    if eps == 0.0:
+    if eps == 0.0 or _unresolved(KL, eps):
         return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
 
     def solve(raw):

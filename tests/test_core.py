@@ -215,6 +215,17 @@ class TestExactSum:
         assert core.exact_total(np.delete(a, at)) is not None
         _assert_same_as_fsum(a)
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_flushing_the_float_bins_keeps_the_total(self, fused, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 3 * core._CHUNK + 7
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        b = rng.uniform(-1.0, 1.0, n) if fused else None
+        want = core.exact_total(a, b)
+        monkeypatch.setattr(core, "_FLUSH", 1)
+        assert core.exact_total(a, b) == want
+        assert core.round_total(want) == math.fsum((a if b is None else a * b).tolist())
+
 
 class TestDistinct:
     """core.distinct against np.unique, bit for bit (the sign of zero included)."""

@@ -178,6 +178,41 @@ class TestDeviationAxioms:
         assert rep2.all_passed
 
 
+class TestOverflowingRange:
+    """Costs whose range overflows a double are centred on f / 2 and the result doubled."""
+
+    def test_values_on_the_smallest_overflowing_scenario(self):
+        s = uniform([-1e308, 1e308, 0.0])
+        # CVaR at 1/2 holds 1e308 on mass 1/3 and 0 on 1/6; the mean is 0
+        for value in (
+            wcs.cvar_deviation(s, 0.5),
+            wcs.combination_sensitivity(s, 0.5).value,
+            wcs.symmetric_box_sensitivity(s).value,
+        ):
+            assert value == pytest.approx(2.0 / 3.0 * 1e308, rel=1e-15)
+        # E_p (f - min f) = (0 + 2e308 + 1e308) / 3
+        assert wcs.budgeted_sensitivity(s).value == pytest.approx(1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_twice_the_value_on_halved_costs(self, n):
+        rng = np.random.default_rng(n)
+        costs = rng.uniform(-1.0, 1.0, n) * 1e308
+        costs[:2] = [-1.5e308, 1.7e308]
+        weights = rng.exponential(1.0, n) + 0.05
+        probs = weights / math.fsum(weights.tolist())
+        s, half = wcs.validate(costs, probs), wcs.validate(costs / 2.0, probs)
+        measures = (
+            lambda s: wcs.cvar_deviation(s, 0.3),
+            lambda s: wcs.combination_sensitivity(s, 0.9).value,
+            lambda s: wcs.symmetric_box_sensitivity(s).value,
+            lambda s: wcs.budgeted_sensitivity(s).value,
+        )
+        for measure in measures:
+            value = measure(s)
+            assert value > 0.0
+            assert repr(value) == repr(2.0 * measure(half))
+
+
 class TestBounds:
     def test_phi_tv_bound_uniform(self):
         # sqrt(phi''(1)/2) * S_phi <= S_tv for uniform p

@@ -7,7 +7,7 @@ import wcs
 from wcs import oracle
 from wcs.errors import EpsOutOfRange
 from wcs.rng import SplitMix64
-from wcs.worstcase import _PhiTilter, _strip_cheapest
+from wcs.worstcase import _PhiTilter, _strip_cheapest, kl_values
 
 ALL_SCENARIO_FAMILIES = [
     wcs.SmoothPhi(wcs.MODIFIED_CHI2),
@@ -98,6 +98,16 @@ class TestSmoothPhi:
         assert r.value == pytest.approx(v_expected, abs=1e-9)
         assert r.value == pytest.approx(5.997, abs=1e-3)
         assert r.worst_q[1] == pytest.approx(0.5997, abs=1e-4)
+
+    @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
+    def test_an_eps_too_small_to_move_v_gives_the_nominal(self, phi):
+        # sum p is 1 - 2^-54 here; KL used to chase that rounding to V = E_p f + 3e-10
+        s = wcs.validate([0, 0, 0, 0, 0, 1], np.array([4, 4, 4, 2, 1, 4]) / 19.0)
+        for eps in (5e-324, 7.8e-251, 2.0**-106):
+            r = wcs.wc_smooth_phi(s, phi, eps)
+            assert (r.epsilon, r.value) == (eps, wcs.mean(s))
+            assert np.array_equal(r.worst_q, s.probs)
+        assert kl_values(s.costs[None, :], s.probs, 7.8e-251)[0] == wcs.mean(s)
 
     @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
     def test_small_eps_expansion(self, phi):
