@@ -53,6 +53,51 @@ def test_cli_golden_bytes(argv):
     assert list(run_cli(argv)) == golden
 
 
+# input files of the file-input golden records, written byte for byte into
+# the working directory under these names, so an error message that names
+# the file reads the same on every machine
+GOLDEN_INPUT_FILES = {
+    "costs.csv": b"cost,prob\n1,0.2\n5,0.3\n3,0.5\n",
+    "costs_crlf.csv": b"cost\r\n1\r\n5\r\n\r\n3\r\n-2.5\r\n",
+    "costs_quoted.csv": b'cost,prob\n"1",0.2\n5,"0.3"\n3,0.5\n',
+    "costs_padded.csv": b"cost , prob,note\n 1 ,0.2,a\n\n\n5,\t0.3 ,b,extra\n  3,0.5  ,c\n",
+    "costs_inf.csv": b"cost\n1\ninf\n3\n",
+    "costs_bad_row.csv": b"cost,prob\n1,0.2\n5\n3,0.5\n",
+    "demand.csv": b"demand,prob\r\n10,0.25\r\n20,0.25\r\n\r\n35,0.25\r\n80,0.25\r\n",
+    "data.csv": (
+        b"label,x1,x2\n"
+        b"1,0.9,1\n-1,-0.4,1\n1,1.3,1\n-1,0.2,1\n1,0.1,1\n-1,-1.1,1\n"
+        b"1,0.6,1\n-1,-0.2,1\n1,-0.3,1\n-1,0.5,1\n1,2.0,1\n-1,-0.8,1\n"
+    ),
+}
+FILE_GOLDEN_ARGVS = (
+    [["sensitivity", "--family", f, "--alpha", "0.5", "--cost-file", name]
+     for f in ("phi", "tv", "budgeted", "combo")
+     for name in ("costs.csv", "costs_crlf.csv")]
+    + [["sensitivity", "--family", "budgeted", "--cost-file", name]
+       for name in ("costs_quoted.csv", "costs_padded.csv", "costs_inf.csv", "costs_bad_row.csv")]
+    + [["worst-case", "--family", f, "--eps", "0.3", "--cost-file", name]
+       for f in ("budgeted", "tv")
+       for name in ("costs.csv", "costs_crlf.csv", "costs_quoted.csv", "costs_padded.csv")]
+    + [["worst-case", "--family", "phi", "--phi", "kl", "--eps", "0.3", "--cost-file", name]
+       for name in ("costs_padded.csv", "costs_inf.csv", "costs_bad_row.csv")]
+    + [["solve-newsvendor", "--r", "10", "--c", "2", "--s", "4", "--demand-file", "demand.csv",
+        *family] for family in ([], ["--family", "budgeted", "--eps", "0.5"])]
+    + [["solve-logreg", "--eps", "0.05", "--data-file", "data.csv"]]
+    + [["frontier", "--family", "wasserstein", "--measure", "wasserstein", "--eps-list",
+        "0,0.05", "--data-file", "data.csv"]]
+)
+
+
+@pytest.mark.parametrize("argv", FILE_GOLDEN_ARGVS, ids=" ".join)
+def test_cli_file_input_golden_bytes(argv, tmp_path, monkeypatch):
+    for name, content in GOLDEN_INPUT_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN_FILE.read_text())[" ".join(argv)]
+    assert list(run_cli(argv)) == golden
+
+
 class TestExampleInvocations:
     def test_sensitivity_tv(self):
         code, out, err = run_cli(["sensitivity", "--family", "tv", "--costs", "1,5,3"])
