@@ -1,4 +1,11 @@
-"""Worst-case sensitivity toolkit for DRO over discrete nominal distributions."""
+"""Worst-case sensitivity toolkit for DRO over discrete nominal distributions.
+
+``dro``, ``oracle`` and ``rng``, and the names they export here, load on
+first access (PEP 562): a process that only evaluates closed forms never
+imports them.
+"""
+
+from importlib import import_module as _import_module
 
 from .core import (
     ConcaveGradientCost,
@@ -65,30 +72,48 @@ from .families import (
     WassersteinL1,
     build_family,
 )
-from .oracle import (
-    AxiomReport,
-    FdReport,
-    brute_force_wc,
-    deviation_axioms,
-    fd_sensitivity,
-    random_scenario,
-)
-from .dro import (
-    DroSolution,
-    FrontierPoint,
-    LabeledDataset,
-    NewsvendorParams,
-    demand_scenario,
-    dro_newsvendor,
-    frontier,
-    gen_mixture_demand,
-    gen_synth_classification,
-    labeled_dataset,
-    logreg_saa,
-    logreg_wasserstein,
-    newsvendor_cost,
-    saa_newsvendor,
-)
-from .rng import SplitMix64
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the names it exports here; the submodule and its names are
+# imported on first access
+_LAZY_EXPORTS = {
+    "oracle": (
+        "AxiomReport",
+        "FdReport",
+        "brute_force_wc",
+        "deviation_axioms",
+        "fd_sensitivity",
+        "random_scenario",
+    ),
+    "dro": (
+        "DroSolution",
+        "FrontierPoint",
+        "LabeledDataset",
+        "NewsvendorParams",
+        "demand_scenario",
+        "dro_newsvendor",
+        "frontier",
+        "gen_mixture_demand",
+        "gen_synth_classification",
+        "labeled_dataset",
+        "logreg_saa",
+        "logreg_wasserstein",
+        "newsvendor_cost",
+        "saa_newsvendor",
+    ),
+    "rng": ("SplitMix64",),
+}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _import_module(f".{module}", __name__)
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -18,18 +18,22 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import dro, families, oracle, riskstats, sensitivity, worstcase
+from . import families, riskstats, sensitivity, worstcase
 from .core import PHI_BY_NAME, Scenario, interpolated_cost, validate
 from .errors import InputFileError, WcsError
-from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from . import dro
 
 
 def _default_seed() -> int:
@@ -69,15 +73,38 @@ def _emit(payload: dict) -> None:
 
 
 def _read_csv(path: str, primary: str, schema: str) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank data rows; the header's first column must be ``primary``."""
+    """Header and non-blank data rows; the header's first column must be ``primary``.
+
+    The file is read in one go and split on line ends and commas.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows = _split_rows(fh.read())
+            except UnicodeError:
+                # stream it line by line, so the error names the position it always did
+                fh.seek(0)
+                rows = list(csv.reader(fh))
     except (OSError, UnicodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     if not rows or not rows[0] or rows[0][0].strip() != primary:
         raise WcsError(f"{path}: expected header '{schema}'")
     return rows[0], [row for row in rows[1:] if row]
+
+
+def _split_rows(text: str) -> list[list[str]]:
+    """csv.reader's rows of ``text``, give or take empty rows, which callers drop.
+
+    Without quote or NUL characters, csv.reader's default dialect only
+    splits on line ends (CR, LF or CRLF) and commas, so a plain split gives
+    the same cells; a CRLF just adds an empty row. A line longer than csv's
+    field size limit goes to csv.reader too, which raises on it.
+    """
+    lines = text.replace("\r", "\n").split("\n")
+    limit = csv.field_size_limit()
+    if '"' in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return list(csv.reader(io.StringIO(text, newline="")))
+    return [line.split(",") if line else [] for line in lines]
 
 
 def _numbers(path: str, row: list[str], width: int) -> list[float]:
@@ -88,18 +115,36 @@ def _numbers(path: str, row: list[str], width: int) -> list[float]:
         raise InputFileError(f"{path}: expected {width} numbers in row {','.join(row)!r}") from None
 
 
-def _read_two_column(path: str, primary: str) -> tuple[list[float], list[float] | None]:
+def _table(path: str, rows: list[list[str]], width: int) -> np.ndarray:
+    """The first ``width`` cells of every data row as an (n, width) float64 array.
+
+    ``float`` parses each cell, in one pass over all rows. A short row or a
+    cell ``float`` rejects fails the pass, and the first such row is named.
+    """
+    cells = itertools.chain.from_iterable(row[:width] for row in rows)
+    try:
+        flat = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * width)
+    except ValueError:
+        for row in rows:
+            _numbers(path, row, width)
+        raise
+    return flat.reshape(len(rows), width)
+
+
+def _read_two_column(path: str, primary: str) -> tuple[np.ndarray, np.ndarray | None]:
     header, rows = _read_csv(path, primary, f"{primary}[,prob]")
     has_prob = len(header) > 1 and header[1].strip() == "prob"
-    table = [_numbers(path, row, 2 if has_prob else 1) for row in rows]
-    return [r[0] for r in table], ([r[1] for r in table] if has_prob else None)
+    table = _table(path, rows, 2 if has_prob else 1)
+    return table[:, 0], (table[:, 1] if has_prob else None)
 
 
 def _read_classification(path: str) -> dro.LabeledDataset:
+    from . import dro
+
     header, rows = _read_csv(path, "label", "label,x1,...,xd")
-    table = [_numbers(path, row, len(header)) for row in rows]
-    labels = [r.pop(0) for r in table]  # in place: the rows become the features
-    return dro.labeled_dataset(table, labels)
+    table = _table(path, rows, len(header))
+    # C-ordered copies, as a nested list gave: matmul may sum a strided block in another order
+    return dro.labeled_dataset(table[:, 1:].copy(), table[:, 0].copy())
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -160,6 +205,8 @@ def _cmd_worst_case(args) -> int:
 
 
 def _demand_from_args(args) -> Scenario:
+    from . import dro
+
     if args.demand_file:
         vals, probs = _read_two_column(args.demand_file, "demand")
         return validate(vals, probs)
@@ -175,6 +222,8 @@ def _demand_from_args(args) -> Scenario:
 
 
 def _params_from_args(args) -> dro.NewsvendorParams:
+    from . import dro
+
     return dro.NewsvendorParams(r=args.r, c=args.c, q=args.q, s=args.s)
 
 
@@ -188,6 +237,8 @@ def _eps_list_from_args(args) -> list[float]:
 
 
 def _cmd_frontier(args) -> int:
+    from . import dro
+
     fam = _family_from_args(args)
     eps_list = _eps_list_from_args(args)
     if args.data_file or args.gen_class:
@@ -230,6 +281,8 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_solve_newsvendor(args) -> int:
+    from . import dro
+
     params = _params_from_args(args)
     demand = _demand_from_args(args)
     if args.family is None:
@@ -245,6 +298,8 @@ def _cmd_solve_newsvendor(args) -> int:
 
 
 def _classification_from_args(args) -> dro.LabeledDataset:
+    from . import dro
+
     if args.data_file:
         return _read_classification(args.data_file)
     if args.gen_class:
@@ -257,6 +312,8 @@ def _classification_from_args(args) -> dro.LabeledDataset:
 
 
 def _cmd_solve_logreg(args) -> int:
+    from . import dro
+
     data = _classification_from_args(args)
     fit, rep = dro.logreg_wasserstein(data, args.eps, tol=args.tol)
     _emit(
@@ -273,6 +330,9 @@ def _cmd_solve_logreg(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+    from .rng import SplitMix64
+
     trials = args.trials
     seed = args.seed if args.seed is not None else _default_seed()
     report: dict = {}

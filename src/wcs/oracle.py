@@ -290,11 +290,11 @@ def deviation_axioms(
             zero_iff = zero_iff or ce(s, value=base, why="zero on nonconstant costs")
         for beta in _BETAS:
             expected = beta**homogeneity_degree * base
-            got = measure(validate(beta * s.costs, s.probs))
+            got = measure(s.with_costs(beta * s.costs))
             if abs(got - expected) > rtol * (1.0 + abs(expected)):
                 homo = homo or ce(s, beta=beta, expected=expected, got=got)
         for a in _SHIFTS:
-            got = measure(validate(a + s.costs, s.probs))
+            got = measure(s.with_costs(a + s.costs))
             if abs(got - base) > rtol * (1.0 + abs(base)):
                 transl = transl or ce(s, shift=a, expected=base, got=got)
 
