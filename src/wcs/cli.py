@@ -50,6 +50,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {x}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-file", help="CSV with header label,x1,...,xd")
     p.add_argument("--gen-class", help="synthetic data: n,d,margin,seed")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(fn=_cmd_solve_logreg)
 
     p = sub.add_parser("verify", help="axioms, oracle-vs-closed-form, and bound checks")

@@ -52,7 +52,6 @@ from .core import (
 )
 from .errors import (
     EmptyInput,
-    EpsOutOfRange,
     InvalidEpsList,
     InvalidGeneratorArgs,
     InvalidLabel,
@@ -448,6 +447,8 @@ def _logreg_frontier(
 ) -> list[FrontierPoint]:
     if not isinstance(family, WassersteinL1):
         raise UnsupportedFamily("dataset sweeps support only the transport (WassersteinL1) family")
+    for eps in eps_arr:
+        worstcase._check_eps(eps)
     points = []
     for eps in eps_arr:
         # the regularized fit only: logreg_wasserstein would also fit the SAA model
@@ -615,8 +616,7 @@ def logreg_wasserstein(
     makes w = 0 exact, and it is the fit at iteration 0 once
     eps >= ||(1/2n) sum y_i x_i||_2 (the zero-subgradient condition).
     """
-    if eps < 0:
-        raise EpsOutOfRange("eps must be >= 0")
+    worstcase._check_eps(eps)
     saa = logreg_saa(data, tol=tol, max_iter=max_iter)
     report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
     fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, max_iter)

@@ -20,8 +20,9 @@ domain edge so q >= 0, where
 Modified chi-square solves both in closed form on its active set (the
 costliest atoms keeping mass); KL solves c in closed form and delta by
 safeguarded Newton, with D'(delta) = delta Var_q(g). A user phi runs the
-nested bisection, c inside and delta outside, each to full precision; it is
-also the last resort of the two built-in solves.
+nested bisection, c inside and delta outside, each to full precision, the
+same for every phi; built-in KL still open after Newton's step cap and
+chi-square with no active count run it too, at a user phi's cost.
 
 The value-only batches at the end (``*_values``) return V(eps) for each row
 of a cost block, with the same chi-square and KL kernels run across rows.
@@ -210,69 +211,6 @@ def _saturated(eps: float, d_sat: float) -> bool:
     return eps >= d_sat - 1e-9 * (1.0 + abs(d_sat))
 
 
-class _PhiTilter:
-    """Inner-c solver with prefix sums cached across the outer delta search."""
-
-    def __init__(self, phi: PhiFunction, srt: SortedScenario):
-        self.phi = phi
-        self.f = srt.costs_desc
-        self.p = srt.probs_desc
-        self.pk = np.cumsum(self.p)
-        self.sk = np.cumsum(self.p * self.f)
-        self.fmax = float(np.max(np.abs(self.f)))
-
-    def _solve_c_exact(self, delta: float) -> float | None:
-        # by identity: a user phi may reuse a built-in's name with other math
-        f = self.f
-        if self.phi is KL:
-            # sum p exp(delta (f + c)) = 1  =>  c = -logsumexp(delta f; p)/delta
-            m = float(delta * f[0])
-            return -(m + math.log(exact_sum(self.p, np.exp(delta * f - m)))) / delta
-        if self.phi is MODIFIED_CHI2:
-            # sum over active prefix of p (1 + delta (f + c)) = 1, piecewise linear in c
-            c_all = (1.0 - self.pk - delta * self.sk) / (delta * self.pk)
-            tol = 1e-12 * (1.0 + np.abs(c_all) + self.fmax)
-            active_ok = 1.0 + delta * (f + c_all) >= -tol
-            inactive_ok = np.empty_like(active_ok)
-            inactive_ok[:-1] = 1.0 + delta * (f[1:] + c_all[:-1]) <= tol[:-1]
-            inactive_ok[-1] = True
-            hits = np.nonzero(active_ok & inactive_ok)[0]
-            if hits.size == 0:
-                return None
-            return float(c_all[hits[0]])
-        return None
-
-    def _solve_c_bisect(self, delta: float) -> float:
-        f, p, phi = self.f, self.p, self.phi
-
-        def g(c: float) -> float:
-            return exact_sum(p, phi.inverse_clamped(delta * (f + c))) - 1.0
-
-        lo, hi = -float(f[0]), -float(f[-1])
-        if g(lo) > 0.0 or g(hi) < 0.0:  # numerically flat or degenerate; midpoint is fine
-            return 0.5 * (lo + hi)
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def solve_c(self, delta: float) -> float:
-        c = self._solve_c_exact(delta)
-        if c is None:
-            c = self._solve_c_bisect(delta)
-        return c
-
-    def tilt(self, delta: float) -> tuple[np.ndarray, float]:
-        c = self.solve_c(delta)
-        z = self.phi.inverse_clamped(delta * (self.f + c))
-        return self.p * z, c
-
-
 def _saturation_divergence(phi: PhiFunction, srt: SortedScenario) -> tuple[float, np.ndarray]:
     """Divergence of the cheapest point mass on the argmax-cost atoms."""
     top = srt.costs_desc == srt.costs_desc[0]
@@ -298,11 +236,33 @@ def _bisect_tilt(
     near-tie among the costliest atoms makes D steep in delta and sum q
     steep in c.
     """
-    tilter = _PhiTilter(phi, gs)
+    f, p = gs.costs_desc, gs.probs_desc
+
+    def tilt(delta: float) -> tuple[np.ndarray, float]:
+        """(q, c) at delta, with c bisected so that sum q = 1."""
+
+        def mass_gap(c: float) -> float:
+            # a c far above the root may overflow [phi']^{-1}: inf mass reads as too much
+            with np.errstate(over="ignore"):
+                return exact_sum(p, phi.inverse_clamped(delta * (f + c))) - 1.0
+
+        lo, hi = -float(f[0]), -float(f[-1])
+        # ends that do not bracket the root: numerically flat or degenerate; midpoint is fine
+        if not (mass_gap(lo) > 0.0 or mass_gap(hi) < 0.0):
+            for _ in range(_BISECTIONS):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                if mass_gap(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+        c = 0.5 * (lo + hi)
+        return p * phi.inverse_clamped(delta * (f + c)), c
 
     def residual(delta: float) -> float:
-        q_desc, _ = tilter.tilt(delta)
-        return eps - phi.divergence(q_desc, gs.probs_desc)
+        q_desc, _ = tilt(delta)
+        return eps - phi.divergence(q_desc, p)
 
     lo, hi = 0.0, 1.0
     while residual(hi) > 0.0:
@@ -325,7 +285,7 @@ def _bisect_tilt(
             lo = mid
         else:
             hi = mid
-    q_desc, c = tilter.tilt(hi)
+    q_desc, c = tilt(hi)
     return q_desc, hi, c
 
 

@@ -297,6 +297,13 @@ CONTRACT_CASES = {
         ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
         3,
     ),
+    # argparse rejects these at once instead of running every iteration
+    "nan-logreg-tol": (
+        None, ["solve-logreg", "--gen-class", "40,2,1,2", "--eps", "0.1", "--tol", "nan"], 2
+    ),
+    "negative-logreg-tol": (
+        None, ["solve-logreg", "--gen-class", "40,2,1,2", "--eps", "0.1", "--tol", "-1"], 2
+    ),
 }
 
 
@@ -345,6 +352,17 @@ REJECTED_INPUTS = {
         ["solve-logreg", "--eps", "-0.1", "--data-file", "{file}"],
         "EpsOutOfRange",
     ),
+    # a non-finite eps fails before the first fit, not after every iteration
+    "nan-logreg-eps": (
+        "label,x1,x2\n1,0.5,1\n-1,0.2,1\n",
+        ["solve-logreg", "--eps", "nan", "--data-file", "{file}"],
+        "EpsOutOfRange",
+    ),
+    "inf-logreg-eps": (
+        "label,x1,x2\n1,0.5,1\n-1,0.2,1\n",
+        ["solve-logreg", "--eps", "inf", "--data-file", "{file}"],
+        "EpsOutOfRange",
+    ),
     "label-not-plus-minus-one": (
         "label,x1,x2\n1,0.5,1\n2,0.2,1\n",
         ["solve-logreg", "--eps", "0.1", "--data-file", "{file}"],
@@ -373,6 +391,12 @@ REJECTED_INPUTS = {
         ["frontier", "--family", "budgeted", "--measure", "budgeted", "--eps-list", "0,0.1",
          "--gen-class", "40,2,1,2"],
         "UnsupportedFamily",
+    ),
+    "nan-in-dataset-eps-list": (
+        "",
+        ["frontier", "--family", "wasserstein", "--measure", "wasserstein", "--eps-list",
+         "0,nan", "--gen-class", "40,2,1,2"],
+        "EpsOutOfRange",
     ),
 }
 
@@ -422,6 +446,16 @@ def test_verify_needs_at_least_one_trial(trials, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--trials: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_logreg_tol_must_be_finite_and_positive(tol, capsys):
+    # a tolerance no residual can meet would run every proximal-gradient iteration
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-logreg", "--gen-class", "40,2,1,2", "--eps", "0.1", "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tol: must be finite and > 0" in captured.err
 
 
 def test_duplicate_support_points_exit_three_with_a_typed_code():

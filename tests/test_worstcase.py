@@ -7,7 +7,7 @@ import wcs
 from wcs import oracle
 from wcs.errors import EpsOutOfRange
 from wcs.rng import SplitMix64
-from wcs.worstcase import _PhiTilter, _strip_cheapest, kl_values
+from wcs.worstcase import _strip_cheapest, kl_values
 
 ALL_SCENARIO_FAMILIES = [
     wcs.SmoothPhi(wcs.MODIFIED_CHI2),
@@ -213,19 +213,46 @@ class TestSmoothPhi:
             r = wcs.worst_case(s, fam, 0.3)
             assert r.degenerate and r.value == 5.0
 
-    def test_inner_solvers_agree(self):
-        rng = SplitMix64(41)
-        for _ in range(40):
-            s = oracle.random_scenario(rng, 2, 6)
-            srt = wcs.sort_desc(s)
-            for phi in (wcs.MODIFIED_CHI2, wcs.KL):
-                tilter = _PhiTilter(phi, srt)
-                for delta in (1e-4, 0.05, 0.7, 4.0):
-                    ce = tilter._solve_c_exact(delta)
-                    cb = tilter._solve_c_bisect(delta)
-                    ze = phi.inverse_clamped(delta * (srt.costs_desc + ce))
-                    zb = phi.inverse_clamped(delta * (srt.costs_desc + cb))
-                    assert np.allclose(srt.probs_desc * ze, srt.probs_desc * zb, atol=1e-9)
+    def test_builtin_fallback_matches_the_primary_solve(self, monkeypatch):
+        # KL past Newton's step cap and chi2 with no active count fall back to
+        # the nested bisection a user phi runs; its c is bisected for every phi
+        from wcs import worstcase
+
+        # a forced solve takes 40-60 ms, so few scenarios
+        rng = SplitMix64(43)
+        cases = []
+        for _ in range(16):
+            # three atoms at least: with two, chi2 saturates where its closed form ends
+            s = oracle.random_scenario(rng, 3, 11)
+            kl_sat = -math.log(float(np.sum(s.probs[s.costs == s.costs.max()])))
+            chi2_sat, _ = worstcase._saturation_divergence(wcs.MODIFIED_CHI2, wcs.sort_desc(s))
+            # past this eps the closed form would take mass off the cheapest atom
+            mean = float(s.probs @ s.costs)
+            closed = float(s.probs @ (s.costs - mean) ** 2) / (2.0 * (mean - s.costs.min()) ** 2)
+            kl_eps = kl_sat * (0.05 + 0.9 * rng.uniform())
+            chi2_eps = closed + (chi2_sat - closed) * (0.05 + 0.9 * rng.uniform())
+            kl, chi2 = wcs.wc_smooth_phi(s, wcs.KL, kl_eps), wcs.wc_chi2(s, chi2_eps)
+            assert np.min(chi2.worst_q) == 0.0 and not chi2.clamped
+            cases.append((s, kl_eps, kl, chi2_eps, chi2))
+
+        calls = []
+        real = worstcase._bisect_tilt
+        monkeypatch.setattr(
+            worstcase, "_bisect_tilt", lambda phi, gs, eps: calls.append(phi) or real(phi, gs, eps)
+        )
+        monkeypatch.setattr(worstcase, "_KL_MAX_ITER", 0)
+        monkeypatch.setattr(worstcase, "_chi2_active_tilt", lambda gs, eps: None)
+        for s, kl_eps, kl, chi2_eps, chi2 in cases:
+            width = float(np.ptp(s.costs))
+            for phi, eps, want, got in (
+                (wcs.KL, kl_eps, kl, wcs.wc_smooth_phi(s, wcs.KL, kl_eps)),
+                (wcs.MODIFIED_CHI2, chi2_eps, chi2, wcs.wc_chi2(s, chi2_eps)),
+            ):
+                assert abs(got.value - want.value) <= 1e-12 * width, (phi.name, eps)
+                assert np.allclose(got.worst_q, want.worst_q, rtol=0.0, atol=1e-9)
+                d = phi.divergence(got.worst_q, s.probs)
+                assert abs(d - eps) <= 1e-10 * eps, (phi.name, eps, d)
+        assert calls == [wcs.KL, wcs.MODIFIED_CHI2] * len(cases)
 
 
 class TestTv:
