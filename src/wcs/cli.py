@@ -68,7 +68,7 @@ def _jsonable(v):
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         return None
     if isinstance(v, dict):

@@ -10,10 +10,10 @@ of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
 search calls; ``piecewise_linear`` tells that search whether the orders
 where two scenario cost lines cross are kinks of V. The piecewise-linear
-families and the built-in modified chi-square and KL balls solve a block
-at once (the phi kernels are chosen by identity, so a user phi named "kl"
-keeps its own math); for the other families ``worst_values`` returns None
-and the caller solves row by row.
+families solve a block at once; a smooth phi ball hands its phi to
+``worstcase``, which picks the built-in kernels (``phi_values`` returns
+None for a user phi). Where ``worst_values`` returns None the caller
+solves row by row.
 
 Wasserstein reads the transport geometry a scenario carries besides its
 costs: the support points ``s.points`` and the piecewise-linear cost
@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     GROWTH_LINEAR,
     GROWTH_SQRT,
-    KL,
     MODIFIED_CHI2,
     PhiFunction,
     PiecewiseLinearCost,
@@ -51,13 +50,11 @@ from .sensitivity import (
 from .worstcase import (
     box_symmetric_values,
     budgeted_values,
-    chi2_values,
     combination_values,
-    kl_values,
+    phi_values,
     tv_values,
     wc_box_symmetric,
     wc_budgeted,
-    wc_chi2,
     wc_combination,
     wc_smooth_phi,
     wc_tv,
@@ -92,17 +89,10 @@ class SmoothPhi(UncertaintyFamily):
         return smooth_phi_sensitivity(s, self.phi)
 
     def worst_case(self, s, eps):
-        # by identity: a user phi may reuse a built-in's name with other math
-        if self.phi is MODIFIED_CHI2:
-            return wc_chi2(s, eps)
         return wc_smooth_phi(s, self.phi, eps)
 
     def worst_values(self, costs, probs, eps):
-        if self.phi is MODIFIED_CHI2:
-            return chi2_values(costs, probs, eps)
-        if self.phi is KL:
-            return kl_values(costs, probs, eps)
-        return None
+        return phi_values(costs, probs, self.phi, eps)
 
 
 @dataclass(frozen=True)

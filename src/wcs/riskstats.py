@@ -77,11 +77,28 @@ def mean(s: Scenario) -> float:
 
 def variance(s: Scenario) -> float:
     # centered at the max cost so constant vectors give exactly 0
-    c = s.costs - np.max(s.costs)
-    m = exact_sum(s.probs, c)
-    c -= m
-    c *= c
-    return exact_sum(s.probs, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = s.costs - np.max(s.costs)
+        c -= exact_sum(s.probs, c)
+        c *= c
+    v = exact_sum(s.probs, c)
+    if math.isfinite(v):
+        return v
+    half, scale, v = scaled_variance(s)  # the range or a square overflows
+    return half * half * (scale * (scale * v))
+
+
+def scaled_variance(s: Scenario) -> tuple[float, float, float]:
+    """(half, scale, v): Var_p f = (half scale)^2 v, v the variance of the ``centred`` costs
+    scaled into [0, 1], which neither underflows nor overflows where Var_p f would."""
+    c, _, half = centred(s)
+    scale = float(c.max())
+    return half, scale, variance(Scenario(costs=c / scale, probs=s.probs)) if scale else 0.0
+
+
+def half_sum(a: float, b: float) -> float:
+    """(a + b) / 2 for finite doubles a and b, halved first where a + b overflows."""
+    return 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
 
 
 def centred(s: Scenario) -> tuple[np.ndarray, float, float]:
@@ -233,23 +250,26 @@ class Tail:
         exact totals rounded once, or, where that total is zero (its sign
         depends on every term) and below ``EXACT_SUM_CUTOFF``, the dense
         sum. head_weights are weights[split.head], if the caller has them.
+        Where a gap overflows, the sum is taken on values / 2 and doubled.
         """
         at = values[self.last]
         window = self.split.window[: min(self.k, self.split.window.size - 1)]
         head = self.split.head
-        if values.size >= EXACT_SUM_CUTOFF:
-            total = 0
-            if head.size:
-                gaps = values[head]
-                gaps -= at
-                total = exact_total(
-                    self.weights[head] if head_weights is None else head_weights, gaps
-                )
-            rest = exact_total(self.weights[window], values[window] - at)
-            if total is not None and rest is not None and total + rest != 0:
-                return round_total(total + rest)
-        before = np.concatenate((head, window)) if head.size else window
-        return exact_sum(self.weights[before], values[before] - at)
+        with np.errstate(over="ignore"):
+            if values.size >= EXACT_SUM_CUTOFF:
+                total = 0
+                if head.size:
+                    gaps = values[head]
+                    gaps -= at
+                    total = exact_total(
+                        self.weights[head] if head_weights is None else head_weights, gaps
+                    )
+                rest = exact_total(self.weights[window], values[window] - at)
+                if total is not None and rest is not None and total + rest != 0:
+                    return round_total(total + rest)
+            before = np.concatenate((head, window)) if head.size else window
+            total = exact_sum(self.weights[before], values[before] - at)
+        return 2.0 * self.excess(values / 2.0, head_weights) if math.isinf(total) else total
 
 
 def _whole(order: np.ndarray) -> Split:

@@ -10,6 +10,7 @@ invariant. The penalty form is degree-2 homogeneous.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,12 @@ class SensitivityReport:
 
 def smooth_phi_sensitivity(s: Scenario, phi: PhiFunction) -> SensitivityReport:
     """sqrt(2 Var_p(f) / phi''(1)), growth sqrt(eps)."""
-    value = math.sqrt(2.0 * riskstats.variance(s) / phi.curvature)
+    r = 2.0 * riskstats.variance(s) / phi.curvature
+    value = math.sqrt(r)
+    if not sys.float_info.min <= r < math.inf:
+        # Var_p f under- or overflows, or is 0: the root of the scaled variance does not
+        half, scale, v = riskstats.scaled_variance(s)
+        value = half * (scale * math.sqrt(2.0 * v / phi.curvature))
     return SensitivityReport(value=value, growth=GROWTH_SQRT)
 
 
@@ -38,7 +44,7 @@ def penalty_phi_sensitivity(s: Scenario, phi: PhiFunction) -> SensitivityReport:
 
 
 def tv_sensitivity(s: Scenario) -> SensitivityReport:
-    value = 0.5 * (float(np.max(s.costs)) - float(np.min(s.costs)))
+    value = riskstats.half_sum(float(np.max(s.costs)), -float(np.min(s.costs)))
     return SensitivityReport(value=value, growth=GROWTH_LINEAR)
 
 

@@ -25,13 +25,14 @@ same for every phi; built-in KL still open after Newton's step cap and
 chi-square with no active count run it too, at a user phi's cost.
 
 The value-only batches at the end (``*_values``) return V(eps) for each row
-of a cost block, with the same chi-square and KL kernels run across rows.
+of a cost block. The built-in phis are picked here alone, by identity, in
+``wc_smooth_phi`` and ``phi_values``, which returns None for a user phi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,10 +118,6 @@ def _clip_q(q: np.ndarray) -> np.ndarray:
     return np.where(q < 0.0, 0.0, q)
 
 
-def _dot(q: np.ndarray, f: np.ndarray) -> float:
-    return exact_sum(q, f)
-
-
 def _degenerate(s: Scenario, eps: float) -> WorstCaseResult:
     # the common cost itself: E_p f can round an ulp above it, as sum p is 1 only to rounding
     return WorstCaseResult(
@@ -178,14 +175,7 @@ def _tilted(
 ) -> WorstCaseResult:
     """The result for a tilt q, in atom order, solved on st.g with multiplier delta and shift c."""
     return WorstCaseResult(
-        epsilon=eps, value=st.value(_dot(q, st.g)), worst_q=_clip_q(q), dual=st.dual(delta, c)
-    )
-
-
-def _nominal(s: Scenario, eps: float = 0.0) -> WorstCaseResult:
-    m = riskstats.mean(s)
-    return WorstCaseResult(
-        epsilon=eps, value=m, worst_q=s.probs.copy(), dual=SmoothPhiDual(delta=0.0, c=-m)
+        epsilon=eps, value=st.value(exact_sum(q, st.g)), worst_q=_clip_q(q), dual=st.dual(delta, c)
     )
 
 
@@ -327,7 +317,7 @@ def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
 def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float, float] | None:
     """(q, delta, c) of the modified chi-square tilt on sorted standardised costs, or None.
 
-    The active count comes from ``_chi2_prefix``, the test ``chi2_values``
+    The active count comes from ``_chi2_prefix``, the test ``_chi2_rows``
     runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
     mu_k and W_k are then summed exactly, two-pass, over the active atoms,
     since prefix sums leave W with a rounding error that shows in the
@@ -359,14 +349,14 @@ def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float
     return q, delta, (1.0 / mass - 1.0) / delta - mu
 
 
-def _sorted_tilt(s: Scenario, st: _Standardised, phi: PhiFunction, eps: float) -> WorstCaseResult:
-    """The tilt solved on the costs sorted once: chi2 by its active set, else nested bisection."""
+def _sorted_tilt(s: Scenario, st: _Standardised, phi: PhiFunction, eps: float, active=None):
+    """The tilt on the costs sorted once: active(gs, eps) where it finds one, else bisection."""
     srt = sort_desc(s)
     d_sat, q_sat = _saturation_divergence(phi, srt)
     if _saturated(eps, d_sat):
         return _point_mass(s, srt.unsort(q_sat), eps)
     gs = SortedScenario(order=srt.order, costs_desc=st.g[srt.order], probs_desc=srt.probs_desc)
-    solved = _chi2_active_tilt(gs, eps) if phi is MODIFIED_CHI2 else None
+    solved = active(gs, eps) if active else None
     q_desc, delta, c = solved or _bisect_tilt(phi, gs, eps)
     return _tilted(st, srt.unsort(q_desc), delta, c, eps)
 
@@ -384,6 +374,24 @@ def _kl_saturation(costs: np.ndarray, probs: np.ndarray, eps: float):
     else:
         mass = np.sum(np.where(top, probs, 0.0), axis=1)
     return top, mass, _saturated(eps, -np.log(mass))
+
+
+def _chi2_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
+    """Modified chi-square: closed form while the tilt stays nonnegative.
+
+    q_i = p_i (1 + sqrt(2 eps / Var) (g_i - mean)), without a sort; if the
+    cheapest atom's mass would go negative, the sorted active-set solve takes over.
+    """
+    m = exact_sum(s.probs, st.g)
+    dev = st.g - m
+    dev *= dev
+    var = exact_sum(s.probs, dev)
+    if var > 0.0:
+        delta = math.sqrt(2.0 * eps / var)
+        # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
+        if delta * (1.0 + m) <= 1.0:
+            return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
+    return _sorted_tilt(s, st, MODIFIED_CHI2, eps, _chi2_active_tilt)
 
 
 def _kl_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
@@ -406,37 +414,22 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     if s.is_constant():
         return _degenerate(s, eps)
     if eps == 0.0 or _unresolved(phi, eps):
-        return _nominal(s, eps)
+        m = riskstats.mean(s)
+        return WorstCaseResult(
+            epsilon=eps, value=m, worst_q=s.probs.copy(), dual=SmoothPhiDual(delta=0.0, c=-m)
+        )
     st = _standardise(s.costs)
     # by identity: a user phi may reuse a built-in's name with other math
+    if phi is MODIFIED_CHI2:
+        return _chi2_tilt_result(s, st, eps)
     if phi is KL:
         return _kl_tilt_result(s, st, eps)
     return _sorted_tilt(s, st, phi, eps)
 
 
 def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
-    """Modified chi-square ball: closed form while the tilt stays nonnegative.
-
-    q_i = p_i (1 + sqrt(2 eps / Var) (f_i - mean)), computed on the
-    standardised costs without a sort; if the cheapest atom's mass would go
-    negative, the active-set solve of wc_smooth_phi takes over.
-    """
-    _check_eps(eps)
-    if s.is_constant():
-        return _degenerate(s, eps)
-    if eps == 0.0:
-        return _nominal(s)
-    st = _standardise(s.costs)
-    m = _dot(s.probs, st.g)
-    dev = st.g - m
-    dev *= dev
-    var = exact_sum(s.probs, dev)
-    if var > 0.0:
-        delta = math.sqrt(2.0 * eps / var)
-        # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
-        if delta * (1.0 + m) <= 1.0:
-            return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
-    return _sorted_tilt(s, st, MODIFIED_CHI2, eps)
+    """Modified chi-square ball: wc_smooth_phi with the built-in MODIFIED_CHI2."""
+    return wc_smooth_phi(s, MODIFIED_CHI2, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +486,11 @@ def wc_tv(s: Scenario, eps: float) -> WorstCaseResult:
     q = s.probs.copy()
     q[top] += gain
     q[cheap] = kept
-    top_cost, bottom_cost = s.costs[top], s.costs[cheap[-1]]
-    dual = TvDual(theta=0.5 * (top_cost + bottom_cost), lam=0.5 * (top_cost - bottom_cost))
+    top_cost, bottom_cost = float(s.costs[top]), float(s.costs[cheap[-1]])
+    half_sum = riskstats.half_sum
+    dual = TvDual(theta=half_sum(top_cost, bottom_cost), lam=half_sum(top_cost, -bottom_cost))
     return WorstCaseResult(
-        epsilon=eps, value=_dot(q, s.costs), worst_q=_clip_q(q), dual=dual, clamped=clamped
+        epsilon=eps, value=exact_sum(q, s.costs), worst_q=_clip_q(q), dual=dual, clamped=clamped
     )
 
 
@@ -589,10 +583,7 @@ def wc_box(s: Scenario, box: BoxParams) -> WorstCaseResult:
 def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
     """Symmetric band U = 1/L = 1 + nu; slope at nu -> 0 is CVaR_{1/2} - mean."""
     _check_eps(nu)
-    res = wc_box(s, BoxParams(L=1.0 / (1.0 + nu), U=1.0 + nu))
-    return WorstCaseResult(
-        epsilon=nu, value=res.value, worst_q=res.worst_q, dual=None, degenerate=res.degenerate
-    )
+    return replace(wc_box(s, BoxParams(L=1.0 / (1.0 + nu), U=1.0 + nu)), epsilon=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +594,7 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # finite. No worst_q or dual is built. The piecewise-linear families return
 # exactly the scalar solver's value; modified chi-square uses the closed form
 # of its active-set optimality conditions and KL a batched Newton tilt, which
-# agree with wc_chi2 and wc_smooth_phi to within 1e-12 of the row's range.
+# agree with wc_smooth_phi to within 1e-12 of the row's range.
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
@@ -702,41 +693,25 @@ def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
         return k, ok[rows, k], mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k])
 
 
-def chi2_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_chi2(row, eps).value for each row, to within 1e-12 of the row's range.
+def _chi2_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+    """wc_chi2(row, eps).value per row; NaN where no active set passes or the range overflows.
 
     Each row is sorted, its costs centred at the row max and scaled by the
-    row range, so the squares cannot overflow, and ``_chi2_prefix`` finds
-    its active set and V from prefix sums. Past the saturation divergence V
-    is max f; a row with no consistent active set goes to wc_chi2, which
-    standardises an overflowing range on f / 2 and ends in the nested
-    bisection where the active-set test fails again.
+    row range, so the squares cannot overflow, and ``_chi2_prefix`` finds its
+    active set and V from prefix sums; past the saturation divergence V is max f.
     """
-    _check_eps(eps)
-    if eps == 0.0:
-        return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
-
-    def solve(raw):
-        order = np.argsort(-raw, axis=1, kind="stable")
-        f = np.take_along_axis(raw, order, axis=1)
-        p = probs[order]
-        top, scale = f[:, :1], f[:, :1] - f[:, -1:]
-        with np.errstate(all="ignore"):
-            g = (f - top) / scale  # in [-1, 0]
-            _, found, vg = _chi2_prefix(g, p, eps)
-            value = top[:, 0] + scale[:, 0] * vg
-            pm = np.sum(np.where(g == 0.0, p, 0.0), axis=1)
-            d_sat = 0.5 * (1.0 - pm) / pm
-        saturated = eps >= d_sat - 1e-9 * (1.0 + np.abs(d_sat))
-        value[saturated] = top[saturated, 0]
-        for i in np.nonzero(~saturated & ~found)[0]:
-            # wc_chi2 itself, not its bisection alone: an overflowing range solves
-            # there on f / 2, and every fallback row is wc_chi2's value bit for bit
-            # (test_families pins it), at the price of one repeated active-set test
-            value[i] = wc_chi2(Scenario(costs=raw[i], probs=probs), eps).value
-        return value
-
-    return _by_row(costs, probs, solve)
+    order = np.argsort(-raw, axis=1, kind="stable")
+    f = np.take_along_axis(raw, order, axis=1)
+    p = probs[order]
+    with np.errstate(all="ignore"):
+        top, scale = f[:, 0], f[:, 0] - f[:, -1]
+        g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
+        _, found, vg = _chi2_prefix(g, p, eps)
+        value = np.where(found, top + scale * vg, np.nan)
+        pm = np.sum(np.where(f == top[:, None], p, 0.0), axis=1)
+        saturated = np.isfinite(scale) & _saturated(eps, 0.5 * (1.0 - pm) / pm)
+    value[saturated] = top[saturated]
+    return value
 
 
 _KL_TOL = 1e-14
@@ -797,41 +772,47 @@ def _kl_tilt(g: np.ndarray, probs: np.ndarray, eps: float) -> tuple[np.ndarray, 
     return out, out_delta
 
 
-def kl_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, KL, eps).value for each row, to within 1e-12 of the row's range.
+def _kl_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
+    """wc_smooth_phi(row, KL, eps).value per row; NaN if the range overflows or Newton stalls.
 
     Costs are standardised to g = (f - max f) / (max f - min f) in [-1, 0],
     the worst-case tilt q ~ p exp(delta g) is solved for every row at once
     (``_kl_tilt``), and V = max f + (max f - min f) E_q g. Past the
-    saturation divergence -log(mass on the argmax atoms) V is max f. A row
-    whose range overflows, or whose Newton run hits its cap, goes to
-    wc_smooth_phi, which standardises an overflowing range on f / 2 and ends
-    in the nested bisection where Newton fails again.
+    saturation divergence -log(mass on the argmax atoms) V is max f.
     """
+    top = np.max(raw, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = top - np.min(raw, axis=1)
+    value = np.full(raw.shape[0], np.nan)
+    _, _, saturated = _kl_saturation(raw, probs, eps)
+    value[saturated] = top[saturated]
+    tilt = np.flatnonzero(~saturated & np.isfinite(scale))
+    if tilt.size:
+        g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
+        value[tilt] = top[tilt] + scale[tilt] * _kl_tilt(g, probs, eps)[0]
+    return value
+
+
+def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
+    """wc_smooth_phi(row, phi, eps).value for each row, to within 1e-12 of the row's range.
+
+    None for a user phi, which has no row kernel. A built-in phi's kernel
+    (``_chi2_rows``, ``_kl_rows``) solves every row at once; a row it leaves
+    NaN goes to wc_smooth_phi, which standardises an overflowing range on
+    f / 2 and ends in the nested bisection where the kernel fails again.
+    """
+    # by identity: a user phi may reuse a built-in's name with other math
+    kernel = _chi2_rows if phi is MODIFIED_CHI2 else _kl_rows if phi is KL else None
+    if kernel is None:
+        return None
     _check_eps(eps)
-    if eps == 0.0 or _unresolved(KL, eps):
+    if eps == 0.0 or _unresolved(phi, eps):
         return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
-
-    def solve(raw):
-        top = np.max(raw, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = top - np.min(raw, axis=1)
-        value = np.full(raw.shape[0], np.nan)
-        _, _, saturated = _kl_saturation(raw, probs, eps)
-        value[saturated] = top[saturated]
-        tilt = np.flatnonzero(~saturated & np.isfinite(scale))
-        if tilt.size:
-            g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
-            value[tilt] = top[tilt] + scale[tilt] * _kl_tilt(g, probs, eps)[0]
-        for i in np.flatnonzero(np.isnan(value)):
-            # wc_smooth_phi itself, not its bisection alone: an overflowing range
-            # solves there by Newton on f / 2, and every fallback row is its value
-            # bit for bit (test_families pins it), at the price of one repeated
-            # Newton run on a row whose run hit its cap
-            value[i] = wc_smooth_phi(Scenario(costs=raw[i], probs=probs), KL, eps).value
-        return value
-
-    return _by_row(costs, probs, solve)
+    value = _by_row(costs, probs, lambda f: kernel(f, probs, eps))
+    for i in np.flatnonzero(np.isnan(value)):
+        # wc_smooth_phi itself: it solves an overflowing range on f / 2, bit for bit
+        value[i] = wc_smooth_phi(Scenario(costs=costs[i], probs=probs), phi, eps).value
+    return value
 
 
 # ---------------------------------------------------------------------------

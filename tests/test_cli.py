@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wcs.cli import main
+from wcs.cli import _jsonable, main
 
 
 def run_cli(argv):
@@ -466,3 +467,21 @@ def test_duplicate_support_points_exit_three_with_a_typed_code():
     assert json.loads(err) == {
         "code": "DuplicateSupportPoints", "message": "support points must be distinct"
     }
+
+
+def test_jsonable_maps_numpy_non_finite_scalars_to_none():
+    for v in (np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan), np.float32(np.inf)):
+        assert _jsonable(v) is None
+    assert _jsonable({"a": [np.float64(np.nan), np.float64(2.5)]}) == {"a": [None, 2.5]}
+
+
+def test_duals_at_the_top_of_the_double_range_print_as_strict_json():
+    def reject(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    for family, key in (("tv", "lambda"), ("budgeted", "slope")):
+        code, out, _ = run_cli(
+            ["worst-case", "--family", family, "--eps", "0.3", "--costs=-1e308,1e308,0"]
+        )
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["dual"][key] == 1e308

@@ -235,6 +235,17 @@ def test_scenario_layers_bit_identical(group):
     assert not diff, f"{len(diff)} records changed, e.g. {next(iter(diff.items()))}"
 
 
+def test_chi2_routes_agree_on_the_battery():
+    # wc_chi2, wc_smooth_phi with the built-in chi2 and the family descriptor are one route
+    chi2 = wcs.SmoothPhi()
+    for name, (costs, probs) in _battery().items():
+        s = wcs.validate(costs, probs)
+        for eps in (*EPS, 1e-40):
+            want = _record(worstcase.wc_chi2, s, eps)
+            assert _record(worstcase.wc_smooth_phi, s, wcs.MODIFIED_CHI2, eps) == want, (name, eps)
+            assert _record(chi2.worst_case, s, eps) == want, (name, eps)
+
+
 def _write_golden() -> None:
     records = {}
     for group in GROUPS:

@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,63 @@ class TestSmoothPhi:
 
     def test_growth_label(self):
         assert wcs.smooth_phi_sensitivity(uniform([0, 1]), wcs.KL).growth == "sqrt"
+
+
+def _exact_smooth_phi_sensitivity(s, curvature):
+    """sqrt(2 Var_p f / curvature) of the scenario's doubles, in rationals, then 50 digits."""
+    p = [Fraction(v) for v in s.probs.tolist()]
+    f = [Fraction(v) for v in s.costs.tolist()]
+    m = sum(pi * fi for pi, fi in zip(p, f))
+    r = 2 * sum(pi * (fi - m) ** 2 for pi, fi in zip(p, f)) / Fraction(curvature)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float((decimal.Decimal(r.numerator) / decimal.Decimal(r.denominator)).sqrt())
+
+
+class TestSmoothPhiAtExtremeScales:
+    """The sensitivity where Var_p f itself underflows or overflows a double."""
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            [1e-200, 3e-200, 2e-200],
+            [-1e308, 1e308, 0.0],
+            [1.7e308, 1e308, 1.5e308],
+            # the "tiny" scenario of scenario_golden.json
+            [
+                2.6257544849162857e-200, 1.0921646924313636e-200, 7.394256028364448e-201,
+                3.6179118794204066e-202, 6.803561881144849e-201, 2.487797888968403e-201,
+            ],
+        ],
+        ids=["tiny3", "overflowing-range", "overflowing-squares", "golden-tiny"],
+    )
+    @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL, CHI2_X2], ids=lambda p: p.name)
+    def test_within_four_ulps_of_the_exact_value(self, costs, phi):
+        s = uniform(costs)
+        want = _exact_smooth_phi_sensitivity(s, phi.curvature)
+        got = wcs.smooth_phi_sensitivity(s, phi).value
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e150])
+    def test_positively_homogeneous_across_scales(self, lam):
+        costs = np.array([0.3, 2.5, -1.25, 4.0, 4.0, 1.75])
+        probs = np.array([0.1, 0.25, 0.05, 0.2, 0.15, 0.25])
+        base = wcs.smooth_phi_sensitivity(wcs.validate(costs, probs), wcs.KL).value
+        got = wcs.smooth_phi_sensitivity(wcs.validate(lam * costs, probs), wcs.KL).value
+        assert abs(got - lam * base) <= 4 * math.ulp(lam * base), (got, lam * base)
+
+    def test_variance_and_penalty_overflow_to_inf(self):
+        for costs in ([-1e308, 1e308, 0.0], [1.7e308, 1e308, 1.5e308]):
+            s = uniform(costs)
+            assert wcs.variance(s) == math.inf
+            assert wcs.penalty_phi_sensitivity(s, wcs.MODIFIED_CHI2).value == math.inf
+
+    def test_variance_stays_finite_where_the_weights_pull_it_back(self):
+        # a 1e-310 weight on the far atom: Var = p (1 - p) (2e308)^2 is about 4e306
+        s = wcs.validate([-1e308, 1e308], [1e-310, 1.0])
+        assert wcs.variance(s) == pytest.approx(4e306, rel=1e-13)
+        want = _exact_smooth_phi_sensitivity(s, 1.0)
+        assert abs(wcs.smooth_phi_sensitivity(s, wcs.KL).value - want) <= 4 * math.ulp(want)
 
 
 class TestPenaltyPhi:
@@ -211,6 +270,11 @@ class TestOverflowingRange:
             value = measure(s)
             assert value > 0.0
             assert repr(value) == repr(2.0 * measure(half))
+
+
+class TestTopOfTheDoubleRange:
+    def test_tv_sensitivity_on_an_overflowing_range(self):
+        assert wcs.tv_sensitivity(uniform([-1e308, 1e308, 0.0])).value == 1e308
 
 
 class TestBounds:

@@ -7,7 +7,7 @@ import wcs
 from wcs import oracle
 from wcs.errors import EpsOutOfRange
 from wcs.rng import SplitMix64
-from wcs.worstcase import _strip_cheapest, kl_values
+from wcs.worstcase import _strip_cheapest, phi_values
 
 ALL_SCENARIO_FAMILIES = [
     wcs.SmoothPhi(wcs.MODIFIED_CHI2),
@@ -107,7 +107,7 @@ class TestSmoothPhi:
             r = wcs.wc_smooth_phi(s, phi, eps)
             assert (r.epsilon, r.value) == (eps, wcs.mean(s))
             assert np.array_equal(r.worst_q, s.probs)
-        assert kl_values(s.costs[None, :], s.probs, 7.8e-251)[0] == wcs.mean(s)
+        assert phi_values(s.costs[None, :], s.probs, wcs.KL, 7.8e-251)[0] == wcs.mean(s)
 
     @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
     def test_small_eps_expansion(self, phi):
@@ -332,6 +332,36 @@ class TestTv:
         ref = np.array([self._strip_loop(row, w) for row, w in zip(q, need)])
         _strip_cheapest(q, need)
         assert np.array_equal(q.view(np.int64), ref.view(np.int64))
+
+
+class TestTopOfTheDoubleRange:
+    """Duals whose plain form overflows are taken on halved costs; each is a Python float."""
+
+    def test_tv_dual_on_an_overflowing_range(self):
+        dual = wcs.wc_tv(wcs.validate([-1e308, 1e308, 0.0]), 0.3).dual
+        assert (dual.theta, dual.lam) == (0.0, 1e308)
+        assert type(dual.theta) is float and type(dual.lam) is float
+
+    def test_tv_dual_on_an_overflowing_sum(self):
+        dual = wcs.wc_tv(wcs.validate([1.7e308, 1e308, 1.5e308]), 0.3).dual
+        assert (dual.theta, dual.lam) == (1.35e308, 0.5 * 1.7e308 - 0.5 * 1e308)
+
+    def test_budgeted_slope_on_an_overflowing_range(self):
+        s = wcs.validate([-1e308, 1e308, 0.0])
+        assert wcs.wc_budgeted(s, 0.3).dual.slope == 1e308
+        assert wcs.budgeted_slope(s, 0.3) == 1e308
+
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_budgeted_slope_is_twice_the_slope_on_halved_costs(self, n):
+        rng = np.random.default_rng(n)
+        costs = rng.uniform(-1.0, 1.0, n) * 1e308
+        costs[:2] = [-1.5e308, 1.7e308]
+        weights = rng.exponential(1.0, n) + 0.05
+        probs = weights / math.fsum(weights.tolist())
+        s, half = wcs.validate(costs, probs), wcs.validate(costs / 2.0, probs)
+        for eps in (0.05, 0.3, 2.0):
+            slope = wcs.budgeted_slope(s, eps)
+            assert math.isfinite(slope) and slope == 2.0 * wcs.budgeted_slope(half, eps)
 
 
 class TestBudgeted:
