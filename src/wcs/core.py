@@ -101,10 +101,11 @@ def _bin_total(hi_bins: np.ndarray, lo_bins: np.ndarray) -> int:
 def exact_total(a, b=None) -> int | None:
     """Exact sum of a 1-d float array, or of the products fl(a_i * b_i), as an integer count of 2^-1127.
 
-    None if a term is not finite. The kernel reads each double's own bits:
-    a shift by 52 gives its bin (sign and biased exponent), a mask keeps its
-    top 27 significant bits and one subtraction gives the exact low half.
-    Within a bin every half is an integer multiple of one power of two, so
+    0 for an empty array, before any buffer is allocated; None if a term
+    is not finite. The kernel reads each double's own bits: a shift by 52
+    gives its bin (sign and biased exponent), a mask keeps its top 27
+    significant bits and one subtraction gives the exact low half. Within a
+    bin every half is an integer multiple of one power of two, so
     np.bincount sums each half exactly in float64, chunk by chunk, and the
     float bins add up across chunks until they are turned into integers
     once (``_bin_total``). Terms of 2^997 and above, whose bins could
@@ -115,6 +116,8 @@ def exact_total(a, b=None) -> int | None:
     array is built. Totals of disjoint parts add exactly, so a sum over a
     large set is taken once and its refinements add only their own terms.
     """
+    if np.size(a) == 0:
+        return 0
     a = np.ascontiguousarray(a, dtype=float)
     if b is not None:
         b = np.ascontiguousarray(b, dtype=float)

@@ -28,9 +28,8 @@ the bracket around the best kink by rounds of evenly spaced orders.
 
 V is read in batches, value only: a block of orders is one (m, n) cost
 matrix of about 2^13 entries, and the family's ``worst_values`` returns V
-of every row. Modified chi-square and KL solve a block at once; a family
-without a batched kernel (a user phi, Wasserstein) is solved order by
-order. The reported worst case is the scalar solver's at x*.
+of every row; Wasserstein, which has no batched kernel, is solved order
+by order. The reported worst case is the scalar solver's at x*.
 """
 
 from __future__ import annotations
@@ -254,8 +253,8 @@ def _worst_values(
     eps: float,
     xs: np.ndarray,
 ) -> np.ndarray:
-    """V(x) for each candidate order x, value only; order by order for a family without a
-    batched kernel, whose rows equal the scalar call's bit for bit (the cost is elementwise)."""
+    """V(x) for each candidate order x, value only; order by order for Wasserstein, which has
+    no batched kernel, its rows equal to the scalar call's bit for bit (the cost is elementwise)."""
     vals = []
     for f in _cost_blocks(params, demand, xs):
         finite = np.all(np.isfinite(f), axis=1)

@@ -9,11 +9,10 @@ of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
 search calls; ``piecewise_linear`` tells that search whether the orders
-where two scenario cost lines cross are kinks of V. The piecewise-linear
-families solve a block at once; a smooth phi ball hands its phi to
-``worstcase``, which picks the built-in kernels (``phi_values`` returns
-None for a user phi). Where ``worst_values`` returns None the caller
-solves row by row.
+where two scenario cost lines cross are kinks of V. Every family with a
+worst case but Wasserstein solves a block at once, a smooth phi ball for
+any phi (``worstcase.phi_values``); where ``worst_values`` returns None
+the caller solves row by row.
 
 Wasserstein reads the transport geometry a scenario carries besides its
 costs: the support points ``s.points`` and the piecewise-linear cost

@@ -179,7 +179,7 @@ class Split:
         head is the exact total of the head's weights, if the caller has it.
         """
         if head is None:
-            head = exact_total(weights[self.head]) if self.head.size else 0
+            head = exact_total(weights[self.head])
         if head and not _below(strict)(round_total(head), target):
             return None
         k, mass = _boundary(head, weights[self.window], target, strict)
@@ -257,13 +257,10 @@ class Tail:
         head = self.split.head
         with np.errstate(over="ignore"):
             if values.size >= EXACT_SUM_CUTOFF:
-                total = 0
-                if head.size:
-                    gaps = values[head]
-                    gaps -= at
-                    total = exact_total(
-                        self.weights[head] if head_weights is None else head_weights, gaps
-                    )
+                gaps = values[head]
+                gaps -= at
+                weights = self.weights[head] if head_weights is None else head_weights
+                total = exact_total(weights, gaps)
                 rest = exact_total(self.weights[window], values[window] - at)
                 if total is not None and rest is not None and total + rest != 0:
                     return round_total(total + rest)

@@ -18,15 +18,14 @@ domain edge so q >= 0, where
     divergence(q(delta, c) | p) = eps                   (stationarity in delta)
 
 Modified chi-square solves both in closed form on its active set (the
-costliest atoms keeping mass); KL solves c in closed form and delta by
-safeguarded Newton, with D'(delta) = delta Var_q(g). A user phi runs the
-nested bisection, c inside and delta outside, each to full precision, the
-same for every phi; built-in KL still open after Newton's step cap and
-chi-square with no active count run it too, at a user phi's cost.
+costliest atoms keeping mass). Every other phi, and chi-square with no
+active count, runs one safeguarded Newton on delta across the rows of a
+block (``_tilt_rows``), with D'(delta) = delta sum p h (g - g_h)^2 for h
+the slope of [phi']^{-1}; KL takes c in closed form, any other phi solves
+it per row by the same Newton.
 
 The value-only batches at the end (``*_values``) return V(eps) for each row
-of a cost block. The built-in phis are picked here alone, by identity, in
-``wc_smooth_phi`` and ``phi_values``, which returns None for a user phi.
+of a cost block. The built-in phis are picked here alone, by identity.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .core import (
     PhiFunction,
     PiecewiseLinearCost,
     Scenario,
-    SortedScenario,
     exact_sum,
     exact_total,
     sort_desc,
@@ -51,8 +49,6 @@ from .core import (
 from .errors import EpsOutOfRange, InvalidBoxParams, NoBracket
 from . import riskstats
 
-# splits of a bracket; each bisection stops earlier once its ends are adjacent doubles
-_BISECTIONS = 200
 _DELTA_CAP = 1e300
 
 
@@ -198,85 +194,28 @@ def _point_mass(s: Scenario, q: np.ndarray, eps: float) -> WorstCaseResult:
 
 
 def _saturated(eps: float, d_sat: float) -> bool:
-    return eps >= d_sat - 1e-9 * (1.0 + abs(d_sat))
+    return eps >= d_sat - 1e-9 * abs(d_sat)
 
 
-def _saturation_divergence(phi: PhiFunction, srt: SortedScenario) -> tuple[float, np.ndarray]:
-    """Divergence of the cheapest point mass on the argmax-cost atoms."""
-    top = srt.costs_desc == srt.costs_desc[0]
-    pm = exact_sum(srt.probs_desc[top])
-    q = np.where(top, srt.probs_desc / pm, 0.0)
-    phi0 = float(phi.value(np.array(0.0)))
-    if not math.isfinite(phi0):
-        return math.inf, q
-    d = exact_sum(srt.probs_desc, np.where(top, phi.value(np.array(1.0 / pm)), phi0))
-    return d, q
+def _saturation(phi: PhiFunction, costs: np.ndarray, probs: np.ndarray, eps: float):
+    """(argmax mask, its mass, saturated) for one scenario's costs or per row of a block.
 
-
-def _bisect_tilt(
-    phi: PhiFunction, gs: SortedScenario, eps: float
-) -> tuple[np.ndarray, float, float]:
-    """(q, delta, c) on sorted standardised costs by nested bisection: c inside, delta outside.
-
-    D(delta) rises from 0 at delta = 0. The bracket grows from [0, 1] by
-    squaring its top. While its bottom is 0 it is cut at hi / 2^k with k
-    doubling from 1, so a root down to the smallest double is reached in
-    about 11 cuts; then it is split at geometric midpoints while it spans
-    more than a factor 2. Both bisections run to full precision, since a
-    near-tie among the costliest atoms makes D steep in delta and sum q
-    steep in c.
+    The worst case is the point mass on the argmax atoms once eps reaches
+    its divergence: -log of their mass for KL, mass phi(1 / mass) + (1 -
+    mass) phi(0) for any other phi. One scenario's mass is summed exactly, a
+    block's row by row with np.sum.
     """
-    f, p = gs.costs_desc, gs.probs_desc
-
-    def tilt(delta: float) -> tuple[np.ndarray, float]:
-        """(q, c) at delta, with c bisected so that sum q = 1."""
-
-        def mass_gap(c: float) -> float:
-            # a c far above the root may overflow [phi']^{-1}: inf mass reads as too much
-            with np.errstate(over="ignore"):
-                return exact_sum(p, phi.inverse_clamped(delta * (f + c))) - 1.0
-
-        lo, hi = -float(f[0]), -float(f[-1])
-        # ends that do not bracket the root: numerically flat or degenerate; midpoint is fine
-        if not (mass_gap(lo) > 0.0 or mass_gap(hi) < 0.0):
-            for _ in range(_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if mass_gap(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-        c = 0.5 * (lo + hi)
-        return p * phi.inverse_clamped(delta * (f + c)), c
-
-    def residual(delta: float) -> float:
-        q_desc, _ = tilt(delta)
-        return eps - phi.divergence(q_desc, p)
-
-    lo, hi = 0.0, 1.0
-    while residual(hi) > 0.0:
-        lo, hi = hi, max(2.0, hi * hi)
-        if hi > _DELTA_CAP:
-            raise NoBracket(
-                f"could not bracket the divergence equation for eps={eps} on delta in [0, {hi}]"
-            )
-    cut = 1
-    for _ in range(_BISECTIONS):
-        if lo == 0.0:
-            mid, cut = max(math.ldexp(hi, -cut), math.ulp(0.0)), 2 * cut
-        elif 2.0 * lo < hi:
-            mid = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q_desc, c = tilt(hi)
-    return q_desc, hi, c
+    top = costs == np.max(costs, axis=-1, keepdims=True)
+    if costs.ndim == 1:
+        mass = exact_sum(probs[top])
+    else:
+        mass = np.sum(np.where(top, probs, 0.0), axis=1)
+    if phi is KL:
+        return top, mass, _saturated(eps, -np.log(mass))
+    with np.errstate(all="ignore"):
+        d_sat = mass * phi.value(1.0 / mass) + (1.0 - mass) * phi.value(np.zeros_like(mass))
+        # a phi(0) of inf or nan puts the point mass out of reach
+        return top, mass, (d_sat < np.inf) & _saturated(eps, d_sat)
 
 
 def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
@@ -314,8 +253,8 @@ def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
     return None
 
 
-def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float, float] | None:
-    """(q, delta, c) of the modified chi-square tilt on sorted standardised costs, or None.
+def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float):
+    """(q, delta, c) of the modified chi-square tilt on standardised costs, sorted once, or None.
 
     The active count comes from ``_chi2_prefix``, the test ``_chi2_rows``
     runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
@@ -325,7 +264,8 @@ def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float
     active atoms' spread, so W does not underflow. None when no active
     count passes the test.
     """
-    g, p = gs.costs_desc, gs.probs_desc
+    srt = sort_desc(s)
+    g, p = st.g[srt.order], srt.probs_desc
     k, found, _ = _chi2_prefix(g[None, :], p[None, :], eps)
     if found[0]:
         k, spread = int(k[0]) + 1, 1.0
@@ -346,34 +286,7 @@ def _chi2_active_tilt(gs: SortedScenario, eps: float) -> tuple[np.ndarray, float
     q = np.zeros_like(p)
     q[:k] = pa * np.maximum(1.0 / mass + delta * dev, 0.0)
     delta /= spread
-    return q, delta, (1.0 / mass - 1.0) / delta - mu
-
-
-def _sorted_tilt(s: Scenario, st: _Standardised, phi: PhiFunction, eps: float, active=None):
-    """The tilt on the costs sorted once: active(gs, eps) where it finds one, else bisection."""
-    srt = sort_desc(s)
-    d_sat, q_sat = _saturation_divergence(phi, srt)
-    if _saturated(eps, d_sat):
-        return _point_mass(s, srt.unsort(q_sat), eps)
-    gs = SortedScenario(order=srt.order, costs_desc=st.g[srt.order], probs_desc=srt.probs_desc)
-    solved = active(gs, eps) if active else None
-    q_desc, delta, c = solved or _bisect_tilt(phi, gs, eps)
-    return _tilted(st, srt.unsort(q_desc), delta, c, eps)
-
-
-def _kl_saturation(costs: np.ndarray, probs: np.ndarray, eps: float):
-    """(argmax mask, its mass, saturated) for one scenario's costs or per row of a block.
-
-    KL's worst case is the point mass on the argmax atoms once eps reaches
-    -log of their mass. One scenario's mass is summed exactly, a block's
-    row by row with np.sum.
-    """
-    top = costs == np.max(costs, axis=-1, keepdims=True)
-    if costs.ndim == 1:
-        mass = exact_sum(probs[top])
-    else:
-        mass = np.sum(np.where(top, probs, 0.0), axis=1)
-    return top, mass, _saturated(eps, -np.log(mass))
+    return srt.unsort(q), delta, (1.0 / mass - 1.0) / delta - mu
 
 
 def _chi2_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
@@ -391,21 +304,30 @@ def _chi2_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseRe
         # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
         if delta * (1.0 + m) <= 1.0:
             return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
-    return _sorted_tilt(s, st, MODIFIED_CHI2, eps, _chi2_active_tilt)
+    return _phi_tilt_result(s, st, MODIFIED_CHI2, eps, _chi2_active_tilt)
 
 
-def _kl_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
-    """KL without a sort: q = p exp(delta g) / Z with delta from the batched Newton."""
-    top, pm, saturated = _kl_saturation(s.costs, s.probs, eps)
+def _phi_tilt_result(
+    s: Scenario, st: _Standardised, phi: PhiFunction, eps: float, active=None
+) -> WorstCaseResult:
+    """The point mass past saturation, else active(s, st, eps) where it finds the tilt, else
+    ``_tilt_rows`` on the one row; KL's q is p exp(delta g) / Z, with Z summed exactly."""
+    top, pm, saturated = _saturation(phi, s.costs, s.probs, eps)
     if saturated:
         return _point_mass(s, np.where(top, s.probs / pm, 0.0), eps)
-    _, delta = _kl_tilt(st.g[None, :], s.probs, eps)
-    delta = float(delta[0])
+    solved = active(s, st, eps) if active else None
+    if solved:
+        return _tilted(st, *solved, eps)
+    _, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
     if math.isnan(delta):
-        return _sorted_tilt(s, st, KL, eps)
-    w = s.probs * np.exp(delta * st.g)
-    z = exact_sum(w)
-    return _tilted(st, w / z, delta, -math.log(z) / delta, eps)
+        raise NoBracket(
+            f"could not bracket the divergence equation for eps={eps} on delta in [0, {_DELTA_CAP}]"
+        )
+    if phi is KL:
+        w = s.probs * np.exp(delta * st.g)
+        z = exact_sum(w)
+        return _tilted(st, w / z, delta, -math.log(z) / delta, eps)
+    return _tilted(st, s.probs * phi.inverse_clamped(delta * (st.g + c)), delta, c, eps)
 
 
 def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
@@ -422,9 +344,7 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     # by identity: a user phi may reuse a built-in's name with other math
     if phi is MODIFIED_CHI2:
         return _chi2_tilt_result(s, st, eps)
-    if phi is KL:
-        return _kl_tilt_result(s, st, eps)
-    return _sorted_tilt(s, st, phi, eps)
+    return _phi_tilt_result(s, st, phi, eps)
 
 
 def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
@@ -517,8 +437,7 @@ def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> fl
     alpha = eps / (1.0 + eps)
     if near is not None:
         head = s.probs[near.head]
-        total = exact_total(head) if head.size else 0
-        tail = near.tail(s.probs, 1.0 - alpha, strict=True, head=total)
+        tail = near.tail(s.probs, 1.0 - alpha, strict=True, head=exact_total(head))
         if tail is not None:
             return tail.excess(s.costs, head)
     return riskstats.var_tail(s, alpha).excess(s.costs)
@@ -714,101 +633,182 @@ def _chi2_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     return value
 
 
-_KL_TOL = 1e-14
-_KL_MAX_ITER = 100
+_TILT_TOL = 1e-14
+# every row closes within this many steps: delta doubles past _DELTA_CAP or
+# brackets its root, and a bisection from there reaches adjacent doubles
+_NEWTON_STEPS = 4096
 
 
-def _kl_tilt(g: np.ndarray, probs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E_q g, delta) of the KL tilt q ~ p exp(delta g) with D(q | p) = eps, per row of g.
+def _kept(keep: np.ndarray, *arrays):
+    """Each array's kept rows; the arrays themselves, uncopied, when every row is kept."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
 
-    D(delta) = delta E_q g - log E_p exp(delta g) rises with delta, with
-    D'(delta) = delta Var_q g (Ben-Tal et al. 2013). Newton runs across all
-    rows from delta = sqrt(2 eps / Var_p g), the small-eps expansion, inside
-    a per-row bracket [lo, hi]; a step that leaves the bracket bisects it,
-    or doubles delta while hi is unbounded. Each row needs some g = 0 and
-    g <= 0 elsewhere, so exp(delta g) <= 1 cannot overflow and the top atoms
-    keep E_p exp(delta g) >= their mass. A row stops when |D - eps| is at
-    most _KL_TOL eps plus the rounding of D's two terms, or when its
-    bracket closes to adjacent doubles: at small eps the rounding of log Z
-    can exceed that bound, and delta is then exact to its last bit. A row
-    still open after _KL_MAX_ITER steps is NaN in both outputs.
+
+def _newton_rows(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, at) -> list[np.ndarray]:
+    """Per-row roots of a rising residual by safeguarded Newton from x in the brackets [lo, hi].
+
+    at(rows, x) returns, for those rows of the block at x, the residual,
+    its rounding noise, a slope(keep) giving the residual's derivative on
+    the rows kept, and a tuple of per-row outputs. A step that leaves the
+    bracket bisects it, or doubles x while hi is unbounded. A row stops
+    when |residual| <= noise, or when its bracket closes to adjacent
+    doubles: x is then exact to its last bit, and the residual is noise.
+    Returns x and the outputs of each row where it stopped; a row whose x
+    passed _DELTA_CAP unsolved is NaN.
     """
-    out = np.full(g.shape[0], np.nan)
-    out_delta = np.full(g.shape[0], np.nan)
-    rows = np.arange(g.shape[0])
-    lo = np.zeros(g.shape[0])
-    hi = np.full(g.shape[0], np.inf)
+    n, rows, result = x.size, np.arange(x.size), None
+    for _ in range(_NEWTON_STEPS):
+        # while every row is open, a slice: at's gathers are then views
+        resid, noise, slope, outs = at(rows if rows.size < n else slice(None), x)
+        if result is None:
+            result = [np.full(np.shape(a), np.nan) for a in (x, *outs)]
+        lo = np.where(resid < 0.0, x, lo)
+        hi = np.where(resid > 0.0, x, hi)
+        stop = (np.abs(resid) <= noise) | ~(np.nextafter(lo, hi) < hi)
+        for out, a in zip(result, (x, *outs)):
+            out[rows[stop]] = a[stop]
+        keep = ~stop & (x <= _DELTA_CAP)
+        if not np.any(keep):
+            break
+        rows, x, lo, hi, resid = _kept(keep, rows, x, lo, hi, resid)
+        step = x - resid / slope(keep)
+        fallback = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))
+        x = np.where((lo < step) & (step < hi), step, fallback)
+    return result
+
+
+def _kl_moments(g: np.ndarray, probs: np.ndarray, eps: float):
+    """``_newton_rows``' at for KL's delta: q ~ p exp(delta g) in closed form.
+
+    D(delta) = delta E_q g - log Z with D'(delta) = delta Var_q g and c =
+    -log Z / delta. Every row has some g = 0 and g <= 0 elsewhere, so
+    exp(delta g) <= 1 cannot overflow and Z stays >= the top atoms' mass.
+    The noise is the rounding of D's two terms.
+    """
+
+    def at(rows, delta):
+        gr = g[rows]
+        w = probs * np.exp(delta[:, None] * gr)
+        z = np.sum(w, axis=1)
+        mean = np.sum(w * gr, axis=1) / z
+        first, log_z = delta * mean, np.log(z)
+        noise = _TILT_TOL * eps + 2.0**-51 * (np.abs(first) + np.abs(log_z))
+
+        def slope(keep):
+            wk, gk, mk, zk, dk = _kept(keep, w, gr, mean, z, delta)
+            return dk * (np.sum(wk * (gk - mk[:, None]) ** 2, axis=1) / zk)
+
+        return first - log_z - eps, noise, slope, (mean, -log_z / delta)
+
+    return at
+
+
+def _inverse_slope(phi: PhiFunction, zeta: np.ndarray) -> np.ndarray:
+    """Slope of the clamped [phi']^{-1} at zeta: central difference, step 2^-26 (|zeta| + phi''(1))."""
+    step = 2.0**-26 * (np.abs(zeta) + phi.curvature)
+    return (phi.inverse_clamped(zeta + step) - phi.inverse_clamped(zeta - step)) / (2.0 * step)
+
+
+def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float):
+    """``_newton_rows``' at for the delta of any phi, with z = [phi']^{-1}(delta (g + c)).
+
+    At each delta, c solves sum p z = 1 by the same safeguarded Newton on
+    [0, 1] (g + c is <= 0 at c = 0 and >= 0 at c = 1), with slope delta
+    sum p h, where h is the slope of [phi']^{-1}, to within 2^-52, the
+    rounding of a sum near 1; each row starts from its last c, first from
+    -E_p g, the root as delta -> 0. D = sum p phi(z) is
+    summed exactly per row, and D'(delta) = delta sum p h (g - g_h)^2 with
+    g_h the h-weighted mean of g. h only steers the steps.
+    """
+    c_last = -(g @ probs)
+
+    def at(rows, delta):
+        gr = g[rows]
+
+        def mass(sub, c):
+            dc, gc = delta[sub], gr[sub]
+            zeta = dc[:, None] * (gc + c[:, None])
+            z = phi.inverse_clamped(zeta)
+            total = z @ probs
+
+            def slope(keep):
+                dk, zk = _kept(keep, dc, zeta)
+                return dk * (_inverse_slope(phi, zk) @ probs)
+
+            return total - 1.0, 2.0**-52, slope, (z,)
+
+        c, z = _newton_rows(c_last[rows], np.zeros(delta.size), np.ones(delta.size), mass)
+        c_last[rows] = c
+        d = np.array([exact_sum(probs, v) for v in phi.value(z)])
+
+        def slope(keep):
+            dk, gk, ck = _kept(keep, delta, gr, c)
+            h = probs * _inverse_slope(phi, dk[:, None] * (gk + ck[:, None]))
+            g_h = np.sum(h * gk, axis=1) / np.sum(h, axis=1)
+            return dk * np.sum(h * (gk - g_h[:, None]) ** 2, axis=1)
+
+        mean = np.sum(probs * z * gr, axis=1)
+        return d - eps, _TILT_TOL * eps, slope, (mean, c)
+
+    return at
+
+
+def _tilt_rows(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
+    """(E_q g, delta, c) of the phi tilt with D(q | p) = eps, per row of standardised costs g.
+
+    Newton on delta (``_newton_rows``) runs across all rows from delta =
+    sqrt(2 eps / Var_p g) sqrt(phi''(1)), the small-eps expansion, inside a
+    per-row bracket [0, inf); a row whose delta passes _DELTA_CAP is NaN.
+    KL's moments are closed-form (``_kl_moments``), any other phi's solve c
+    per row (``_phi_moments``).
+    """
     with np.errstate(all="ignore"):
         mean = g @ probs
-        delta = np.sqrt(2.0 * eps / (((g - mean[:, None]) ** 2) @ probs))
-        for _ in range(_KL_MAX_ITER):
-            w = probs * np.exp(delta[:, None] * g)
-            z = np.sum(w, axis=1)
-            mean = np.sum(w * g, axis=1) / z
-            first, log_z = delta * mean, np.log(z)
-            resid = first - log_z - eps
-            done = np.abs(resid) <= _KL_TOL * eps + 2.0**-51 * (np.abs(first) + np.abs(log_z))
-            out[rows[done]] = mean[done]
-            out_delta[rows[done]] = delta[done]
-            keep = ~done
-            if not np.any(keep):
-                break
-            rows, g, delta, lo, hi = rows[keep], g[keep], delta[keep], lo[keep], hi[keep]
-            w, z, mean, resid = w[keep], z[keep], mean[keep], resid[keep]
-            var = np.sum(w * (g - mean[:, None]) ** 2, axis=1) / z
-            lo = np.where(resid < 0.0, delta, lo)
-            hi = np.where(resid > 0.0, delta, hi)
-            # lo and hi failed the stop already, so a row whose bracket holds no
-            # other double never passes it: its delta is exact, the residual noise
-            closed = ~(np.nextafter(lo, hi) < hi)
-            out[rows[closed]] = mean[closed]
-            out_delta[rows[closed]] = delta[closed]
-            keep = ~closed
-            rows, g, delta, lo, hi = rows[keep], g[keep], delta[keep], lo[keep], hi[keep]
-            w, z, mean, resid, var = w[keep], z[keep], mean[keep], resid[keep], var[keep]
-            step = delta - resid / (delta * var)
-            fallback = np.where(np.isinf(hi), 2.0 * delta, 0.5 * (lo + hi))
-            delta = np.where((lo < step) & (step < hi), step, fallback)
-    return out, out_delta
+        delta = np.sqrt(2.0 * eps / (((g - mean[:, None]) ** 2) @ probs)) * math.sqrt(phi.curvature)
+        # by identity: a user phi may reuse a built-in's name with other math
+        at = _kl_moments(g, probs, eps) if phi is KL else _phi_moments(phi, g, probs, eps)
+        lo, hi = np.zeros(delta.size), np.full(delta.size, np.inf)
+        delta, mean, c = _newton_rows(delta, lo, hi, at)
+    return mean, delta, c
 
 
-def _kl_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, KL, eps).value per row; NaN if the range overflows or Newton stalls.
+def _tilt_values(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
+    """wc_smooth_phi(row, phi, eps).value per row; NaN if the range overflows or no delta is found.
 
     Costs are standardised to g = (f - max f) / (max f - min f) in [-1, 0],
-    the worst-case tilt q ~ p exp(delta g) is solved for every row at once
-    (``_kl_tilt``), and V = max f + (max f - min f) E_q g. Past the
-    saturation divergence -log(mass on the argmax atoms) V is max f.
+    the worst-case tilt is solved for every row at once (``_tilt_rows``),
+    and V = max f + (max f - min f) E_q g. Past the saturation divergence V is max f.
     """
     top = np.max(raw, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = top - np.min(raw, axis=1)
     value = np.full(raw.shape[0], np.nan)
-    _, _, saturated = _kl_saturation(raw, probs, eps)
+    _, _, saturated = _saturation(phi, raw, probs, eps)
     value[saturated] = top[saturated]
     tilt = np.flatnonzero(~saturated & np.isfinite(scale))
     if tilt.size:
         g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
-        value[tilt] = top[tilt] + scale[tilt] * _kl_tilt(g, probs, eps)[0]
+        value[tilt] = top[tilt] + scale[tilt] * _tilt_rows(g, probs, phi, eps)[0]
     return value
 
 
-def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
+def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
     """wc_smooth_phi(row, phi, eps).value for each row, to within 1e-12 of the row's range.
 
-    None for a user phi, which has no row kernel. A built-in phi's kernel
-    (``_chi2_rows``, ``_kl_rows``) solves every row at once; a row it leaves
-    NaN goes to wc_smooth_phi, which standardises an overflowing range on
-    f / 2 and ends in the nested bisection where the kernel fails again.
+    Modified chi-square's kernel (``_chi2_rows``) and every other phi's
+    (``_tilt_values``) solve all rows at once; a row left NaN goes to
+    wc_smooth_phi, which standardises an overflowing range on f / 2, runs
+    chi-square's rows with no active count through ``_tilt_rows`` and
+    raises NoBracket where no delta is found.
     """
-    # by identity: a user phi may reuse a built-in's name with other math
-    kernel = _chi2_rows if phi is MODIFIED_CHI2 else _kl_rows if phi is KL else None
-    if kernel is None:
-        return None
     _check_eps(eps)
     if eps == 0.0 or _unresolved(phi, eps):
         return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
-    value = _by_row(costs, probs, lambda f: kernel(f, probs, eps))
+    # by identity: a user phi may reuse a built-in's name with other math
+    if phi is MODIFIED_CHI2:
+        value = _by_row(costs, probs, lambda f: _chi2_rows(f, probs, eps))
+    else:
+        value = _by_row(costs, probs, lambda f: _tilt_values(f, probs, phi, eps))
     for i in np.flatnonzero(np.isnan(value)):
         # wc_smooth_phi itself: it solves an overflowing range on f / 2, bit for bit
         value[i] = wc_smooth_phi(Scenario(costs=costs[i], probs=probs), phi, eps).value

@@ -492,24 +492,43 @@ class TestCostScenario:
 
 
 class TestUserPhiValues:
-    def test_orders_without_a_batched_kernel_keep_their_values(self):
-        # a user phi has no batched kernel; V at these orders is pinned bit for bit
-        phi = wcs.PhiFunction(
-            name="chi2-times-two",
-            value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-            deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
-            inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
-            zeta_floor=-2.0,
-            curvature=2.0,
-        )
+    # (z - 1)^2: chi-square scaled by two, a phi that is not a built-in object
+    PHI = wcs.PhiFunction(
+        name="chi2-times-two",
+        value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
+        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
+        inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
+        zeta_floor=-2.0,
+        curvature=2.0,
+    )
+
+    def test_user_phi_orders_keep_their_values(self):
+        # V at these orders, read by the batched tilt kernel, is pinned bit for bit
         demand = wcs.demand_scenario(dro.gen_mixture_demand(3, seed=42))
         xs = np.array([0.0, 4.218852587151469, 12.5])
-        got = dro._worst_values(PARAMS, demand, wcs.SmoothPhi(phi), 0.3, xs)
+        got = dro._worst_values(PARAMS, demand, wcs.SmoothPhi(self.PHI), 0.3, xs)
         assert [repr(v) for v in got.tolist()] == [
-            "52.960813322492186",
-            "10.379147621606656",
+            "52.9608133224922",
+            "10.37914762160666",
             "-8.723264931521438",
         ]
+
+    def test_newsvendor_solves_only_the_reported_order_one_at_a_time(self, monkeypatch):
+        # the search reads V in batches; one scalar solve reports the worst case at x*
+        from wcs import families, worstcase
+
+        calls = []
+        real = worstcase.wc_smooth_phi
+        spy = lambda s, phi, eps: calls.append(phi) or real(s, phi, eps)  # noqa: E731
+        monkeypatch.setattr(worstcase, "wc_smooth_phi", spy)
+        monkeypatch.setattr(families, "wc_smooth_phi", spy)
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(8, seed=42))
+        sol = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(self.PHI), 0.3)
+        assert calls == [self.PHI]
+        # chi-square at eps / 2 is the same ball
+        want = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(), 0.15)
+        assert sol.x == pytest.approx(want.x, rel=1e-9)
+        assert sol.worst_case.value == pytest.approx(want.worst_case.value, abs=1e-9)
 
 
 def _kink_set(params, atoms, hi):

@@ -285,17 +285,34 @@ class TestWorstValues:
     def test_no_kernel_is_solved_order_by_order(self):
         _, block, probs = _blocks()[1]
         user = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
-        for fam in (user, wcs.PenaltyPhi(), wcs.WassersteinL1()):
+        # a user phi runs the tilt kernel every phi but chi-square shares
+        assert user.worst_values(block, probs, 0.3) is not None
+        for fam in (wcs.PenaltyPhi(), wcs.WassersteinL1()):
             assert fam.worst_values(block, probs, 0.3) is None
         # the newsvendor search then reads each order's scalar worst case
         params = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
         demand = wcs.validate([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0])
         xs = np.array([0.0, 5.5, 8.0, 25.0])
         for fam in (user, wcs.WassersteinL1()):
-            want = [fam.worst_case(dro.cost_scenario(params, demand, x), 0.3).value for x in xs]
-            assert dro._worst_values(params, demand, fam, 0.3, xs).tolist() == want
+            scenarios = [dro.cost_scenario(params, demand, x) for x in xs]
+            want = [fam.worst_case(s, 0.3).value for s in scenarios]
+            got = dro._worst_values(params, demand, fam, 0.3, xs).tolist()
+            if fam is user:
+                width = [float(np.ptp(s.costs)) for s in scenarios]
+                assert all(abs(a - b) <= 1e-12 * w for a, b, w in zip(got, want, width))
+            else:
+                assert got == want
         with pytest.raises(TypeError):
             dro._worst_values(params, demand, wcs.PenaltyPhi(), 0.3, xs)
+
+    def test_user_phi_matches_the_scalar_solver(self):
+        fam = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
+        for label, block, probs in _blocks():
+            for eps in (0.05, 0.3, 1.0):
+                got = fam.worst_values(block, probs, eps)
+                want = _scalar_values(fam, block, probs, eps)
+                for row, a, b in zip(block, got.tolist(), want):
+                    assert abs(a - b) <= 1e-12 * np.ptp(row), (label, eps, a, b)
 
     def test_eps_errors_match_the_scalar(self):
         _, block, probs = _blocks()[0]

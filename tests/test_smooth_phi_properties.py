@@ -1,7 +1,8 @@
 """Property-based invariants of the smooth phi-divergence worst cases.
 
 For the built-in modified chi-square and KL balls and a user phi (solved
-by the nested bisection), on random scenarios of up to 8 atoms:
+by the safeguarded Newton tilt, with c solved per row), on random
+scenarios of up to 8 atoms:
 
 - V(0) = E_p f, and V <= max f for every eps (up to the rounding of E_p f,
   as the probabilities sum to 1 only to rounding); on constant costs V is

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,14 +20,16 @@ ALL_SCENARIO_FAMILIES = [
 ]
 
 
+def _saturation_divergence(phi, s):
+    """D_phi of the point mass on the argmax atoms: mass phi(1 / mass) + (1 - mass) phi(0)."""
+    mass = math.fsum(s.probs[s.costs == s.costs.max()].tolist())
+    return mass * float(phi.value(1.0 / mass)) + (1.0 - mass) * float(phi.value(0.0))
+
+
 def eps_grid(s, family, k=50):
     """Grid inside the family's natural range (phi balls stay below saturation)."""
     if isinstance(family, wcs.SmoothPhi):
-        srt = wcs.sort_desc(s)
-        from wcs.worstcase import _saturation_divergence
-
-        d_sat, _ = _saturation_divergence(family.phi, srt)
-        hi = 0.9 * min(d_sat, 5.0)
+        hi = 0.9 * min(_saturation_divergence(family.phi, s), 5.0)
     elif isinstance(family, wcs.TotalVariation):
         hi = 2.0
     elif isinstance(family, wcs.Budgeted):
@@ -213,19 +216,19 @@ class TestSmoothPhi:
             r = wcs.worst_case(s, fam, 0.3)
             assert r.degenerate and r.value == 5.0
 
-    def test_builtin_fallback_matches_the_primary_solve(self, monkeypatch):
-        # KL past Newton's step cap and chi2 with no active count fall back to
-        # the nested bisection a user phi runs; its c is bisected for every phi
+    def test_generic_tilt_matches_the_primary_solve(self, monkeypatch):
+        # chi2 with no active count runs the one-row tilt kernel with the c
+        # solve a user phi runs, and so does a user copy of KL, where the
+        # built-in KL takes c in closed form
         from wcs import worstcase
 
-        # a forced solve takes 40-60 ms, so few scenarios
         rng = SplitMix64(43)
         cases = []
         for _ in range(16):
             # three atoms at least: with two, chi2 saturates where its closed form ends
             s = oracle.random_scenario(rng, 3, 11)
             kl_sat = -math.log(float(np.sum(s.probs[s.costs == s.costs.max()])))
-            chi2_sat, _ = worstcase._saturation_divergence(wcs.MODIFIED_CHI2, wcs.sort_desc(s))
+            chi2_sat = _saturation_divergence(wcs.MODIFIED_CHI2, s)
             # past this eps the closed form would take mass off the cheapest atom
             mean = float(s.probs @ s.costs)
             closed = float(s.probs @ (s.costs - mean) ** 2) / (2.0 * (mean - s.costs.min()) ** 2)
@@ -236,23 +239,23 @@ class TestSmoothPhi:
             cases.append((s, kl_eps, kl, chi2_eps, chi2))
 
         calls = []
-        real = worstcase._bisect_tilt
+        real = worstcase._tilt_rows
         monkeypatch.setattr(
-            worstcase, "_bisect_tilt", lambda phi, gs, eps: calls.append(phi) or real(phi, gs, eps)
+            worstcase, "_tilt_rows", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
         )
-        monkeypatch.setattr(worstcase, "_KL_MAX_ITER", 0)
-        monkeypatch.setattr(worstcase, "_chi2_active_tilt", lambda gs, eps: None)
+        monkeypatch.setattr(worstcase, "_chi2_active_tilt", lambda s, st, eps: None)
+        user_kl = dataclasses.replace(wcs.KL, name="kl-as-user")
         for s, kl_eps, kl, chi2_eps, chi2 in cases:
             width = float(np.ptp(s.costs))
             for phi, eps, want, got in (
-                (wcs.KL, kl_eps, kl, wcs.wc_smooth_phi(s, wcs.KL, kl_eps)),
+                (user_kl, kl_eps, kl, wcs.wc_smooth_phi(s, user_kl, kl_eps)),
                 (wcs.MODIFIED_CHI2, chi2_eps, chi2, wcs.wc_chi2(s, chi2_eps)),
             ):
                 assert abs(got.value - want.value) <= 1e-12 * width, (phi.name, eps)
                 assert np.allclose(got.worst_q, want.worst_q, rtol=0.0, atol=1e-9)
                 d = phi.divergence(got.worst_q, s.probs)
                 assert abs(d - eps) <= 1e-10 * eps, (phi.name, eps, d)
-        assert calls == [wcs.KL, wcs.MODIFIED_CHI2] * len(cases)
+        assert calls == [user_kl, wcs.MODIFIED_CHI2] * len(cases)
 
 
 class TestTv:
@@ -580,7 +583,7 @@ class TestFamilyInvariants:
 
 
 def _user_chi2_x2():
-    """phi(z) = (z - 1)^2: no closed-form inner solve, so the nested bisection runs."""
+    """phi(z) = (z - 1)^2: not a built-in object, so c is solved per row by Newton."""
     from wcs.core import PhiFunction
 
     return PhiFunction(
@@ -685,37 +688,34 @@ class TestScaleFreeSmoothPhi:
             assert abs(d - eps) <= 1e-12 * eps, (eps, d)
             assert s.costs.min() <= r.value <= s.costs.max()
             batch = family.worst_values(s.costs[None, :], s.probs, eps)
-            # a user phi has no batched kernel
-            if batch is not None:
-                assert abs(batch[0] - r.value) <= 1e-12 * width, (eps, batch, r.value)
+            assert abs(batch[0] - r.value) <= 1e-12 * width, (eps, batch, r.value)
             for lam, t in ((3.0, -7.5 * scale), (0.5, 1e3 * scale)):
                 moved = family.worst_case(wcs.validate(lam * s.costs + t, probs), eps).value
                 want = lam * r.value + t
                 assert abs(moved - want) <= 1e-12 * (abs(want) + lam * width), (eps, lam, t)
 
-    def test_user_phi_uses_the_bisection_and_chi2_the_active_set(self, monkeypatch):
+    def test_user_phi_and_kl_use_the_tilt_kernel_and_chi2_the_active_set(self, monkeypatch):
         from wcs import worstcase
 
         calls = []
-        real = worstcase._bisect_tilt
+        real = worstcase._tilt_rows
         monkeypatch.setattr(
-            worstcase, "_bisect_tilt", lambda phi, gs, eps: calls.append(phi) or real(phi, gs, eps)
+            worstcase, "_tilt_rows", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
         )
         s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
         clamped = wcs.wc_chi2(s, 0.3)
         assert clamped.worst_q[0] == 0.0 and calls == []
-        assert wcs.wc_smooth_phi(s, wcs.KL, 0.3).dual is not None and calls == []
+        assert wcs.wc_smooth_phi(s, wcs.KL, 0.3).dual is not None and calls == [wcs.KL]
         user = _user_chi2_x2()
         assert wcs.wc_smooth_phi(s, user, 0.6).value == pytest.approx(clamped.value, abs=1e-12)
-        assert calls == [user]
+        assert calls == [wcs.KL, user]
 
-    def test_user_phi_bisection_reaches_a_multiplier_far_below_one(self):
+    def test_user_phi_reaches_a_multiplier_far_below_one(self):
         # phi = K (z - 1)^2 with K = 1e-200 is chi2 scaled by 2K: the same tilt
         # solves it at eps 2K times chi2's, with a multiplier 2K times chi2's,
-        # below the 2^-200 that halving [0, 1] reached. The bisection is called
-        # directly: wc_smooth_phi's absolute 1e-9 saturation slack reads any
-        # eps this small as saturated.
-        from wcs import worstcase
+        # below the 2^-200 that halving [0, 1] reached. Its saturation
+        # divergence is about 1e-200, which an absolute 1e-9 slack read as
+        # reached at every eps here (V = 5.0 at eps = 1e-201).
         from wcs.core import PhiFunction
 
         K = 1e-200
@@ -728,14 +728,11 @@ class TestScaleFreeSmoothPhi:
             curvature=2.0 * K,
         )
         s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
-        srt = wcs.sort_desc(s)
-        st = worstcase._standardise(s.costs)
-        gs = wcs.SortedScenario(
-            order=srt.order, costs_desc=st.g[srt.order], probs_desc=srt.probs_desc
-        )
-        for eps in (0.05, 0.3):
-            q, delta, _ = worstcase._bisect_tilt(tiny, gs, 2.0 * K * eps)
+        for eps in (0.005, 0.05, 0.3):
+            r = wcs.wc_smooth_phi(s, tiny, 2.0 * K * eps)
             chi2 = wcs.wc_chi2(s, eps)
-            assert np.allclose(srt.unsort(q), chi2.worst_q, rtol=0.0, atol=1e-12)
-            assert delta == pytest.approx(2.0 * K * chi2.dual.delta * st.scale, rel=1e-12)
-            assert abs(tiny.divergence(q, gs.probs_desc) - 2.0 * K * eps) <= 1e-12 * 2.0 * K * eps
+            assert not r.clamped
+            assert r.value == pytest.approx(chi2.value, abs=1e-12 * 4.0)
+            assert np.allclose(r.worst_q, chi2.worst_q, rtol=0.0, atol=1e-12)
+            assert r.dual.delta == pytest.approx(2.0 * K * chi2.dual.delta, rel=1e-12)
+            assert abs(tiny.divergence(r.worst_q, s.probs) - 2.0 * K * eps) <= 1e-12 * 2.0 * K * eps
