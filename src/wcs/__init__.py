@@ -21,7 +21,6 @@ from .core import (
     validate,
 )
 from .riskstats import (
-    CvarLevel,
     c_alpha_n,
     cvar,
     cvar_deviation,
@@ -40,7 +39,6 @@ from .sensitivity import (
     symmetric_box_sensitivity,
     tv_sensitivity,
     wasserstein_sensitivity,
-    worst_case_sensitivity,
 )
 from .worstcase import (
     BoxParams,

@@ -30,14 +30,15 @@ import numpy as np
 
 from . import families, riskstats, sensitivity, worstcase
 from .core import PHI_BY_NAME, Scenario, interpolated_cost, validate
-from .errors import InputFileError, WcsError
+from .errors import InputFileError, InvalidEpsList, InvalidGeneratorArgs, WcsError
 
 if TYPE_CHECKING:
     from . import dro
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WCS_SEED", "0"))
+def _seed(seed: int | None) -> int:
+    """seed, or where it is None the environment's WCS_SEED (default 0)."""
+    return int(os.environ.get("WCS_SEED", "0")) if seed is None else seed
 
 
 def _positive_int(text: str) -> int:
@@ -62,6 +63,22 @@ def _positive_float(text: str) -> float:
 
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _fields(flag: str, text: str, schema: str, types: tuple, defaults: tuple, error) -> list:
+    """The fields of a compound flag's value, split as ``schema`` ("n,d,margin,seed") is and
+    each read by its type. The last len(defaults) may be left off for those defaults; a wrong
+    count or an unreadable field raises ``error`` naming the flag."""
+    parts = text.split(":" if ":" in schema else ",")
+    missing = len(types) - len(parts)
+    if 0 <= missing <= len(defaults):
+        try:
+            values = [read(part) for read, part in zip(types, parts)]
+        except ValueError:
+            pass
+        else:
+            return values + list(defaults[len(defaults) - missing :])
+    raise error(f"{flag} expects {schema}, got {text!r}")
 
 
 def _jsonable(v):
@@ -222,13 +239,11 @@ def _demand_from_args(args) -> Scenario:
         return validate(vals, probs)
     if not args.gen:
         raise WcsError("need --demand-file or --gen n,muL,muH,pL,seed")
-    parts = args.gen.split(",")
-    n = int(parts[0])
-    mu_low = float(parts[1]) if len(parts) > 1 else 10.0
-    mu_high = float(parts[2]) if len(parts) > 2 else 100.0
-    p_low = float(parts[3]) if len(parts) > 3 else 0.9
-    seed = int(parts[4]) if len(parts) > 4 else _default_seed()
-    return dro.demand_scenario(dro.gen_mixture_demand(n, mu_low, mu_high, p_low, seed))
+    *gen, seed = _fields(
+        "--gen", args.gen, "n,muL,muH,pL,seed", (int, float, float, float, int),
+        (10.0, 100.0, 0.9, None), InvalidGeneratorArgs,
+    )
+    return dro.demand_scenario(dro.gen_mixture_demand(*gen, _seed(seed)))
 
 
 def _params_from_args(args) -> dro.NewsvendorParams:
@@ -241,8 +256,10 @@ def _eps_list_from_args(args) -> list[float]:
     if args.eps_list:
         return _floats(args.eps_list)
     if args.eps_geom:
-        start, stop, count = args.eps_geom.split(":")
-        return list(np.geomspace(float(start), float(stop), int(count)))
+        grid = _fields(
+            "--eps-geom", args.eps_geom, "start:stop:count", (float, float, int), (), InvalidEpsList
+        )
+        return list(np.geomspace(*grid))
     raise WcsError("need --eps-list or --eps-geom start:stop:count")
 
 
@@ -313,11 +330,11 @@ def _classification_from_args(args) -> dro.LabeledDataset:
     if args.data_file:
         return _read_classification(args.data_file)
     if args.gen_class:
-        parts = args.gen_class.split(",")
-        n, d = int(parts[0]), int(parts[1])
-        margin = float(parts[2]) if len(parts) > 2 else 1.0
-        seed = int(parts[3]) if len(parts) > 3 else _default_seed()
-        return dro.gen_synth_classification(n, d, margin, seed)
+        *gen, seed = _fields(
+            "--gen-class", args.gen_class, "n,d,margin,seed", (int, int, float, int), (1.0, None),
+            InvalidGeneratorArgs,
+        )
+        return dro.gen_synth_classification(*gen, _seed(seed))
     raise WcsError("need --data-file or --gen-class n,d,margin,seed")
 
 
@@ -344,7 +361,7 @@ def _cmd_verify(args) -> int:
     from .rng import SplitMix64
 
     trials = args.trials
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     report: dict = {}
 
     # the degree-2 penalty form after the deviation measures

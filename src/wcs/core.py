@@ -235,10 +235,6 @@ class SortedScenario:
     costs_desc: np.ndarray
     probs_desc: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.costs_desc.shape[0]
-
     def unsort(self, values_desc: np.ndarray) -> np.ndarray:
         """Map a rank-indexed vector back to original atom order."""
         out = np.empty_like(np.asarray(values_desc, dtype=float))

@@ -405,7 +405,6 @@ def frontier(
     measure: str,
     phi: PhiFunction = MODIFIED_CHI2,
     alpha: float = 0.95,
-    tol: float = 1e-8,
 ) -> list[FrontierPoint]:
     """Sweep eps, solve the DRO at each size, report (mean, sensitivity) at the solution.
 
@@ -420,7 +419,7 @@ def frontier(
         raise InvalidEpsList("eps_list must be non-negative and ascending")
     measure_family = build_family(measure, phi, alpha)
     if isinstance(problem, LabeledDataset):
-        return _logreg_frontier(problem, family, eps_arr, measure_family, tol)
+        return _logreg_frontier(problem, family, eps_arr, measure_family)
     params, demand = problem, data
     points = []
     for eps in eps_arr:
@@ -442,7 +441,6 @@ def _logreg_frontier(
     family: UncertaintyFamily,
     eps_arr: list[float],
     measure: UncertaintyFamily,
-    tol: float,
 ) -> list[FrontierPoint]:
     if not isinstance(family, WassersteinL1):
         raise UnsupportedFamily("dataset sweeps support only the transport (WassersteinL1) family")
@@ -451,7 +449,7 @@ def _logreg_frontier(
     points = []
     for eps in eps_arr:
         # the regularized fit only: logreg_wasserstein would also fit the SAA model
-        fit = _prox_descent(dataset, eps, tol, _MAX_ITER)
+        fit = _prox_descent(dataset, eps, 1e-8, _MAX_ITER)
         margins = dataset.labels * (dataset.features @ fit.w)
         losses = np.logaddexp(0.0, -margins)
         s_w = validate(losses, np.full(dataset.n, 1.0 / dataset.n))
@@ -606,7 +604,7 @@ def robust_logreg_objective(
 
 
 def logreg_wasserstein(
-    data: LabeledDataset, eps: float, tol: float = 1e-8, max_iter: int = _MAX_ITER
+    data: LabeledDataset, eps: float, tol: float = 1e-8
 ) -> tuple[LogregFit, sensitivity.SensitivityReport]:
     """Minimize eps ||w||_2 + average log-loss; sensitivity is ||w_SAA||_2.
 
@@ -616,9 +614,9 @@ def logreg_wasserstein(
     eps >= ||(1/2n) sum y_i x_i||_2 (the zero-subgradient condition).
     """
     worstcase._check_eps(eps)
-    saa = logreg_saa(data, tol=tol, max_iter=max_iter)
+    saa = logreg_saa(data, tol=tol)
     report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
-    fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, max_iter)
+    fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, _MAX_ITER)
     return fit, report
 
 

@@ -43,11 +43,11 @@ class InvalidLabel(WcsError, ValueError):
 
 
 class InvalidEpsList(WcsError, ValueError):
-    """A frontier eps list with a negative or a descending entry."""
+    """A frontier eps list with a negative or descending entry, or an unreadable --eps-geom."""
 
 
 class InvalidGeneratorArgs(WcsError, ValueError):
-    """Synthetic-data sizes, means or mixing weights outside their ranges."""
+    """Synthetic-data sizes, means or weights out of range, or an unreadable --gen/--gen-class."""
 
 
 class UnsupportedFamily(WcsError, ValueError):

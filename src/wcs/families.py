@@ -36,7 +36,7 @@ from .core import (
     Scenario,
 )
 from .errors import NoTransportGeometry, NoWorstCase, UnknownFamily
-from .riskstats import CvarLevel
+from .riskstats import cvar_level
 from .sensitivity import (
     budgeted_sensitivity,
     combination_sensitivity,
@@ -155,7 +155,7 @@ class Combination(UncertaintyFamily):
     piecewise_linear = True
 
     def __post_init__(self):
-        CvarLevel(self.alpha)  # reuse its range check
+        cvar_level(self.alpha)
 
     def sensitivity(self, s):
         return combination_sensitivity(s, self.alpha)

@@ -54,20 +54,11 @@ _T = TypeVar("_T")
 _NO_HEAD = np.empty(0, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class CvarLevel:
-    """Tail level alpha in [0, 1). alpha = 0 degenerates CVaR to the mean."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidCvarLevel(f"CVaR level must be in [0,1), got {self.alpha}")
-
-
-def _level(alpha) -> float:
-    a = alpha.alpha if isinstance(alpha, CvarLevel) else float(alpha)
-    CvarLevel(a)  # reuse its range check
+def cvar_level(alpha) -> float:
+    """alpha as a float, checked to be a tail level in [0, 1); 0 degenerates CVaR to the mean."""
+    a = float(alpha)
+    if not 0.0 <= a < 1.0:
+        raise InvalidCvarLevel(f"CVaR level must be in [0,1), got {a}")
     return a
 
 
@@ -351,7 +342,7 @@ def greedy_fill(caps: np.ndarray) -> np.ndarray:
 
 def cvar_tail(s: Scenario, alpha) -> Tail | None:
     """The Tail of the greedy maximizer of the CVaR LP at level alpha (None at alpha = 0, where it is p)."""
-    a = _level(alpha)
+    a = cvar_level(alpha)
     return None if a == 0.0 else select_tail(s.costs, s.probs / (1.0 - a), 1.0)
 
 
@@ -379,7 +370,7 @@ def cvar_rows(costs: np.ndarray, probs: np.ndarray, alpha) -> np.ndarray:
     one greedy fill for all rows when the probabilities are uniform (the
     sorted probabilities are then the same for every row).
     """
-    a = _level(alpha)
+    a = cvar_level(alpha)
     order = np.argsort(-costs, axis=1, kind="stable")
     f = np.take_along_axis(costs, order, axis=1)
     if a == 0.0:
@@ -429,7 +420,7 @@ def var_tail(s: Scenario, alpha: float) -> Tail:
 
 def var_quantile(s: Scenario, alpha) -> float:
     """Cost of the partial-fill atom of the greedy CVaR solution (the VaR atom)."""
-    return float(s.costs[var_tail(s, _level(alpha)).last])
+    return float(s.costs[var_tail(s, cvar_level(alpha)).last])
 
 
 def cvar_deviation(s: Scenario, alpha) -> float:
@@ -446,10 +437,9 @@ def cvar_deviation(s: Scenario, alpha) -> float:
 
 def _kappa(n: int, alpha) -> float:
     """kappa = n (1 - alpha), checked to lie in (0, n) for n >= 2."""
-    a = alpha.alpha if isinstance(alpha, CvarLevel) else float(alpha)
     if n < 2:
         raise KappaOutOfRange(f"need n >= 2, got {n}")
-    kappa = n * (1.0 - a)
+    kappa = n * (1.0 - float(alpha))
     if not 0.0 < kappa < n:
         raise KappaOutOfRange(f"kappa = n(1-alpha) = {kappa} outside (0, {n})")
     return kappa

@@ -85,8 +85,3 @@ def wasserstein_sensitivity(points, probs, ratio_oracle) -> SensitivityReport:
         ratios.append(r)
     value = max(0.0, max(ratios))
     return SensitivityReport(value=value, growth=GROWTH_LINEAR)
-
-
-def worst_case_sensitivity(s: Scenario, family) -> SensitivityReport:
-    """Closed form of a ``families`` descriptor (Wasserstein reads s.points and s.curve)."""
-    return family.sensitivity(s)

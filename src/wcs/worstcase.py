@@ -318,10 +318,10 @@ def _phi_tilt_result(
     solved = active(s, st, eps) if active else None
     if solved:
         return _tilted(st, *solved, eps)
-    _, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
-    if math.isnan(delta):
+    vg, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
+    if math.isnan(vg):
         raise NoBracket(
-            f"could not bracket the divergence equation for eps={eps} on delta in [0, {_DELTA_CAP}]"
+            f"found no delta in [0, {_DELTA_CAP}] meeting the divergence equation at eps={eps}"
         )
     if phi is KL:
         w = s.probs * np.exp(delta * st.g)
@@ -512,8 +512,8 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # Each row is one cost vector under the shared probabilities; rows must be
 # finite. No worst_q or dual is built. The piecewise-linear families return
 # exactly the scalar solver's value; modified chi-square uses the closed form
-# of its active-set optimality conditions and KL a batched Newton tilt, which
-# agree with wc_smooth_phi to within 1e-12 of the row's range.
+# of its active-set optimality conditions and every other phi the Newton tilt
+# (``_tilt_rows``), both within 1e-12 of the row's range of wc_smooth_phi.
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
@@ -718,7 +718,10 @@ def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float)
     rounding of a sum near 1; each row starts from its last c, first from
     -E_p g, the root as delta -> 0. D = sum p phi(z) is
     summed exactly per row, and D'(delta) = delta sum p h (g - g_h)^2 with
-    g_h the h-weighted mean of g. h only steers the steps.
+    g_h the h-weighted mean of g. h only steers the steps. D rounds by about
+    2^-51 phi''(1); a row that stops with D farther from eps than 1e-6 eps
+    plus 8 times that found no tilt in the c bracket (Burg's phi' is bounded
+    above, and past its pole the tilt clamps to 0), and its E_q g is NaN.
     """
     c_last = -(g @ probs)
 
@@ -748,7 +751,8 @@ def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float)
             return dk * np.sum(h * (gk - g_h[:, None]) ** 2, axis=1)
 
         mean = np.sum(probs * z * gr, axis=1)
-        return d - eps, _TILT_TOL * eps, slope, (mean, c)
+        missed = np.abs(d - eps) > 1e-6 * eps + 2.0**-48 * phi.curvature
+        return d - eps, _TILT_TOL * eps, slope, (np.where(missed, np.nan, mean), c)
 
     return at
 
@@ -760,7 +764,7 @@ def _tilt_rows(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
     sqrt(2 eps / Var_p g) sqrt(phi''(1)), the small-eps expansion, inside a
     per-row bracket [0, inf); a row whose delta passes _DELTA_CAP is NaN.
     KL's moments are closed-form (``_kl_moments``), any other phi's solve c
-    per row (``_phi_moments``).
+    per row (``_phi_moments``), whose E_q g is also NaN where D misses eps.
     """
     with np.errstate(all="ignore"):
         mean = g @ probs

@@ -485,3 +485,37 @@ def test_duals_at_the_top_of_the_double_range_print_as_strict_json():
         )
         assert code == 0
         assert json.loads(out, parse_constant=reject)["dual"][key] == 1e308
+
+
+COMPOUND_FLAG_ERRORS = {
+    # id: (argv, error code); each message names the flag and its fields. A one-field
+    # --gen-class ended in an IndexError traceback, the others in a bare ValueError
+    "gen-class-one-field": (
+        ["solve-logreg", "--gen-class", "10", "--eps", "0.1"], "InvalidGeneratorArgs"
+    ),
+    "gen-class-bad-margin": (
+        ["solve-logreg", "--gen-class", "10,2,x", "--eps", "0.1"], "InvalidGeneratorArgs"
+    ),
+    "gen-extra-field": (
+        ["solve-newsvendor", "--r", "10", "--c", "2", "--gen", "5,10,100,0.9,1,7"],
+        "InvalidGeneratorArgs",
+    ),
+    "gen-float-size": (
+        ["solve-newsvendor", "--r", "10", "--c", "2", "--gen", "5.5"], "InvalidGeneratorArgs"
+    ),
+    "eps-geom-two-fields": (
+        ["frontier", "--family", "tv", "--measure", "tv", "--eps-geom", "0.1:1",
+         *GOLDEN_NEWSVENDOR],
+        "InvalidEpsList",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPOUND_FLAG_ERRORS))
+def test_unreadable_compound_flag_exits_three_naming_the_flag(case):
+    argv, code = COMPOUND_FLAG_ERRORS[case]
+    flag = next(a for a in argv if a in ("--gen", "--gen-class", "--eps-geom"))
+    exit_code, out, err = run_cli(argv)
+    payload = json.loads(err)
+    assert exit_code == 3 and out == "" and payload["code"] == code
+    assert payload["message"].startswith(f"{flag} expects ")

@@ -65,10 +65,6 @@ class TestCvar:
         with pytest.raises(ValueError):
             wcs.cvar(scenario([1, 2]), -0.2)
 
-    def test_cvar_level_wrapper(self):
-        s = scenario([1, 5, 3])
-        assert wcs.cvar(s, wcs.CvarLevel(0.5)) == wcs.cvar(s, 0.5)
-
 
 class TestVarQuantile:
     def test_examples(self):

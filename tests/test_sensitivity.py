@@ -201,15 +201,13 @@ class TestWasserstein:
 class TestDispatch:
     def test_families(self):
         s = uniform([1, 5, 3])
-        assert wcs.worst_case_sensitivity(s, wcs.TotalVariation()).value == 2.0
-        assert wcs.worst_case_sensitivity(s, wcs.Budgeted()).value == pytest.approx(2.0)
-        assert wcs.worst_case_sensitivity(s, wcs.SmoothPhi(wcs.KL)).value == pytest.approx(
-            math.sqrt(16 / 3)
-        )
-        assert wcs.worst_case_sensitivity(s, wcs.Combination(0.5)).value == pytest.approx(4 / 3)
-        assert wcs.worst_case_sensitivity(s, wcs.SymmetricBox()).value == pytest.approx(4 / 3)
+        assert wcs.TotalVariation().sensitivity(s).value == 2.0
+        assert wcs.Budgeted().sensitivity(s).value == pytest.approx(2.0)
+        assert wcs.SmoothPhi(wcs.KL).sensitivity(s).value == pytest.approx(math.sqrt(16 / 3))
+        assert wcs.Combination(0.5).sensitivity(s).value == pytest.approx(4 / 3)
+        assert wcs.SymmetricBox().sensitivity(s).value == pytest.approx(4 / 3)
         with pytest.raises(ValueError):
-            wcs.worst_case_sensitivity(s, wcs.WassersteinL1())
+            wcs.WassersteinL1().sensitivity(s)
 
 
 class TestDeviationAxioms:

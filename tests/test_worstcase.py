@@ -210,6 +210,38 @@ class TestSmoothPhi:
         with pytest.raises(NoBracket):
             wcs.wc_smooth_phi(wcs.validate([0, 10]), flat, 0.5)
 
+    def test_bounded_phi_derivative_raises_instead_of_a_wrong_value(self):
+        # Burg's phi' = 1 - 1/z stays below 1: past the pole the tilt clamps to 0,
+        # and the solve returned V = 4.0245 with D = 0.190 at eps 1 and V = 3.942
+        # with D = 0.152 at eps 3, below V(0.3)
+        from wcs.core import PhiFunction
+        from wcs.errors import NoBracket
+
+        def value(z):
+            z = np.asarray(z, dtype=float)
+            with np.errstate(divide="ignore"):
+                return z - 1.0 - np.log(z)
+
+        burg = PhiFunction(
+            name="burg",
+            value=value,
+            deriv=lambda z: 1.0 - 1.0 / np.asarray(z, dtype=float),
+            inv_deriv=lambda zeta: 1.0 / (1.0 - np.asarray(zeta, dtype=float)),
+            zeta_floor=-math.inf,
+            curvature=1.0,
+        )
+        s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
+        for eps in (0.1, 0.3):
+            r = wcs.wc_smooth_phi(s, burg, eps)
+            assert abs(burg.divergence(r.worst_q, s.probs) - eps) <= 1e-12 * eps
+            (batch,) = wcs.SmoothPhi(burg).worst_values(s.costs[None, :], s.probs, eps)
+            assert abs(batch - r.value) <= 1e-12 * np.ptp(s.costs)
+        for eps in (1.0, 3.0):
+            with pytest.raises(NoBracket):
+                wcs.wc_smooth_phi(s, burg, eps)
+            with pytest.raises(NoBracket):
+                wcs.SmoothPhi(burg).worst_values(s.costs[None, :], s.probs, eps)
+
     def test_single_atom_scenarios(self):
         s = wcs.validate([5.0])
         for fam in ALL_SCENARIO_FAMILIES:
@@ -536,7 +568,7 @@ class TestFamilyInvariants:
         rng = SplitMix64(93)
         for _ in range(5):
             s = oracle.random_scenario(rng, 2, 4, min_prob=0.02)
-            closed = wcs.worst_case_sensitivity(s, family).value
+            closed = family.sensitivity(s).value
             grid = eps_grid(s, family, k=12)[1:]
             quots = [
                 (wcs.worst_case(s, family, float(e)).value - wcs.mean(s)) / float(e)
