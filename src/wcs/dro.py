@@ -6,20 +6,26 @@ Newsvendor cost (order x, demand y):
     f(x, y) = -r min(x, y) - q max(x - y, 0) + s max(y - x, 0) + c x
 
 with 0 <= q < c < r and s >= 0 (q is the unit salvage value here, not a
-probability vector). The SAA optimizer is the empirical demand quantile at
-the critical fractile (r + s - c) / (r + s - q).
+probability vector). The SAA optimizer is, in closed form, the empirical
+demand quantile at the critical fractile (r + s - c) / (r + s - q).
 
-One search serves every family. It reads V, the worst-case value, at its
-kinks on [0, 1.5 max y]: the demand atoms, the range ends and, for the
-piecewise-linear families, the orders where two scenario cost lines cross
-(the LP view of CVaR, Rockafellar & Uryasev 2000). V is a supremum of
-costs convex in x, so bisections find the best atom and then the best kink
-in the two atom gaps around it; crossings are generated only there, so a
-solve reads V at O(log n) orders and builds no all-pairs array. First-order
-Wasserstein is convex only from the smallest positive atom y1 up (its
-multiplier rises with x below y1): the bisections run there, and the kinks
-below y1, 0 and the multiplier's own, are read one by one. Of orders within
-the tie tolerance 1e-12 (1 + |V|) of the least V, the smallest is returned.
+One search serves every family at eps > 0. It reads V, the worst-case
+value, at its kinks on [0, 1.5 max y]: the demand atoms, the range ends
+and, for the piecewise-linear families, the orders where two scenario cost
+lines cross (the LP view of CVaR, Rockafellar & Uryasev 2000). V is a
+supremum of costs convex in x, so bisections find the best atom and then
+the best kink in the two atom gaps around it; crossings are generated only
+there, so a solve reads V at O(log n) orders and builds no all-pairs array.
+First-order Wasserstein is convex only from the smallest positive atom y1
+up (its multiplier rises with x below y1): the bisections run there, and
+the kinks below y1, 0 and the multiplier's own, are read one by one. Of
+orders within the tie tolerance 1e-12 (1 + |V|) of the least V, the
+smallest is returned.
+
+V is L-Lipschitz in x, L = max(c - q, r + s - c), so kinks, atoms and
+crossings alike, closer than the tie tolerance of V at the range ends over
+L are one order, the smallest (``_apart``): rounding could otherwise turn a
+bisection the wrong way between two atoms one double apart.
 
 Polytope families and Wasserstein have V linear between kinks, so the best
 kink is exact. A smooth phi ball has a unique worst q, so V is
@@ -133,15 +139,6 @@ def cost_scenario(params: NewsvendorParams, demand: Scenario, x: float) -> Scena
     return replace(demand.with_costs(f), points=demand.costs, curve=demand_cost_curve(params, x))
 
 
-def _cost_blocks(params: NewsvendorParams, demand: Scenario, xs: np.ndarray):
-    """The cost matrices f(x, y) of consecutive blocks of candidate orders xs."""
-    rows = max(1, _BLOCK_ELEMENTS // demand.n)
-    for i in range(0, xs.size, rows):
-        # an overflow to inf is the caller's to report, not numpy's
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield _newsvendor_cost_vec(params, xs[i : i + rows, None], demand.costs)
-
-
 def demand_quantile(demand: Scenario, tau: float) -> float:
     """Smallest demand atom whose cumulative mass reaches tau."""
     order = np.argsort(demand.costs, kind="stable")
@@ -192,39 +189,36 @@ def _first_within(values, xs, level) -> int:
 
 
 def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
-    """Nominal expected-cost minimizer; kinks only at demand atoms, ties to smaller x.
-
-    The candidates are the atoms and the midpoints between them. The nominal
-    cost is convex in x, so a bisection finds its minimum over them, and a
-    second one the smallest candidate within 1e-12 (1 + |min|) of it: O(log n)
-    cost rows, each summed exactly. The midpoint of two adjacent doubles
-    rounds to one of them, and a repeated candidate would read as a flat
-    minimum to the bisection, so the candidates are deduplicated.
-    """
+    """Nominal expected-cost minimizer in closed form: the smallest atom whose exact cumulative
+    mass reaches the critical fractile. The fractile is rounded, so where a cumulative mass
+    lies within rounding of it, a comparison of nominal costs may pick the next atom."""
     _check_demand(demand)
-    atoms = distinct(demand.costs)
-    xs = distinct(np.concatenate((atoms, 0.5 * (atoms[:-1] + atoms[1:])))).tolist()
-    values = _memoised(
-        lambda new: np.concatenate(
-            [riskstats.row_fsums(demand.probs * f) for f in _cost_blocks(params, demand, new)]
-        )
-    )
-    m = _first_rise(values, xs)
-    v = values([xs[m]])[0]
-    return xs[_first_within(values, xs[: m + 1], v + _tol(v))]
+    return demand_quantile(demand, params.critical_fractile)
+
+
+def _apart(orders, gap: float) -> list[float]:
+    """The sorted distinct orders, less each within gap above a kept one: V, L-Lipschitz,
+    cannot separate the two by more than the tie tolerance L gap, so they are one order."""
+    xs = distinct(orders)
+    keep = np.ones(xs.size, dtype=bool)
+    for i in np.nonzero(xs[1:] - xs[:-1] <= gap)[0] + 1:
+        if keep[i - 1]:
+            last = xs[i - 1]
+        keep[i] = xs[i] - last > gap
+    return xs[keep].tolist()
 
 
 def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The sorted orders in (lo, hi) where two scenario cost lines cross.
+    """The orders in (lo, hi) where two scenario cost lines cross.
 
     f(., yi) and f(., yj) with yi < yj are parallel outside (yi, yj) and
     cross once inside, at x = (s yj + (r - q) yi) / (r + s - q), where the
     low-demand line has slope (c - q) and the high-demand line (c - r - s).
     x grows with yj, so for each yi the yj whose crossing lands in (lo, hi)
     are one window of the sorted atoms, found by searchsorted on s * atoms.
-    A crossing within rounding of an atom is dropped: in exact arithmetic it
-    is that atom (every crossing is, at s = 0), and its V differs from the
-    atom's only by rounding, which could turn the bisection the wrong way.
+    They are unsorted and may repeat; a crossing within rounding of an atom
+    (every crossing is one at s = 0, in exact arithmetic) is ``_apart``'s
+    to merge.
     """
     r, q, s = params.r, params.q, params.s
     i = np.arange(np.searchsorted(atoms, hi))  # a crossing lies above its yi
@@ -240,10 +234,7 @@ def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float
         jj = np.arange(counts.sum()) + np.repeat(j0 - starts, counts)
         yi, yj = np.repeat(atoms[i], counts), atoms[jj]
         x = (s * yj + (r - q) * yi) / d
-    x = x[(yi < x) & (x < yj) & (lo < x) & (x < hi)]
-    k = np.searchsorted(atoms, x)  # atoms[k - 1] < x <= atoms[k]
-    apart = np.minimum(x - atoms[k - 1], atoms[k] - x) > 4.0 * np.spacing(x)
-    return distinct(x[apart])
+    return x[(yi < x) & (x < yj) & (lo < x) & (x < hi)]
 
 
 def _worst_values(
@@ -255,8 +246,10 @@ def _worst_values(
 ) -> np.ndarray:
     """V(x) for each candidate order x, value only; order by order for Wasserstein, which has
     no batched kernel, its rows equal to the scalar call's bit for bit (the cost is elementwise)."""
-    vals = []
-    for f in _cost_blocks(params, demand, xs):
+    vals, rows = [], max(1, _BLOCK_ELEMENTS // demand.n)
+    for i in range(0, xs.size, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf is reported below
+            f = _newsvendor_cost_vec(params, xs[i : i + rows, None], demand.costs)
         finite = np.all(np.isfinite(f), axis=1)
         if not np.all(finite):
             demand.with_costs(f[np.argmin(finite)])  # raises NonFiniteCost, as cost_scenario does
@@ -291,27 +284,30 @@ class DroSolution:
 def _kink_search(params, demand, family, eps):
     """(x*, bracket, slopes): V's best kink, refined around it when V is smooth."""
     atoms = distinct(demand.costs)
-    grid = distinct(np.concatenate((atoms, [0.0, 1.5 * float(atoms[-1])]))).tolist()
+    top = 1.5 * float(atoms[-1])
     values = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
+    # the range ends first: an overflowing cost raises there
+    v_ends = max(abs(v) for v in values([0.0, top]))
+    gap = _tol(v_ends) / max(params.c - params.q, params.r + params.s - params.c)
 
     def kinks(a, b):
-        """Every kink in [grid[a], grid[b]], sorted."""
+        """Every kink in [grid[a], grid[b]] the search may compare, sorted."""
         if not family.piecewise_linear:
             return grid[a : b + 1]
-        lo, hi = grid[a], grid[b]
-        crossings = _crossings(params, atoms, lo, hi)
-        return distinct(np.concatenate((grid[a : b + 1], crossings))).tolist()
+        return _apart(np.append(grid[a : b + 1], _crossings(params, atoms, grid[a], grid[b])), gap)
 
-    values([grid[0], grid[-1]])  # the range ends first: an overflowing cost raises there
+    orders = np.append(atoms, [0.0, top])
     wasserstein, below = isinstance(family, WassersteinL1), []
     if wasserstein and atoms[-1] > 0.0:
         # V = E_p f + eps lambda*, with lambda* = max(s, (r + s - q) x / y1 - s)
         # below the smallest positive atom y1 (an atom at 0 adds only s) and
         # max(s, r - q) from y1 up: V is convex on each side and linear
-        # between kinks, so the kinks below y1 are read and the rest bisected
+        # between kinks, so the kinks below y1 are read and the rest bisected;
+        # y1 is the smallest order bisected, so _apart keeps it
         y1, d = float(atoms[atoms > 0.0][0]), params.r + params.s - params.q
         below = sorted({z for z in (0.0, 2.0 * params.s * y1 / d) if z < y1})
-        grid = grid[grid.index(y1) :]
+        orders = orders[orders >= y1]
+    grid = _apart(orders, gap)
     k = _first_rise(values, grid)
     a = max(k - 1, 0)
     ks = kinks(a, min(k + 1, len(grid) - 1))
@@ -322,7 +318,8 @@ def _kink_search(params, demand, family, eps):
         # V is flat at its minimum, which may reach further left than the bracket
         j = _first_within(values, grid[: a + 1], level)
         ks = kinks(max(j - 1, 0), j + 1)
-        m = ks.index(grid[j])
+        # grid[j], or the crossing it merged into
+        m = int(np.searchsorted(ks, grid[j], side="right")) - 1
     if min(values(below), default=math.inf) <= level:
         ks = below + grid[:1]
         i = next(j for j, u in enumerate(values(below)) if u <= level)
@@ -573,13 +570,13 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -
     raise NonConvergence(f"optimality residual {resid:.3e} > tol {tol} after {max_iter} iterations")
 
 
-def logreg_saa(data: LabeledDataset, tol: float = 1e-8, max_iter: int = _MAX_ITER) -> LogregFit:
+def logreg_saa(data: LabeledDataset, tol: float = 1e-8) -> LogregFit:
     """Average log-loss minimizer: the eps = 0 proximal-gradient fit.
 
     On separable data there is no finite minimizer; the run still stops at
     the gradient-norm criterion and the fit is flagged separable.
     """
-    return _prox_descent(data, 0.0, tol, max_iter)
+    return _prox_descent(data, 0.0, tol, _MAX_ITER)
 
 
 def robust_logreg_objective(

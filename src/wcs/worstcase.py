@@ -201,9 +201,9 @@ def _saturation(phi: PhiFunction, costs: np.ndarray, probs: np.ndarray, eps: flo
     """(argmax mask, its mass, saturated) for one scenario's costs or per row of a block.
 
     The worst case is the point mass on the argmax atoms once eps reaches
-    its divergence: -log of their mass for KL, mass phi(1 / mass) + (1 -
-    mass) phi(0) for any other phi. One scenario's mass is summed exactly, a
-    block's row by row with np.sum.
+    its divergence: -log of their mass for KL, (1 - mass) / (2 mass) for
+    modified chi-square, mass phi(1 / mass) + (1 - mass) phi(0) for any other
+    phi. One scenario's mass is summed exactly, a block's row by row with np.sum.
     """
     top = costs == np.max(costs, axis=-1, keepdims=True)
     if costs.ndim == 1:
@@ -213,6 +213,8 @@ def _saturation(phi: PhiFunction, costs: np.ndarray, probs: np.ndarray, eps: flo
     if phi is KL:
         return top, mass, _saturated(eps, -np.log(mass))
     with np.errstate(all="ignore"):
+        if phi is MODIFIED_CHI2:
+            return top, mass, _saturated(eps, 0.5 * (1.0 - mass) / mass)
         d_sat = mass * phi.value(1.0 / mass) + (1.0 - mass) * phi.value(np.zeros_like(mass))
         # a phi(0) of inf or nan puts the point mass out of reach
         return top, mass, (d_sat < np.inf) & _saturated(eps, d_sat)
@@ -617,18 +619,18 @@ def _chi2_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
 
     Each row is sorted, its costs centred at the row max and scaled by the
     row range, so the squares cannot overflow, and ``_chi2_prefix`` finds its
-    active set and V from prefix sums; past the saturation divergence V is max f.
+    active set and V from prefix sums. Past the saturation divergence V is
+    max f, unless every atom is active: as in wc_chi2, that closed form wins.
     """
     order = np.argsort(-raw, axis=1, kind="stable")
     f = np.take_along_axis(raw, order, axis=1)
-    p = probs[order]
     with np.errstate(all="ignore"):
         top, scale = f[:, 0], f[:, 0] - f[:, -1]
         g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
-        _, found, vg = _chi2_prefix(g, p, eps)
+        k, found, vg = _chi2_prefix(g, probs[order], eps)
         value = np.where(found, top + scale * vg, np.nan)
-        pm = np.sum(np.where(f == top[:, None], p, 0.0), axis=1)
-        saturated = np.isfinite(scale) & _saturated(eps, 0.5 * (1.0 - pm) / pm)
+    _, _, saturated = _saturation(MODIFIED_CHI2, raw, probs, eps)
+    saturated &= np.isfinite(scale) & ~(found & (k == raw.shape[1] - 1))
     value[saturated] = top[saturated]
     return value
 

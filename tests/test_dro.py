@@ -122,7 +122,8 @@ class TestSaaBatch:
         assert [dro.demand_quantile(quarters, t) for t in taus] == [1.0, 2.0, 3.0, 4.0]
 
     def test_large_n_needs_no_n_by_n_array(self, monkeypatch):
-        # every atom and midpoint at n = 1e4 is 2e4 cost rows, 1.6 GB as one array
+        # every atom and midpoint at n = 1e4 is 2e4 cost rows, 1.6 GB as one array;
+        # the SAA order is a quantile and needs no cost row at all
         demand = wcs.demand_scenario(dro.gen_mixture_demand(10_000, seed=42))
         rows = []
         cost_vec = dro._newsvendor_cost_vec
@@ -139,7 +140,7 @@ class TestSaaBatch:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        assert sum(rows) <= 4 * math.ceil(math.log2(2 * demand.n))
+        assert rows == []
         assert x == dro.demand_quantile(demand, PARAMS.critical_fractile)
 
     def test_adjacent_double_atoms(self):
@@ -315,8 +316,15 @@ class TestKinkSearch:
         demand = wcs.demand_scenario(dro.gen_mixture_demand(100, seed=4))
         atoms = np.unique(demand.costs)
         assert np.count_nonzero(~np.isin(_pairwise_crossings(params, atoms), atoms)) > 0
-        assert dro._crossings(params, atoms, 0.0, 1.5 * float(atoms[-1])).size == 0
+        hi = 1.5 * float(atoms[-1])
+        crossings = dro._crossings(params, atoms, 0.0, hi)
+        assert crossings.size > 0
+        lipschitz = max(params.c - params.q, params.r + params.s - params.c)
         for eps in (0.1, 0.3, 0.5, 0.8):
+            # at the search's merge gap every crossing is one order with its atom
+            v_ends = float(np.max(np.abs(_values(params, demand, family, eps, [0.0, hi]))))
+            gap = dro._tol(v_ends) / lipschitz
+            assert dro._apart(np.append(atoms, crossings), gap) == atoms.tolist()
             sol = dro.dro_newsvendor(params, demand, family, eps)
             grid = [0.0, *atoms.tolist()]
             assert sol.x in grid and sol.bracket[0] in grid and sol.bracket[1] in grid
@@ -408,6 +416,62 @@ class TestRefinedSearch:
                     # V is linear between the searched kinks: its one-sided slopes at x*
                     (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
                     assert s_left <= 0.0 and (hi == sol.x or s_right * (hi - sol.x) >= -tol)
+
+
+ALL_FAMILIES = [
+    wcs.Budgeted(),
+    wcs.TotalVariation(),
+    wcs.SmoothPhi(),
+    wcs.SmoothPhi(wcs.KL),
+    wcs.Combination(0.8),
+    wcs.SymmetricBox(),
+    wcs.WassersteinL1(),
+]
+FAMILY_IDS = ["budgeted", "tv", "chi2", "kl", "combo", "box", "wasserstein"]
+
+
+class TestNearDuplicateAtoms:
+    """Orders V cannot tell apart are one order: atoms a few ulps apart never turn the search."""
+
+    @staticmethod
+    def _value(params, demand, family, eps, x):
+        """V(x), or the nominal mean for family None."""
+        s_x = dro.cost_scenario(params, demand, float(x))
+        return wcs.mean(s_x) if family is None else wcs.worst_case(s_x, family, eps).value
+
+    @pytest.mark.parametrize("family", [None, *ALL_FAMILIES], ids=["saa", *FAMILY_IDS])
+    def test_no_family_misses_the_best_atom(self, family):
+        params = dro.NewsvendorParams(r=10.0, c=0.5, q=0.0, s=100.0)
+        wrong = []
+        for gap in (1, 4, 16, 64):
+            rng = np.random.default_rng(0)
+            for draw in range(100):
+                # a base atom and its twin gap ulps above, among a few others on both sides
+                base = rng.uniform(1.0, 50.0)
+                low = rng.uniform(0.0, base, rng.integers(0, 6))
+                high = rng.uniform(base + 1.0, 200.0, rng.integers(0, 6))
+                atoms = np.concatenate((low, [base, base + gap * np.spacing(base)], high))
+                demand = wcs.demand_scenario(atoms)
+                if family is None:
+                    x = dro.saa_newsvendor(params, demand)
+                else:
+                    x = dro.dro_newsvendor(params, demand, family, 0.1).x
+                best = min(self._value(params, demand, family, 0.1, y) for y in atoms)
+                if self._value(params, demand, family, 0.1, x) > best + 1e-9 * (1.0 + abs(best)):
+                    wrong.append((gap, draw))
+        assert wrong == []
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-11])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=FAMILY_IDS)
+    def test_a_tiny_positive_atom_solves(self, family, tiny):
+        # a positive atom at or near the merge gap above 0: Wasserstein's bisection starts at it
+        demand = uniform_demand([tiny, 10.0, 20.0])
+        sol = dro.dro_newsvendor(PARAMS, demand, family, 0.3)
+        v = sol.worst_case.value
+        best = min(self._value(PARAMS, demand, family, 0.3, y) for y in (0.0, tiny, 10.0, 20.0))
+        assert v <= best + 1e-12 * (1.0 + abs(best))
+        if isinstance(family, wcs.WassersteinL1):
+            assert sol.x == 20.0
 
 
 class TestDroNewsvendor:
@@ -687,10 +751,11 @@ class TestLogreg:
         assert fit.separable
         assert fit.w[0] > 1.0
 
-    def test_saa_nonconvergence_reports_grad(self):
+    def test_saa_nonconvergence_reports_grad(self, monkeypatch):
         ds = dro.gen_synth_classification(50, 2, 0.4, seed=3)
+        monkeypatch.setattr(dro, "_MAX_ITER", 2)
         with pytest.raises(NonConvergence):
-            dro.logreg_saa(ds, tol=1e-12, max_iter=2)
+            dro.logreg_saa(ds, tol=1e-12)
 
     def test_wasserstein_zero_threshold_on_toy(self):
         # ||(1/2n) sum y_i x_i||_2 = 1/2 for the +-1 toy
@@ -816,11 +881,12 @@ class TestProxDescent:
         assert robust.grad_norm <= 1e-10
         assert not robust.separable
 
-    def test_nan_gradient_never_reads_as_converged(self):
+    def test_nan_gradient_never_reads_as_converged(self, monkeypatch):
         # bypasses labeled_dataset, which rejects the NaN cell
         ds = dro.LabeledDataset(np.array([[1.0, np.nan], [1.0, 2.0]]), np.array([1.0, -1.0]))
+        monkeypatch.setattr(dro, "_MAX_ITER", 3)
         with pytest.raises(NonConvergence):
-            dro.logreg_saa(ds, max_iter=3)
+            dro.logreg_saa(ds)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_features_are_rejected(self, bad):

@@ -165,6 +165,23 @@ class TestWorstValues:
                 for row, g, w in zip(block, got, want):
                     assert abs(g - w) <= 1e-9 * (abs(w) + np.ptp(row)), (label, eps, g, w)
 
+    def test_chi2_matches_the_scalar_solver_at_the_saturation_edge(self):
+        # eps within the 1e-9 saturation slack of the point mass's divergence
+        # (1 - m) / (2 m): the batch must decide as wc_chi2 does, whose
+        # all-active closed form wins over the point mass
+        fam, rng = wcs.SmoothPhi(), np.random.default_rng(5)
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            f = rng.normal(0.0, 10.0, n)
+            w = rng.uniform(0.05, 1.0, n)
+            s = wcs.validate(f, w / w.sum())
+            m = float(s.probs[np.argmax(f)])
+            for r in (-1e-9, -5e-10, -1e-10, 0.0, 1e-10, 1e-9):
+                eps = 0.5 * (1.0 - m) / m * (1.0 + r)
+                (got,) = fam.worst_values(s.costs[None, :], s.probs, eps)
+                want = wcs.wc_chi2(s, eps).value
+                assert abs(got - want) <= 1e-12 * np.ptp(f), (f, s.probs, eps, got, want)
+
     def test_chi2_is_scale_equivariant_where_the_scalar_cannot_bracket(self):
         fam = wcs.SmoothPhi()
         for label, block, probs in _blocks():
