@@ -30,7 +30,7 @@ import numpy as np
 
 from . import families, riskstats, sensitivity, worstcase
 from .core import PHI_BY_NAME, Scenario, interpolated_cost, validate
-from .errors import InputFileError, InvalidEpsList, InvalidGeneratorArgs, WcsError
+from .errors import InputFileError, InvalidEpsList, InvalidGeneratorArgs, LengthMismatch, WcsError
 
 if TYPE_CHECKING:
     from . import dro
@@ -68,17 +68,18 @@ def _floats(text: str) -> list[float]:
 def _fields(flag: str, text: str, schema: str, types: tuple, defaults: tuple, error) -> list:
     """The fields of a compound flag's value, split as ``schema`` ("n,d,margin,seed") is and
     each read by its type. The last len(defaults) may be left off for those defaults; a wrong
-    count or an unreadable field raises ``error`` naming the flag."""
+    count or a field its reader rejects raises ``error`` naming the flag and the reader's reason."""
     parts = text.split(":" if ":" in schema else ",")
     missing = len(types) - len(parts)
+    reason = ""
     if 0 <= missing <= len(defaults):
         try:
             values = [read(part) for read, part in zip(types, parts)]
-        except ValueError:
-            pass
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            reason = f": {exc}"
         else:
             return values + list(defaults[len(defaults) - missing :])
-    raise error(f"{flag} expects {schema}, got {text!r}")
+    raise error(f"{flag} expects {schema}, got {text!r}{reason}")
 
 
 def _jsonable(v):
@@ -185,12 +186,12 @@ def _scenario_from_args(args) -> Scenario:
     # transport geometry: support points (--points, default 0..n-1), costs interpolated over them
     pts = np.array(_floats(args.points)) if args.points else np.arange(s.n, dtype=float)
     if pts.size != s.n:
-        raise WcsError(f"{pts.size} support points for {s.n} costs")
+        raise LengthMismatch(f"--points expects one point per cost, got {pts.size} for {s.n}")
     return dataclasses.replace(s, points=pts, curve=interpolated_cost(pts, s.costs))
 
 
-def _family_from_args(args) -> families.UncertaintyFamily:
-    return families.build_family(args.family, PHI_BY_NAME[args.phi], args.alpha)
+def _family_from_args(args, name: str) -> families.UncertaintyFamily:
+    return families.build_family(name, PHI_BY_NAME[args.phi], args.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def _family_from_args(args) -> families.UncertaintyFamily:
 
 def _cmd_sensitivity(args) -> int:
     s = _scenario_from_args(args)
-    fam = _family_from_args(args)
+    fam = _family_from_args(args, args.family)
     rep = fam.sensitivity(s)
     _emit({"value": rep.value, "family": fam.name, "growth": rep.growth})
     return 0
@@ -215,7 +216,7 @@ def _dual_payload(dual) -> dict | None:
 
 def _cmd_worst_case(args) -> int:
     s = _scenario_from_args(args)
-    fam = _family_from_args(args)
+    fam = _family_from_args(args, args.family)
     res = worstcase.worst_case(s, fam, args.eps)
     _emit(
         {
@@ -254,10 +255,15 @@ def _params_from_args(args) -> dro.NewsvendorParams:
 
 def _eps_list_from_args(args) -> list[float]:
     if args.eps_list:
-        return _floats(args.eps_list)
+        try:
+            return _floats(args.eps_list)
+        except ValueError:
+            raise InvalidEpsList(f"--eps-list expects numbers, got {args.eps_list!r}") from None
     if args.eps_geom:
+        # both ends finite and > 0 (a geometric grid cannot reach 0), and at least one point
         grid = _fields(
-            "--eps-geom", args.eps_geom, "start:stop:count", (float, float, int), (), InvalidEpsList
+            "--eps-geom", args.eps_geom, "start:stop:count",
+            (_positive_float, _positive_float, _positive_int), (), InvalidEpsList,
         )
         return list(np.geomspace(*grid))
     raise WcsError("need --eps-list or --eps-geom start:stop:count")
@@ -266,7 +272,7 @@ def _eps_list_from_args(args) -> list[float]:
 def _cmd_frontier(args) -> int:
     from . import dro
 
-    fam = _family_from_args(args)
+    fam = _family_from_args(args, args.family)
     eps_list = _eps_list_from_args(args)
     if args.data_file or args.gen_class:
         problem, data = _classification_from_args(args), None
@@ -274,9 +280,7 @@ def _cmd_frontier(args) -> int:
         raise WcsError("newsvendor frontier needs --r and --c (or use --data-file/--gen-class)")
     else:
         problem, data = _params_from_args(args), _demand_from_args(args)
-    points = dro.frontier(
-        problem, data, fam, eps_list, args.measure, phi=PHI_BY_NAME[args.phi], alpha=args.alpha
-    )
+    points = dro.frontier(problem, data, fam, eps_list, _family_from_args(args, args.measure))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             # vector decisions (weight fits) summarize to their 2-norm in CSV
@@ -319,7 +323,7 @@ def _cmd_solve_newsvendor(args) -> int:
         return 0
     if args.eps is None:
         raise WcsError("--eps is required with --family")
-    sol = dro.dro_newsvendor(params, demand, _family_from_args(args), args.eps)
+    sol = dro.dro_newsvendor(params, demand, _family_from_args(args, args.family), args.eps)
     _emit({"x": sol.x, "value": sol.worst_case.value, "eps": args.eps, "family": args.family})
     return 0
 

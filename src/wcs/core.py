@@ -348,7 +348,6 @@ class PhiFunction:
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
     inv_deriv: Callable[[np.ndarray], np.ndarray]
     zeta_floor: float
     curvature: float  # phi''(1)
@@ -383,7 +382,6 @@ def _kl_value(z):
 MODIFIED_CHI2 = PhiFunction(
     name="modified-chi2",
     value=_chi2_value,
-    deriv=lambda z: np.asarray(z, dtype=float) - 1.0,
     inv_deriv=lambda zeta: 1.0 + np.asarray(zeta, dtype=float),
     zeta_floor=-1.0,
     curvature=1.0,
@@ -392,7 +390,6 @@ MODIFIED_CHI2 = PhiFunction(
 KL = PhiFunction(
     name="kl",
     value=_kl_value,
-    deriv=lambda z: np.log(np.asarray(z, dtype=float)),
     inv_deriv=lambda zeta: np.exp(np.asarray(zeta, dtype=float)),
     zeta_floor=-np.inf,
     curvature=1.0,

@@ -48,8 +48,6 @@ import numpy as np
 
 from .core import (
     GROWTH_LINEAR,
-    MODIFIED_CHI2,
-    PhiFunction,
     PiecewiseLinearCost,
     Scenario,
     distinct,
@@ -67,7 +65,7 @@ from .errors import (
     NonFiniteCost,
     UnsupportedFamily,
 )
-from .families import UncertaintyFamily, WassersteinL1, build_family
+from .families import UncertaintyFamily, WassersteinL1
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
 
@@ -399,24 +397,22 @@ def frontier(
     data,
     family: UncertaintyFamily,
     eps_list: Sequence[float],
-    measure: str,
-    phi: PhiFunction = MODIFIED_CHI2,
-    alpha: float = 0.95,
+    measure: UncertaintyFamily,
 ) -> list[FrontierPoint]:
     """Sweep eps, solve the DRO at each size, report (mean, sensitivity) at the solution.
 
-    ``measure`` names the family whose sensitivity is reported. Newsvendor
+    ``measure`` is the family whose sensitivity is reported. Newsvendor
     sweeps take (NewsvendorParams, demand Scenario) and any supported family.
     Logistic sweeps take (LabeledDataset, None) with the transport family;
     the decision is the weight vector and the measures act on the
     per-sample loss distribution.
     """
     eps_arr = [float(e) for e in eps_list]
-    if any(e < 0 for e in eps_arr) or any(b < a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise InvalidEpsList("eps_list must be non-negative and ascending")
-    measure_family = build_family(measure, phi, alpha)
+    descending = any(b < a for a, b in zip(eps_arr, eps_arr[1:]))
+    if not eps_arr or any(e < 0 for e in eps_arr) or descending:
+        raise InvalidEpsList("eps_list must be non-empty, non-negative and ascending")
     if isinstance(problem, LabeledDataset):
-        return _logreg_frontier(problem, family, eps_arr, measure_family)
+        return _logreg_frontier(problem, family, eps_arr, measure)
     params, demand = problem, data
     points = []
     for eps in eps_arr:
@@ -427,7 +423,7 @@ def frontier(
                 eps=eps,
                 decision=sol.x,
                 nominal_mean=riskstats.mean(s_x),
-                sensitivity=measure_family.sensitivity(s_x).value,
+                sensitivity=measure.sensitivity(s_x).value,
             )
         )
     return points
@@ -446,11 +442,11 @@ def _logreg_frontier(
     points = []
     for eps in eps_arr:
         # the regularized fit only: logreg_wasserstein would also fit the SAA model
-        fit = _prox_descent(dataset, eps, 1e-8, _MAX_ITER)
+        fit = _prox_descent(dataset, eps, 1e-8)
         margins = dataset.labels * (dataset.features @ fit.w)
         losses = np.logaddexp(0.0, -margins)
         s_w = validate(losses, np.full(dataset.n, 1.0 / dataset.n))
-        if measure.name == "wasserstein":
+        if isinstance(measure, WassersteinL1):
             # the regularized form is exact: V(eps, w) = eps ||w|| + loss
             sens = float(np.linalg.norm(fit.w))
         else:
@@ -528,7 +524,7 @@ class LogregFit:
     separable: bool
 
 
-def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -> LogregFit:
+def _prox_descent(data: LabeledDataset, eps: float, tol: float) -> LogregFit:
     """Proximal gradient from w = 0 on eps ||w||_2 + logloss(w).
 
     The step doubles each iteration and halves until the trial w+ passes
@@ -542,7 +538,7 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -
     w = np.zeros(data.d)
     g = logloss_grad(data, w)
     step = 1.0
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         nw = float(np.linalg.norm(w))
         # max(nan, 0.0) is nan (max(0.0, nan) would be 0.0): a NaN never reads as converged
         if nw == 0.0:
@@ -553,7 +549,7 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -
             margins = data.labels * (data.features @ w)
             separable = eps == 0.0 and bool(np.all(margins > 0))
             return LogregFit(w, eps * nw + logloss(data, w), resid, it, separable)
-        if it == max_iter:
+        if it == _MAX_ITER:
             break
         step *= 2.0
         while True:
@@ -567,7 +563,7 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float, max_iter: int) -
                 break
             step *= 0.5
         w, g = w_new, g_new
-    raise NonConvergence(f"optimality residual {resid:.3e} > tol {tol} after {max_iter} iterations")
+    raise NonConvergence(f"optimality residual {resid:.3e} > tol {tol} after {_MAX_ITER} iterations")
 
 
 def logreg_saa(data: LabeledDataset, tol: float = 1e-8) -> LogregFit:
@@ -576,7 +572,7 @@ def logreg_saa(data: LabeledDataset, tol: float = 1e-8) -> LogregFit:
     On separable data there is no finite minimizer; the run still stops at
     the gradient-norm criterion and the fit is flagged separable.
     """
-    return _prox_descent(data, 0.0, tol, _MAX_ITER)
+    return _prox_descent(data, 0.0, tol)
 
 
 def robust_logreg_objective(
@@ -613,7 +609,7 @@ def logreg_wasserstein(
     worstcase._check_eps(eps)
     saa = logreg_saa(data, tol=tol)
     report = sensitivity.SensitivityReport(value=float(np.linalg.norm(saa.w)), growth=GROWTH_LINEAR)
-    fit = saa if eps == 0.0 else _prox_descent(data, eps, tol, _MAX_ITER)
+    fit = saa if eps == 0.0 else _prox_descent(data, eps, tol)
     return fit, report
 
 

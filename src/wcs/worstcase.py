@@ -153,9 +153,9 @@ class _Standardised:
     def value(self, vg: float) -> float:
         return self.half * (self.top + self.scale * vg)
 
-    def dual(self, delta: float, c: float) -> SmoothPhiDual:
+    def dual(self, delta: float, c: float, spread: float) -> SmoothPhiDual:
         return SmoothPhiDual(
-            delta=delta / self.half / self.scale, c=self.half * (self.scale * c - self.top)
+            delta=delta / self.half / self.scale / spread, c=self.half * (self.scale * c - self.top)
         )
 
 
@@ -167,12 +167,11 @@ def _standardise(f: np.ndarray) -> _Standardised:
 
 
 def _tilted(
-    st: _Standardised, q: np.ndarray, delta: float, c: float, eps: float
+    st: _Standardised, q: np.ndarray, delta: float, c: float, eps: float, spread: float = 1.0
 ) -> WorstCaseResult:
-    """The result for a tilt q, in atom order, solved on st.g with multiplier delta and shift c."""
-    return WorstCaseResult(
-        epsilon=eps, value=st.value(exact_sum(q, st.g)), worst_q=_clip_q(q), dual=st.dual(delta, c)
-    )
+    """The result for tilt q, in atom order, solved on st.g: multiplier delta / spread, shift c."""
+    v = st.value(exact_sum(q, st.g))
+    return WorstCaseResult(epsilon=eps, value=v, worst_q=_clip_q(q), dual=st.dual(delta, c, spread))
 
 
 def _unresolved(phi: PhiFunction, eps: float) -> bool:
@@ -255,16 +254,17 @@ def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
     return None
 
 
-def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float):
-    """(q, delta, c) of the modified chi-square tilt on standardised costs, sorted once, or None.
+def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult | None:
+    """The result of the modified chi-square tilt on standardised costs, sorted once, or None.
 
     The active count comes from ``_chi2_prefix``, the test ``_chi2_rows``
     runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
     mu_k and W_k are then summed exactly, two-pass, over the active atoms,
     since prefix sums leave W with a rounding error that shows in the
     divergence. In the second case the deviations are measured in the
-    active atoms' spread, so W does not underflow. None when no active
-    count passes the test.
+    active atoms' spread, so W does not underflow, and delta stays in
+    those units until it is on costs: on g it can pass the largest double.
+    None when no active count passes the test.
     """
     srt = sort_desc(s)
     g, p = st.g[srt.order], srt.probs_desc
@@ -287,8 +287,7 @@ def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float):
     delta = math.sqrt(slack / w)
     q = np.zeros_like(p)
     q[:k] = pa * np.maximum(1.0 / mass + delta * dev, 0.0)
-    delta /= spread
-    return srt.unsort(q), delta, (1.0 / mass - 1.0) / delta - mu
+    return _tilted(st, srt.unsort(q), delta, (1.0 / mass - 1.0) * spread / delta - mu, eps, spread)
 
 
 def _chi2_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
@@ -319,7 +318,7 @@ def _phi_tilt_result(
         return _point_mass(s, np.where(top, s.probs / pm, 0.0), eps)
     solved = active(s, st, eps) if active else None
     if solved:
-        return _tilted(st, *solved, eps)
+        return solved
     vg, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
     if math.isnan(vg):
         raise NoBracket(

@@ -376,6 +376,13 @@ REJECTED_INPUTS = {
          "--r", "10", "--c", "2", "--q", "0", "--s", "4", "--gen", "20,10,100,0.9,42"],
         "InvalidEpsList",
     ),
+    # a comma alone reads as no sizes, which printed "points": [] and exited 0
+    "empty-eps-list": (
+        "",
+        ["frontier", "--family", "budgeted", "--measure", "budgeted", "--eps-list", ",",
+         "--r", "10", "--c", "2", "--q", "0", "--s", "4", "--gen", "20,10,100,0.9,42"],
+        "InvalidEpsList",
+    ),
     "empty-generated-demand": (
         "",
         ["solve-newsvendor", "--r", "10", "--c", "2", "--q", "0", "--s", "4",
@@ -488,8 +495,9 @@ def test_duals_at_the_top_of_the_double_range_print_as_strict_json():
 
 
 COMPOUND_FLAG_ERRORS = {
-    # id: (argv, error code); each message names the flag and its fields. A one-field
-    # --gen-class ended in an IndexError traceback, the others in a bare ValueError
+    # id: (argv, error code); each message names the flag and what it expects. A one-field
+    # --gen-class ended in an IndexError traceback, the others in a bare ValueError, the
+    # base WcsError, a numpy warning before the error or, for a zero count, no points at all
     "gen-class-one-field": (
         ["solve-logreg", "--gen-class", "10", "--eps", "0.1"], "InvalidGeneratorArgs"
     ),
@@ -508,14 +516,34 @@ COMPOUND_FLAG_ERRORS = {
          *GOLDEN_NEWSVENDOR],
         "InvalidEpsList",
     ),
+    **{
+        f"eps-geom-{grid}": (
+            ["frontier", "--family", "tv", "--measure", "tv", "--eps-geom", grid,
+             *GOLDEN_NEWSVENDOR],
+            "InvalidEpsList",
+        )
+        for grid in ("0:1:5", "1:2:-1", "1:inf:3", "1:2:0", "1:nan:3")
+    },
+    "eps-list-not-numbers": (
+        ["frontier", "--family", "tv", "--measure", "tv", "--eps-list", "a,b",
+         *GOLDEN_NEWSVENDOR],
+        "InvalidEpsList",
+    ),
+    "points-fewer-than-costs": (
+        ["sensitivity", "--family", "wasserstein", "--costs", "1,5,3", "--points", "0,1"],
+        "LengthMismatch",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(COMPOUND_FLAG_ERRORS))
 def test_unreadable_compound_flag_exits_three_naming_the_flag(case):
     argv, code = COMPOUND_FLAG_ERRORS[case]
-    flag = next(a for a in argv if a in ("--gen", "--gen-class", "--eps-geom"))
+    flag = next(
+        a for a in argv if a in ("--gen", "--gen-class", "--eps-geom", "--eps-list", "--points")
+    )
     exit_code, out, err = run_cli(argv)
     payload = json.loads(err)
     assert exit_code == 3 and out == "" and payload["code"] == code
+    assert err.count("\n") == 1
     assert payload["message"].startswith(f"{flag} expects ")

@@ -287,14 +287,17 @@ class TestPhiFunctions:
     @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
     def test_normalization(self, phi):
         assert phi.value(np.array(1.0)) == pytest.approx(0.0, abs=1e-15)
-        assert phi.deriv(np.array(1.0)) == pytest.approx(0.0, abs=1e-15)
+        # phi'(1) = 0, read through the inverse the solvers use
+        assert float(phi.inverse_clamped(np.array(0.0))) == 1.0
         assert phi.curvature > 0
 
     @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
     def test_inverse_of_derivative(self, phi):
+        # phi' by a central difference of phi; its error is about 4e-11 at h = 1e-5
+        h = 1e-5
         for z in np.linspace(0.4, 1.8, 29):
-            back = float(phi.inverse_clamped(phi.deriv(np.array(z))))
-            assert back == pytest.approx(z, abs=1e-10)
+            slope = (phi.value(np.array(z + h)) - phi.value(np.array(z - h))) / (2.0 * h)
+            assert float(phi.inverse_clamped(slope)) == pytest.approx(z, abs=1e-10)
 
     def test_chi2_clamps_to_zero(self):
         assert float(wcs.MODIFIED_CHI2.inverse_clamped(np.array(-1.5))) == 0.0

@@ -10,6 +10,7 @@ import pytest
 import wcs
 from wcs import dro, oracle
 from wcs.errors import (
+    InvalidEpsList,
     LengthMismatch,
     NegativeDemand,
     NonConvergence,
@@ -560,7 +561,6 @@ class TestUserPhiValues:
     PHI = wcs.PhiFunction(
         name="chi2-times-two",
         value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
         inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
         zeta_floor=-2.0,
         curvature=2.0,
@@ -669,7 +669,7 @@ class TestNewsvendorAgainstOracle:
 class TestFrontier:
     def test_tiny_budgeted_sweep(self):
         d = uniform_demand([10, 20])
-        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0, 1.0], "budgeted")
+        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0, 1.0], wcs.Budgeted())
         assert [p.eps for p in pts] == [0.0, 1.0]
         assert pts[0].nominal_mean == pytest.approx(-110.0, abs=1e-9)
         assert pts[0].sensitivity == pytest.approx(50.0, abs=1e-9)
@@ -678,7 +678,7 @@ class TestFrontier:
 
     def test_single_point_is_saa(self):
         d = uniform_demand([10, 20])
-        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0], "budgeted")
+        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0], wcs.Budgeted())
         assert len(pts) == 1
         assert pts[0].decision == dro.saa_newsvendor(PARAMS, d)
 
@@ -686,19 +686,38 @@ class TestFrontier:
         # holds on this sweep (exact solutions); kinked ambiguity costs can
         # produce small local bumps on less regular discrete instances
         d = uniform_demand([10.0, 20.0])
-        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0, 0.25, 0.5, 1.0], "budgeted")
+        pts = dro.frontier(PARAMS, d, wcs.Budgeted(), [0.0, 0.25, 0.5, 1.0], wcs.Budgeted())
         sens = [p.sensitivity for p in pts]
         assert sens == pytest.approx([50.0, 50.0, 50.0, 0.0], abs=1e-9)
         assert all(b <= a + 1e-9 for a, b in zip(sens, sens[1:]))
 
+    @pytest.mark.parametrize(
+        "family, reference",
+        [
+            (wcs.Combination(0.5), lambda s: wcs.combination_sensitivity(s, 0.5)),
+            (wcs.SmoothPhi(wcs.KL), lambda s: wcs.smooth_phi_sensitivity(s, wcs.KL)),
+        ],
+        ids=["combo-0.5", "kl"],
+    )
+    def test_measure_is_the_family_given(self, family, reference):
+        # a measure named by string was rebuilt with frontier's own alpha (0.95) and phi (chi2)
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(100, seed=42))
+        pts = dro.frontier(PARAMS, demand, family, [0.0, 0.2, 0.5], family)
+        for pt in pts:
+            s_x = dro.cost_scenario(PARAMS, demand, pt.decision)
+            assert pt.sensitivity == reference(s_x).value
+
     def test_eps_list_validation(self):
         d = uniform_demand([10, 20])
         with pytest.raises(ValueError):
-            dro.frontier(PARAMS, d, wcs.Budgeted(), [0.5, 0.1], "budgeted")
+            dro.frontier(PARAMS, d, wcs.Budgeted(), [0.5, 0.1], wcs.Budgeted())
+        # a sweep of no sizes returned no points
+        with pytest.raises(InvalidEpsList):
+            dro.frontier(PARAMS, d, wcs.Budgeted(), [], wcs.Budgeted())
 
     def test_dataset_sweep(self):
         ds = dro.gen_synth_classification(40, 2, 0.5, seed=5)
-        pts = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1, 0.3], "wasserstein")
+        pts = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1, 0.3], wcs.WassersteinL1())
         means = [p.nominal_mean for p in pts]
         sens = [p.sensitivity for p in pts]
         assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
@@ -706,7 +725,7 @@ class TestFrontier:
         assert sens[-1] == 0.0  # fully shrunk fit
         assert isinstance(pts[0].decision, np.ndarray)
         # measures acting on the per-sample loss distribution also work
-        pts_phi = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1], "phi")
+        pts_phi = dro.frontier(ds, None, wcs.WassersteinL1(), [0.0, 0.1], wcs.SmoothPhi())
         assert pts_phi[0].sensitivity > pts_phi[1].sensitivity
 
     def test_dataset_sweep_fits_once_per_eps(self, monkeypatch):
@@ -716,7 +735,7 @@ class TestFrontier:
         calls = []
         fit = dro._prox_descent
         monkeypatch.setattr(dro, "_prox_descent", lambda *a: calls.append(a[1]) or fit(*a))
-        pts = dro.frontier(ds, None, wcs.WassersteinL1(), eps_list, "tv")
+        pts = dro.frontier(ds, None, wcs.WassersteinL1(), eps_list, wcs.TotalVariation())
         assert calls == eps_list
         for pt, w in zip(pts, expected):
             assert pt.decision.tobytes() == w.tobytes()
@@ -724,7 +743,7 @@ class TestFrontier:
     def test_dataset_sweep_requires_transport_family(self):
         ds = dro.gen_synth_classification(20, 1, 0.5, seed=5)
         with pytest.raises(ValueError):
-            dro.frontier(ds, None, wcs.Budgeted(), [0.0], "budgeted")
+            dro.frontier(ds, None, wcs.Budgeted(), [0.0], wcs.Budgeted())
 
 
 class TestLogreg:
@@ -909,7 +928,9 @@ class TestNegativeDemand:
 
     def test_frontier_rejects(self):
         with pytest.raises(NegativeDemand):
-            dro.frontier(PARAMS, uniform_demand(self.NEGATIVE), wcs.Budgeted(), [0.0, 0.5], "budgeted")
+            dro.frontier(
+                PARAMS, uniform_demand(self.NEGATIVE), wcs.Budgeted(), [0.0, 0.5], wcs.Budgeted()
+            )
 
     def test_zero_demand_stays_valid(self):
         d = uniform_demand([0.0, 10.0, 3.0])

@@ -125,7 +125,6 @@ def _user_phi():
     """phi(z) = (z - 1)^2, a chi-square that is not the built-in object."""
     return dict(
         value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
         inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
         zeta_floor=-2.0,
         curvature=2.0,

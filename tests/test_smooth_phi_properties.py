@@ -28,7 +28,6 @@ from wcs.core import PhiFunction
 USER_PHI = PhiFunction(
     name="chi2-times-two",
     value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-    deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
     inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
     zeta_floor=-2.0,
     curvature=2.0,

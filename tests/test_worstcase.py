@@ -153,7 +153,6 @@ class TestSmoothPhi:
         chi2_x2 = PhiFunction(
             name="chi2-times-two",
             value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-            deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
             inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
             zeta_floor=-2.0,
             curvature=2.0,
@@ -175,7 +174,6 @@ class TestSmoothPhi:
         chi2_x2 = PhiFunction(
             name=name,
             value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-            deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
             inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
             zeta_floor=-2.0,
             curvature=2.0,
@@ -202,7 +200,6 @@ class TestSmoothPhi:
         flat = PhiFunction(
             name="flat",
             value=lambda z: np.where(np.asarray(z, dtype=float) > 0.0, 0.0, math.inf),
-            deriv=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             inv_deriv=lambda zeta: np.ones_like(np.asarray(zeta, dtype=float)),
             zeta_floor=-math.inf,
             curvature=1.0,
@@ -225,7 +222,6 @@ class TestSmoothPhi:
         burg = PhiFunction(
             name="burg",
             value=value,
-            deriv=lambda z: 1.0 - 1.0 / np.asarray(z, dtype=float),
             inv_deriv=lambda zeta: 1.0 / (1.0 - np.asarray(zeta, dtype=float)),
             zeta_floor=-math.inf,
             curvature=1.0,
@@ -621,7 +617,6 @@ def _user_chi2_x2():
     return PhiFunction(
         name="chi2-times-two",
         value=lambda z: (np.asarray(z, dtype=float) - 1.0) ** 2,
-        deriv=lambda z: 2.0 * (np.asarray(z, dtype=float) - 1.0),
         inv_deriv=lambda zeta: 1.0 + 0.5 * np.asarray(zeta, dtype=float),
         zeta_floor=-2.0,
         curvature=2.0,
@@ -648,15 +643,28 @@ class TestScaleFreeSmoothPhi:
 
     def test_chi2_active_atoms_closer_than_the_square_root_of_the_smallest_double(self):
         # the top two costs differ by 2.85e-306 of the range: W of the active set
-        # underflowed to 0, no active count passed and the bisection found no bracket
+        # underflowed to 0, no active count passed and the bisection found no bracket.
+        # In the third the three costliest atoms span 1.2e-308 of the range: without
+        # the spread count the generic Newton finds no bracket, and delta on g overflowed
         cases = (
             ([0.0, 2.85025536e-306, -1.0], None, 0.5),
             ([-7201.14, -2.85e-306, -6.24e-204, -345219.6, -398909.2, -337349.8], None, 1.4156),
+            (
+                [-5.271437473353929e-306, -9.625458487726364e-306, -1.7876827789736745e-307,
+                 -815.4853502445765],
+                [0.19337752405023637, 0.4778666671729567, 0.28473894191649607,
+                 0.044016866860310866],
+                0.6017505816264382,
+            ),
         )
         for costs, probs, eps in cases:
             s = wcs.validate(costs, probs)
             r = wcs.wc_chi2(s, eps)
             assert not r.clamped and math.isfinite(r.dual.delta)
+            # the dual gives back the tilt q = p max(1 + delta (f + c), 0)
+            delta = r.dual.delta
+            z = 1.0 + delta * np.maximum(s.costs + r.dual.c, -1.0 / delta)
+            assert np.allclose(r.worst_q, s.probs * z, rtol=0.0, atol=1e-12)
             assert abs(wcs.MODIFIED_CHI2.divergence(r.worst_q, s.probs) - eps) <= 1e-12 * eps
             top_two = np.sort(s.costs)[-2:]
             assert top_two[0] <= r.value <= top_two[1]
@@ -754,7 +762,6 @@ class TestScaleFreeSmoothPhi:
         tiny = PhiFunction(
             name="chi2-times-1e-200",
             value=lambda z: K * (np.asarray(z, dtype=float) - 1.0) ** 2,
-            deriv=lambda z: 2.0 * K * (np.asarray(z, dtype=float) - 1.0),
             inv_deriv=lambda zeta: 1.0 + np.asarray(zeta, dtype=float) / (2.0 * K),
             zeta_floor=-2.0 * K,
             curvature=2.0 * K,
