@@ -481,51 +481,38 @@ class PiecewiseLinearCost:
     def slope_left(self, z: float) -> float:
         return self.slopes[bisect.bisect_left(self.breakpoints, z)]
 
-    def ratio_candidates(self, y: float) -> list[tuple[float, float]]:
-        """(ratio, z) pairs whose ratio-max is sup_z (f(z)-f(y))/|z-y|.
+    def ratio_from(self, y: float) -> float:
+        """sup_z (f(z) - f(y)) / |z - y|, clamped at 0 (the dual multiplier is >= 0).
 
-        On every linear segment the secant ratio from y is monotone in z, so
-        the supremum over z is attained at a breakpoint, a finite domain
-        endpoint, in the limit z -> y (one-sided slopes; reported with
-        z = y), or in the limit z -> +-inf (asymptotic slopes; reported
-        with infinite z).
+        On every linear piece the secant ratio from y is monotone in z, so the
+        supremum is at a knot, a finite domain end, or in the limit toward an
+        infinite end (the asymptotic slope). The limits z -> y add nothing:
+        each one-sided slope is the secant to the adjacent knot or end, or the
+        asymptotic slope where there is none.
         """
         lo, hi = self.domain
         if not (lo <= y <= hi):
             raise OutsideCostDomain(f"support point {y} outside cost domain {self.domain}")
         fy = self.value(y)
-        cands: list[tuple[float, float]] = []
-        if y > lo:
-            cands.append((-self.slope_left(y), y))
-        if y < hi:
-            cands.append((self.slope_right(y), y))
-        points = set(self.breakpoints)
-        if math.isfinite(lo):
-            points.add(lo)
-        else:
-            cands.append((-self.slopes[0], -math.inf))
-        if math.isfinite(hi):
-            points.add(hi)
-        else:
-            cands.append((self.slopes[-1], math.inf))
-        inside = sorted(b for b in points if lo <= b <= hi and b != y)
-        left_adj = max((b for b in inside if b < y), default=None)
-        right_adj = min((b for b in inside if b > y), default=None)
-        for b in inside:
+        ratios = [0.0]
+        if lo == -math.inf:
+            ratios.append(-self.slopes[0])
+        if hi == math.inf:
+            ratios.append(self.slopes[-1])
+        finite = {b for b in (*self.breakpoints, lo, hi) if lo <= b <= hi and math.isfinite(b)}
+        inside = sorted(finite - {y})
+        j = bisect.bisect_left(inside, y)
+        for i, b in enumerate(inside):
             # the knots adjacent to y share y's linear piece: their secant IS the
             # one-sided slope, so use it verbatim instead of re-deriving it from
             # value differences (keeps slope equalities exact)
-            if b == left_adj:
-                cands.append((-self.slope_left(y), b))
-            elif b == right_adj:
-                cands.append((self.slope_right(y), b))
+            if i == j - 1:
+                ratios.append(-self.slope_left(y))
+            elif i == j:
+                ratios.append(self.slope_right(y))
             else:
-                cands.append(((self.value(b) - fy) / abs(b - y), b))
-        return cands
-
-    def ratio_from(self, y: float) -> float:
-        """sup_z (f(z) - f(y)) / |z - y|, clamped at 0 (the dual multiplier is >= 0)."""
-        return max(0.0, max(r for r, _ in self.ratio_candidates(y)))
+                ratios.append((self.value(b) - fy) / abs(b - y))
+        return max(ratios)
 
 
 def interpolated_cost(points, values) -> PiecewiseLinearCost:

@@ -16,10 +16,7 @@ lines cross (the LP view of CVaR, Rockafellar & Uryasev 2000). V is a
 supremum of costs convex in x, so bisections find the best atom and then
 the best kink in the two atom gaps around it; crossings are generated only
 there, so a solve reads V at O(log n) orders and builds no all-pairs array.
-First-order Wasserstein is convex only from the smallest positive atom y1
-up (its multiplier rises with x below y1): the bisections run there, and
-the kinks below y1, 0 and the multiplier's own, are read one by one. Of
-orders within the tie tolerance 1e-12 (1 + |V|) of the least V, the
+Of orders within the tie tolerance 1e-12 (1 + |V|) of the least V, the
 smallest is returned.
 
 V is L-Lipschitz in x, L = max(c - q, r + s - c), so kinks, atoms and
@@ -27,10 +24,11 @@ crossings alike, closer than the tie tolerance of V at the range ends over
 L are one order, the smallest (``_apart``): rounding could otherwise turn a
 bisection the wrong way between two atoms one double apart.
 
-Polytope families and Wasserstein have V linear between kinks, so the best
-kink is exact. A smooth phi ball has a unique worst q, so V is
-differentiable between atoms and may dip inside a gap: ``_refine`` shrinks
-the bracket around the best kink by rounds of evenly spaced orders.
+Polytope families have V linear between kinks, so the best kink is exact.
+A smooth phi ball has a unique worst q, so V is differentiable between
+atoms, and Wasserstein's V kinks between them too, wherever the transport
+envelopes change: V may dip inside a gap, and ``_refine`` shrinks the
+bracket around the best kink by rounds of evenly spaced orders.
 
 V is read in batches, value only: a block of orders is one (m, n) cost
 matrix of about 2^13 entries, and the family's ``worst_values`` returns V
@@ -267,9 +265,9 @@ class DroSolution:
     at an end of the range) and ``slopes`` the secant slopes of V from x to
     them (-inf and +inf at an end). For convex V, left <= 0 <= right puts a
     minimizer in the bracket, where V >= V(x) - max(-left (hi - x),
-    right (x - lo)). For the piecewise-linear families and Wasserstein the
-    ends are the neighbouring kinks, so the slopes are V's one-sided
-    derivatives at x and the certificate is exact; for smooth phi the
+    right (x - lo)). For the piecewise-linear families the ends are the
+    neighbouring kinks, so the slopes are V's one-sided derivatives at x
+    and the certificate is exact; for smooth phi and Wasserstein the
     bracket is refined. Both are None at eps = 0, where x is the SAA order.
     """
 
@@ -294,23 +292,12 @@ def _kink_search(params, demand, family, eps):
             return grid[a : b + 1]
         return _apart(np.append(grid[a : b + 1], _crossings(params, atoms, grid[a], grid[b])), gap)
 
-    orders = np.append(atoms, [0.0, top])
-    wasserstein, below = isinstance(family, WassersteinL1), []
-    if wasserstein and atoms[-1] > 0.0:
-        # V = E_p f + eps lambda*, with lambda* = max(s, (r + s - q) x / y1 - s)
-        # below the smallest positive atom y1 (an atom at 0 adds only s) and
-        # max(s, r - q) from y1 up: V is convex on each side and linear
-        # between kinks, so the kinks below y1 are read and the rest bisected;
-        # y1 is the smallest order bisected, so _apart keeps it
-        y1, d = float(atoms[atoms > 0.0][0]), params.r + params.s - params.q
-        below = sorted({z for z in (0.0, 2.0 * params.s * y1 / d) if z < y1})
-        orders = orders[orders >= y1]
-    grid = _apart(orders, gap)
+    grid = _apart(np.append(atoms, [0.0, top]), gap)
     k = _first_rise(values, grid)
     a = max(k - 1, 0)
     ks = kinks(a, min(k + 1, len(grid) - 1))
     m = _first_rise(values, ks)
-    v = min(values([ks[m]]) + values(below))
+    v = values([ks[m]])[0]
     level = v + _tol(v)
     if a > 0 and values([grid[a]])[0] <= level:
         # V is flat at its minimum, which may reach further left than the bracket
@@ -318,16 +305,10 @@ def _kink_search(params, demand, family, eps):
         ks = kinks(max(j - 1, 0), j + 1)
         # grid[j], or the crossing it merged into
         m = int(np.searchsorted(ks, grid[j], side="right")) - 1
-    if min(values(below), default=math.inf) <= level:
-        ks = below + grid[:1]
-        i = next(j for j, u in enumerate(values(below)) if u <= level)
-    else:
-        i = _first_within(values, ks[: m + 1], level)
+    i = _first_within(values, ks[: m + 1], level)
     x = ks[i]
     lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)]
-    if below and x == grid[0]:
-        lo = below[-1]
-    if not (family.piecewise_linear or wasserstein):
+    if not family.piecewise_linear:
         x, lo, hi = _refine(values, x, lo, hi)
     v_lo, v, v_hi = values([lo, x, hi])
     s_left = (v - v_lo) / (x - lo) if lo < x else -math.inf
@@ -343,8 +324,8 @@ def _refine(values, x, lo, hi):
     kink stays there. The bracket becomes x's neighbours while V there is
     no lower than V(x), so it keeps certifying left <= 0 <= right. Rounds
     stop when it would not, when it stops shrinking, or when convexity (a
-    secant on one side of x, extended) bounds V on it within the tolerance
-    of V(x).
+    secant on one side of x, or one just beyond the bracket, extended to x)
+    bounds V on it within the tolerance of V(x).
     """
     v = values([x])[0]
     for _ in range(_ROUNDS):
@@ -360,6 +341,11 @@ def _refine(values, x, lo, hi):
         lo, hi = pts[ia], pts[ib]
         if lo < x < hi:
             gap = max((vals[ia] - v) * (hi - x) / (x - lo), (vals[ib] - v) * (x - lo) / (hi - x))
+            if 0 < ia and ib < len(pts) - 1:
+                # so do the secants just beyond the bracket, extended to x: exact at a kink
+                left = vals[ia] + (vals[ia] - vals[ia - 1]) / (lo - pts[ia - 1]) * (x - lo)
+                right = vals[ib] - (vals[ib + 1] - vals[ib]) / (pts[ib + 1] - hi) * (hi - x)
+                gap = min(gap, v - min(v, left, right))
             if gap <= _tol(v):
                 break
     return x, lo, hi

@@ -9,7 +9,8 @@ of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
 search calls; ``piecewise_linear`` tells that search whether the orders
-where two scenario cost lines cross are kinks of V. Every family with a
+where two scenario cost lines cross are kinks of V, and so whether its best
+kink is exact or refined (smooth phi, Wasserstein). Every family with a
 worst case but Wasserstein solves a block at once, a smooth phi ball for
 any phi (``worstcase.phi_values``); where ``worst_values`` returns None
 the caller solves row by row.

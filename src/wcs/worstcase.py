@@ -24,8 +24,9 @@ block (``_tilt_rows``), with D'(delta) = delta sum p h (g - g_h)^2 for h
 the slope of [phi']^{-1}; KL takes c in closed form, any other phi solves
 it per row by the same Newton.
 
-The value-only batches at the end (``*_values``) return V(eps) for each row
-of a cost block. The built-in phis are picked here alone, by identity.
+The value-only batches (``*_values``) return V(eps) for each row of a
+cost block. The built-in phis are picked here alone, by identity. The L1
+transport worst case (``wc_wasserstein_pl``) is exact at every eps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .core import (
     sort_desc,
     validate,
 )
-from .errors import EpsOutOfRange, InvalidBoxParams, NoBracket
+from .errors import EpsOutOfRange, InvalidBoxParams, NoBracket, OutsideCostDomain
 from . import riskstats
 
 _DELTA_CAP = 1e300
@@ -77,8 +78,9 @@ class BudgetedDual:
 
 @dataclass(frozen=True)
 class WassersteinDual:
+    """Transport multiplier lam, the slope last bought, and whether worst_q attains V."""
+
     lam: float
-    validity_radius: float
     attained: bool
 
 
@@ -826,68 +828,90 @@ def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: floa
 
 
 def wc_wasserstein_pl(points, probs, cost: PiecewiseLinearCost, eps: float) -> WorstCaseResult:
-    """First-order-exact worst case under an L1 transport budget.
+    """Exact sup E_q f over the q within L1 transport cost eps of p, by the 1-D strong dual
+    (Gao & Kleywegt 2016; Mohajerin Esfahani & Kuhn 2018).
 
-    V(eps) = E_p f + eps * lambda* with lambda* the smallest dual multiplier
-    at eps = 0 (the largest transport ratio over the support). The result is
-    exact while the optimal transport direction remains available; the
-    reported validity radius is the budget consumed by moving the best
-    atom's mass to the far end of its maximal-ratio segment, a conservative
-    underestimate of the true exactness range. When the ratio is attained
-    only in a limit (mass escaping to infinity), worst_q stays at the
-    nominal and the result is first-order only.
+    Per unit of atom y_i's mass, the best gain f(z) - f(y_i) for distance |z - y_i| is the
+    concave envelope over the knots and finite domain ends, and f grows at lam_inf toward an
+    infinite end. Envelope segments steeper than lam_inf, costing p_i times their length, are
+    bought steepest first; budget left buys lam_inf, attained by an atom on the last linear
+    piece toward that end moved outward (else V is a supremum: ``attained`` False). ``lam``
+    is the slope last bought; ``worst_q`` indexes ``support_points``, atoms first.
     """
     _check_eps(eps)
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    f = np.array([cost.value(float(y)) for y in pts])
+    ys = np.atleast_1d(np.asarray(points, dtype=float)).tolist()
+    f = [cost.value(y) for y in ys]
     s = validate(f, probs)
-    nominal = riskstats.mean(s)
+    n, probs, (lo, hi), knots = s.n, s.probs.tolist(), cost.domain, cost.breakpoints
+    if not all(lo <= y <= hi for y in ys):
+        raise OutsideCostDomain(f"support points outside cost domain {cost.domain}")
+    targets = sorted({t for t in (*knots, lo, hi) if lo <= t <= hi and math.isfinite(t)})
+    f_t = [cost.value(t) for t in targets]
+    # the infinite ends: (growth rate, direction, where the last linear piece there starts)
+    ends = [(cost.slopes[-1], 1.0, max(knots, default=lo))] if hi == math.inf else []
+    if lo == -math.inf:
+        ends.append((-cost.slopes[0], -1.0, min(knots, default=hi)))
+    lam_inf = float(max([0.0] + [rate for rate, _, _ in ends]))
 
+    # each atom's envelope by a monotone chain over its gaining moves, nearest first, as
+    # (distance, gain, target, slope into it) from the atom itself at the origin
+    segments = []  # (slope, cost p_i * length, atom, target), each atom's in envelope order
+    moves = list(zip(targets, f_t, range(len(targets))))
+    for i, (y, fy, p) in enumerate(zip(ys, f, probs)):
+        # only a move gaining more than lam_inf per distance can be a vertex bought
+        gains = [(abs(t - y), ft - fy, j) for t, ft, j in moves if ft - fy > lam_inf * abs(t - y)]
+        hull = [(0.0, 0.0, None, math.inf)]
+        for d, g, j in sorted(gains):
+            while d == hull[-1][0] or (g - hull[-1][1]) / (d - hull[-1][0]) >= hull[-1][3]:
+                hull.pop()
+            hull.append((d, g, j, (g - hull[-1][1]) / (d - hull[-1][0])))
+        top = math.inf
+        for (d0, *_), (d1, _, j, slope) in zip(hull, hull[1:]):
+            top = min(top, slope)  # rounding may not steepen an envelope
+            if top <= lam_inf:
+                break
+            segments.append((top, p * (d1 - d0), i, j))
+    segments.sort(key=lambda seg: -seg[0])  # stable: each atom's bought in order
+    # slot of each atom's mass: i itself, or n + the target its last bought segment reaches
+    slot, k, spent = list(range(n)), 0, 0.0
+    while k < len(segments) and spent + segments[k][1] < eps:
+        spent += segments[k][1]
+        slot[segments[k][2]] = n + segments[k][3]
+        k += 1
+    mass, extra, attained = probs[:], [], True
+    leftover = eps - spent if k == len(segments) else 0.0
+    if k < len(segments):
+        # the segment bought in part moves a share w of its atom on; the share kept and the
+        # share moved add back to p_i exactly (Sterbenz: the one subtracted is >= p_i / 2)
+        _, cap, i, j = segments[k]
+        w = min((eps - spent) / cap, 1.0) if cap else 0.0  # a cost that underflowed to 0
+        mass[i] = probs[i] * (1.0 - w) if w <= 0.5 else probs[i] - probs[i] * w
+        slot.append(n + j)
+        mass.append(probs[i] - mass[i])
+    elif leftover > 0.0 and lam_inf > 0.0:
+        # an atom on the last linear piece toward a steepest end attains V, moved outward
+        place = ys + targets
+        on_last = [(sgn, i) for rate, sgn, edge in ends if rate == lam_inf for i in range(n)
+                   if sgn * (place[slot[i]] - edge) >= 0.0]
+        attained = bool(on_last)
+        if attained:
+            sgn, i = on_last[0]
+            extra = [place[slot[i]] + sgn * leftover / probs[i]]
+            slot[i] = n + len(targets)
+    q = np.bincount(slot, weights=mass, minlength=n + len(targets) + len(extra))
+    held = (q > 0.0) | (np.arange(q.size) < n)
+    support_costs = np.array(f + f_t + [cost.value(z) for z in extra])[held]
+    value = exact_sum(q[held], support_costs)
     degenerate = all(v == 0.0 for v in cost.slopes)
-    all_cands = [cost.ratio_candidates(float(y)) for y in pts]
-    lam = max(0.0, max(r for cands in all_cands for r, _ in cands))
-    value = nominal + eps * lam
-
-    # exact attainment: the farthest finite z reaching the max ratio, weighted
-    # by the mass available to move, determines the exactness radius
-    best: tuple[int, float, float] | None = None  # (atom, |z-y|, z)
-    if lam > 0.0:
-        for i, cands in enumerate(all_cands):
-            for r, z in cands:
-                dist = abs(z - pts[i])
-                if (
-                    math.isfinite(z)
-                    and dist > 0.0
-                    and abs(r - lam) <= 1e-12 * (1.0 + lam)
-                    and (best is None or s.probs[i] * dist > s.probs[best[0]] * best[1])
-                ):
-                    best = (i, dist, z)
-
-    if eps == 0.0 or lam == 0.0 or best is None:
-        radius = 0.0 if lam > 0.0 else math.inf
-        return WorstCaseResult(
-            epsilon=eps,
-            value=value,
-            worst_q=s.probs.copy(),
-            dual=WassersteinDual(lam=lam, validity_radius=radius, attained=best is not None),
-            degenerate=degenerate,
-        )
-
-    i_star, dist, z_star = best
-    radius = s.probs[i_star] * dist
-    mu = min(eps / dist, float(s.probs[i_star]))
-    q = np.append(s.probs.copy(), mu)
-    q[i_star] -= mu
-    support = np.append(pts, z_star)
-    costs_ext = np.append(f, cost.value(z_star))
     return WorstCaseResult(
         epsilon=eps,
-        value=value,
-        worst_q=_clip_q(q),
-        dual=WassersteinDual(lam=lam, validity_radius=radius, attained=True),
+        value=value if attained else value + lam_inf * leftover,
+        worst_q=q[held],
+        dual=WassersteinDual(float(segments[k][0]) if k < len(segments) else lam_inf, attained),
         degenerate=degenerate,
-        support_points=support,
-        support_costs=costs_ext,
+        clamped=leftover > 0.0 and lam_inf == 0.0 and not degenerate,
+        support_points=np.array(ys + targets + extra)[held],
+        support_costs=support_costs,
     )
 
 

@@ -367,7 +367,8 @@ class TestKinkSearch:
 
 
 class TestRefinedSearch:
-    """Smooth phi: the best kink, refined inside its bracket; Wasserstein: its exact kinks."""
+    """Smooth phi and Wasserstein, whose V kinks between the atoms: the best kink, refined
+    inside its bracket."""
 
     @pytest.mark.parametrize("s", [0.0, 4.0])
     @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
@@ -402,21 +403,53 @@ class TestRefinedSearch:
 
         rng = SplitMix64(53)
         demands = [wcs.demand_scenario([rng.exponential(30.0) for _ in range(n)]) for n in (1, 2, 5, 12)]
-        # atoms at zero demand: the multiplier's kink sits at the smallest positive atom
+        # atoms at zero demand, where moving mass to 0 gains nothing
         demands += [uniform_demand([0.0, 10.0]), uniform_demand([0.0, 0.0, 3.0, 12.0])]
         for demand in demands:
             n = demand.n
             for s in (0.0, 4.0):
                 params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5 * rng.uniform(), s=s)
-                # at large eps the best order falls below min y, where V is not convex
+                # at large eps the best order can fall below min y
                 for eps in (0.05, 0.5, 2.0, 10.0, 50.0):
                     sol = dro.dro_newsvendor(params, demand, wcs.WassersteinL1(), eps)
                     v_ref = grid_minimum(params, demand, eps)
                     tol = 1e-12 * (1.0 + abs(v_ref))
                     assert sol.worst_case.value <= v_ref + tol, (n, s, eps)
-                    # V is linear between the searched kinks: its one-sided slopes at x*
+                    # the certificate: secant slopes of V from x* to the bracket's ends
                     (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
                     assert s_left <= 0.0 and (hi == sol.x or s_right * (hi - sol.x) >= -tol)
+
+    def test_a_kink_with_linear_sides_takes_one_round(self, monkeypatch):
+        # at small eps Wasserstein's V is linear on both sides of the atom it picks: the
+        # secants just beyond the first bracket meet at x, which certifies it at once
+        calls, solve = [], wcs.WassersteinL1.worst_case
+        monkeypatch.setattr(
+            wcs.WassersteinL1, "worst_case", lambda f, s, eps: calls.append(eps) or solve(f, s, eps)
+        )
+        demand = uniform_demand([10.0, 20.0, 35.0])
+        sol = dro.dro_newsvendor(PARAMS, demand, wcs.WassersteinL1(), 0.1)
+        assert sol.x == 35.0 and len(calls) < 2 * dro._ROUND
+
+    def test_wasserstein_leaves_the_saa_order_past_its_first_order_range(self):
+        # criterion 7's instance. Once eps moves every atom worth moving, the atoms below
+        # (r + s - q) x / (2 s) go to demand 0 and the budget left earns s per unit, so V is
+        # least where that threshold is the SAA order y*: x = 2 s y* / (r + s - q)
+        params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.0, s=4.0)
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(100, seed=42))
+        family = wcs.WassersteinL1()
+        y_star = dro.saa_newsvendor(params, demand)
+        assert dro.dro_newsvendor(params, demand, family, 0.5).x == y_star
+        x_star = 2.0 * params.s * y_star / (params.r + params.s - params.q)
+        grid = np.linspace(0.0, 1.5 * float(np.max(demand.costs)), 400)
+        for eps in (10.0, 20.0):
+            sol = dro.dro_newsvendor(params, demand, family, eps)
+            assert sol.x == pytest.approx(x_star, rel=1e-9)
+            xs = np.unique(np.concatenate([demand.costs, grid, np.linspace(*sol.bracket, 41)]))
+            v = sol.worst_case.value
+            best = min(
+                family.worst_case(dro.cost_scenario(params, demand, float(x)), eps).value for x in xs
+            )
+            assert v <= best + 1e-12 * (1.0 + abs(v))
 
 
 ALL_FAMILIES = [

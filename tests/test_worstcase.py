@@ -485,23 +485,32 @@ class TestWassersteinPl:
             r = wcs.wc_wasserstein_pl([10.0, 20.0], [0.5, 0.5], curve, eps)
             assert r.value == pytest.approx(-85.0 + 10.0 * eps, abs=1e-10)
             assert r.dual.lam == 10.0
-        r = wcs.wc_wasserstein_pl([10.0, 20.0], [0.5, 0.5], curve, 0.3)
-        assert r.dual.validity_radius == pytest.approx(5.0)
-        assert r.dual.attained
+        # moving atom 10 to 0 at ratio 10 costs 5; past it, atom 20 moves there at ratio 6.5
+        r = wcs.wc_wasserstein_pl([10.0, 20.0], [0.5, 0.5], curve, 6.0)
+        assert (r.value, r.dual.lam, r.dual.attained) == (-35.0 + 6.5, 6.5, True)
         # transported plan reproduces the value exactly
         assert math.fsum((r.worst_q * r.support_costs).tolist()) == pytest.approx(
             r.value, abs=1e-10
         )
 
-    def test_interpolated_cost_at_n_400(self):
-        # every ratio candidate reads the cached knot values instead of walking all knots
+    def test_interpolated_cost_at_n_400(self, monkeypatch):
+        # the cost is read once at each atom and once at each knot, not once per atom and knot
         rng = SplitMix64(43)
         pts = [100.0 * rng.uniform() for _ in range(400)]
         cost = wcs.interpolated_cost(pts, [rng.exponential(3.0) for _ in range(400)])
+        nominal = wcs.mean(wcs.validate([cost.value(y) for y in pts]))
+        steepest = max(abs(v) for v in cost.slopes)
+        reads, value = [], wcs.PiecewiseLinearCost.value
+        monkeypatch.setattr(
+            wcs.PiecewiseLinearCost, "value", lambda c, z: reads.append(z) or value(c, z)
+        )
+        r0 = wcs.wc_wasserstein_pl(pts, None, cost, 0.0)
+        assert len(reads) == 800
         r = wcs.wc_wasserstein_pl(pts, None, cost, 0.2)
         # the steepest ascent from a support point runs along the steepest piece
-        assert r.dual.lam == max(abs(v) for v in cost.slopes)
-        assert r.value == wcs.mean(wcs.validate([cost.value(y) for y in pts])) + 0.2 * r.dual.lam
+        assert (r0.value, r0.dual.lam) == (nominal, steepest)
+        assert r.value == wcs.core.exact_sum(r.worst_q, r.support_costs)
+        assert nominal < r.value <= nominal + 0.2 * steepest and r.dual.lam < steepest
 
     def test_constant_cost(self):
         flat = wcs.PiecewiseLinearCost((), (0.0,), anchor=(0.0, 2.0))
