@@ -527,13 +527,13 @@ def interpolated_cost(points, values) -> PiecewiseLinearCost:
     xs, fs = xs[idx], fs[idx]
     if xs.size != distinct(xs).size:
         raise DuplicateSupportPoints("support points must be distinct")
-    if xs.size == 1:
-        return PiecewiseLinearCost((), (0.0,), (float(xs[0]), float(fs[0])))
-    slopes = tuple((fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) for i in range(xs.size - 1))
+    xs, fs = xs.tolist(), fs.tolist()
+    if len(xs) == 1:
+        return PiecewiseLinearCost((), (0.0,), (xs[0], fs[0]))
+    # Python floats: a slope that overflows is inf, without numpy's warning
+    slopes = tuple((fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
     return PiecewiseLinearCost(
-        breakpoints=tuple(xs.tolist()),
-        slopes=(0.0,) + slopes + (0.0,),
-        anchor=(float(xs[0]), float(fs[0])),
+        breakpoints=tuple(xs), slopes=(0.0,) + slopes + (0.0,), anchor=(xs[0], fs[0])
     )
 
 

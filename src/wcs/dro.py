@@ -510,6 +510,7 @@ class LogregFit:
     separable: bool
 
 
+@np.errstate(all="ignore")
 def _prox_descent(data: LabeledDataset, eps: float, tol: float) -> LogregFit:
     """Proximal gradient from w = 0 on eps ||w||_2 + logloss(w).
 
@@ -534,7 +535,10 @@ def _prox_descent(data: LabeledDataset, eps: float, tol: float) -> LogregFit:
         if resid <= tol:
             margins = data.labels * (data.features @ w)
             separable = eps == 0.0 and bool(np.all(margins > 0))
-            return LogregFit(w, eps * nw + logloss(data, w), resid, it, separable)
+            objective = eps * nw + logloss(data, w)
+            if not math.isfinite(objective):
+                raise NonConvergence(f"the fit's objective is {objective} at iteration {it}")
+            return LogregFit(w, objective, resid, it, separable)
         if it == _MAX_ITER:
             break
         step *= 2.0

@@ -14,7 +14,9 @@ window, and exact sums check that it holds the boundary; a boundary outside
 it widens it, up to every atom, which is also the window whenever n is
 below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
-The CVaR-type values (CVaR, the CVaR deviation, and through them the
+The CVaR fill of tail mass beta = 1 - alpha is the greedy fill of p / beta
+up to mass 1 (a box whose level rounds to 1 gives beta itself). The
+CVaR-type values (CVaR, the CVaR deviation, and through them the
 budgeted, combination and box worst cases and sensitivities) sum only
 their fill's support, the head and the window atoms up to the boundary
 (``Tail.dot``), bit for bit as the dense fill's sum; value-only callers
@@ -22,7 +24,7 @@ never build the dense fill. The budgeted slope sums the atoms ranked
 before the VaR atom the same way (``Tail.excess``).
 ``greedy_fill`` and ``prefix_rank`` run the same boundary search on an
 array already in rank order.
-``row_fsums`` and ``cvar_rows`` work on each row of an (m, n) cost block
+``row_fsums`` and ``beta_rows`` work on each row of an (m, n) cost block
 at once, bit for bit as the scalar forms; their rows are short, so they
 sum with math.fsum.
 """
@@ -162,15 +164,9 @@ class Split:
     window: np.ndarray
     through_end: bool  # the window holds the cheapest atom
 
-    def tail(
-        self, weights: np.ndarray, target: float, strict: bool = False, head: int | None = None
-    ) -> Tail | None:
-        """The Tail of weights up to target on this split, or None if its boundary lies outside the window.
-
-        head is the exact total of the head's weights, if the caller has it.
-        """
-        if head is None:
-            head = exact_total(weights[self.head])
+    def tail(self, weights: np.ndarray, target: float, strict: bool = False) -> Tail | None:
+        """The Tail of weights up to target on this split, or None if its boundary lies outside the window."""
+        head = exact_total(weights[self.head])
         if head and not _below(strict)(round_total(head), target):
             return None
         k, mass = _boundary(head, weights[self.window], target, strict)
@@ -217,10 +213,7 @@ class Tail:
         partial term hold the products the dense fill holds, and every other
         product is a zero, so their exact totals agree. A zero total takes
         the dense sum, as its sign depends on every term, and so do arrays
-        below ``EXACT_SUM_CUTOFF``, where math.fsum is the cheaper sum. The
-        head's weights are gathered here again, not kept from ``Split.tail``:
-        a kept copy raised the peak memory of a large solve and slowed its
-        next allocations by more than the gather costs.
+        below ``EXACT_SUM_CUTOFF``, where math.fsum is the cheaper sum.
         """
         if values.size < EXACT_SUM_CUTOFF:
             return exact_sum(self.fill(), values)
@@ -234,14 +227,13 @@ class Tail:
             return exact_sum(self.fill(), values)
         return round_total(head + rest)
 
-    def excess(self, values: np.ndarray, head_weights: np.ndarray | None = None) -> float:
+    def excess(self, values: np.ndarray) -> float:
         """Sum of weights_i (values_i - values[last]) over the atoms ranked before ``last``.
 
         Correctly rounded, for finite values: the head's and the window's
         exact totals rounded once, or, where that total is zero (its sign
         depends on every term) and below ``EXACT_SUM_CUTOFF``, the dense
-        sum. head_weights are weights[split.head], if the caller has them.
-        Where a gap overflows, the sum is taken on values / 2 and doubled.
+        sum. Where a gap overflows, the sum is taken on values / 2 and doubled.
         """
         at = values[self.last]
         window = self.split.window[: min(self.k, self.split.window.size - 1)]
@@ -250,14 +242,13 @@ class Tail:
             if values.size >= EXACT_SUM_CUTOFF:
                 gaps = values[head]
                 gaps -= at
-                weights = self.weights[head] if head_weights is None else head_weights
-                total = exact_total(weights, gaps)
+                total = exact_total(self.weights[head], gaps)
                 rest = exact_total(self.weights[window], values[window] - at)
                 if total is not None and rest is not None and total + rest != 0:
                     return round_total(total + rest)
             before = np.concatenate((head, window)) if head.size else window
             total = exact_sum(self.weights[before], values[before] - at)
-        return 2.0 * self.excess(values / 2.0, head_weights) if math.isinf(total) else total
+        return 2.0 * self.excess(values / 2.0) if math.isinf(total) else total
 
 
 def _whole(order: np.ndarray) -> Split:
@@ -340,10 +331,20 @@ def greedy_fill(caps: np.ndarray) -> np.ndarray:
     return q
 
 
+def cvar_beta(alpha) -> float | None:
+    """1 - alpha, the CVaR tail's nominal mass beta, for a checked level alpha; None at alpha = 0."""
+    a = cvar_level(alpha)
+    return None if a == 0.0 else 1.0 - a
+
+
+def beta_tail(s: Scenario, beta: float | None) -> Tail | None:
+    """The Tail of the CVaR fill of tail mass beta, the greedy fill of p / beta up to 1 (None: p)."""
+    return None if beta is None else select_tail(s.costs, s.probs / beta, 1.0)
+
+
 def cvar_tail(s: Scenario, alpha) -> Tail | None:
     """The Tail of the greedy maximizer of the CVaR LP at level alpha (None at alpha = 0, where it is p)."""
-    a = cvar_level(alpha)
-    return None if a == 0.0 else select_tail(s.costs, s.probs / (1.0 - a), 1.0)
+    return beta_tail(s, cvar_beta(alpha))
 
 
 def cvar_fill(s: Scenario, alpha) -> tuple[np.ndarray, Tail | None]:
@@ -363,22 +364,17 @@ def row_fsums(a: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
 
 
-def cvar_rows(costs: np.ndarray, probs: np.ndarray, alpha) -> np.ndarray:
-    """CVaR of each row of an (m, n) cost block under the shared probabilities.
-
-    Bit-identical to ``cvar`` on each row: one stable sort of the block, and
-    one greedy fill for all rows when the probabilities are uniform (the
-    sorted probabilities are then the same for every row).
-    """
-    a = cvar_level(alpha)
+def beta_rows(costs: np.ndarray, probs: np.ndarray, beta: float | None) -> np.ndarray:
+    """CVaR of tail mass beta (``beta_tail``) of each row of an (m, n) cost block, bit for bit:
+    one stable sort of the block, and one greedy fill for every row when p is uniform."""
     order = np.argsort(-costs, axis=1, kind="stable")
     f = np.take_along_axis(costs, order, axis=1)
-    if a == 0.0:
+    if beta is None:
         q = probs[order]
     elif np.all(probs == probs[0]):
-        q = greedy_fill(probs / (1.0 - a))
+        q = greedy_fill(probs / beta)
     else:
-        q = np.array([greedy_fill(p / (1.0 - a)) for p in probs[order]])
+        q = np.array([greedy_fill(p / beta) for p in probs[order]])
     return row_fsums(q * f)
 
 

@@ -32,7 +32,7 @@ transport worst case (``wc_wasserstein_pl``) is exact at every eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .core import (
     PiecewiseLinearCost,
     Scenario,
     exact_sum,
-    exact_total,
     sort_desc,
     validate,
 )
@@ -433,17 +432,12 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
 
 
 def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> float:
-    """The slope, its VaR atom found on the split near if it lies there.
-
-    There the head's masses are gathered once, for the VaR boundary and for the slope.
-    """
+    """The slope, its VaR atom found on the split near if it lies there."""
     alpha = eps / (1.0 + eps)
-    if near is not None:
-        head = s.probs[near.head]
-        tail = near.tail(s.probs, 1.0 - alpha, strict=True, head=exact_total(head))
-        if tail is not None:
-            return tail.excess(s.costs, head)
-    return riskstats.var_tail(s, alpha).excess(s.costs)
+    tail = None if near is None else near.tail(s.probs, 1.0 - alpha, strict=True)
+    if tail is None:
+        tail = riskstats.var_tail(s, alpha)
+    return tail.excess(s.costs)
 
 
 def _budget_saturation(probs: np.ndarray) -> float:
@@ -472,40 +466,56 @@ def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
 
 
 # ---------------------------------------------------------------------------
-# Convex combination of nominal and CVaR set; likelihood-ratio boxes
+# One nominal-CVaR mixture: the convex combination set and likelihood-ratio boxes
 # ---------------------------------------------------------------------------
+
+
+def _mixture(s: Scenario, keep: float, move: float, beta, eps: float) -> WorstCaseResult:
+    """q = keep p + move g, g the CVaR fill of tail mass beta, and V = keep E_p f + move CVaR.
+
+    Both weights are given, as 1 - (1 - eps) is not eps."""
+    if s.is_constant():
+        return _degenerate(s, eps)
+    tail = riskstats.beta_tail(s, beta)
+    q = keep * s.probs + move * (s.probs if tail is None else tail.fill())
+    value = keep * riskstats.mean(s) + move * riskstats.tail_cvar(s, tail)
+    return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
+
+
+def _combination_terms(alpha, eps: float):
+    """(keep, move, beta) of (1 - eps) {p} + eps (CVaR_alpha polytope)."""
+    if not (math.isfinite(eps) and 0.0 <= eps <= 1.0):
+        raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
+    return 1.0 - eps, eps, riskstats.cvar_beta(alpha)
+
+
+def _box_terms(L: float, U: float):
+    """(keep, move, beta) of {L p <= q <= U p}: L p + (1 - L) (the CVaR fill at level (U-1)/(U-L)).
+
+    Past U ~ 2^53 (1 - L) that level rounds to 1, and beta is the fill's tail
+    mass (1 - L)/(U - L) itself, at least 2^-1022 so that the caps p / beta stay finite.
+    """
+    if L == 1.0:
+        return 1.0, 0.0, None
+    level = (U - 1.0) / (U - L)
+    beta = riskstats.cvar_beta(level) if level < 1.0 else max((1.0 - L) / (U - L), 2.0**-1022)
+    return L, 1.0 - L, beta
 
 
 def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
     """V = (1-eps) mean + eps CVaR_alpha over the shrunk CVaR polytope."""
-    if not (math.isfinite(eps) and 0.0 <= eps <= 1.0):
-        raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
-    if s.is_constant():
-        return _degenerate(s, eps)
-    g, tail = riskstats.cvar_fill(s, alpha)
-    q = (1.0 - eps) * s.probs + eps * g
-    value = (1.0 - eps) * riskstats.mean(s) + eps * riskstats.tail_cvar(s, tail)
-    return WorstCaseResult(epsilon=eps, value=value, worst_q=_clip_q(q), dual=None)
+    return _mixture(s, *_combination_terms(alpha, eps), eps)
 
 
 def wc_box(s: Scenario, box: BoxParams) -> WorstCaseResult:
     """V = L mean + (1-L) CVaR at level (U-1)/(U-L) over {L p <= q <= U p}."""
-    if s.is_constant():
-        return _degenerate(s, 0.0)
-    if box.L == 1.0:
-        return WorstCaseResult(
-            epsilon=0.0, value=riskstats.mean(s), worst_q=s.probs.copy(), dual=None
-        )
-    g, tail = riskstats.cvar_fill(s, (box.U - 1.0) / (box.U - box.L))
-    q = box.L * s.probs + (1.0 - box.L) * g
-    value = box.L * riskstats.mean(s) + (1.0 - box.L) * riskstats.tail_cvar(s, tail)
-    return WorstCaseResult(epsilon=0.0, value=value, worst_q=_clip_q(q), dual=None)
+    return _mixture(s, *_box_terms(box.L, box.U), 0.0)
 
 
 def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
     """Symmetric band U = 1/L = 1 + nu; slope at nu -> 0 is CVaR_{1/2} - mean."""
     _check_eps(nu)
-    return replace(wc_box(s, BoxParams(L=1.0 / (1.0 + nu), U=1.0 + nu)), epsilon=nu)
+    return _mixture(s, *_box_terms(1.0 / (1.0 + nu), 1.0 + nu), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -535,36 +545,25 @@ def budgeted_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndar
     """wc_budgeted(row, eps).value for each row, bit for bit."""
     _check_eps(eps)
     e = min(eps, _budget_saturation(probs))
-    return _by_row(costs, probs, lambda f: riskstats.cvar_rows(f, probs, e / (1.0 + e)))
+    level = e / (1.0 + e)
+    return _by_row(costs, probs, lambda f: riskstats.beta_rows(f, probs, riskstats.cvar_beta(level)))
 
 
-def combination_values(
-    costs: np.ndarray, probs: np.ndarray, alpha: float, eps: float
-) -> np.ndarray:
+def _mixture_values(costs: np.ndarray, probs: np.ndarray, keep, move, beta) -> np.ndarray:
+    """_mixture(row, keep, move, beta).value for each row, bit for bit."""
+    mean, fill = riskstats.row_fsums, riskstats.beta_rows
+    return _by_row(costs, probs, lambda f: keep * mean(probs * f) + move * fill(f, probs, beta))
+
+
+def combination_values(costs: np.ndarray, probs: np.ndarray, alpha, eps: float) -> np.ndarray:
     """wc_combination(row, alpha, eps).value for each row, bit for bit."""
-    if not (math.isfinite(eps) and 0.0 <= eps <= 1.0):
-        raise EpsOutOfRange(f"combination mixing weight must be in [0,1], got {eps}")
-
-    def solve(f):
-        cv = riskstats.cvar_rows(f, probs, alpha)
-        return (1.0 - eps) * riskstats.row_fsums(probs * f) + eps * cv
-
-    return _by_row(costs, probs, solve)
+    return _mixture_values(costs, probs, *_combination_terms(alpha, eps))
 
 
 def box_symmetric_values(costs: np.ndarray, probs: np.ndarray, nu: float) -> np.ndarray:
     """wc_box_symmetric(row, nu).value for each row, bit for bit."""
     _check_eps(nu)
-    box = BoxParams(L=1.0 / (1.0 + nu), U=1.0 + nu)
-
-    def solve(f):
-        mean = riskstats.row_fsums(probs * f)
-        if box.L == 1.0:
-            return mean
-        cv = riskstats.cvar_rows(f, probs, (box.U - 1.0) / (box.U - box.L))
-        return box.L * mean + (1.0 - box.L) * cv
-
-    return _by_row(costs, probs, solve)
+    return _mixture_values(costs, probs, *_box_terms(1.0 / (1.0 + nu), 1.0 + nu))
 
 
 def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:

@@ -407,6 +407,21 @@ REJECTED_INPUTS = {
          "0,nan", "--gen-class", "40,2,1,2"],
         "EpsOutOfRange",
     ),
+    # slopes that overflow a double: numpy printed an overflow warning before the error
+    "overflowing-cost-difference": (
+        "",
+        ["worst-case", "--family", "wasserstein", "--eps", "0.5", "--costs", "1e308,-1e308"],
+        "InvalidCostCurve",
+    ),
+    "overflowing-slope": (
+        "",
+        ["sensitivity", "--family", "wasserstein", "--costs", "1,2", "--points", "0,1e-320"],
+        "InvalidCostCurve",
+    ),
+    # features near 1e300 overflow the fit, which exited 0 with a null objective
+    "overflowing-logistic-fit": (
+        "", ["solve-logreg", "--gen-class", "4,1,1e300,1", "--eps", "0.1"], "NonConvergence"
+    ),
 }
 
 

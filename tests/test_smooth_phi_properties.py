@@ -7,7 +7,8 @@ scenarios of up to 8 atoms:
 - V(0) = E_p f, and V <= max f for every eps (up to the rounding of E_p f,
   as the probabilities sum to 1 only to rounding); on constant costs V is
   that cost exactly;
-- V is non-decreasing in eps;
+- V is non-decreasing and concave in eps;
+- V(f + a) = V(f) + a and V(b f) = b V(f) for b > 0;
 - worst_q is a distribution to 1e-12, lies in the ball (to 1e-12, or to
   the 1e-9 saturation band when the result is clamped) and reproduces V;
 - V does not depend on the order of the atoms.
@@ -69,6 +70,31 @@ def test_nominal_at_zero_and_below_the_max(family, s, eps):
 def test_monotone_in_eps(family, s, a, b):
     lo, hi = sorted((a, b))
     assert family.worst_case(s, lo).value <= family.worst_case(s, hi).value + _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), radii=st.lists(radii, min_size=3, max_size=3))
+def test_concave_in_eps(family, s, radii):
+    a, b, c = sorted(radii)
+    if a < c:
+        va, vb, vc = (family.worst_case(s, e).value for e in (a, b, c))
+        assert vb >= ((c - b) * va + (b - a) * vc) / (c - a) - _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=families,
+    s=scenarios(),
+    eps=radii,
+    shift=st.floats(-1e6, 1e6),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_translation_and_scale_equivariant(family, s, eps, shift, scale):
+    v = family.worst_case(s, eps).value
+    moved = family.worst_case(wcs.validate(s.costs + shift, s.probs), eps).value
+    assert abs(moved - (v + shift)) <= _tol(s) + 1e-12 * abs(shift)
+    scaled = family.worst_case(wcs.validate(scale * s.costs, s.probs), eps).value
+    assert abs(scaled - scale * v) <= scale * _tol(s)
 
 
 @PROPERTY_SETTINGS

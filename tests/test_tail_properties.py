@@ -6,7 +6,8 @@ On random scenarios of up to 40 atoms, with costs drawn from a few values
 - V(0) = E_p f, and V <= max f for every eps (up to the rounding of the
   fill, as the probabilities sum to 1 only to rounding); on constant costs
   V is that cost exactly;
-- V is non-decreasing in eps;
+- V is non-decreasing and concave in eps;
+- V(f + a) = V(f) + a and V(b f) = b V(f) for b > 0;
 - worst_q is a distribution to 1e-12, lies in the family's set (to 1e-12)
   and reproduces V;
 - V does not depend on the order of the atoms;
@@ -108,6 +109,34 @@ def test_nominal_at_zero_and_below_the_max(family, s, eps):
 def test_monotone_in_eps(family, s, a, b):
     lo, hi = sorted((radius(family, a), radius(family, b)))
     assert family.worst_case(s, lo).value <= family.worst_case(s, hi).value + _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(family=families, s=scenarios(), radii=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3))
+@windowed
+def test_concave_in_eps(family, s, radii):
+    a, b, c = sorted(radius(family, e) for e in radii)
+    if a < c:
+        va, vb, vc = (family.worst_case(s, e).value for e in (a, b, c))
+        assert vb >= ((c - b) * va + (b - a) * vc) / (c - a) - _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=families,
+    s=scenarios(),
+    eps=st.floats(0.0, 4.0),
+    shift=st.floats(-1e6, 1e6),
+    scale=st.floats(1e-3, 1e3),
+)
+@windowed
+def test_translation_and_scale_equivariant(family, s, eps, shift, scale):
+    eps = radius(family, eps)
+    v = family.worst_case(s, eps).value
+    moved = family.worst_case(wcs.validate(s.costs + shift, s.probs), eps).value
+    assert abs(moved - (v + shift)) <= _tol(s) + 1e-12 * abs(shift)
+    scaled = family.worst_case(wcs.validate(scale * s.costs, s.probs), eps).value
+    assert abs(scaled - scale * v) <= scale * _tol(s)
 
 
 @PROPERTY_SETTINGS

@@ -280,7 +280,7 @@ class TestSmoothPhi:
                 (wcs.MODIFIED_CHI2, chi2_eps, chi2, wcs.wc_chi2(s, chi2_eps)),
             ):
                 assert abs(got.value - want.value) <= 1e-12 * width, (phi.name, eps)
-                assert np.allclose(got.worst_q, want.worst_q, rtol=0.0, atol=1e-9)
+                assert np.allclose(got.worst_q, want.worst_q, rtol=0.0, atol=1e-12)
                 d = phi.divergence(got.worst_q, s.probs)
                 assert abs(d - eps) <= 1e-10 * eps, (phi.name, eps, d)
         assert calls == [user_kl, wcs.MODIFIED_CHI2] * len(cases)
@@ -473,6 +473,59 @@ class TestBox:
         assert (wcs.wc_box_symmetric(s, nu).value - wcs.mean(s)) / nu == pytest.approx(
             target, rel=1e-5
         )
+
+    # past nu ~ 9e15 the CVaR level (U - 1)/(U - L) rounds to 1
+    HUGE_NU = (1e16, 3e16, 1e18, 1e20, 1e100, 1e300)
+
+    def test_a_band_whose_level_rounds_to_one(self):
+        s = wcs.validate([1, 2, 3], [0.2, 0.3, 0.5])
+        for nu in self.HUGE_NU:
+            r = wcs.wc_box_symmetric(s, nu)
+            assert r.value == pytest.approx(3.0, abs=1e-15) and r.epsilon == nu
+            assert r.worst_q[2] == pytest.approx(1.0, abs=1e-15)
+        r = wcs.wc_box(s, wcs.BoxParams(0.5, 1e17))
+        assert r.value == 0.5 * wcs.mean(s) + 0.5 * 3.0
+        # U at the largest double: the caps p / beta stay finite
+        assert wcs.wc_box_symmetric(s, 1.7976931348623157e308).value == 3.0
+
+    def test_huge_bands_match_the_vertex_oracle(self):
+        rng = SplitMix64(29)
+        scenarios = [oracle.random_scenario(rng, 1, 6) for _ in range(40)]
+        # the costliest atom's cap (U - L)/(1 - L) p stops short of 1 until nu ~ 1e20
+        scenarios.append(wcs.validate([5.0, 1.0, 2.0], [1e-20, 0.5, 0.5 - 1e-20]))
+        for s in scenarios:
+            for nu in self.HUGE_NU:
+                L, U = 1.0 / (1.0 + nu), 1.0 + nu
+                want = oracle.brute_force_wc(s, polytope=oracle.box_polytope(s, L, U))
+                assert abs(wcs.wc_box_symmetric(s, nu).value - want) <= 1e-12 * max(1.0, abs(want))
+        r = wcs.wc_box_symmetric(scenarios[-1], 1e18)
+        assert r.value == pytest.approx(0.01 * 5.0 + 0.99 * 2.0, rel=1e-12)
+
+    def test_value_rises_with_nu_through_the_rounded_level(self):
+        """Nondecreasing to within the rounding of the weights L and 1 - L, which
+        moves V by about 2e-16 of the largest cost below nu = 9e15 as well."""
+        rng = SplitMix64(31)
+        nus = [0.0, 0.5, 3.0, 1e8, 1e15, 9e15, *self.HUGE_NU]
+        for _ in range(100):
+            s = oracle.random_scenario(rng, 1, 6)
+            values = [wcs.wc_box_symmetric(s, nu).value for nu in nus]
+            slack = 1e-15 * float(np.max(np.abs(s.costs)))
+            assert all(b >= a - slack for a, b in zip(values, values[1:]))
+            batch = [wcs.SymmetricBox().worst_values(s.costs[None, :], s.probs, nu)[0] for nu in nus]
+            assert [v.hex() for v in batch] == [v.hex() for v in values]
+
+    def test_bands_below_the_rounded_level_keep_the_cvar_formula(self):
+        """L mean + (1 - L) CVaR at level (U - 1)/(U - L), bit for bit, up to nu = 9e15."""
+        rng = SplitMix64(37)
+        for _ in range(40):
+            s = oracle.random_scenario(rng, 2, 8)
+            for nu in (1e-9, 0.5, 3.0, 1e8, 1e15, 9e15):
+                L, U = 1.0 / (1.0 + nu), 1.0 + nu
+                level = (U - 1.0) / (U - L)
+                r = wcs.wc_box_symmetric(s, nu)
+                assert r.value.hex() == (L * wcs.mean(s) + (1.0 - L) * wcs.cvar(s, level)).hex()
+                q = L * s.probs + (1.0 - L) * wcs.cvar_distribution(s, level)
+                assert np.array_equal(r.worst_q, q)
 
 
 class TestWassersteinPl:
