@@ -246,15 +246,15 @@ def _worst_values(
     for i in range(0, xs.size, rows):
         with np.errstate(over="ignore", invalid="ignore"):  # an inf is reported below
             f = _newsvendor_cost_vec(params, xs[i : i + rows, None], demand.costs)
-        finite = np.all(np.isfinite(f), axis=1)
-        if not np.all(finite):
-            demand.with_costs(f[np.argmin(finite)])  # raises NonFiniteCost, as cost_scenario does
+        finite = np.isfinite(f)
+        if not finite.all():  # the first bad row raises NonFiniteCost, as cost_scenario does
+            demand.with_costs(f[finite.all(axis=1).argmin()])
         block = family.worst_values(f, demand.probs, eps)
         if block is None:
             s_xs = (cost_scenario(params, demand, float(x)) for x in xs)
             return np.array([worstcase.worst_case(s_x, family, eps).value for s_x in s_xs])
         vals.append(block)
-    return np.concatenate(vals)
+    return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
 @dataclass(frozen=True)

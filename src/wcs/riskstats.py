@@ -15,8 +15,8 @@ it widens it, up to every atom, which is also the window whenever n is
 below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
 The CVaR fill of tail mass beta = 1 - alpha is the greedy fill of p / beta
-up to mass 1 (a box whose level rounds to 1 gives beta itself). The
-CVaR-type values (CVaR, the CVaR deviation, and through them the
+up to mass 1 (a box or budgeted set whose level rounds to 1 gives beta
+itself). The CVaR-type values (CVaR, the CVaR deviation, and through them the
 budgeted, combination and box worst cases and sensitivities) sum only
 their fill's support, the head and the window atoms up to the boundary
 (``Tail.dot``), bit for bit as the dense fill's sum; value-only callers
@@ -347,9 +347,9 @@ def cvar_tail(s: Scenario, alpha) -> Tail | None:
     return beta_tail(s, cvar_beta(alpha))
 
 
-def cvar_fill(s: Scenario, alpha) -> tuple[np.ndarray, Tail | None]:
-    """Greedy maximizer of the CVaR LP at level alpha, in atom order, and its Tail (None at alpha = 0)."""
-    tail = cvar_tail(s, alpha)
+def beta_fill(s: Scenario, beta: float | None) -> tuple[np.ndarray, Tail | None]:
+    """The CVaR fill of tail mass beta in atom order, and its Tail (``beta_tail``; None: p)."""
+    tail = beta_tail(s, beta)
     return (s.probs.copy() if tail is None else tail.fill()), tail
 
 
@@ -367,11 +367,11 @@ def row_fsums(a: np.ndarray) -> np.ndarray:
 def beta_rows(costs: np.ndarray, probs: np.ndarray, beta: float | None) -> np.ndarray:
     """CVaR of tail mass beta (``beta_tail``) of each row of an (m, n) cost block, bit for bit:
     one stable sort of the block, and one greedy fill for every row when p is uniform."""
-    order = np.argsort(-costs, axis=1, kind="stable")
-    f = np.take_along_axis(costs, order, axis=1)
+    order = (-costs).argsort(axis=1, kind="stable")
+    f = costs[np.arange(costs.shape[0])[:, None], order]
     if beta is None:
         q = probs[order]
-    elif np.all(probs == probs[0]):
+    elif (probs == probs[0]).all():
         q = greedy_fill(probs / beta)
     else:
         q = np.array([greedy_fill(p / beta) for p in probs[order]])
@@ -388,7 +388,7 @@ def cvar(s: Scenario, alpha) -> float:
 
 def cvar_distribution(s: Scenario, alpha) -> np.ndarray:
     """Greedy maximizer of the CVaR LP, in original atom order."""
-    return cvar_fill(s, alpha)[0]
+    return beta_fill(s, cvar_beta(alpha))[0]
 
 
 def partial_fill_rank(srt: SortedScenario, alpha: float) -> int:

@@ -205,11 +205,11 @@ def _saturation(phi: PhiFunction, costs: np.ndarray, probs: np.ndarray, eps: flo
     modified chi-square, mass phi(1 / mass) + (1 - mass) phi(0) for any other
     phi. One scenario's mass is summed exactly, a block's row by row with np.sum.
     """
-    top = costs == np.max(costs, axis=-1, keepdims=True)
+    top = costs == costs.max(axis=-1, keepdims=True)
     if costs.ndim == 1:
         mass = exact_sum(probs[top])
     else:
-        mass = np.sum(np.where(top, probs, 0.0), axis=1)
+        mass = np.where(top, probs, 0.0).sum(axis=1)
     if phi is KL:
         return top, mass, _saturated(eps, -np.log(mass))
     with np.errstate(all="ignore"):
@@ -370,12 +370,12 @@ def _strip_cheapest(q: np.ndarray, need: np.ndarray) -> np.ndarray:
     Returns whether each row's need was covered.
     """
     tail = q[:, :0:-1]  # a view: columns n-1 .. 1
-    before = np.cumsum(np.concatenate((need[:, None], -tail[:, :-1]), axis=1), axis=1)
+    before = np.concatenate((need[:, None], -tail[:, :-1]), axis=1).cumsum(axis=1)
     covered = tail >= before
     width = tail.shape[1]
-    t = np.where(covered.any(axis=1), np.argmax(covered, axis=1), width)
+    t = np.where(covered.any(axis=1), covered.argmax(axis=1), width)
     tail[np.arange(width) < t[:, None]] = 0.0
-    rows = np.flatnonzero(t < width)
+    rows = (t < width).nonzero()[0]
     tail[rows, t[rows]] -= before[rows, t[rows]]
     return t < width
 
@@ -433,10 +433,10 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
 
 def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> float:
     """The slope, its VaR atom found on the split near if it lies there."""
-    alpha = eps / (1.0 + eps)
-    tail = None if near is None else near.tail(s.probs, 1.0 - alpha, strict=True)
+    beta = _budget_beta(eps) or 1.0  # the nominal mass the VaR atom's prefix reaches
+    tail = None if near is None else near.tail(s.probs, beta, strict=True)
     if tail is None:
-        tail = riskstats.var_tail(s, alpha)
+        tail = riskstats.select_tail(s.costs, s.probs, beta, strict=True)
     return tail.excess(s.costs)
 
 
@@ -448,15 +448,27 @@ def _budget_saturation(probs: np.ndarray) -> float:
     return 1.0 / float(probs.min()) - 1.0
 
 
+def _fill_beta(level: float, mass: float) -> float | None:
+    """The tail mass of a CVaR fill at a level in [0, 1]: 1 - level (None at 0), or, where the level
+    has rounded to 1, the tail mass itself, at least 2^-1022 so that the caps p / beta stay finite."""
+    return riskstats.cvar_beta(level) if level < 1.0 else max(mass, 2.0**-1022)
+
+
+def _budget_beta(e: float) -> float | None:
+    """The budgeted fill's tail mass 1/(1 + e), as 1 - e/(1 + e) until that level rounds to 1."""
+    return _fill_beta(e / (1.0 + e), 1.0 / (1.0 + e))
+
+
 def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
-    """Cap set 0 <= q <= (1+eps) p; V equals CVaR at level eps/(1+eps) exactly."""
+    """Cap set 0 <= q <= (1+eps) p; V equals CVaR at level eps/(1+eps) exactly, or, where that
+    level rounds to 1 below saturation, the CVaR fill of tail mass 1/(1+eps) (``_budget_beta``)."""
     _check_eps(eps)
     sat = _budget_saturation(s.probs)
     clamped = eps > sat
     e = min(eps, sat)
     if s.is_constant():
         return _degenerate(s, eps)
-    q, tail = riskstats.cvar_fill(s, e / (1.0 + e))
+    q, tail = riskstats.beta_fill(s, _budget_beta(e))
     slope = 0.0 if clamped else _budgeted_slope(s, e, None if tail is None else tail.split)
     value = riskstats.tail_cvar(s, tail)
     return WorstCaseResult(
@@ -493,13 +505,11 @@ def _box_terms(L: float, U: float):
     """(keep, move, beta) of {L p <= q <= U p}: L p + (1 - L) (the CVaR fill at level (U-1)/(U-L)).
 
     Past U ~ 2^53 (1 - L) that level rounds to 1, and beta is the fill's tail
-    mass (1 - L)/(U - L) itself, at least 2^-1022 so that the caps p / beta stay finite.
+    mass (1 - L)/(U - L) itself (``_fill_beta``).
     """
     if L == 1.0:
         return 1.0, 0.0, None
-    level = (U - 1.0) / (U - L)
-    beta = riskstats.cvar_beta(level) if level < 1.0 else max((1.0 - L) / (U - L), 2.0**-1022)
-    return L, 1.0 - L, beta
+    return L, 1.0 - L, _fill_beta((U - 1.0) / (U - L), (1.0 - L) / (U - L))
 
 
 def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
@@ -527,16 +537,26 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # exactly the scalar solver's value; modified chi-square uses the closed form
 # of its active-set optimality conditions and every other phi the Newton tilt
 # (``_tilt_rows``), both within 1e-12 of the row's range of wc_smooth_phi.
+#
+# The newsvendor search calls these on blocks of 1 to 32 short rows, where
+# numpy's Python-level wrappers cost more than the arithmetic. So a block
+# path calls ndarray methods (``f.max(axis=1)``, ``.cumsum(axis=1)``,
+# ``.all()``, ``.nonzero()``), not their ``np.*`` wrappers; sorts with
+# ``(-f).argsort(axis=1, kind="stable")`` and gathers the sorted rows by
+# direct fancy indexing, ``f[np.arange(m)[:, None], order]``, not
+# ``np.take_along_axis``; and tests a block's finiteness once
+# (``dro._worst_values``), looking for the bad row only when that fails.
+# Each is the same arithmetic in the same order, so every value keeps its bits.
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
     """solve() on the non-constant rows; constant rows get their cost, as _degenerate does."""
-    const = np.all(costs == costs[:, :1], axis=1)
-    if not np.any(const):
+    const = (costs == costs[:, :1]).all(axis=1)
+    if not const.any():
         return solve(costs)
     out = np.empty(costs.shape[0])
     out[const] = costs[const, 0]
-    if not np.all(const):
+    if not const.all():
         out[~const] = solve(costs[~const])
     return out
 
@@ -544,9 +564,8 @@ def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
 def budgeted_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     """wc_budgeted(row, eps).value for each row, bit for bit."""
     _check_eps(eps)
-    e = min(eps, _budget_saturation(probs))
-    level = e / (1.0 + e)
-    return _by_row(costs, probs, lambda f: riskstats.beta_rows(f, probs, riskstats.cvar_beta(level)))
+    beta = _budget_beta(min(eps, _budget_saturation(probs)))
+    return _by_row(costs, probs, lambda f: riskstats.beta_rows(f, probs, beta))
 
 
 def _mixture_values(costs: np.ndarray, probs: np.ndarray, keep, move, beta) -> np.ndarray:
@@ -572,12 +591,12 @@ def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     e = min(eps, 2.0)
 
     def solve(f):
-        order = np.argsort(-f, axis=1, kind="stable")
+        order = (-f).argsort(axis=1, kind="stable")
         q = probs[order]
         gain = np.minimum(0.5 * e, 1.0 - q[:, 0])
         q[:, 0] += gain
         _strip_cheapest(q, gain)
-        return riskstats.row_fsums(q * np.take_along_axis(f, order, axis=1))
+        return riskstats.row_fsums(q * f[np.arange(f.shape[0])[:, None], order])
 
     return _by_row(costs, probs, solve)
 
@@ -597,10 +616,10 @@ def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
     """
     rows = np.arange(g.shape[0])
     with np.errstate(all="ignore"):
-        P = np.cumsum(p, axis=1)
-        S = np.cumsum(p * g, axis=1)
+        pg = p * g
+        P, S = p.cumsum(axis=1), pg.cumsum(axis=1)
         mu = S / P
-        W = np.maximum(np.cumsum(p * g * g, axis=1) - S * mu, 0.0)
+        W = np.maximum((pg * g).cumsum(axis=1) - S * mu, 0.0)
         # the mass left off the prefix, against the row's total rather than 1
         slack = 2.0 * eps - (P[:, -1:] - P) / P
         delta = np.sqrt(slack / W)
@@ -610,7 +629,7 @@ def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
         ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
         # ... and atom k + 1 would get a nonpositive one
         ok[:, :-1] &= base[:, :-1] + delta[:, :-1] * (g[:, 1:] - mu[:, :-1]) <= tol[:, :-1]
-        k = np.argmax(ok, axis=1)
+        k = ok.argmax(axis=1)
         return k, ok[rows, k], mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k])
 
 
@@ -622,8 +641,8 @@ def _chi2_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     active set and V from prefix sums. Past the saturation divergence V is
     max f, unless every atom is active: as in wc_chi2, that closed form wins.
     """
-    order = np.argsort(-raw, axis=1, kind="stable")
-    f = np.take_along_axis(raw, order, axis=1)
+    order = (-raw).argsort(axis=1, kind="stable")
+    f = raw[np.arange(raw.shape[0])[:, None], order]
     with np.errstate(all="ignore"):
         top, scale = f[:, 0], f[:, 0] - f[:, -1]
         g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
@@ -670,7 +689,7 @@ def _newton_rows(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, at) -> list[np.n
         for out, a in zip(result, (x, *outs)):
             out[rows[stop]] = a[stop]
         keep = ~stop & (x <= _DELTA_CAP)
-        if not np.any(keep):
+        if not keep.any():
             break
         rows, x, lo, hi, resid = _kept(keep, rows, x, lo, hi, resid)
         step = x - resid / slope(keep)
@@ -691,14 +710,14 @@ def _kl_moments(g: np.ndarray, probs: np.ndarray, eps: float):
     def at(rows, delta):
         gr = g[rows]
         w = probs * np.exp(delta[:, None] * gr)
-        z = np.sum(w, axis=1)
-        mean = np.sum(w * gr, axis=1) / z
+        z = w.sum(axis=1)
+        mean = (w * gr).sum(axis=1) / z
         first, log_z = delta * mean, np.log(z)
         noise = _TILT_TOL * eps + 2.0**-51 * (np.abs(first) + np.abs(log_z))
 
         def slope(keep):
             wk, gk, mk, zk, dk = _kept(keep, w, gr, mean, z, delta)
-            return dk * (np.sum(wk * (gk - mk[:, None]) ** 2, axis=1) / zk)
+            return dk * ((wk * (gk - mk[:, None]) ** 2).sum(axis=1) / zk)
 
         return first - log_z - eps, noise, slope, (mean, -log_z / delta)
 
@@ -749,10 +768,10 @@ def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float)
         def slope(keep):
             dk, gk, ck = _kept(keep, delta, gr, c)
             h = probs * _inverse_slope(phi, dk[:, None] * (gk + ck[:, None]))
-            g_h = np.sum(h * gk, axis=1) / np.sum(h, axis=1)
-            return dk * np.sum(h * (gk - g_h[:, None]) ** 2, axis=1)
+            g_h = (h * gk).sum(axis=1) / h.sum(axis=1)
+            return dk * (h * (gk - g_h[:, None]) ** 2).sum(axis=1)
 
-        mean = np.sum(probs * z * gr, axis=1)
+        mean = (probs * z * gr).sum(axis=1)
         missed = np.abs(d - eps) > 1e-6 * eps + 2.0**-48 * phi.curvature
         return d - eps, _TILT_TOL * eps, slope, (np.where(missed, np.nan, mean), c)
 
@@ -785,13 +804,13 @@ def _tilt_values(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: floa
     the worst-case tilt is solved for every row at once (``_tilt_rows``),
     and V = max f + (max f - min f) E_q g. Past the saturation divergence V is max f.
     """
-    top = np.max(raw, axis=1)
+    top = raw.max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = top - np.min(raw, axis=1)
+        scale = top - raw.min(axis=1)
     value = np.full(raw.shape[0], np.nan)
     _, _, saturated = _saturation(phi, raw, probs, eps)
     value[saturated] = top[saturated]
-    tilt = np.flatnonzero(~saturated & np.isfinite(scale))
+    tilt = (~saturated & np.isfinite(scale)).nonzero()[0]
     if tilt.size:
         g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
         value[tilt] = top[tilt] + scale[tilt] * _tilt_rows(g, probs, phi, eps)[0]
@@ -815,7 +834,7 @@ def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: floa
         value = _by_row(costs, probs, lambda f: _chi2_rows(f, probs, eps))
     else:
         value = _by_row(costs, probs, lambda f: _tilt_values(f, probs, phi, eps))
-    for i in np.flatnonzero(np.isnan(value)):
+    for i in np.isnan(value).nonzero()[0]:
         # wc_smooth_phi itself: it solves an overflowing range on f / 2, bit for bit
         value[i] = wc_smooth_phi(Scenario(costs=costs[i], probs=probs), phi, eps).value
     return value

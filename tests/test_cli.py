@@ -492,6 +492,16 @@ def test_duplicate_support_points_exit_three_with_a_typed_code():
     }
 
 
+def test_budgeted_level_that_rounds_to_one_below_saturation_is_solved():
+    # eps/(1 + eps) rounds to 1 though the set saturates only at 1/min p - 1 = 1e20
+    code, out, err = run_cli(
+        ["worst-case", "--family", "budgeted", "--eps", "1e20", "--costs", "1,2,3",
+         "--probs", "1e-20,0.5,0.49999999999999999999"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == 3.0
+
+
 def test_jsonable_maps_numpy_non_finite_scalars_to_none():
     for v in (np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan), np.float32(np.inf)):
         assert _jsonable(v) is None

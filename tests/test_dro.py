@@ -628,6 +628,66 @@ class TestUserPhiValues:
         assert sol.worst_case.value == pytest.approx(want.worst_case.value, abs=1e-9)
 
 
+class TestWorstValuesBlocks:
+    """dro._worst_values against one scalar worst case per order, on n = 100 demand.
+
+    200 orders span three blocks of _BLOCK_ELEMENTS // 100 rows; at s = 0
+    every order at or below the smallest atom has a constant cost row.
+    """
+
+    EXACT = [
+        (wcs.Budgeted(), 0.3),
+        (wcs.TotalVariation(), 0.3),
+        (wcs.Combination(0.7), 0.5),
+        (wcs.SymmetricBox(), 0.5),
+    ]
+    TILTED = [(wcs.SmoothPhi(), 1.0), (wcs.SmoothPhi(wcs.KL), 0.2)]
+
+    @staticmethod
+    def _demands():
+        atoms, rng = dro.gen_mixture_demand(100, seed=42), SplitMix64(5)
+        w = [0.05 + rng.exponential(1.0) for _ in range(100)]
+        return [wcs.demand_scenario(atoms), wcs.validate(atoms, [v / math.fsum(w) for v in w])]
+
+    @staticmethod
+    def _orders(demand):
+        xs = np.linspace(0.0, 1.5 * float(demand.costs.max()), 200)
+        assert xs.size > 2 * (dro._BLOCK_ELEMENTS // demand.n)
+        return xs
+
+    @pytest.mark.parametrize("params", [PARAMS, dro.NewsvendorParams(r=10, c=2, q=0.5, s=0)])
+    def test_every_block_matches_the_scalar_worst_case(self, params):
+        for demand in self._demands():
+            xs = self._orders(demand)
+            for family, eps in self.EXACT + self.TILTED:
+                got = dro._worst_values(params, demand, family, eps, xs)
+                one = dro._worst_values(params, demand, family, eps, xs[7:8])
+                assert got.shape == xs.shape and one.shape == (1,)
+                for x, v in zip(xs[[*range(xs.size), 7]], [*got.tolist(), *one.tolist()]):
+                    s_x = dro.cost_scenario(params, demand, float(x))
+                    want = wcs.worst_case(s_x, family, eps).value
+                    if (family, eps) in self.EXACT:
+                        assert v.hex() == want.hex(), (family.name, x)
+                    else:
+                        span = float(s_x.costs.max() - s_x.costs.min())
+                        assert abs(v - want) <= 1e-12 * span, (family.name, x)
+
+    def test_an_overflow_in_the_second_block_names_its_row(self):
+        # a 4e307 atom overflows -r min(x, y) from x = 4e307 on, and every cost from x = 1e308
+        atoms = dro.gen_mixture_demand(100, seed=42)
+        atoms[3] = 4e307
+        demand = wcs.demand_scenario(atoms)
+        xs = np.linspace(0.0, 150.0, 200)
+        xs[[100, 120, 190]] = 5e307, 1e308, 1e308
+        with pytest.raises(NonFiniteCost) as want:
+            dro.cost_scenario(PARAMS, demand, 5e307)
+        assert str(want.value) == "non-finite cost entries at [3]"
+        for family, eps in self.EXACT + self.TILTED:
+            with pytest.raises(NonFiniteCost) as got:
+                dro._worst_values(PARAMS, demand, family, eps, xs)
+            assert str(got.value) == str(want.value)
+
+
 def _kink_set(params, atoms, hi):
     """0, hi, the demand atoms, and every x in (0, hi) where two scenario costs cross.
 

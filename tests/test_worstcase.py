@@ -430,6 +430,38 @@ class TestBudgeted:
         r = wcs.wc_budgeted(s, 0.2)
         assert r.dual.slope == pytest.approx(wcs.budgeted_sensitivity(s).value, abs=1e-12)
 
+    # with min p = 1e-20 the set saturates at eps = 1e20, but eps/(1 + eps) rounds to 1 from ~2e16
+    ROUNDED_LEVEL_EPS = (3e16, 1e17, 1e18, 1e19, 5e19, 1e20, 1e21)
+
+    def test_a_level_that_rounds_to_one_below_saturation(self):
+        s = wcs.validate([5.0, 1.0, 2.0], [1e-20, 0.5, 0.5 - 1e-20])
+        r = wcs.wc_budgeted(s, 1e18)
+        # the costliest atom takes its cap (1 + eps) p = 0.01 and the next one the rest
+        assert not r.clamped and r.value == pytest.approx(0.01 * 5.0 + 0.99 * 2.0, rel=1e-15)
+        assert r.worst_q.tolist() == pytest.approx([0.01, 0.0, 0.99], rel=1e-15)
+        assert r.dual.slope == pytest.approx(3e-20, rel=1e-15)
+        assert wcs.budgeted_slope(s, 1e18) == r.dual.slope
+        r = wcs.wc_budgeted(wcs.validate([1, 2, 3], [1e-20, 0.5, 0.5 - 1e-20]), 1e20)
+        assert r.value == 3.0 and r.dual.slope == 0.0 and not r.clamped
+
+    def test_a_rounded_level_matches_the_batch_and_the_vertex_oracle(self):
+        rng = SplitMix64(41)
+        scenarios = []
+        for _ in range(6):
+            n = rng.randint(3, 6)
+            costs = [-10.0 + 20.0 * rng.uniform() for _ in range(n)]
+            tiny = [1e-20, 3e-19][: rng.randint(1, 2)]
+            rest = [rng.exponential(1.0) for _ in range(n - len(tiny))]
+            total = math.fsum(rest) / (1.0 - math.fsum(tiny))
+            scenarios.append(wcs.validate(costs, tiny + [v / total for v in rest]))
+        for s in scenarios:
+            for eps in self.ROUNDED_LEVEL_EPS:
+                r = wcs.wc_budgeted(s, eps)
+                batch = wcs.Budgeted().worst_values(s.costs[None, :], s.probs, eps)
+                assert batch[0].hex() == r.value.hex()
+                want = oracle.brute_force_wc(s, polytope=oracle.budgeted_polytope(s, eps))
+                assert abs(r.value - want) <= 1e-12 * max(1.0, abs(want))
+
 
 class TestCombination:
     def test_example(self):
