@@ -46,6 +46,7 @@ from .errors import (
     DuplicateSupportPoints,
     EmptyInput,
     InvalidCostCurve,
+    InvalidPhiFunction,
     LengthMismatch,
     NonFiniteCost,
     NonPositiveProbability,
@@ -351,6 +352,13 @@ class PhiFunction:
     inv_deriv: Callable[[np.ndarray], np.ndarray]
     zeta_floor: float
     curvature: float  # phi''(1)
+
+    def __post_init__(self):
+        # every solve divides by phi''(1) or takes its root; zeta_floor may be -inf (KL)
+        if not 0.0 < self.curvature < math.inf:
+            raise InvalidPhiFunction(f"phi''(1) must be finite and > 0, got {self.curvature}")
+        if math.isnan(self.zeta_floor):
+            raise InvalidPhiFunction("zeta_floor must not be NaN")
 
     def inverse_clamped(self, zeta):
         """z = [phi']^{-1}(zeta) with out-of-domain arguments clamped to z = 0."""

@@ -82,6 +82,10 @@ class InvalidBoxParams(WcsError, ValueError):
     """A likelihood-ratio band outside 0 <= L <= 1 <= U."""
 
 
+class InvalidPhiFunction(WcsError, ValueError):
+    """A phi generator whose curvature phi''(1) is not finite and > 0, or whose zeta_floor is NaN."""
+
+
 class InvalidCostCurve(WcsError, ValueError):
     """A piecewise-linear cost with mismatched or non-finite slopes, unsorted breakpoints,
     an empty domain or an anchor outside it."""

@@ -17,12 +17,25 @@ domain edge so q >= 0, where
     sum_i p_i [phi']^{-1}(delta (g_i + c)) = 1          (stationarity in c)
     divergence(q(delta, c) | p) = eps                   (stationarity in delta)
 
-Modified chi-square solves both in closed form on its active set (the
-costliest atoms keeping mass). Every other phi, and chi-square with no
-active count, runs one safeguarded Newton on delta across the rows of a
-block (``_tilt_rows``), with D'(delta) = delta sum p h (g - g_h)^2 for h
-the slope of [phi']^{-1}; KL takes c in closed form, any other phi solves
-it per row by the same Newton.
+``wc_smooth_phi`` returns at the first of these rungs that holds, top to bottom:
+
+1. eps not finite and >= 0: EpsOutOfRange;
+2. constant costs: degenerate, V the common cost;
+3. eps = 0 or too small to move V off E_p f (``_unresolved``): q = p;
+4. standardise f to g;
+5. modified chi-square's closed form, unsorted, while the cheapest atom's tilt is >= 0;
+6. past the saturation divergence: the point mass on the argmax atoms;
+7. modified chi-square's sorted active set, the costliest atoms keeping mass,
+   where an active count passes its test (``_chi2_active_tilt``);
+8. one safeguarded Newton on delta (``_tilt_rows``), with D'(delta) =
+   delta sum p h (g - g_h)^2 for h the slope of [phi']^{-1}; KL takes c in
+   closed form, any other phi solves it by the same Newton. No delta found
+   raises NoBracket.
+
+``phi_values`` climbs the same ladder per block: rungs 1-3 for the block and
+its constant rows, then ``_phi_rows`` (chi-square's active set from prefix
+sums of each sorted row, every other phi's point mass or Newton across the
+open rows); a row left unsettled goes to ``wc_smooth_phi``.
 
 The value-only batches (``*_values``) return V(eps) for each row of a
 cost block. The built-in phis are picked here alone, by identity. The L1
@@ -186,13 +199,6 @@ def _unresolved(phi: PhiFunction, eps: float) -> bool:
     return eps < 2.0**-105 * phi.curvature
 
 
-def _point_mass(s: Scenario, q: np.ndarray, eps: float) -> WorstCaseResult:
-    """Past the saturation divergence: all mass on the argmax-cost atoms, so V = max f."""
-    return WorstCaseResult(
-        epsilon=eps, value=float(np.max(s.costs)), worst_q=_clip_q(q), dual=None, clamped=True
-    )
-
-
 def _saturated(eps: float, d_sat: float) -> bool:
     return eps >= d_sat - 1e-9 * abs(d_sat)
 
@@ -258,7 +264,7 @@ def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
 def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult | None:
     """The result of the modified chi-square tilt on standardised costs, sorted once, or None.
 
-    The active count comes from ``_chi2_prefix``, the test ``_chi2_rows``
+    The active count comes from ``_chi2_prefix``, the test ``_phi_rows``
     runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
     mu_k and W_k are then summed exactly, two-pass, over the active atoms,
     since prefix sums leave W with a rounding error that shows in the
@@ -291,49 +297,8 @@ def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseRe
     return _tilted(st, srt.unsort(q), delta, (1.0 / mass - 1.0) * spread / delta - mu, eps, spread)
 
 
-def _chi2_tilt_result(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
-    """Modified chi-square: closed form while the tilt stays nonnegative.
-
-    q_i = p_i (1 + sqrt(2 eps / Var) (g_i - mean)), without a sort; if the
-    cheapest atom's mass would go negative, the sorted active-set solve takes over.
-    """
-    m = exact_sum(s.probs, st.g)
-    dev = st.g - m
-    dev *= dev
-    var = exact_sum(s.probs, dev)
-    if var > 0.0:
-        delta = math.sqrt(2.0 * eps / var)
-        # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
-        if delta * (1.0 + m) <= 1.0:
-            return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
-    return _phi_tilt_result(s, st, MODIFIED_CHI2, eps, _chi2_active_tilt)
-
-
-def _phi_tilt_result(
-    s: Scenario, st: _Standardised, phi: PhiFunction, eps: float, active=None
-) -> WorstCaseResult:
-    """The point mass past saturation, else active(s, st, eps) where it finds the tilt, else
-    ``_tilt_rows`` on the one row; KL's q is p exp(delta g) / Z, with Z summed exactly."""
-    top, pm, saturated = _saturation(phi, s.costs, s.probs, eps)
-    if saturated:
-        return _point_mass(s, np.where(top, s.probs / pm, 0.0), eps)
-    solved = active(s, st, eps) if active else None
-    if solved:
-        return solved
-    vg, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
-    if math.isnan(vg):
-        raise NoBracket(
-            f"found no delta in [0, {_DELTA_CAP}] meeting the divergence equation at eps={eps}"
-        )
-    if phi is KL:
-        w = s.probs * np.exp(delta * st.g)
-        z = exact_sum(w)
-        return _tilted(st, w / z, delta, -math.log(z) / delta, eps)
-    return _tilted(st, s.probs * phi.inverse_clamped(delta * (st.g + c)), delta, c, eps)
-
-
 def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
-    """Exact worst case over the phi-divergence ball of radius eps."""
+    """Exact worst case over the phi-divergence ball of radius eps, by the module's ladder."""
     _check_eps(eps)
     if s.is_constant():
         return _degenerate(s, eps)
@@ -344,9 +309,38 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
         )
     st = _standardise(s.costs)
     # by identity: a user phi may reuse a built-in's name with other math
-    if phi is MODIFIED_CHI2:
-        return _chi2_tilt_result(s, st, eps)
-    return _phi_tilt_result(s, st, phi, eps)
+    chi2 = phi is MODIFIED_CHI2
+    if chi2:
+        # q_i = p_i (1 + sqrt(2 eps / Var) (g_i - mean)), without a sort, while it stays >= 0
+        m = exact_sum(s.probs, st.g)
+        dev = st.g - m
+        dev *= dev
+        var = exact_sum(s.probs, dev)
+        if var > 0.0:
+            delta = math.sqrt(2.0 * eps / var)
+            # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
+            if delta * (1.0 + m) <= 1.0:
+                return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
+    top, pm, saturated = _saturation(phi, s.costs, s.probs, eps)
+    if saturated:
+        q = np.where(top, s.probs / pm, 0.0)
+        return WorstCaseResult(
+            epsilon=eps, value=float(np.max(s.costs)), worst_q=_clip_q(q), dual=None, clamped=True
+        )
+    solved = _chi2_active_tilt(s, st, eps) if chi2 else None
+    if solved is not None:
+        return solved
+    vg, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
+    if math.isnan(vg):
+        raise NoBracket(
+            f"found no delta in [0, {_DELTA_CAP}] meeting the divergence equation at eps={eps}"
+        )
+    if phi is KL:
+        # q = p exp(delta g) / Z, with Z summed exactly
+        w = s.probs * np.exp(delta * st.g)
+        z = exact_sum(w)
+        return _tilted(st, w / z, delta, -math.log(z) / delta, eps)
+    return _tilted(st, s.probs * phi.inverse_clamped(delta * (st.g + c)), delta, c, eps)
 
 
 def wc_chi2(s: Scenario, eps: float) -> WorstCaseResult:
@@ -633,27 +627,6 @@ def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
         return k, ok[rows, k], mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k])
 
 
-def _chi2_rows(raw: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_chi2(row, eps).value per row; NaN where no active set passes or the range overflows.
-
-    Each row is sorted, its costs centred at the row max and scaled by the
-    row range, so the squares cannot overflow, and ``_chi2_prefix`` finds its
-    active set and V from prefix sums. Past the saturation divergence V is
-    max f, unless every atom is active: as in wc_chi2, that closed form wins.
-    """
-    order = (-raw).argsort(axis=1, kind="stable")
-    f = raw[np.arange(raw.shape[0])[:, None], order]
-    with np.errstate(all="ignore"):
-        top, scale = f[:, 0], f[:, 0] - f[:, -1]
-        g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
-        k, found, vg = _chi2_prefix(g, probs[order], eps)
-        value = np.where(found, top + scale * vg, np.nan)
-    _, _, saturated = _saturation(MODIFIED_CHI2, raw, probs, eps)
-    saturated &= np.isfinite(scale) & ~(found & (k == raw.shape[1] - 1))
-    value[saturated] = top[saturated]
-    return value
-
-
 _TILT_TOL = 1e-14
 # every row closes within this many steps: delta doubles past _DELTA_CAP or
 # brackets its root, and a bisection from there reaches adjacent doubles
@@ -797,18 +770,29 @@ def _tilt_rows(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
     return mean, delta, c
 
 
-def _tilt_values(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, phi, eps).value per row; NaN if the range overflows or no delta is found.
+def _phi_rows(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
+    """wc_smooth_phi(row, phi, eps).value per row by rungs 5-8 of the module's ladder; NaN where
+    the range overflows, no chi-square active set passes or no delta is found.
 
-    Costs are standardised to g = (f - max f) / (max f - min f) in [-1, 0],
-    the worst-case tilt is solved for every row at once (``_tilt_rows``),
-    and V = max f + (max f - min f) E_q g. Past the saturation divergence V is max f.
+    Chi-square reads each sorted row's max and range off its ends and its active set and V off
+    prefix sums (``_chi2_prefix``); the all-active closed form comes before the point mass.
     """
+    _, _, saturated = _saturation(phi, raw, probs, eps)
+    if phi is MODIFIED_CHI2:
+        order = (-raw).argsort(axis=1, kind="stable")
+        f = raw[np.arange(raw.shape[0])[:, None], order]
+        with np.errstate(all="ignore"):
+            top, scale = f[:, 0], f[:, 0] - f[:, -1]
+            g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
+            k, found, vg = _chi2_prefix(g, probs[order], eps)
+            value = np.where(found, top + scale * vg, np.nan)
+        saturated &= np.isfinite(scale) & ~(found & (k == raw.shape[1] - 1))
+        value[saturated] = top[saturated]
+        return value
     top = raw.max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = top - raw.min(axis=1)
     value = np.full(raw.shape[0], np.nan)
-    _, _, saturated = _saturation(phi, raw, probs, eps)
     value[saturated] = top[saturated]
     tilt = (~saturated & np.isfinite(scale)).nonzero()[0]
     if tilt.size:
@@ -820,20 +804,14 @@ def _tilt_values(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: floa
 def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
     """wc_smooth_phi(row, phi, eps).value for each row, to within 1e-12 of the row's range.
 
-    Modified chi-square's kernel (``_chi2_rows``) and every other phi's
-    (``_tilt_values``) solve all rows at once; a row left NaN goes to
-    wc_smooth_phi, which standardises an overflowing range on f / 2, runs
-    chi-square's rows with no active count through ``_tilt_rows`` and
-    raises NoBracket where no delta is found.
+    A row ``_phi_rows`` leaves NaN goes to wc_smooth_phi, which standardises an overflowing
+    range on f / 2, runs chi-square with no active count through ``_tilt_rows`` and raises
+    NoBracket where no delta is found.
     """
     _check_eps(eps)
     if eps == 0.0 or _unresolved(phi, eps):
         return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
-    # by identity: a user phi may reuse a built-in's name with other math
-    if phi is MODIFIED_CHI2:
-        value = _by_row(costs, probs, lambda f: _chi2_rows(f, probs, eps))
-    else:
-        value = _by_row(costs, probs, lambda f: _tilt_values(f, probs, phi, eps))
+    value = _by_row(costs, probs, lambda f: _phi_rows(f, probs, phi, eps))
     for i in np.isnan(value).nonzero()[0]:
         # wc_smooth_phi itself: it solves an overflowing range on f / 2, bit for bit
         value[i] = wc_smooth_phi(Scenario(costs=costs[i], probs=probs), phi, eps).value

@@ -482,6 +482,14 @@ def test_logreg_tol_must_be_finite_and_positive(tol, capsys):
     assert captured.out == "" and "argument --tol: must be finite and > 0" in captured.err
 
 
+def test_logreg_tol_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-logreg", "--gen-class", "20,2,1,0", "--eps", "0.1", "--tol", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tol: invalid float value: 'abc'" in captured.err
+
+
 def test_duplicate_support_points_exit_three_with_a_typed_code():
     code, out, err = run_cli(
         ["sensitivity", "--family", "wasserstein", "--costs", "1,2,3", "--points", "0,0,1"]

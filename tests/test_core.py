@@ -1,5 +1,7 @@
 import bisect
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -11,10 +13,13 @@ from wcs.core import interpolated_cost, exact_sum, PiecewiseLinearCost, ConcaveG
 from wcs.rng import SplitMix64
 from wcs.errors import (
     EmptyInput,
+    InvalidCostCurve,
+    InvalidPhiFunction,
     LengthMismatch,
     NonFiniteCost,
     NonPositiveProbability,
     ProbSumMismatch,
+    WcsError,
 )
 
 
@@ -312,6 +317,34 @@ class TestPhiFunctions:
     def test_kl_at_zero(self):
         assert float(wcs.KL.value(np.array(0.0))) == 1.0
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("curvature", -1.0, "phi''(1) must be finite and > 0, got -1.0"),
+            ("curvature", 0.0, "phi''(1) must be finite and > 0, got 0.0"),
+            ("curvature", math.nan, "phi''(1) must be finite and > 0, got nan"),
+            ("curvature", math.inf, "phi''(1) must be finite and > 0, got inf"),
+            ("zeta_floor", math.nan, "zeta_floor must not be NaN"),
+        ],
+    )
+    @pytest.mark.parametrize("phi", [wcs.MODIFIED_CHI2, wcs.KL], ids=lambda p: p.name)
+    def test_a_curvature_or_floor_no_solve_can_use_is_rejected(self, phi, field, bad, message):
+        # phi''(1) <= 0 raised a bare math domain error or divided by zero in the
+        # solves, nan gave a nan sensitivity and inf a zero one and the nominal V
+        with pytest.raises(InvalidPhiFunction) as exc:
+            dataclasses.replace(phi, name="user", **{field: bad})
+        assert str(exc.value) == message
+        assert isinstance(exc.value, WcsError) and isinstance(exc.value, ValueError)
+        fields = dict(name="user", value=phi.value, inv_deriv=phi.inv_deriv,
+                      zeta_floor=phi.zeta_floor, curvature=phi.curvature)
+        with pytest.raises(InvalidPhiFunction, match=re.escape(message)):
+            wcs.PhiFunction(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("curvature", [2.0, 1e-200, 2])
+    def test_a_positive_curvature_and_kls_unbounded_floor_construct(self, curvature):
+        phi = dataclasses.replace(wcs.KL, name="user", curvature=curvature)
+        assert phi.curvature == curvature and phi.zeta_floor == -math.inf
+
 
 class TestPiecewiseLinearCost:
     def newsvendor_curve(self):
@@ -355,6 +388,15 @@ class TestPiecewiseLinearCost:
             PiecewiseLinearCost((1.0,), (0.0,), anchor=(0.0, 0.0))
         with pytest.raises(ValueError):
             PiecewiseLinearCost((1.0,), (0.0, math.inf), anchor=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "anchor, domain, message",
+        [((1.0, 0.0), (1.0, 1.0), "empty domain"), ((5.0, 0.0), (0.0, 1.0), "anchor outside domain")],
+    )
+    def test_empty_domain_and_anchor_outside_it_are_typed(self, anchor, domain, message):
+        with pytest.raises(InvalidCostCurve) as exc:
+            PiecewiseLinearCost((), (1.0,), anchor=anchor, domain=domain)
+        assert str(exc.value) == message and isinstance(exc.value, WcsError)
 
     def test_interpolated_flat_extension(self):
         c = interpolated_cost([0.0, 1.0, 2.0], [1.0, 5.0, 3.0])

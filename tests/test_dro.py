@@ -11,11 +11,13 @@ import wcs
 from wcs import dro, oracle
 from wcs.errors import (
     InvalidEpsList,
+    InvalidGeneratorArgs,
     LengthMismatch,
     NegativeDemand,
     NonConvergence,
     NonFiniteCost,
     NoTransportGeometry,
+    WcsError,
 )
 from wcs.rng import SplitMix64
 
@@ -807,6 +809,12 @@ class TestFrontier:
         # a sweep of no sizes returned no points
         with pytest.raises(InvalidEpsList):
             dro.frontier(PARAMS, d, wcs.Budgeted(), [], wcs.Budgeted())
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 0)])
+    def test_classification_generator_needs_two_points_and_a_feature(self, n, d):
+        with pytest.raises(InvalidGeneratorArgs) as exc:
+            dro.gen_synth_classification(n, d, 1.0)
+        assert str(exc.value) == "need n >= 2 and d >= 1" and isinstance(exc.value, WcsError)
 
     def test_dataset_sweep(self):
         ds = dro.gen_synth_classification(40, 2, 0.5, seed=5)

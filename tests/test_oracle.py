@@ -10,7 +10,9 @@ from wcs.errors import (
     InvalidOracleMode,
     NonMonotoneEstimates,
     ResolutionTooCoarse,
+    UnknownGrowth,
     UnknownPolytope,
+    WcsError,
 )
 from wcs.rng import SplitMix64
 
@@ -89,6 +91,11 @@ class TestTypedErrors:
         with pytest.raises(InvalidEpsSequence):
             oracle.fd_sensitivity(lambda e: e, "linear", [1e-2, 1e-2])
         assert issubclass(InvalidEpsSequence, ValueError)
+
+    def test_fd_unknown_growth(self):
+        with pytest.raises(UnknownGrowth) as exc:
+            oracle.fd_sensitivity(lambda e: e, "cubic", [0.1])
+        assert str(exc.value) == "unknown growth label 'cubic'" and isinstance(exc.value, WcsError)
 
 
 class TestFdSensitivity:

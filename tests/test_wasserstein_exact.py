@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 import wcs
 from wcs import dro
 from wcs.core import exact_sum
+from wcs.errors import OutsideCostDomain, WcsError
 from wcs.rng import SplitMix64
 
 
@@ -259,6 +260,18 @@ def test_value_shifts_and_scales_with_the_curve(problem, eps, shift, scale):
     assert value(slopes, f0 + shift) == pytest.approx(v + shift, abs=_tol(v, shift))
     scaled = value([scale * m for m in slopes], scale * f0)
     assert scaled == pytest.approx(scale * v, abs=scale * _tol(v))
+
+
+def test_a_support_point_outside_the_cost_domain_is_typed():
+    curve = dro.demand_cost_curve(dro.NewsvendorParams(r=10, c=2, q=0, s=4), 5.0)
+    with pytest.raises(OutsideCostDomain) as exc:
+        curve.ratio_from(-1.0)
+    assert str(exc.value) == "support point -1.0 outside cost domain (0.0, inf)"
+    assert isinstance(exc.value, WcsError)
+    with pytest.raises(OutsideCostDomain) as exc:
+        wcs.wc_wasserstein_pl([-1.0, 2.0], [0.5, 0.5], curve, 0.1)
+    assert str(exc.value) == "support points outside cost domain (0.0, inf)"
+    assert isinstance(exc.value, WcsError)
 
 
 def test_a_move_whose_cost_underflows_keeps_the_nominal_at_eps_0():
