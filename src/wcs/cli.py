@@ -16,6 +16,7 @@ generating subcommands when --seed is not given explicitly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -100,39 +101,72 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload)) + "\n")
 
 
-def _read_csv(path: str, primary: str, schema: str) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank data rows; the header's first column must be ``primary``.
-
-    The file is read in one go and split on line ends and commas.
-    """
+def _read_text(path: str) -> str:
+    """The file's text, read in one go; an unreadable or undecodable file raises InputFileError."""
     try:
         with open(path, newline="") as fh:
             try:
-                rows = _split_rows(fh.read())
+                return fh.read()
             except UnicodeError:
                 # stream it line by line, so the error names the position it always did
                 fh.seek(0)
-                rows = list(csv.reader(fh))
+                list(csv.reader(fh))
+                raise
     except (OSError, UnicodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _read_csv(path: str, primary: str, schema: str, text: str | None = None):
+    """Header and non-blank data rows of the file, or of its ``text``; the header opens with ``primary``."""
+    try:
+        rows = _split_rows(_read_text(path) if text is None else text)
+    except csv.Error as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
     if not rows or not rows[0] or rows[0][0].strip() != primary:
         raise WcsError(f"{path}: expected header '{schema}'")
     return rows[0], [row for row in rows[1:] if row]
 
 
-def _split_rows(text: str) -> list[list[str]]:
-    """csv.reader's rows of ``text``, give or take empty rows, which callers drop.
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text``, or None where csv.reader would do more than split them at commas.
 
-    Without quote or NUL characters, csv.reader's default dialect only
-    splits on line ends (CR, LF or CRLF) and commas, so a plain split gives
-    the same cells; a CRLF just adds an empty row. A line longer than csv's
-    field size limit goes to csv.reader too, which raises on it.
+    Without quote or NUL characters, csv.reader's default dialect only splits on line
+    ends (CR, LF or CRLF; a CRLF just adds an empty line) and commas. A line longer
+    than csv's field size limit goes to csv.reader too, which raises on it.
     """
     lines = text.replace("\r", "\n").split("\n")
     limit = csv.field_size_limit()
     if '"' in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    return lines
+
+
+def _split_rows(text: str) -> list[list[str]]:
+    """csv.reader's rows of ``text``, give or take empty rows, which callers drop."""
+    lines = _plain_lines(text)
+    if lines is None:
         return list(csv.reader(io.StringIO(text, newline="")))
     return [line.split(",") if line else [] for line in lines]
+
+
+def _read_table(path: str, primary: str, schema: str, width_of) -> tuple[list[str], np.ndarray]:
+    """The header, and the first width_of(header) cells of each non-blank data row as floats.
+
+    Plain data lines are split one at a time, at most width cells each, as ``float`` reads
+    them, so no list of rows or of all the cells is kept; other text, or a short row or a
+    cell ``float`` rejects, goes row by row (``_read_csv``, ``_table``), which names the row.
+    """
+    text = _read_text(path)
+    lines = _plain_lines(text) or [""]
+    header, data = lines[0].split(","), [line for line in lines[1:] if line]
+    if header[0].strip() == primary:
+        width = width_of(header)
+        cells = itertools.chain.from_iterable(line.split(",", width)[:width] for line in data)
+        with contextlib.suppress(ValueError):
+            table = np.fromiter(map(float, cells), np.float64, count=len(data) * width)
+            return header, table.reshape(len(data), width)
+    header, rows = _read_csv(path, primary, schema, text)
+    return header, _table(path, rows, width_of(header))
 
 
 def _numbers(path: str, row: list[str], width: int) -> list[float]:
@@ -160,17 +194,17 @@ def _table(path: str, rows: list[list[str]], width: int) -> np.ndarray:
 
 
 def _read_two_column(path: str, primary: str) -> tuple[np.ndarray, np.ndarray | None]:
-    header, rows = _read_csv(path, primary, f"{primary}[,prob]")
-    has_prob = len(header) > 1 and header[1].strip() == "prob"
-    table = _table(path, rows, 2 if has_prob else 1)
-    return table[:, 0], (table[:, 1] if has_prob else None)
+    def width(header):  # two columns where the header names a prob column
+        return 1 + (len(header) > 1 and header[1].strip() == "prob")
+
+    _, table = _read_table(path, primary, f"{primary}[,prob]", width)
+    return table[:, 0], (table[:, 1] if table.shape[1] == 2 else None)
 
 
 def _read_classification(path: str) -> dro.LabeledDataset:
     from . import dro
 
-    header, rows = _read_csv(path, "label", "label,x1,...,xd")
-    table = _table(path, rows, len(header))
+    _, table = _read_table(path, "label", "label,x1,...,xd", len)
     # C-ordered copies, as a nested list gave: matmul may sum a strided block in another order
     return dro.labeled_dataset(table[:, 1:].copy(), table[:, 0].copy())
 

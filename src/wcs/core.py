@@ -67,6 +67,8 @@ GROWTH_LINEAR = "linear"
 
 # below this many terms math.fsum over a list is as fast as the bins
 EXACT_SUM_CUTOFF = 1024
+# below this many terms exact_total adds the terms' integer ratios in Python
+_RATIO_CUTOFF = 64
 _CHUNK = 1 << 14
 # a term's bin is its sign and biased exponent E, the top 12 bits of its double
 _BINS = 1 << 12
@@ -103,7 +105,8 @@ def exact_total(a, b=None) -> int | None:
     """Exact sum of a 1-d float array, or of the products fl(a_i * b_i), as an integer count of 2^-1127.
 
     0 for an empty array, before any buffer is allocated; None if a term
-    is not finite. The kernel reads each double's own bits: a shift by 52
+    is not finite. Below _RATIO_CUTOFF terms it adds their integer ratios in
+    Python. The kernel reads each double's own bits: a shift by 52
     gives its bin (sign and biased exponent), a mask keeps its top 27
     significant bits and one subtraction gives the exact low half. Within a
     bin every half is an integer multiple of one power of two, so
@@ -122,6 +125,15 @@ def exact_total(a, b=None) -> int | None:
     a = np.ascontiguousarray(a, dtype=float)
     if b is not None:
         b = np.ascontiguousarray(b, dtype=float)
+    if a.size < _RATIO_CUTOFF:
+        total = 0
+        try:
+            # a term's integer ratio n / 2^k is n 2^(1127 - k) units
+            for n, d in map(float.as_integer_ratio, (a if b is None else a * b).tolist()):
+                total += n << (1128 - d.bit_length())
+        except (OverflowError, ValueError):  # the ratio of an inf or a nan
+            return None
+        return total
     size = min(a.size, _CHUNK)
     bins = np.empty(size, dtype=np.uint64)
     hi = np.empty(size)

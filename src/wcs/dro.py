@@ -9,35 +9,39 @@ with 0 <= q < c < r and s >= 0 (q is the unit salvage value here, not a
 probability vector). The SAA optimizer is, in closed form, the empirical
 demand quantile at the critical fractile (r + s - c) / (r + s - q).
 
-One search serves every family at eps > 0. It reads V, the worst-case
-value, at its kinks on [0, 1.5 max y]: the demand atoms, the range ends
-and, for the piecewise-linear families, the orders where two scenario cost
-lines cross (the LP view of CVaR, Rockafellar & Uryasev 2000). V is a
-supremum of costs convex in x, so bisections find the best atom and then
-the best kink in the two atom gaps around it; crossings are generated only
-there, so a solve reads V at O(log n) orders and builds no all-pairs array.
-Of orders within the tie tolerance 1e-12 (1 + |V|) of the least V, the
-smallest is returned.
+At eps > 0 the worst-case value V(x) is a supremum of costs convex in x,
+so it is convex; two searches find its least order on [0, 1.5 max y].
+
+For the polytope families and Wasserstein V is linear between its kinks:
+the demand atoms, the range ends and, between atoms, the orders where two
+scenario cost lines cross (polytopes: the LP view of CVaR, Rockafellar &
+Uryasev 2000) or 2 s y / (r + s - q) (Wasserstein). Bisections find the
+best atom and then the best kink in the atom gaps around it, where alone
+kinks are generated, so a solve reads V at O(log n) orders. V is read in
+blocks of about 2^13 cost entries, value only (the family's
+``worst_values``; Wasserstein, without one, order by order). Of orders
+within the tie tolerance 1e-12 (1 + |V|) of the least V, the smallest is
+returned, with the scalar solver's worst case there.
+
+A smooth phi ball has a unique worst q, so V is differentiable between the
+atoms. Its search reads one scalar worst case per order and takes V's
+one-sided slopes from the worst q (Danskin's theorem): (c - q) - (r + s -
+q) Q(Y > x) on the right, Q(Y >= x) on the left. It bisects the atoms on
+the sign of the right slope and, where the minimum falls inside an atom
+gap, root-finds V' there. Any q in the ball bounds the least V from below
+by L(q) = min_x E_q f(x, .), E_q f at q's critical-fractile quantile (weak
+duality); the root-find stops once V(x) - L(q(x)) is within the tie
+tolerance, or when its bracket closes to adjacent doubles.
 
 V is L-Lipschitz in x, L = max(c - q, r + s - c), so kinks, atoms and
-crossings alike, closer than the tie tolerance of V at the range ends over
-L are one order, the smallest (``_apart``): rounding could otherwise turn a
-bisection the wrong way between two atoms one double apart.
-
-Polytope families have V linear between kinks, so the best kink is exact.
-A smooth phi ball has a unique worst q, so V is differentiable between
-atoms, and Wasserstein's V kinks between them too, wherever the transport
-envelopes change: V may dip inside a gap, and ``_refine`` shrinks the
-bracket around the best kink by rounds of evenly spaced orders.
-
-V is read in batches, value only: a block of orders is one (m, n) cost
-matrix of about 2^13 entries, and the family's ``worst_values`` returns V
-of every row; Wasserstein, which has no batched kernel, is solved order
-by order. The reported worst case is the scalar solver's at x*.
+crossings alike, closer than the tie tolerance of V (for smooth phi, of the
+largest cost) at the range ends over L are one order, the smallest
+(``_apart``): rounding could otherwise turn a bisection the wrong way.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -63,16 +67,12 @@ from .errors import (
     NonFiniteCost,
     UnsupportedFamily,
 )
-from .families import UncertaintyFamily, WassersteinL1
+from .families import SmoothPhi, UncertaintyFamily, WassersteinL1
 from .rng import SplitMix64
 from . import riskstats, sensitivity, worstcase
 
 # cost-matrix entries per block of candidate orders in the value-only scans
 _BLOCK_ELEMENTS = 1 << 13
-# orders per refine round, and the most rounds: 13 shrinks of about 16x
-# reach a double's resolution
-_ROUND = 32
-_ROUNDS = 13
 # proximal-gradient iterations before a logistic fit raises NonConvergence
 _MAX_ITER = 50_000
 
@@ -233,6 +233,15 @@ def _crossings(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float
     return x[(yi < x) & (x < yj) & (lo < x) & (x < hi)]
 
 
+def _transport_kinks(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The orders in (lo, hi) where Wasserstein's V kinks between atoms: x = 2 s y / (r + s - q),
+    where moving atom y > x to demand 0 starts to gain more per unit moved, (r + s - q) x / y - s,
+    than moving it up, s. Every other rate the dual compares is constant or reorders at atoms."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf fails the range test
+        x = 2.0 * params.s * atoms / (params.r + params.s - params.q)
+    return x[(lo < x) & (x < hi)]
+
+
 def _worst_values(
     params: NewsvendorParams,
     demand: Scenario,
@@ -261,36 +270,37 @@ def _worst_values(
 class DroSolution:
     """The chosen order x, the scalar worst case at x, and its certificate.
 
-    ``bracket`` = (lo, hi) holds searched orders on each side of x (x itself
-    at an end of the range) and ``slopes`` the secant slopes of V from x to
-    them (-inf and +inf at an end). For convex V, left <= 0 <= right puts a
-    minimizer in the bracket, where V >= V(x) - max(-left (hi - x),
-    right (x - lo)). For the piecewise-linear families the ends are the
-    neighbouring kinks, so the slopes are V's one-sided derivatives at x
-    and the certificate is exact; for smooth phi and Wasserstein the
-    bracket is refined. Both are None at eps = 0, where x is the SAA order.
+    ``bracket`` = (lo, hi) holds the searched orders nearest x on each side,
+    x itself where there is none. For the polytope families and Wasserstein
+    they are x's neighbouring kinks and ``slopes`` the secants from x to
+    them (-inf, +inf at a range end): V's one-sided derivatives, so left <=
+    0 <= right certifies x exactly. For a smooth phi ball ``slopes`` are the
+    Danskin slopes read off the worst q at x, and the certificate is ``gap``
+    = V(x) - L(q) >= V(x) - least V for that q, or, at a kink past
+    saturation, a mixture of two (``_slope_root``); ``gap`` is None for the
+    other families. All three are None at eps = 0, where x is the SAA order.
     """
 
     x: float
     worst_case: worstcase.WorstCaseResult
     bracket: tuple[float, float] | None = None
     slopes: tuple[float, float] | None = None
+    gap: float | None = None
 
 
 def _kink_search(params, demand, family, eps):
-    """(x*, bracket, slopes): V's best kink, refined around it when V is smooth."""
+    """(x*, bracket, slopes): V's best kink, for a family whose V is linear between its kinks."""
     atoms = distinct(demand.costs)
     top = 1.5 * float(atoms[-1])
     values = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
     # the range ends first: an overflowing cost raises there
     v_ends = max(abs(v) for v in values([0.0, top]))
     gap = _tol(v_ends) / max(params.c - params.q, params.r + params.s - params.c)
+    between = _transport_kinks if isinstance(family, WassersteinL1) else _crossings
 
     def kinks(a, b):
         """Every kink in [grid[a], grid[b]] the search may compare, sorted."""
-        if not family.piecewise_linear:
-            return grid[a : b + 1]
-        return _apart(np.append(grid[a : b + 1], _crossings(params, atoms, grid[a], grid[b])), gap)
+        return _apart(np.append(grid[a : b + 1], between(params, atoms, grid[a], grid[b])), gap)
 
     grid = _apart(np.append(atoms, [0.0, top]), gap)
     k = _first_rise(values, grid)
@@ -308,47 +318,88 @@ def _kink_search(params, demand, family, eps):
     i = _first_within(values, ks[: m + 1], level)
     x = ks[i]
     lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)]
-    if not family.piecewise_linear:
-        x, lo, hi = _refine(values, x, lo, hi)
     v_lo, v, v_hi = values([lo, x, hi])
     s_left = (v - v_lo) / (x - lo) if lo < x else -math.inf
     s_right = (v_hi - v) / (hi - x) if x < hi else math.inf
     return x, (lo, hi), (s_left, s_right)
 
 
-def _refine(values, x, lo, hi):
-    """(x, lo, hi) with the bracket [lo, hi] shrunk around the order x.
+def _slope_search(params, demand, family, eps) -> DroSolution:
+    """The smooth phi search of the module docstring, one scalar worst case per order read."""
+    order = np.argsort(demand.costs, kind="stable")
+    ys = demand.costs[order]
+    c_q, d = params.c - params.q, params.r + params.s - params.q
+    reads = {}
 
-    Each round reads V at _ROUND evenly spaced orders, one batch; one
-    replaces x only if lower by more than the tolerance, so a minimum at a
-    kink stays there. The bracket becomes x's neighbours while V there is
-    no lower than V(x), so it keeps certifying left <= 0 <= right. Rounds
-    stop when it would not, when it stops shrinking, or when convexity (a
-    secant on one side of x, or one just beyond the bracket, extended to x)
-    bounds V on it within the tolerance of V(x).
+    def costs(x):
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports an inf
+            return demand.with_costs(_newsvendor_cost_vec(params, x, demand.costs))
+
+    def read(x):
+        """(worst case at x, V'(x-), V'(x+)), memoised."""
+        if x not in reads:
+            wc = worstcase.worst_case(costs(x), family, eps)
+            qs = wc.worst_q[order]
+            at_or_above = float(qs[np.searchsorted(ys, x) :].sum())
+            above = float(qs[np.searchsorted(ys, x, side="right") :].sum())
+            reads[x] = wc, c_q - d * at_or_above, c_q - d * above
+        return reads[x]
+
+    def gap(x):
+        """V(x) - L(q) for the worst q at x, L(q) = E_q f at q's critical-fractile order."""
+        q = reads[x][0].worst_q
+        k = min(int(np.searchsorted(q[order].cumsum(), params.critical_fractile)), ys.size - 1)
+        return reads[x][0].value - math.fsum((q * costs(ys[k]).costs).tolist())
+
+    atoms = distinct(demand.costs)
+    top = 1.5 * float(atoms[-1])
+    # the range ends' costs first, which bound V there: an overflowing cost raises
+    v_ends = max(float(np.abs(costs(x).costs).max()) for x in (0.0, top))
+    grid = _apart(np.append(atoms, [0.0, top]), _tol(v_ends) / max(c_q, d - c_q))
+    # the first order whose right slope is >= 0; at top it is c - q > 0
+    k = bisect.bisect_left(range(len(grid) - 1), True, key=lambda i: read(grid[i])[2] >= 0.0)
+    x, certified = grid[k], None
+    if k > 0 and read(x)[1] > 0.0:
+        x, certified = _slope_root(read, gap, grid[k - 1], x)
+    wc, left, right = read(x)
+    bracket = (max((y for y in reads if y < x), default=x), min((y for y in reads if y > x), default=x))
+    return DroSolution(x, wc, bracket, (left, right), gap(x) if certified is None else certified)
+
+
+def _slope_root(read, gap, a: float, b: float) -> tuple[float, float]:
+    """(x, gap) for an order x in the atom gap [a, b], where V'(a+) < 0 < V'(b-).
+
+    False position on V' with the Pegasus rule (Dowell & Jarratt 1972), to an
+    order whose own gap is within tolerance. Each end's worst q prices f on the
+    gap by a line below V through the end; their mixture with slope 0 there has
+    L = the value where the lines meet, where a read that keeps most of its
+    end's slope steps next. Past saturation V kinks between atoms, at the
+    lines' meeting point, and no single worst q certifies the kink: where a read
+    keeps its end's slope exactly, V is linear, and the ends' bound may stop the
+    search. So do ends one double apart.
     """
-    v = values([x])[0]
-    for _ in range(_ROUNDS):
-        pts = sorted({lo, x, hi, *np.linspace(lo, hi, _ROUND + 2).tolist()})
-        vals = values(pts)
-        j = int(np.argmin(vals))
-        if v - vals[j] > _tol(v):
-            x, v = pts[j], vals[j]
-        i = pts.index(x)
-        ia, ib = max(i - 1, 0), min(i + 1, len(pts) - 1)
-        if (pts[ia], pts[ib]) == (lo, hi) or min(vals[ia], vals[ib]) < v:
-            break
-        lo, hi = pts[ia], pts[ib]
-        if lo < x < hi:
-            gap = max((vals[ia] - v) * (hi - x) / (x - lo), (vals[ib] - v) * (x - lo) / (hi - x))
-            if 0 < ia and ib < len(pts) - 1:
-                # so do the secants just beyond the bracket, extended to x: exact at a kink
-                left = vals[ia] + (vals[ia] - vals[ia - 1]) / (lo - pts[ia - 1]) * (x - lo)
-                right = vals[ib] - (vals[ib + 1] - vals[ib]) / (pts[ib + 1] - hi) * (hi - x)
-                gap = min(gap, v - min(v, left, right))
-            if gap <= _tol(v):
-                break
-    return x, lo, hi
+    (wa, _, sa), (wb, sb, _) = read(a), read(b)
+    fa, fb, side, kept = sa, sb, 0, 0.0  # fa, fb weigh the ends in the false-position step
+    while True:
+        meet = (wb.value - wa.value - sb * (b - a)) / (sa - sb)  # from a to where the lines meet
+        x, v = (a, wa.value) if wa.value <= wb.value else (b, wb.value)
+        if not math.nextafter(a, b) < b or kept == 1.0 and v - (wa.value + sa * meet) <= _tol(v):
+            return x, min(gap(x), v - (wa.value + sa * meet))
+        # a read that kept over half its end's slope steps to where the lines meet
+        x = a + meet if kept > 0.5 else b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = a + 0.5 * (b - a)
+        wc, _, slope = read(x)
+        if (own := gap(x)) <= _tol(wc.value) or slope == 0.0:
+            return x, own
+        if slope < 0.0:
+            fb *= fa / (fa + slope) if side < 0 else 1.0
+            kept = slope / sa
+            a, wa, sa, fa, side = x, wc, slope, slope, -1
+        else:
+            fa *= fb / (fb + slope) if side > 0 else 1.0
+            kept = slope / sb
+            b, wb, sb, fb, side = x, wc, slope, slope, 1
 
 
 def dro_newsvendor(
@@ -360,6 +411,8 @@ def dro_newsvendor(
         x0 = saa_newsvendor(params, demand)
         s_x = cost_scenario(params, demand, x0)
         return DroSolution(x=x0, worst_case=worstcase.worst_case(s_x, family, 0.0))
+    if isinstance(family, SmoothPhi):
+        return _slope_search(params, demand, family, eps)
     x, bracket, slopes = _kink_search(params, demand, family, eps)
     s_x = cost_scenario(params, demand, x)
     return DroSolution(x, worstcase.worst_case(s_x, family, eps), bracket, slopes)
@@ -563,27 +616,6 @@ def logreg_saa(data: LabeledDataset, tol: float = 1e-8) -> LogregFit:
     the gradient-norm criterion and the fit is flagged separable.
     """
     return _prox_descent(data, 0.0, tol)
-
-
-def robust_logreg_objective(
-    data: LabeledDataset, w: np.ndarray, eps: float, kappa: float = math.inf, lam: float | None = None
-) -> float:
-    """Objective of the transport-robust logistic program at (w, lam).
-
-    With finite kappa the per-sample cost is the larger of the true-label
-    loss and the flipped-label loss discounted by kappa*lam; kappa = inf
-    drops the flipped branch and the program reduces to norm-regularized
-    logistic regression. Evaluator only; the solver path is the reduction.
-    """
-    if lam is None:
-        lam = float(np.linalg.norm(w))
-    margins = data.labels * (data.features @ w)
-    s_true = np.logaddexp(0.0, -margins)
-    if math.isinf(kappa):
-        s = s_true
-    else:
-        s = np.maximum(s_true, np.logaddexp(0.0, margins) - kappa * lam)
-    return float(eps * lam + np.mean(s))
 
 
 def logreg_wasserstein(

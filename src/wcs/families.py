@@ -8,12 +8,8 @@ of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
 ``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
 value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
-search calls; ``piecewise_linear`` tells that search whether the orders
-where two scenario cost lines cross are kinks of V, and so whether its best
-kink is exact or refined (smooth phi, Wasserstein). Every family with a
-worst case but Wasserstein solves a block at once, a smooth phi ball for
-any phi (``worstcase.phi_values``); where ``worst_values`` returns None
-the caller solves row by row.
+kink search reads (None, for smooth phi and Wasserstein, means row by row);
+to it ``piecewise_linear`` says that V kinks where two cost lines cross.
 
 Wasserstein reads the transport geometry a scenario carries besides its
 costs: the support points ``s.points`` and the piecewise-linear cost
@@ -51,7 +47,6 @@ from .worstcase import (
     box_symmetric_values,
     budgeted_values,
     combination_values,
-    phi_values,
     tv_values,
     wc_box_symmetric,
     wc_budgeted,
@@ -90,9 +85,6 @@ class SmoothPhi(UncertaintyFamily):
 
     def worst_case(self, s, eps):
         return wc_smooth_phi(s, self.phi, eps)
-
-    def worst_values(self, costs, probs, eps):
-        return phi_values(costs, probs, self.phi, eps)
 
 
 @dataclass(frozen=True)

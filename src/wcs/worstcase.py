@@ -32,14 +32,10 @@ domain edge so q >= 0, where
    closed form, any other phi solves it by the same Newton. No delta found
    raises NoBracket.
 
-``phi_values`` climbs the same ladder per block: rungs 1-3 for the block and
-its constant rows, then ``_phi_rows`` (chi-square's active set from prefix
-sums of each sorted row, every other phi's point mass or Newton across the
-open rows); a row left unsettled goes to ``wc_smooth_phi``.
-
 The value-only batches (``*_values``) return V(eps) for each row of a
-cost block. The built-in phis are picked here alone, by identity. The L1
-transport worst case (``wc_wasserstein_pl``) is exact at every eps.
+cost block, for the piecewise-linear families. The built-in phis are
+picked here alone, by identity. The L1 transport worst case
+(``wc_wasserstein_pl``) is exact at every eps.
 """
 
 from __future__ import annotations
@@ -199,33 +195,6 @@ def _unresolved(phi: PhiFunction, eps: float) -> bool:
     return eps < 2.0**-105 * phi.curvature
 
 
-def _saturated(eps: float, d_sat: float) -> bool:
-    return eps >= d_sat - 1e-9 * abs(d_sat)
-
-
-def _saturation(phi: PhiFunction, costs: np.ndarray, probs: np.ndarray, eps: float):
-    """(argmax mask, its mass, saturated) for one scenario's costs or per row of a block.
-
-    The worst case is the point mass on the argmax atoms once eps reaches
-    its divergence: -log of their mass for KL, (1 - mass) / (2 mass) for
-    modified chi-square, mass phi(1 / mass) + (1 - mass) phi(0) for any other
-    phi. One scenario's mass is summed exactly, a block's row by row with np.sum.
-    """
-    top = costs == costs.max(axis=-1, keepdims=True)
-    if costs.ndim == 1:
-        mass = exact_sum(probs[top])
-    else:
-        mass = np.where(top, probs, 0.0).sum(axis=1)
-    if phi is KL:
-        return top, mass, _saturated(eps, -np.log(mass))
-    with np.errstate(all="ignore"):
-        if phi is MODIFIED_CHI2:
-            return top, mass, _saturated(eps, 0.5 * (1.0 - mass) / mass)
-        d_sat = mass * phi.value(1.0 / mass) + (1.0 - mass) * phi.value(np.zeros_like(mass))
-        # a phi(0) of inf or nan puts the point mass out of reach
-        return top, mass, (d_sat < np.inf) & _saturated(eps, d_sat)
-
-
 def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
     """The active count of ``_chi2_prefix``'s test, each prefix measured in its own spread.
 
@@ -264,9 +233,9 @@ def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
 def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult | None:
     """The result of the modified chi-square tilt on standardised costs, sorted once, or None.
 
-    The active count comes from ``_chi2_prefix``, the test ``_phi_rows``
-    runs, or, where that test finds none, from ``_chi2_spread_count``; P_k,
-    mu_k and W_k are then summed exactly, two-pass, over the active atoms,
+    The active count comes from the prefix-sum test ``_chi2_prefix`` or,
+    where that test finds none, from ``_chi2_spread_count``; P_k, mu_k and
+    W_k are then summed exactly, two-pass, over the active atoms,
     since prefix sums leave W with a rounding error that shows in the
     divergence. In the second case the deviations are measured in the
     active atoms' spread, so W does not underflow, and delta stays in
@@ -321,8 +290,19 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
             # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
             if delta * (1.0 + m) <= 1.0:
                 return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
-    top, pm, saturated = _saturation(phi, s.costs, s.probs, eps)
-    if saturated:
+    # the point mass on the argmax atoms once eps reaches its divergence: -log of their mass
+    # for KL, (1 - mass) / (2 mass) for chi-square, mass phi(1 / mass) + (1 - mass) phi(0)
+    # for any other phi, out of reach where phi(0) is inf or nan
+    top = s.costs == s.costs.max()
+    pm = exact_sum(s.probs[top])
+    with np.errstate(all="ignore"):
+        if phi is KL:
+            d_sat = -np.log(pm)
+        elif chi2:
+            d_sat = 0.5 * (1.0 - pm) / pm
+        else:
+            d_sat = pm * phi.value(1.0 / pm) + (1.0 - pm) * phi.value(np.zeros_like(pm))
+    if d_sat < np.inf and eps >= d_sat - 1e-9 * abs(d_sat):
         q = np.where(top, s.probs / pm, 0.0)
         return WorstCaseResult(
             epsilon=eps, value=float(np.max(s.costs)), worst_q=_clip_q(q), dual=None, clamped=True
@@ -526,21 +506,15 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # Value-only batches: V(eps) for each row of an (m, n) cost block
 # ---------------------------------------------------------------------------
 #
-# Each row is one cost vector under the shared probabilities; rows must be
-# finite. No worst_q or dual is built. The piecewise-linear families return
-# exactly the scalar solver's value; modified chi-square uses the closed form
-# of its active-set optimality conditions and every other phi the Newton tilt
-# (``_tilt_rows``), both within 1e-12 of the row's range of wc_smooth_phi.
-#
-# The newsvendor search calls these on blocks of 1 to 32 short rows, where
-# numpy's Python-level wrappers cost more than the arithmetic. So a block
-# path calls ndarray methods (``f.max(axis=1)``, ``.cumsum(axis=1)``,
-# ``.all()``, ``.nonzero()``), not their ``np.*`` wrappers; sorts with
-# ``(-f).argsort(axis=1, kind="stable")`` and gathers the sorted rows by
-# direct fancy indexing, ``f[np.arange(m)[:, None], order]``, not
-# ``np.take_along_axis``; and tests a block's finiteness once
-# (``dro._worst_values``), looking for the bad row only when that fails.
-# Each is the same arithmetic in the same order, so every value keeps its bits.
+# Each row is one finite cost vector under the shared probabilities; each
+# value is exactly the scalar solver's, and no worst_q or dual is built.
+# The newsvendor search reads blocks of 1 to 32 short rows, where numpy's
+# Python-level wrappers cost more than the arithmetic, so a block path calls
+# ndarray methods (``f.max(axis=1)``, ``.cumsum(axis=1)``), sorts with
+# ``(-f).argsort(axis=1, kind="stable")``, gathers by fancy indexing, not
+# ``np.take_along_axis``, and its caller (``dro._worst_values``) tests a
+# block's finiteness once: the same arithmetic, so every value keeps its bits.
+# The smooth-phi row kernels after them serve ``wc_smooth_phi`` on one row.
 
 
 def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
@@ -768,54 +742,6 @@ def _tilt_rows(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
         lo, hi = np.zeros(delta.size), np.full(delta.size, np.inf)
         delta, mean, c = _newton_rows(delta, lo, hi, at)
     return mean, delta, c
-
-
-def _phi_rows(raw: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, phi, eps).value per row by rungs 5-8 of the module's ladder; NaN where
-    the range overflows, no chi-square active set passes or no delta is found.
-
-    Chi-square reads each sorted row's max and range off its ends and its active set and V off
-    prefix sums (``_chi2_prefix``); the all-active closed form comes before the point mass.
-    """
-    _, _, saturated = _saturation(phi, raw, probs, eps)
-    if phi is MODIFIED_CHI2:
-        order = (-raw).argsort(axis=1, kind="stable")
-        f = raw[np.arange(raw.shape[0])[:, None], order]
-        with np.errstate(all="ignore"):
-            top, scale = f[:, 0], f[:, 0] - f[:, -1]
-            g = (f - top[:, None]) / scale[:, None]  # in [-1, 0]
-            k, found, vg = _chi2_prefix(g, probs[order], eps)
-            value = np.where(found, top + scale * vg, np.nan)
-        saturated &= np.isfinite(scale) & ~(found & (k == raw.shape[1] - 1))
-        value[saturated] = top[saturated]
-        return value
-    top = raw.max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = top - raw.min(axis=1)
-    value = np.full(raw.shape[0], np.nan)
-    value[saturated] = top[saturated]
-    tilt = (~saturated & np.isfinite(scale)).nonzero()[0]
-    if tilt.size:
-        g = (raw[tilt] - top[tilt, None]) / scale[tilt, None]
-        value[tilt] = top[tilt] + scale[tilt] * _tilt_rows(g, probs, phi, eps)[0]
-    return value
-
-
-def phi_values(costs: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float) -> np.ndarray:
-    """wc_smooth_phi(row, phi, eps).value for each row, to within 1e-12 of the row's range.
-
-    A row ``_phi_rows`` leaves NaN goes to wc_smooth_phi, which standardises an overflowing
-    range on f / 2, runs chi-square with no active count through ``_tilt_rows`` and raises
-    NoBracket where no delta is found.
-    """
-    _check_eps(eps)
-    if eps == 0.0 or _unresolved(phi, eps):
-        return _by_row(costs, probs, lambda f: riskstats.row_fsums(probs * f))
-    value = _by_row(costs, probs, lambda f: _phi_rows(f, probs, phi, eps))
-    for i in np.isnan(value).nonzero()[0]:
-        # wc_smooth_phi itself: it solves an overflowing range on f / 2, bit for bit
-        value[i] = wc_smooth_phi(Scenario(costs=costs[i], probs=probs), phi, eps).value
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -333,9 +333,15 @@ def test_criterion_7_qualitative_inventory_experiment():
     xb = [dro.dro_newsvendor(params4, demand, wcs.Budgeted(), e).x for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
     budg_ok = all(b <= a + 1e-9 for a, b in zip(xb, xb[1:])) and all(x <= saa4 + 1e-9 for x in xb)
 
+    def certified(sol):
+        """The smooth-phi solve's weak-duality gap is within the tie tolerance."""
+        return abs(sol.gap) <= 1e-12 * (1.0 + abs(sol.worst_case.value))
+
     chi2 = wcs.SmoothPhi(wcs.MODIFIED_CHI2)
-    xc = [dro.dro_newsvendor(params4, demand, chi2, e).x for e in (0.5, 1.0, 1.5, 2.0)]
+    sols = [dro.dro_newsvendor(params4, demand, chi2, e) for e in (0.5, 1.0, 1.5, 2.0)]
+    xc = [sol.x for sol in sols]
     chi_ok = all(b >= a - 1e-6 for a, b in zip(xc, xc[1:])) and all(x >= saa4 - 1e-6 for x in xc)
+    chi_ok = chi_ok and all(map(certified, sols))
 
     params0 = dro.NewsvendorParams(r=10, c=2, q=0, s=0)
     sweeps = {
@@ -347,12 +353,15 @@ def test_criterion_7_qualitative_inventory_experiment():
     }
     s0_ok = True
     for fam, eps_list in sweeps.values():
-        xs = [dro.dro_newsvendor(params0, demand, fam, e).x for e in eps_list]
+        sols = [dro.dro_newsvendor(params0, demand, fam, e) for e in eps_list]
+        xs = [sol.x for sol in sols]
         s0_ok = s0_ok and all(b <= a + 1e-6 for a, b in zip(xs, xs[1:]))
+        s0_ok = s0_ok and (fam is not chi2 or all(map(certified, sols)))
     elapsed = time.time() - t0
     report(
         7,
-        "seeded mixture: budgeted shrinks below SAA, chi2 grows above SAA, all shrink at s=0",
+        "seeded mixture: budgeted shrinks below SAA, chi2 grows above SAA (gap-certified), all "
+        "shrink at s=0",
         budg_ok and chi_ok and s0_ok and elapsed < 60.0,
         f"saa={saa4:.3f}, budgeted={ [round(x,2) for x in xb] }, chi2={ [round(x,2) for x in xc] }, "
         f"{elapsed:.1f}s",

@@ -44,7 +44,8 @@ GOLDEN_ARGVS = (
 # and `solve-newsvendor --family phi`, whose last digits moved when the
 # smooth-phi solves went to standardised costs (same order x), and whose
 # order moved again, to a lower V, when the grid scan gave way to the
-# refined kink search. `worst-case --family wasserstein` was re-captured when the
+# refined kink search, and again, to a lower V, when the Danskin-slope search
+# with its duality-gap stop replaced the refinement. `worst-case --family wasserstein` was re-captured when the
 # first-order transport value gave way to the exact one (4.4 -> 4.2)
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 

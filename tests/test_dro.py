@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -229,6 +230,7 @@ class TestBatchedScan:
             x_ref, v_ref = _reference_scan(params, demand, family, eps)
             assert sol.worst_case.value <= v_ref + 1e-12 * (1.0 + abs(v_ref)), n
             if not family.piecewise_linear:
+                _check_certificate(params, demand, family, eps, sol, np.random.default_rng(n))
                 continue
             atoms = np.unique(demand.costs)
             kinks = np.concatenate([atoms, _pairwise_crossings(params, atoms)])
@@ -249,6 +251,39 @@ def _values(params, demand, family, eps, xs):
         rows = [dro.cost_scenario(params, demand, float(x)).costs for x in xs[k : k + 64]]
         out.extend(family.worst_values(np.array(rows), demand.probs, eps).tolist())
     return np.array(out)
+
+
+def _value(params, demand, family, eps, x):
+    """V(x): the scalar worst case at order x."""
+    return wcs.worst_case(dro.cost_scenario(params, demand, float(x)), family, eps).value
+
+
+def _lower(params, demand, q):
+    """L(q) = min over orders of E_q f: at 0 or an atom, where E_q f (convex, piecewise linear) kinks."""
+    orders = [0.0, *np.unique(demand.costs).tolist()]
+    return min(math.fsum((q * dro.cost_scenario(params, demand, x).costs).tolist()) for x in orders)
+
+
+def _check_certificate(params, demand, family, eps, sol, rng, orders=20):
+    """A smooth-phi solve: its gap is within tolerance and, short of saturation, it is V(x) -
+    L(q) for its worst q; its slopes are Danskin's from that q; L(q) <= V at random orders.
+
+    Past saturation V may kink between atoms, and there the worst q at x is one of many:
+    the gap is then the mixture's of the two sides (``dro._slope_root``).
+    """
+    v, q = sol.worst_case.value, sol.worst_case.worst_q
+    tol = 1e-12 * (1.0 + abs(v))
+    lower = _lower(params, demand, q)
+    assert abs(sol.gap) <= tol, sol.gap
+    assert sol.worst_case.clamped or v - lower <= tol, v - lower
+    d = params.r + params.s - params.q
+    at_or_above = math.fsum(q[demand.costs >= sol.x].tolist())
+    above = math.fsum(q[demand.costs > sol.x].tolist())
+    danskin = (params.c - params.q - d * at_or_above, params.c - params.q - d * above)
+    assert sol.slopes == pytest.approx(danskin, rel=0.0, abs=1e-12 * d)
+    for x in rng.uniform(0.0, 1.5 * float(np.max(demand.costs)), orders):
+        v_x = _value(params, demand, family, eps, x)
+        assert lower <= v_x + 1e-12 * (1.0 + abs(v_x)), x
 
 
 class TestKinkSearch:
@@ -335,24 +370,14 @@ class TestKinkSearch:
             best = float(np.min(vals))
             assert sol.worst_case.value <= best + 1e-12 * (1.0 + abs(best))
 
-    @pytest.mark.parametrize("family", PL_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "family", [*PL_FAMILIES, wcs.SmoothPhi(), wcs.WassersteinL1()], ids=lambda f: f.name
+    )
     def test_overflow_at_the_range_end_is_rejected(self, family):
         # r x overflows only for orders near 1.5 max y, which the bisection need not visit
         params = dro.NewsvendorParams(r=100.0, c=1.0, q=0.0, s=1.0)
         with pytest.raises(NonFiniteCost):
             dro.dro_newsvendor(params, wcs.demand_scenario([14.0, 23.0, 75.0, 3e307]), family, 0.3)
-
-    @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
-    def test_scanned_families_bracket_their_choice(self, family):
-        demand = wcs.demand_scenario(dro.gen_mixture_demand(60, seed=3))
-        sol = dro.dro_newsvendor(PARAMS, demand, family, 0.4)
-        (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
-        assert lo < sol.x < hi and s_left <= 0.0 <= s_right
-        values = _values(PARAMS, demand, family, 0.4, [lo, sol.x, hi])
-        v_left, v, v_right = values
-        assert (s_left, s_right) == ((v - v_left) / (sol.x - lo), (v_right - v) / (hi - sol.x))
-        saa = dro.dro_newsvendor(PARAMS, demand, family, 0.0)
-        assert saa.bracket is None and saa.slopes is None
 
     @pytest.mark.parametrize("family", [wcs.Budgeted(), wcs.TotalVariation()], ids=lambda f: f.name)
     def test_large_n_needs_no_all_pairs_array(self, family):
@@ -368,26 +393,80 @@ class TestKinkSearch:
         assert sol.slopes[0] <= 0.0 <= sol.slopes[1]
 
 
-class TestRefinedSearch:
-    """Smooth phi and Wasserstein, whose V kinks between the atoms: the best kink, refined
-    inside its bracket."""
+class TestSlopeSearch:
+    """Smooth phi: Danskin slopes bisect the atoms and root-find V' in an atom gap, and the
+    weak-duality gap V(x) - L(q) certifies the order returned."""
+
+    @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
+    def test_certificate_and_bracket(self, family):
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(60, seed=3))
+        sol = dro.dro_newsvendor(PARAMS, demand, family, 0.4)
+        _check_certificate(PARAMS, demand, family, 0.4, sol, np.random.default_rng(0))
+        # the bracket holds the searched orders nearest x; x itself above x where nothing
+        # above it was read (for chi2 here, an atom whose one-sided slopes certify it)
+        (lo, hi), v = sol.bracket, sol.worst_case.value
+        assert lo < sol.x <= hi
+        v_lo, v_hi = (_value(PARAMS, demand, family, 0.4, y) for y in (lo, hi))
+        assert v <= min(v_lo, v_hi)
+        # the reported worst case is the scalar solver's at x
+        assert v == _value(PARAMS, demand, family, 0.4, sol.x)
+        saa = dro.dro_newsvendor(PARAMS, demand, family, 0.0)
+        assert saa.bracket is None and saa.slopes is None and saa.gap is None
+        assert dro.dro_newsvendor(PARAMS, demand, wcs.Budgeted(), 0.4).gap is None
 
     @pytest.mark.parametrize("s", [0.0, 4.0])
     @pytest.mark.parametrize("family", [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL)], ids=["chi2", "kl"])
-    def test_bracket_holds_the_minimum_of_a_dense_scan(self, family, s):
+    def test_no_order_of_a_dense_scan_is_lower(self, family, s):
         demand = wcs.demand_scenario(dro.gen_mixture_demand(1000, seed=42))
         params = dro.NewsvendorParams(r=10.0, c=2.0, q=0.5, s=s)
         sol = dro.dro_newsvendor(params, demand, family, 0.3)
+        _check_certificate(params, demand, family, 0.3, sol, np.random.default_rng(1))
         (lo, hi), v = sol.bracket, sol.worst_case.value
-        assert lo < sol.x < hi and sol.slopes[0] <= 0.0 <= sol.slopes[1]
         atoms = np.unique(demand.costs)
         # every atom, a grid over the range, and a fine grid over the bracket
         grid = np.linspace(0.0, 1.5 * float(atoms[-1]), 1000)
         xs = np.unique(np.concatenate([atoms, grid, np.linspace(lo, hi, 101)]))
-        vals = _values(params, demand, family, 0.3, xs)
-        best = float(np.min(vals))
+        vals = [_value(params, demand, family, 0.3, x) for x in xs]
+        best = min(vals)
         assert lo <= xs[np.argmin(vals)] <= hi
         assert v <= best + 1e-12 * (1.0 + abs(best))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inventory_instances_are_certified(self, seed):
+        # the benchmark's inventory demand: a 10/100 exponential mixture at n = 100
+        rng = np.random.default_rng(seed)
+        demand = wcs.validate(rng.exponential(np.where(rng.random(100) < 0.9, 10.0, 100.0)))
+        chi2 = wcs.SmoothPhi()
+        for params, sweep in ((PARAMS, (0.5, 1.0, 1.5, 2.0)), (dro.NewsvendorParams(10, 2, 0, 0), (0.5, 1.0, 2.0))):
+            for eps in sweep:
+                sol = dro.dro_newsvendor(params, demand, chi2, eps)
+                _check_certificate(params, demand, chi2, eps, sol, rng)
+
+    def test_a_saturated_ball_is_certified_at_its_kink(self, monkeypatch):
+        # past saturation V is the larger of the two extreme atoms' cost lines, so it kinks
+        # where they cross, between atoms, and no single worst q certifies the order: the
+        # mixture of the two sides' worst q's does, and the search reads few orders there
+        demand = wcs.validate([3.0, 40.0, 100.0], [0.5, 0.3, 0.2])
+        calls, solve = [], wcs.SmoothPhi.worst_case
+        monkeypatch.setattr(
+            wcs.SmoothPhi, "worst_case", lambda f, s, eps: calls.append(eps) or solve(f, s, eps)
+        )
+        sol = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(), 5.0)
+        assert sol.worst_case.clamped and len(calls) <= 6
+        r, c, q, s = PARAMS.r, PARAMS.c, PARAMS.q, PARAMS.s
+        # f(x, 3) = (c - q) x - (r - q) 3 meets f(x, 100) = (c - r - s) x + 100 s
+        kink = (100.0 * s + 3.0 * (r - q)) / (r + s - q)
+        assert sol.x == pytest.approx(kink, rel=1e-12)
+        assert abs(sol.gap) <= 1e-12 * (1.0 + abs(sol.worst_case.value))
+        assert sol.worst_case.value == pytest.approx(max(
+            dro.newsvendor_cost(PARAMS, kink, 3.0), dro.newsvendor_cost(PARAMS, kink, 100.0)
+        ), rel=1e-12)
+
+
+
+class TestWassersteinKinks:
+    """Wasserstein's V is linear between the atoms, the orders 2 s y / (r + s - q) and the range
+    ends, so its best kink is exact."""
 
     def test_wasserstein_is_no_worse_than_a_grid(self):
         def value(params, demand, eps, x):
@@ -421,16 +500,57 @@ class TestRefinedSearch:
                     (lo, hi), (s_left, s_right) = sol.bracket, sol.slopes
                     assert s_left <= 0.0 and (hi == sol.x or s_right * (hi - sol.x) >= -tol)
 
-    def test_a_kink_with_linear_sides_takes_one_round(self, monkeypatch):
-        # at small eps Wasserstein's V is linear on both sides of the atom it picks: the
-        # secants just beyond the first bracket meet at x, which certifies it at once
+    def test_a_kink_search_reads_each_kink_once(self, monkeypatch):
+        # the two range ends, the grid bisection, the kinks around its pick and the reported
+        # worst case: at most every kink and one more solve
         calls, solve = [], wcs.WassersteinL1.worst_case
         monkeypatch.setattr(
             wcs.WassersteinL1, "worst_case", lambda f, s, eps: calls.append(eps) or solve(f, s, eps)
         )
         demand = uniform_demand([10.0, 20.0, 35.0])
         sol = dro.dro_newsvendor(PARAMS, demand, wcs.WassersteinL1(), 0.1)
-        assert sol.x == 35.0 and len(calls) < 2 * dro._ROUND
+        kinks = {0.0, 52.5, 10.0, 20.0, 35.0, *(8.0 * y / 14.0 for y in (10.0, 20.0, 35.0))}
+        assert sol.x == 35.0 and len(calls) <= len(kinks) + 1
+        assert sol.bracket == (20.0, 52.5) and sol.gap is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_exact_argmin_over_the_kinks(self, seed):
+        # V in exact rational arithmetic by the transport dual: V(x) = min over lam >= s of
+        # lam eps + sum_i p_i max over z in {0, x, y_i} of f(x, z) - lam |z - y_i|
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        demand = wcs.validate(rng.uniform(0.0, 50.0, n).round(1) + 0.5, rng.dirichlet(np.ones(n)))
+        params = dro.NewsvendorParams(r=10.0, c=float(rng.uniform(1.0, 8.0)), q=0.5, s=float(rng.choice([0.0, 2.0, 4.0, 12.0])))
+        r, c, q, s = (Fraction(v) for v in (params.r, params.c, params.q, params.s))
+        ys, ps = [Fraction(y) for y in demand.costs.tolist()], [Fraction(p) for p in demand.probs.tolist()]
+
+        def cost(x, z):
+            return -r * min(x, z) - q * max(x - z, 0) + s * max(z - x, 0) + c * x
+
+        def exact_v(x, eps):
+            moves = [[(cost(x, z), abs(z - y)) for z in (Fraction(0), x, y)] for y in ys]
+            lams = {s} | {
+                (g1 - g2) / (d1 - d2) for m in moves for g1, d1 in m for g2, d2 in m if d1 != d2
+            }
+            return min(
+                lam * eps + sum(p * max(g - lam * d for g, d in m) for p, m in zip(ps, moves))
+                for lam in lams if lam >= s
+            )
+
+        top = Fraction(1.5 * float(demand.costs.max()))
+        kinks = sorted({Fraction(0), top, *ys, *(2 * s * y / (r + s - q) for y in ys)})
+        kinks = [x for x in kinks if x <= top]
+        for eps in (Fraction(0.3), Fraction(3), Fraction(30)):
+            vals = [exact_v(x, eps) for x in kinks]
+            # V is linear between consecutive kinks: its midpoint value is the chord's
+            for (a, va), (b, vb) in zip(zip(kinks, vals), zip(kinks[1:], vals[1:])):
+                assert exact_v((a + b) / 2, eps) == (va + vb) / 2, (a, b)
+            # the least kink within the tie tolerance of the least V, to rounding
+            best = min(vals)
+            x_star = min(x for x, v in zip(kinks, vals) if v <= best + (1 + abs(best)) / 10**12)
+            sol = dro.dro_newsvendor(params, demand, wcs.WassersteinL1(), float(eps))
+            assert abs(Fraction(sol.x) - x_star) <= 4 * np.spacing(float(x_star) + 1.0), eps
+            assert abs(sol.worst_case.value - float(best)) <= 1e-12 * (1.0 + abs(float(best)))
 
     def test_wasserstein_leaves_the_saa_order_past_its_first_order_range(self):
         # criterion 7's instance. Once eps moves every atom worth moving, the atoms below
@@ -444,8 +564,14 @@ class TestRefinedSearch:
         x_star = 2.0 * params.s * y_star / (params.r + params.s - params.q)
         grid = np.linspace(0.0, 1.5 * float(np.max(demand.costs)), 400)
         for eps in (10.0, 20.0):
-            sol = dro.dro_newsvendor(params, demand, family, eps)
-            assert sol.x == pytest.approx(x_star, rel=1e-9)
+            calls, solve = [], wcs.WassersteinL1.worst_case
+            wcs.WassersteinL1.worst_case = lambda f, s, e: calls.append(e) or solve(f, s, e)
+            try:
+                sol = dro.dro_newsvendor(params, demand, family, eps)
+            finally:
+                wcs.WassersteinL1.worst_case = solve
+            # a kink of V: read as one, it needs no refinement of the bracket
+            assert sol.x == pytest.approx(x_star, rel=1e-15) and len(calls) <= 20
             xs = np.unique(np.concatenate([demand.costs, grid, np.linspace(*sol.bracket, 41)]))
             v = sol.worst_case.value
             best = min(
@@ -491,7 +617,10 @@ class TestNearDuplicateAtoms:
                 if family is None:
                     x = dro.saa_newsvendor(params, demand)
                 else:
-                    x = dro.dro_newsvendor(params, demand, family, 0.1).x
+                    sol = dro.dro_newsvendor(params, demand, family, 0.1)
+                    x = sol.x
+                    if isinstance(family, wcs.SmoothPhi):
+                        _check_certificate(params, demand, family, 0.1, sol, rng, orders=0)
                 best = min(self._value(params, demand, family, 0.1, y) for y in atoms)
                 if self._value(params, demand, family, 0.1, x) > best + 1e-9 * (1.0 + abs(best)):
                     wrong.append((gap, draw))
@@ -506,6 +635,8 @@ class TestNearDuplicateAtoms:
         v = sol.worst_case.value
         best = min(self._value(PARAMS, demand, family, 0.3, y) for y in (0.0, tiny, 10.0, 20.0))
         assert v <= best + 1e-12 * (1.0 + abs(best))
+        if isinstance(family, wcs.SmoothPhi):
+            _check_certificate(PARAMS, demand, family, 0.3, sol, np.random.default_rng(3))
         if isinstance(family, wcs.WassersteinL1):
             assert sol.x == 20.0
 
@@ -602,28 +733,30 @@ class TestUserPhiValues:
     )
 
     def test_user_phi_orders_keep_their_values(self):
-        # V at these orders, read by the batched tilt kernel, is pinned bit for bit
+        # V at these orders, read by the scalar tilt solve, is pinned bit for bit
         demand = wcs.demand_scenario(dro.gen_mixture_demand(3, seed=42))
-        xs = np.array([0.0, 4.218852587151469, 12.5])
-        got = dro._worst_values(PARAMS, demand, wcs.SmoothPhi(self.PHI), 0.3, xs)
-        assert [repr(v) for v in got.tolist()] == [
+        family = wcs.SmoothPhi(self.PHI)
+        got = [_value(PARAMS, demand, family, 0.3, x) for x in (0.0, 4.218852587151469, 12.5)]
+        assert [repr(v) for v in got] == [
             "52.9608133224922",
             "10.37914762160666",
-            "-8.723264931521438",
+            "-8.723264931521435",
         ]
 
-    def test_newsvendor_solves_only_the_reported_order_one_at_a_time(self, monkeypatch):
-        # the search reads V in batches; one scalar solve reports the worst case at x*
+    def test_newsvendor_reads_each_order_once(self, monkeypatch):
+        # one scalar solve per order the search reads, the reported one among them
         from wcs import families, worstcase
 
-        calls = []
+        costs = []
         real = worstcase.wc_smooth_phi
-        spy = lambda s, phi, eps: calls.append(phi) or real(s, phi, eps)  # noqa: E731
+        spy = lambda s, phi, eps: costs.append(s.costs.tobytes()) or real(s, phi, eps)  # noqa: E731
         monkeypatch.setattr(worstcase, "wc_smooth_phi", spy)
         monkeypatch.setattr(families, "wc_smooth_phi", spy)
         demand = wcs.demand_scenario(dro.gen_mixture_demand(8, seed=42))
         sol = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(self.PHI), 0.3)
-        assert calls == [self.PHI]
+        assert len(costs) == len(set(costs)) <= 20
+        assert dro.cost_scenario(PARAMS, demand, sol.x).costs.tobytes() in costs
+        _check_certificate(PARAMS, demand, wcs.SmoothPhi(self.PHI), 0.3, sol, np.random.default_rng(2))
         # chi-square at eps / 2 is the same ball
         want = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(), 0.15)
         assert sol.x == pytest.approx(want.x, rel=1e-9)
@@ -643,7 +776,6 @@ class TestWorstValuesBlocks:
         (wcs.Combination(0.7), 0.5),
         (wcs.SymmetricBox(), 0.5),
     ]
-    TILTED = [(wcs.SmoothPhi(), 1.0), (wcs.SmoothPhi(wcs.KL), 0.2)]
 
     @staticmethod
     def _demands():
@@ -661,18 +793,13 @@ class TestWorstValuesBlocks:
     def test_every_block_matches_the_scalar_worst_case(self, params):
         for demand in self._demands():
             xs = self._orders(demand)
-            for family, eps in self.EXACT + self.TILTED:
+            for family, eps in self.EXACT:
                 got = dro._worst_values(params, demand, family, eps, xs)
                 one = dro._worst_values(params, demand, family, eps, xs[7:8])
                 assert got.shape == xs.shape and one.shape == (1,)
                 for x, v in zip(xs[[*range(xs.size), 7]], [*got.tolist(), *one.tolist()]):
-                    s_x = dro.cost_scenario(params, demand, float(x))
-                    want = wcs.worst_case(s_x, family, eps).value
-                    if (family, eps) in self.EXACT:
-                        assert v.hex() == want.hex(), (family.name, x)
-                    else:
-                        span = float(s_x.costs.max() - s_x.costs.min())
-                        assert abs(v - want) <= 1e-12 * span, (family.name, x)
+                    want = _value(params, demand, family, eps, x)
+                    assert v.hex() == want.hex(), (family.name, x)
 
     def test_an_overflow_in_the_second_block_names_its_row(self):
         # a 4e307 atom overflows -r min(x, y) from x = 4e307 on, and every cost from x = 1e308
@@ -684,7 +811,7 @@ class TestWorstValuesBlocks:
         with pytest.raises(NonFiniteCost) as want:
             dro.cost_scenario(PARAMS, demand, 5e307)
         assert str(want.value) == "non-finite cost entries at [3]"
-        for family, eps in self.EXACT + self.TILTED:
+        for family, eps in self.EXACT:
             with pytest.raises(NonFiniteCost) as got:
                 dro._worst_values(PARAMS, demand, family, eps, xs)
             assert str(got.value) == str(want.value)
@@ -903,21 +1030,16 @@ class TestLogreg:
     def test_local_optimality_probe(self):
         ds = dro.gen_synth_classification(40, 2, 0.5, seed=19)
         eps = 0.05
+
+        def objective(w):
+            return eps * float(np.linalg.norm(w)) + dro.logloss(ds, w)
+
         fit, _ = dro.logreg_wasserstein(ds, eps, tol=1e-9)
-        f0 = dro.robust_logreg_objective(ds, fit.w, eps)
+        f0 = objective(fit.w)
         rng = np.random.default_rng(0)
         for _ in range(100):
             pert = fit.w + 1e-4 * rng.normal(size=fit.w.shape)
-            assert dro.robust_logreg_objective(ds, pert, eps) >= f0 - 1e-8
-
-    def test_finite_kappa_objective_evaluator(self):
-        ds = self.toy()
-        w = np.array([0.3, -0.1])
-        base = dro.robust_logreg_objective(ds, w, 0.2, kappa=math.inf)
-        assert base == pytest.approx(0.2 * np.linalg.norm(w) + dro.logloss(ds, w))
-        # finite kappa adds the flipped-label branch, never below the base
-        assert dro.robust_logreg_objective(ds, w, 0.2, kappa=1.0) >= base - 1e-12
-        assert dro.robust_logreg_objective(ds, w, 0.2, kappa=0.0) >= base
+            assert objective(pert) >= f0 - 1e-8
 
     def test_dataset_validation(self):
         with pytest.raises(LengthMismatch):

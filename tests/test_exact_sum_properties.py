@@ -13,7 +13,9 @@ of two, formed by numpy as a * b forms them. For every draw:
   and raises only if that rounding overflows.
 
 Sizes sit at ``EXACT_SUM_CUTOFF`` and at one and two chunks, each +-1, so
-the first and last chunks are full and partial. The terms mix ±0.0,
+the first and last chunks are full and partial. Below ``_RATIO_CUTOFF``
+terms, ``exact_total`` adds integer ratios in Python and must return the
+binned kernel's integer, with and without b. The terms mix ±0.0,
 subnormals, normal values over the whole exponent range, values of 2^1007
 and above of both signs (the top bins, summed scaled), inf and nan. The
 factor b lies in ±[0.5, 1], so no product overflows and every call runs
@@ -77,8 +79,8 @@ def _bulk(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
 
 
 @st.composite
-def operands(draw):
-    n = draw(st.sampled_from(SIZES))
+def operands(draw, sizes=SIZES):
+    n = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = _bulk(rng, n, draw(st.sampled_from(["normal", "zeros", "subnormal", "huge"])))
     for at, value in draw(st.lists(st.tuples(st.integers(0, n - 1), special_values), max_size=12)):
@@ -131,6 +133,18 @@ def test_exact_total_is_the_fraction_sum_of_the_terms(ab):
     assert got == want
     if b is not None:
         assert exact_total(terms) == want
+
+
+@PROPERTY_SETTINGS
+@given(ab=operands(range(1, core._RATIO_CUTOFF)))
+def test_short_arrays_add_their_ratios_to_the_kernel_total(ab):
+    a, b = ab
+    b = np.ones_like(a) if b is None else b
+    for factor in (None, b):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_RATIO_CUTOFF", 0)  # every size through the binned kernel
+            kernel = exact_total(a, factor)
+        assert exact_total(a, factor) == kernel
 
 
 @PROPERTY_SETTINGS

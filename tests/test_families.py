@@ -154,92 +154,67 @@ class TestWorstValues:
                 want = _scalar_values(family, block, probs, eps)
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (label, eps)
 
-    def test_chi2_matches_the_scalar_solver(self):
-        fam = wcs.SmoothPhi()
-        for label, block, probs in _blocks():
-            # unclamped, clamped, the boundary tie, and past saturation, at every cost scale
-            for eps in (0.0, 0.001, 0.01, 0.3, 11.0 / 18.0, 1.0, 60.0):
-                got = fam.worst_values(block, probs, eps)
-                want = _scalar_values(fam, block, probs, eps)
-                for row, g, w in zip(block, got, want):
-                    assert abs(g - w) <= 1e-9 * (abs(w) + np.ptp(row)), (label, eps, g, w)
+    def test_no_kernel_is_solved_order_by_order(self):
+        _, block, probs = _blocks()[1]
+        user = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
+        for fam in (wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL), user, wcs.PenaltyPhi(), wcs.WassersteinL1()):
+            assert fam.worst_values(block, probs, 0.3) is None
+        # the newsvendor value scan then reads each order's scalar worst case
+        params = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
+        demand = wcs.validate([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0])
+        xs = np.array([0.0, 5.5, 8.0, 25.0])
+        for fam in (user, wcs.WassersteinL1()):
+            want = [fam.worst_case(dro.cost_scenario(params, demand, x), 0.3).value for x in xs]
+            assert dro._worst_values(params, demand, fam, 0.3, xs).tolist() == want
+        with pytest.raises(TypeError):
+            dro._worst_values(params, demand, wcs.PenaltyPhi(), 0.3, xs)
 
-    def test_chi2_matches_the_scalar_solver_at_the_saturation_edge(self):
-        # eps within the 1e-9 saturation slack of the point mass's divergence
-        # (1 - m) / (2 m): the batch must decide as wc_chi2 does, whose
-        # all-active closed form wins over the point mass
-        fam, rng = wcs.SmoothPhi(), np.random.default_rng(5)
-        for _ in range(3000):
-            n = int(rng.integers(2, 9))
-            f = rng.normal(0.0, 10.0, n)
-            w = rng.uniform(0.05, 1.0, n)
-            s = wcs.validate(f, w / w.sum())
-            m = float(s.probs[np.argmax(f)])
-            for r in (-1e-9, -5e-10, -1e-10, 0.0, 1e-10, 1e-9):
-                eps = 0.5 * (1.0 - m) / m * (1.0 + r)
-                (got,) = fam.worst_values(s.costs[None, :], s.probs, eps)
-                want = wcs.wc_chi2(s, eps).value
-                assert abs(got - want) <= 1e-12 * np.ptp(f), (f, s.probs, eps, got, want)
+    def test_eps_errors_match_the_scalar(self):
+        _, block, probs = _blocks()[0]
+        for fam, eps in ((wcs.Budgeted(), -1.0), (wcs.TotalVariation(), math.inf),
+                         (wcs.Combination(0.5), 1.5), (wcs.SymmetricBox(), -0.1)):
+            with pytest.raises(wcs.errors.EpsOutOfRange):
+                fam.worst_values(block, probs, eps)
 
-    def test_chi2_is_scale_equivariant_where_the_scalar_cannot_bracket(self):
+
+class TestSmoothPhiRows:
+    """The scalar smooth-phi worst case on the rows of the same blocks."""
+
+    def test_chi2_is_scale_equivariant(self):
         fam = wcs.SmoothPhi()
         for label, block, probs in _blocks():
             if "scale=1.0" not in label:
                 continue
-            unit = fam.worst_values(block, probs, 0.7)
+            unit = np.array(_scalar_values(fam, block, probs, 0.7))
             for scale in (1e150, 1e-150):
-                got = fam.worst_values(scale * block, probs, 0.7)
+                got = np.array(_scalar_values(fam, scale * block, probs, 0.7))
                 assert np.allclose(got, scale * unit, rtol=1e-9, atol=0.0), label
-
-    def test_chi2_row_without_a_consistent_active_set_goes_to_the_scalar(self):
-        # the row's range overflows, so the centred closed form is undefined
-        block = np.array([[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]])
-        probs = np.full(3, 1.0 / 3.0)
-        got = wcs.SmoothPhi().worst_values(block, probs, 0.1)
-        want = _scalar_values(wcs.SmoothPhi(), block, probs, 0.1)
-        np.testing.assert_array_equal(got, want)
 
     def test_chi2_row_with_an_overflowing_range_is_not_read_as_saturated(self):
         # the argmax atom holds 1/3, so the row saturates only at eps = 1
         block = np.array([[1e308, -1e308, 0.0]])
         probs = np.full(3, 1.0 / 3.0)
         for eps in (0.3, 0.9):
-            got = wcs.SmoothPhi().worst_values(block, probs, eps)
-            want = _scalar_values(wcs.SmoothPhi(), block, probs, eps)
-            assert got[0] == want[0] < 1e308, eps
+            (value,) = _scalar_values(wcs.SmoothPhi(), block, probs, eps)
+            assert value < 1e308, eps
 
-    def test_kl_matches_the_scalar_solver(self):
-        fam = wcs.SmoothPhi(wcs.KL)
-        for label, block, probs in _blocks():
-            if "scale=1.0" not in label and label != "boundary":
-                # the scalar's absolute delta bounds miss the root at these scales
-                continue
-            # eps = 1 clamps the two-atom rows; 60 lies past every saturation point
-            for eps in (0.0, 0.001, 0.3, 1.0, 60.0):
-                got = fam.worst_values(block, probs, eps)
-                want = _scalar_values(fam, block, probs, eps)
-                for row, g, w in zip(block, got, want):
-                    assert abs(g - w) <= 1e-9 * np.ptp(row), (label, eps, g, w)
-
-    def test_kl_is_scale_equivariant_where_the_scalar_cannot_solve(self):
-        # wc_smooth_phi misses the root at 1e150 and raises NoBracket at 1e-150
-        # and 1e-200; the kernel solves on the standardised costs
+    def test_kl_is_scale_equivariant(self):
         fam = wcs.SmoothPhi(wcs.KL)
         for label, block, probs in _blocks():
             if "scale=1.0" not in label:
                 continue
             width = np.ptp(block, axis=1)
             for eps in (0.001, 0.3, 1.0):
-                unit = fam.worst_values(block, probs, eps)
+                unit = np.array(_scalar_values(fam, block, probs, eps))
                 for lam, t in ((1e150, 0.0), (1e-150, 0.0), (1e-200, 0.0), (3.0, -7.5), (0.5, 1e3)):
-                    got = fam.worst_values(lam * block + t, probs, eps)
+                    got = np.array(_scalar_values(fam, lam * block + t, probs, eps))
                     want = lam * unit + t
                     tol = 1e-12 * (np.abs(want) + lam * width)
                     assert np.all(np.abs(got - want) <= tol), (label, eps, lam, t)
 
     def test_kl_tilt_meets_the_divergence_equation(self):
-        # independent of the kernel: in 50-digit decimals, find the tilt
-        # q ~ p exp(delta f) whose mean is the kernel's V, then its D(q | p)
+        # independent of the solver: in 50-digit decimals, find the tilt
+        # q ~ p exp(delta f) whose mean is the solver's V, then its D(q | p)
         f = [0.3, 2.5, -1.25, 4.0, 4.0, 1.75]
         w = [0.4, 1.3, 0.2, 0.35, 0.15, 2.1]
         probs = np.array([v / math.fsum(w) for v in w])
@@ -254,7 +229,7 @@ class TestWorstValues:
                 return mean, delta * mean - z.ln()
 
             for eps in (0.001, 0.3, 1.0):
-                (value,) = wcs.SmoothPhi(wcs.KL).worst_values(np.array([f]), probs, eps)
+                (value,) = _scalar_values(wcs.SmoothPhi(wcs.KL), np.array([f]), probs, eps)
                 lo, hi = decimal.Decimal(0), decimal.Decimal(100)
                 for _ in range(200):
                     mid = (lo + hi) / 2
@@ -265,70 +240,8 @@ class TestWorstValues:
                 divergence = float(tilt((lo + hi) / 2)[1])
                 assert abs(divergence - eps) <= 1e-12 * eps, (eps, divergence)
 
-    def test_kl_needs_no_scalar_solve_on_finite_ranges(self, monkeypatch):
-        # saturated rows and every Newton run, at every scale, stay in the kernel
-        def scalar(*args):
-            raise AssertionError("scalar fallback")
-
-        monkeypatch.setattr(wcs.worstcase, "wc_smooth_phi", scalar)
-        for label, block, probs in _blocks():
-            for eps in (0.001, 0.3, 1.0, 60.0):
-                assert np.all(np.isfinite(wcs.SmoothPhi(wcs.KL).worst_values(block, probs, eps)))
-
-    def test_kl_row_with_an_overflowing_range_goes_to_the_scalar(self):
-        block = np.array([[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]])
-        probs = np.full(3, 1.0 / 3.0)
-        fam = wcs.SmoothPhi(wcs.KL)
-        got = fam.worst_values(block, probs, 0.1)
-        want = _scalar_values(fam, block, probs, 0.1)
-        assert got[0] == want[0]
-        assert abs(got[1] - want[1]) <= 1e-9 * 2.0
-
-    def test_kl_eps_errors_match_the_scalar(self):
+    def test_kl_eps_errors(self):
         _, block, probs = _blocks()[0]
         for eps in (math.nan, -0.1, math.inf):
             with pytest.raises(wcs.errors.EpsOutOfRange):
-                wcs.SmoothPhi(wcs.KL).worst_values(block, probs, eps)
-            with pytest.raises(wcs.errors.EpsOutOfRange):
                 _scalar_values(wcs.SmoothPhi(wcs.KL), block, probs, eps)
-
-    def test_no_kernel_is_solved_order_by_order(self):
-        _, block, probs = _blocks()[1]
-        user = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
-        # a user phi runs the tilt kernel every phi but chi-square shares
-        assert user.worst_values(block, probs, 0.3) is not None
-        for fam in (wcs.PenaltyPhi(), wcs.WassersteinL1()):
-            assert fam.worst_values(block, probs, 0.3) is None
-        # the newsvendor search then reads each order's scalar worst case
-        params = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
-        demand = wcs.validate([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0])
-        xs = np.array([0.0, 5.5, 8.0, 25.0])
-        for fam in (user, wcs.WassersteinL1()):
-            scenarios = [dro.cost_scenario(params, demand, x) for x in xs]
-            want = [fam.worst_case(s, 0.3).value for s in scenarios]
-            got = dro._worst_values(params, demand, fam, 0.3, xs).tolist()
-            if fam is user:
-                width = [float(np.ptp(s.costs)) for s in scenarios]
-                assert all(abs(a - b) <= 1e-12 * w for a, b, w in zip(got, want, width))
-            else:
-                assert got == want
-        with pytest.raises(TypeError):
-            dro._worst_values(params, demand, wcs.PenaltyPhi(), 0.3, xs)
-
-    def test_user_phi_matches_the_scalar_solver(self):
-        fam = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
-        for label, block, probs in _blocks():
-            for eps in (0.05, 0.3, 1.0):
-                got = fam.worst_values(block, probs, eps)
-                want = _scalar_values(fam, block, probs, eps)
-                for row, a, b in zip(block, got.tolist(), want):
-                    assert abs(a - b) <= 1e-12 * np.ptp(row), (label, eps, a, b)
-
-    def test_eps_errors_match_the_scalar(self):
-        _, block, probs = _blocks()[0]
-        for fam, eps in ((wcs.Budgeted(), -1.0), (wcs.TotalVariation(), math.inf),
-                         (wcs.Combination(0.5), 1.5), (wcs.SymmetricBox(), -0.1),
-                         (wcs.SmoothPhi(), math.nan)):
-            with pytest.raises(wcs.errors.EpsOutOfRange):
-                fam.worst_values(block, probs, eps)
-
