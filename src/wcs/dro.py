@@ -15,9 +15,11 @@ so it is convex; two searches find its least order on [0, 1.5 max y].
 For the polytope families and Wasserstein V is linear between its kinks:
 the demand atoms, the range ends and, between atoms, the orders where two
 scenario cost lines cross (polytopes: the LP view of CVaR, Rockafellar &
-Uryasev 2000) or 2 s y / (r + s - q) (Wasserstein). Bisections find the
-best atom and then the best kink in the atom gaps around it, where alone
-kinks are generated, so a solve reads V at O(log n) orders. V is read in
+Uryasev 2000) or 2 s y / (r + s - q) (Wasserstein). Sign searches on the
+secants of neighbouring kinks find the best atom and then the best kink in
+the atom gaps around it, where alone kinks are generated, so a solve reads V
+at O(log n) orders. Each search (``_first_nonneg``) is false position over
+the index, which bisects wherever a step does not halve its bracket. V is read in
 blocks of about 2^13 cost entries, value only (the family's
 ``worst_values``; Wasserstein, without one, order by order). Of orders
 within the tie tolerance 1e-12 (1 + |V|) of the least V, the smallest is
@@ -26,12 +28,15 @@ returned, with the scalar solver's worst case there.
 A smooth phi ball has a unique worst q, so V is differentiable between the
 atoms. Its search reads one scalar worst case per order and takes V's
 one-sided slopes from the worst q (Danskin's theorem): (c - q) - (r + s -
-q) Q(Y > x) on the right, Q(Y >= x) on the left. It bisects the atoms on
-the sign of the right slope and, where the minimum falls inside an atom
-gap, root-finds V' there. Any q in the ball bounds the least V from below
-by L(q) = min_x E_q f(x, .), E_q f at q's critical-fractile quantile (weak
-duality); the root-find stops once V(x) - L(q(x)) is within the tie
-tolerance, or when its bracket closes to adjacent doubles.
+q) Q(Y > x) on the right, Q(Y >= x) on the left. The same sign search
+finds the first atom whose right slope is >= 0 and, where the minimum falls
+inside an atom gap, V' is root-found there. Any q in the ball bounds the
+least V from below by L(q) = min_x E_q f(x, .), E_q f at q's
+critical-fractile quantile (weak duality); the root-find stops once V(x) -
+L(q(x)) is within the tie tolerance, or when its bracket closes to adjacent
+doubles. E_q f is linear in x between atoms, so V(x) - L(q(x)) >= |V'(x)|
+times the distance to the bracket end downhill, and only a read whose
+bound nears the tolerance sums its gap.
 
 V is L-Lipschitz in x, L = max(c - q, r + s - c), so kinks, atoms and
 crossings alike, closer than the tie tolerance of V (for smooth phi, of the
@@ -41,31 +46,16 @@ largest cost) at the range ends over L are one order, the smallest
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    GROWTH_LINEAR,
-    PiecewiseLinearCost,
-    Scenario,
-    distinct,
-    validate,
-)
+from .core import GROWTH_LINEAR, PiecewiseLinearCost, Scenario, distinct, validate
 from .errors import (
-    EmptyInput,
-    InvalidEpsList,
-    InvalidGeneratorArgs,
-    InvalidLabel,
-    InvalidNewsvendorParams,
-    LengthMismatch,
-    NegativeDemand,
-    NonConvergence,
-    NonFiniteCost,
-    UnsupportedFamily,
+    EmptyInput, InvalidEpsList, InvalidGeneratorArgs, InvalidLabel, InvalidNewsvendorParams,
+    LengthMismatch, NegativeDemand, NonConvergence, NonFiniteCost, UnsupportedFamily,
 )
 from .families import SmoothPhi, UncertaintyFamily, WassersteinL1
 from .rng import SplitMix64
@@ -164,24 +154,41 @@ def _memoised(evaluate):
     return values
 
 
+def _first_nonneg(slope, lo: int, hi: int, s_lo: float, s_hi: float) -> int:
+    """The first i in (lo, hi] with slope(i) >= 0, for slopes rising with i from s_lo < 0 at lo to
+    s_hi >= 0 at hi (each read, a bound, or NaN where unknown; s_lo = -inf puts the chord's zero
+    at hi). False position over the index, probing the last index before the chord's zero, with
+    an end kept twice halved (Illinois) and a bisection after a probe that does not halve the
+    bracket, or without a chord: bisection's answer in at most 2 ceil(log2(hi - lo)) + 2 probes."""
+    side, chord = 0, True
+    while hi - lo > 1:
+        width = hi - lo
+        t = hi - width * (s_hi / (s_hi - s_lo)) if chord and s_lo < s_hi else math.nan
+        chord = lo <= t <= hi
+        m = min(max(math.floor(t), lo + 1), hi - 1) if chord else lo + width // 2
+        if (s := slope(m)) >= 0.0:
+            hi, s_hi, s_lo, side = m, s, s_lo * (0.5 if side > 0 else 1.0), 1
+        else:
+            lo, s_lo, s_hi, side = m, s, s_hi * (0.5 if side < 0 else 1.0), -1
+        chord = not chord or 2 * (hi - lo) <= width
+    return hi
+
+
 def _first_rise(values, xs) -> int:
-    """First i with V(xs[i + 1]) >= V(xs[i]): by convexity, the minimum of V over xs."""
-    lo, hi = 0, len(xs) - 1
-    while lo < hi:
-        m = (lo + hi) // 2
-        a, b = values(xs[m : m + 2])
-        lo, hi = (m + 1, hi) if b < a else (lo, m)
-    return lo
+    """First i with V(xs[i + 1]) >= V(xs[i]): by convexity, the minimum of V over xs, where
+    the pairs' secants rise with i (a falling pair's kept negative where it underflows)."""
+
+    def secant(i):
+        a, b = values(xs[i : i + 2])
+        s = (b - a) / (xs[i + 1] - xs[i])
+        return s if b >= a else min(s, -5e-324)
+
+    return _first_nonneg(secant, -1, len(xs) - 1, math.nan, math.nan)
 
 
 def _first_within(values, xs, level) -> int:
-    """First i with V(xs[i]) <= level, where V falls along xs and xs[-1] qualifies."""
-    lo, hi = 0, len(xs) - 1
-    m = hi - 1  # usually xs[-1] is the answer: try its neighbour first
-    while lo < hi:
-        lo, hi = (lo, m) if values([xs[m]])[0] <= level else (m + 1, hi)
-        m = (lo + hi) // 2
-    return lo
+    """First i with V(xs[i]) <= level, where V falls along xs and xs[-1], usually the answer, qualifies."""
+    return _first_nonneg(lambda i: level - values([xs[i]])[0], -1, len(xs) - 1, -math.inf, 0.0)
 
 
 def saa_newsvendor(params: NewsvendorParams, demand: Scenario) -> float:
@@ -345,29 +352,35 @@ def _slope_search(params, demand, family, eps) -> DroSolution:
             reads[x] = wc, c_q - d * at_or_above, c_q - d * above
         return reads[x]
 
-    def gap(x):
-        """V(x) - L(q) for the worst q at x, L(q) = E_q f at q's critical-fractile order."""
-        q = reads[x][0].worst_q
-        k = min(int(np.searchsorted(q[order].cumsum(), params.critical_fractile)), ys.size - 1)
-        return reads[x][0].value - math.fsum((q * costs(ys[k]).costs).tolist())
+    def gap(x, floor=0.0):
+        """V(x) - L(q) for the worst q at x, L(q) = E_q f at q's critical-fractile order; or
+        floor, a lower bound on it, where that passes the tolerance by more than the rounding
+        of the sums (slack, the tie tolerance of the largest cost at the range ends)."""
+        wc = reads[x][0]
+        if floor > 2.0 * _tol(wc.value) + slack:
+            return floor
+        k = min(int(np.searchsorted(wc.worst_q[order].cumsum(), params.critical_fractile)), ys.size - 1)
+        return wc.value - math.fsum((wc.worst_q * costs(ys[k]).costs).tolist())
 
     atoms = distinct(demand.costs)
     top = 1.5 * float(atoms[-1])
     # the range ends' costs first, which bound V there: an overflowing cost raises
-    v_ends = max(float(np.abs(costs(x).costs).max()) for x in (0.0, top))
-    grid = _apart(np.append(atoms, [0.0, top]), _tol(v_ends) / max(c_q, d - c_q))
-    # the first order whose right slope is >= 0; at top it is c - q > 0
-    k = bisect.bisect_left(range(len(grid) - 1), True, key=lambda i: read(grid[i])[2] >= 0.0)
+    slack = _tol(max(float(np.abs(costs(x).costs).max()) for x in (0.0, top)))
+    grid = _apart(np.append(atoms, [0.0, top]), slack / max(c_q, d - c_q))
+    # the first order whose right slope is >= 0: below the atoms it is c - r - s, at top c - q > 0
+    k = _first_nonneg(lambda i: read(grid[i])[2], -1, len(grid) - 1, c_q - d, c_q)
     x, certified = grid[k], None
     if k > 0 and read(x)[1] > 0.0:
-        x, certified = _slope_root(read, gap, grid[k - 1], x)
+        i = int(np.searchsorted(ys, x))
+        x, certified = _slope_root(read, gap, grid[k - 1], x, float(ys[i - 1]) if i else -math.inf)
     wc, left, right = read(x)
     bracket = (max((y for y in reads if y < x), default=x), min((y for y in reads if y > x), default=x))
     return DroSolution(x, wc, bracket, (left, right), gap(x) if certified is None else certified)
 
 
-def _slope_root(read, gap, a: float, b: float) -> tuple[float, float]:
-    """(x, gap) for an order x in the atom gap [a, b], where V'(a+) < 0 < V'(b-).
+def _slope_root(read, gap, a: float, b: float, atom: float) -> tuple[float, float]:
+    """(x, gap) for an order x in the atom gap [a, b], where V'(a+) < 0 < V'(b-) and atom
+    is the last atom below b (above a where ``_apart`` merged it into a).
 
     False position on V' with the Pegasus rule (Dowell & Jarratt 1972), to an
     order whose own gap is within tolerance. Each end's worst q prices f on the
@@ -376,7 +389,8 @@ def _slope_root(read, gap, a: float, b: float) -> tuple[float, float]:
     end's slope steps next. Past saturation V kinks between atoms, at the
     lines' meeting point, and no single worst q certifies the kink: where a read
     keeps its end's slope exactly, V is linear, and the ends' bound may stop the
-    search. So do ends one double apart.
+    search. So do ends one double apart. Between atom and b every E_q f is linear,
+    and a read far from the root skips its gap (``gap``'s floor).
     """
     (wa, _, sa), (wb, sb, _) = read(a), read(b)
     fa, fb, side, kept = sa, sb, 0, 0.0  # fa, fb weigh the ends in the false-position step
@@ -390,7 +404,8 @@ def _slope_root(read, gap, a: float, b: float) -> tuple[float, float]:
         if not a < x < b:
             x = a + 0.5 * (b - a)
         wc, _, slope = read(x)
-        if (own := gap(x)) <= _tol(wc.value) or slope == 0.0:
+        floor = slope * (x - max(a, atom)) if slope > 0.0 else -slope * (b - x)
+        if (own := gap(x, floor if x > atom else 0.0)) <= _tol(wc.value) or slope == 0.0:
             return x, own
         if slope < 0.0:
             fb *= fa / (fa + slope) if side < 0 else 1.0
@@ -457,14 +472,7 @@ def frontier(
     for eps in eps_arr:
         sol = dro_newsvendor(params, demand, family, eps)
         s_x = cost_scenario(params, demand, sol.x)
-        points.append(
-            FrontierPoint(
-                eps=eps,
-                decision=sol.x,
-                nominal_mean=riskstats.mean(s_x),
-                sensitivity=measure.sensitivity(s_x).value,
-            )
-        )
+        points.append(FrontierPoint(eps, sol.x, riskstats.mean(s_x), measure.sensitivity(s_x).value))
     return points
 
 
@@ -490,14 +498,7 @@ def _logreg_frontier(
             sens = float(np.linalg.norm(fit.w))
         else:
             sens = measure.sensitivity(s_w).value
-        points.append(
-            FrontierPoint(
-                eps=eps,
-                decision=fit.w,
-                nominal_mean=float(np.mean(losses)),
-                sensitivity=sens,
-            )
-        )
+        points.append(FrontierPoint(eps, fit.w, float(np.mean(losses)), sens))
     return points
 
 

@@ -16,7 +16,8 @@ below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
 depends on order, so every result equals the full sort's bit for bit.
 The CVaR fill of tail mass beta = 1 - alpha is the greedy fill of p / beta
 up to mass 1 (a box or budgeted set whose level rounds to 1 gives beta
-itself). The CVaR-type values (CVaR, the CVaR deviation, and through them the
+itself, scaled by a power of two below 2^-1022: ``_fill_caps``). The
+CVaR-type values (CVaR, the CVaR deviation, and through them the
 budgeted, combination and box worst cases and sensitivities) sum only
 their fill's support, the head and the window atoms up to the boundary
 (``Tail.dot``), bit for bit as the dense fill's sum; value-only callers
@@ -39,13 +40,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .core import (
-    EXACT_SUM_CUTOFF,
-    Scenario,
-    SortedScenario,
-    desc_order,
-    exact_sum,
-    exact_total,
-    round_total,
+    EXACT_SUM_CUTOFF, Scenario, SortedScenario, desc_order, exact_sum, exact_total, round_total,
 )
 from .errors import InvalidCvarLevel, KappaOutOfRange
 
@@ -337,9 +332,19 @@ def cvar_beta(alpha) -> float | None:
     return None if a == 0.0 else 1.0 - a
 
 
-def beta_tail(s: Scenario, beta: float | None) -> Tail | None:
+def _fill_caps(probs: np.ndarray, beta) -> np.ndarray:
+    """p / beta, the caps of the CVaR fill of tail mass beta. A beta (b, k), b 2^-k below
+    2^-1022, divides p 2^k, so the caps keep its precision; a cap past 1 ends the fill
+    wherever it lies, so they stop at 2 rather than overflow."""
+    if not isinstance(beta, tuple):
+        return probs / beta
+    with np.errstate(over="ignore"):
+        return np.minimum(np.ldexp(probs, beta[1]) / beta[0], 2.0)
+
+
+def beta_tail(s: Scenario, beta) -> Tail | None:
     """The Tail of the CVaR fill of tail mass beta, the greedy fill of p / beta up to 1 (None: p)."""
-    return None if beta is None else select_tail(s.costs, s.probs / beta, 1.0)
+    return None if beta is None else select_tail(s.costs, _fill_caps(s.probs, beta), 1.0)
 
 
 def cvar_tail(s: Scenario, alpha) -> Tail | None:
@@ -347,7 +352,7 @@ def cvar_tail(s: Scenario, alpha) -> Tail | None:
     return beta_tail(s, cvar_beta(alpha))
 
 
-def beta_fill(s: Scenario, beta: float | None) -> tuple[np.ndarray, Tail | None]:
+def beta_fill(s: Scenario, beta) -> tuple[np.ndarray, Tail | None]:
     """The CVaR fill of tail mass beta in atom order, and its Tail (``beta_tail``; None: p)."""
     tail = beta_tail(s, beta)
     return (s.probs.copy() if tail is None else tail.fill()), tail
@@ -364,7 +369,7 @@ def row_fsums(a: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
 
 
-def beta_rows(costs: np.ndarray, probs: np.ndarray, beta: float | None) -> np.ndarray:
+def beta_rows(costs: np.ndarray, probs: np.ndarray, beta) -> np.ndarray:
     """CVaR of tail mass beta (``beta_tail``) of each row of an (m, n) cost block, bit for bit:
     one stable sort of the block, and one greedy fill for every row when p is uniform."""
     order = (-costs).argsort(axis=1, kind="stable")
@@ -372,9 +377,9 @@ def beta_rows(costs: np.ndarray, probs: np.ndarray, beta: float | None) -> np.nd
     if beta is None:
         q = probs[order]
     elif (probs == probs[0]).all():
-        q = greedy_fill(probs / beta)
+        q = greedy_fill(_fill_caps(probs, beta))
     else:
-        q = np.array([greedy_fill(p / beta) for p in probs[order]])
+        q = np.array([greedy_fill(caps) for caps in _fill_caps(probs, beta)[order]])
     return row_fsums(q * f)
 
 

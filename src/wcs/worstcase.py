@@ -46,14 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    KL,
-    MODIFIED_CHI2,
-    PhiFunction,
-    PiecewiseLinearCost,
-    Scenario,
-    exact_sum,
-    sort_desc,
-    validate,
+    KL, MODIFIED_CHI2, PhiFunction, PiecewiseLinearCost, Scenario, exact_sum, sort_desc, validate,
 )
 from .errors import EpsOutOfRange, InvalidBoxParams, NoBracket, OutsideCostDomain
 from . import riskstats
@@ -244,10 +237,8 @@ def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseRe
     """
     srt = sort_desc(s)
     g, p = st.g[srt.order], srt.probs_desc
-    k, found, _ = _chi2_prefix(g[None, :], p[None, :], eps)
-    if found[0]:
-        k, spread = int(k[0]) + 1, 1.0
-    else:
+    k, spread = _chi2_prefix(g, p, eps), 1.0
+    if k is None:
         k = _chi2_spread_count(g, p, eps)
         if k is None:
             return None
@@ -408,6 +399,8 @@ def budgeted_slope(s: Scenario, eps: float) -> float:
 def _budgeted_slope(s: Scenario, eps: float, near: riskstats.Split | None) -> float:
     """The slope, its VaR atom found on the split near if it lies there."""
     beta = _budget_beta(eps) or 1.0  # the nominal mass the VaR atom's prefix reaches
+    if isinstance(beta, tuple):  # below 2^-1022, rounded once
+        beta = 1.0 / (1.0 + eps)
     tail = None if near is None else near.tail(s.probs, beta, strict=True)
     if tail is None:
         tail = riskstats.select_tail(s.costs, s.probs, beta, strict=True)
@@ -422,15 +415,18 @@ def _budget_saturation(probs: np.ndarray) -> float:
     return 1.0 / float(probs.min()) - 1.0
 
 
-def _fill_beta(level: float, mass: float) -> float | None:
+def _fill_beta(level: float, num: float, den: float):
     """The tail mass of a CVaR fill at a level in [0, 1]: 1 - level (None at 0), or, where the level
-    has rounded to 1, the tail mass itself, at least 2^-1022 so that the caps p / beta stay finite."""
-    return riskstats.cvar_beta(level) if level < 1.0 else max(mass, 2.0**-1022)
+    has rounded to 1, the tail mass num / den itself; below 2^-1022, where it would lose bits, as
+    (num 2^64 / den, 64) for ``riskstats._fill_caps``."""
+    if level < 1.0:
+        return riskstats.cvar_beta(level)
+    return num / den if num / den >= 2.0**-1022 else (math.ldexp(num, 64) / den, 64)
 
 
-def _budget_beta(e: float) -> float | None:
+def _budget_beta(e: float):
     """The budgeted fill's tail mass 1/(1 + e), as 1 - e/(1 + e) until that level rounds to 1."""
-    return _fill_beta(e / (1.0 + e), 1.0 / (1.0 + e))
+    return _fill_beta(e / (1.0 + e), 1.0, 1.0 + e)
 
 
 def wc_budgeted(s: Scenario, eps: float) -> WorstCaseResult:
@@ -483,7 +479,7 @@ def _box_terms(L: float, U: float):
     """
     if L == 1.0:
         return 1.0, 0.0, None
-    return L, 1.0 - L, _fill_beta((U - 1.0) / (U - L), (1.0 - L) / (U - L))
+    return L, 1.0 - L, _fill_beta((U - 1.0) / (U - L), 1.0 - L, U - L)
 
 
 def wc_combination(s: Scenario, alpha, eps: float) -> WorstCaseResult:
@@ -569,36 +565,33 @@ def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
     return _by_row(costs, probs, solve)
 
 
-def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float):
-    """(k, found, E_q g) per row of standardised costs sorted descending.
+def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
+    """The active count of the modified chi-square tilt on standardised costs sorted
+    descending, or None where no count passes the test.
 
-    Column k holds the prefix of the k + 1 costliest atoms. With them
-    active, q_i = p_i (1/P_k + delta (g_i - mu_k)) on them and 0 elsewhere,
-    where P_k, mu_k and W_k are the mass, the mean and the p-weighted sum of
-    squared deviations of the active atoms. The divergence constraint gives
-    delta^2 W_k = 2 eps - (1 - P_k)/P_k and E_q g = mu_k + sqrt(W_k (2 eps -
-    (1 - P_k)/P_k)), the variance expansion of the chi-square ball (k = n - 1
-    is the unclamped closed form). The optimum is the first k whose active
-    tilts are >= 0 and whose next atom's tilt is <= 0; found is False on a
-    row where no k passes.
+    With the k costliest atoms active, q_i = p_i (1/P_k + delta (g_i - mu_k))
+    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
+    and the p-weighted sum of squared deviations of the active atoms, from
+    prefix sums. The divergence constraint gives delta^2 W_k = 2 eps - (1 -
+    P_k)/P_k (k = n is the unclamped closed form). The count is the first k
+    whose active tilts are >= 0 and whose next atom's tilt is <= 0.
     """
-    rows = np.arange(g.shape[0])
     with np.errstate(all="ignore"):
         pg = p * g
-        P, S = p.cumsum(axis=1), pg.cumsum(axis=1)
+        P, S = p.cumsum(), pg.cumsum()
         mu = S / P
-        W = np.maximum((pg * g).cumsum(axis=1) - S * mu, 0.0)
-        # the mass left off the prefix, against the row's total rather than 1
-        slack = 2.0 * eps - (P[:, -1:] - P) / P
+        W = np.maximum((pg * g).cumsum() - S * mu, 0.0)
+        # the mass left off the prefix, against the total rather than 1
+        slack = 2.0 * eps - (P[-1] - P) / P
         delta = np.sqrt(slack / W)
         base = 1.0 / P
         tol = 1e-12 * (base + delta)
         # atom k, the cheapest active one, keeps a nonnegative tilt ...
         ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
         # ... and atom k + 1 would get a nonpositive one
-        ok[:, :-1] &= base[:, :-1] + delta[:, :-1] * (g[:, 1:] - mu[:, :-1]) <= tol[:, :-1]
-        k = ok.argmax(axis=1)
-        return k, ok[rows, k], mu[rows, k] + np.sqrt(W[rows, k] * slack[rows, k])
+        ok[:-1] &= base[:-1] + delta[:-1] * (g[1:] - mu[:-1]) <= tol[:-1]
+    k = int(ok.argmax())
+    return k + 1 if ok[k] else None
 
 
 _TILT_TOL = 1e-14

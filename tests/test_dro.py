@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 from fractions import Fraction
@@ -761,6 +762,133 @@ class TestUserPhiValues:
         want = dro.dro_newsvendor(PARAMS, demand, wcs.SmoothPhi(), 0.15)
         assert sol.x == pytest.approx(want.x, rel=1e-9)
         assert sol.worst_case.value == pytest.approx(want.worst_case.value, abs=1e-9)
+
+
+class TestFirstNonneg:
+    """The sign search both newsvendor searches share: bisection's index, in at most
+    2 ceil(log2(n + 1)) + 2 probes."""
+
+    @staticmethod
+    def _sequences():
+        yield from ([], [-1.0], [0.0], [2.0], [-3.0, -1.0], [-1.0, 0.0], [-0.0, 1.0], [1.0, 2.0])
+        rng = np.random.default_rng(11)
+        for n in range(1, 90):
+            yield np.sort(rng.normal(size=n)).tolist()
+            # plateaus and exact zeros
+            yield np.sort(np.round(rng.normal(size=n))).tolist()
+            yield (-np.sort(rng.exponential(size=n))[::-1]).tolist()
+            yield np.sort(rng.exponential(size=n) * rng.integers(0, 2)).tolist()
+            # a curved run: flat and negative, then a steep rise
+            yield (np.sort(rng.exponential(size=n)) ** 4 - rng.uniform(0.0, 50.0)).tolist()
+
+    # the ends' slopes: unknown, infinite, finite bounds, and "the zero lies at hi" (-inf, 0)
+    @pytest.mark.parametrize("ends", ["unknown", "infinite", "bounds", "at_hi"])
+    def test_matches_bisect_left(self, ends):
+        for seq in self._sequences():
+            probes = []
+
+            def slope(i):
+                probes.append(i)
+                return seq[i]
+
+            lo, hi = {
+                "unknown": (math.nan, math.nan),
+                "infinite": (-math.inf, math.inf),
+                "bounds": (min(seq + [0.0]) - 1.0, max(seq + [0.0])),
+                "at_hi": (-math.inf, 0.0),
+            }[ends]
+            n = len(seq)
+            assert dro._first_nonneg(slope, -1, n, lo, hi) == bisect.bisect_left(seq, 0.0), seq
+            assert len(probes) <= 2 * math.ceil(math.log2(n + 1)) + 2, seq
+            assert all(0 <= i < n for i in probes)
+
+    def test_a_falling_pair_of_tiny_values_is_a_fall(self):
+        # the secant (b - a) / dx of a falling pair underflows to -0.0, which must not read as a rise
+        xs, vals = [0.0, 1e300, 2e300], {0.0: 1e-300, 1e300: 1e-300 - 1e-316, 2e300: 1.0}
+        assert dro._first_rise(lambda pts: [vals[x] for x in pts], xs) == 1
+
+
+def _bisection(slope, lo, hi, s_lo, s_hi):
+    """The reference search: bisection on the sign alone."""
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda i: slope(i) >= 0.0)
+
+
+class TestSearchBits:
+    """The false-position sign search and the gap floor read fewer worst cases and move no
+    bit: a search by bisection that pays every gap gives the same x, V, slopes and gap."""
+
+    USER = wcs.SmoothPhi(TestUserPhiValues.PHI)
+    FAMILIES = [wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL), USER, *PL_FAMILIES, wcs.WassersteinL1()]
+
+    @classmethod
+    def _instances(cls):
+        rng = np.random.default_rng(2024)
+        for i in range(320):
+            n = int(rng.integers(1, 61))
+            # rounded draws tie; half the instances weigh the atoms
+            atoms = np.round(rng.exponential(20.0, n), int(rng.integers(0, 3)))
+            probs = rng.random(n) + 0.05 if i % 2 else np.ones(n)
+            demand = wcs.validate(atoms, probs / probs.sum())
+            params = dro.NewsvendorParams(10.0, 2.0, float(i // 2 % 2), 4.0 * (i // 4 % 2))
+            family = cls.FAMILIES[i % len(cls.FAMILIES)]
+            if family.name == "combo":
+                eps = float(rng.uniform(0.05, 1.0))
+            else:
+                eps = float(10.0 ** rng.uniform(-3.0, 1.0 if family.name != "wasserstein" else 1.5))
+            yield params, demand, family, eps
+
+    def test_the_bisection_reference_gives_every_bit(self, monkeypatch):
+        skipped, solve_root = [], dro._slope_root
+
+        def root(read, gap, a, b, atom):
+            def checked(x, floor=0.0):
+                # the floor is below the gap's own sums, and a skipped gap is beyond tolerance
+                own, v, got = gap(x), read(x)[0].value, gap(x, floor)
+                assert floor <= own + 1e-12 * (1.0 + abs(v)), (floor, own)
+                if got == floor != own:
+                    skipped.append(x)
+                    assert own > dro._tol(v)
+                return got
+
+            return solve_root(read, checked, a, b, atom)
+
+        cases = list(self._instances())
+        got = []
+        monkeypatch.setattr(dro, "_slope_root", root)
+        for params, demand, family, eps in cases:
+            got.append(dro.dro_newsvendor(params, demand, family, eps))
+        # the reference: bisection, and every gap paid (no order lies past an atom at inf)
+        monkeypatch.setattr(dro, "_first_nonneg", _bisection)
+        monkeypatch.setattr(dro, "_slope_root", lambda read, gap, a, b, atom: solve_root(read, gap, a, b, math.inf))
+        for sol, (params, demand, family, eps) in zip(got, cases):
+            want = dro.dro_newsvendor(params, demand, family, eps)
+            assert (sol.x, sol.worst_case.value, sol.slopes, sol.gap) == (
+                want.x, want.worst_case.value, want.slopes, want.gap
+            ), (family.name, eps)
+            assert np.array_equal(sol.worst_case.worst_q, want.worst_case.worst_q)
+            # only a smooth phi solution at an atom (or 0) may hold other orders nearest x
+            if not isinstance(family, wcs.SmoothPhi) or sol.x not in (0.0, *demand.costs):
+                assert sol.bracket == want.bracket
+        assert len(skipped) > 100, len(skipped)
+
+    def test_criterion_7_read_counts(self, monkeypatch):
+        # worst cases read per criterion-7 solve (s = 4 at eps 0.5, 1, 1.5, 2; s = 0 at 0.5, 1, 2):
+        # with bisection and every gap paid they were 11 12 14 13 12 11 12 (chi2), 12 13 14 15 6 7 11 (KL)
+        from wcs import worstcase
+
+        calls, solve = [], worstcase.worst_case
+        monkeypatch.setattr(worstcase, "worst_case", lambda s, f, e: calls.append(e) or solve(s, f, e))
+        demand = wcs.demand_scenario(dro.gen_mixture_demand(100, 10.0, 100.0, 0.9, seed=42))
+        sweeps = ((PARAMS, (0.5, 1.0, 1.5, 2.0)), (dro.NewsvendorParams(10, 2, 0, 0), (0.5, 1.0, 2.0)))
+        pinned = ((wcs.SmoothPhi(), [9, 11, 13, 11, 8, 8, 13]), (wcs.SmoothPhi(wcs.KL), [11, 12, 13, 14, 5, 9, 12]))
+        for family, pins in pinned:
+            counts = []
+            for params, sweep in sweeps:
+                for eps in sweep:
+                    calls.clear()
+                    dro.dro_newsvendor(params, demand, family, eps)
+                    counts.append(len(calls))
+            assert all(c <= pin for c, pin in zip(counts, pins)), counts
 
 
 class TestWorstValuesBlocks:

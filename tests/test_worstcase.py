@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -456,6 +457,38 @@ class TestBudgeted:
                 assert batch[0].hex() == r.value.hex()
                 want = oracle.brute_force_wc(s, polytope=oracle.budgeted_polytope(s, eps))
                 assert abs(r.value - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_a_subnormal_tail_mass_keeps_its_caps(self):
+        # past eps ~ 4.5e307 the tail mass 1/(1 + eps) is below 2^-1022; the costliest atom's
+        # cap (1 + eps) 1e-310 still stops short of 1, for the budgeted set and the box alike
+        s = wcs.validate([2.0, 1.0], [1e-310, 1.0 - 1e-310])
+        for eps in (4e307, 1e308, 1.7e308):
+            # about 0.004, 0.01 and 0.017: p = 1e-310 keeps 14 digits
+            cap = float(Fraction(s.probs[0]) * (1 + Fraction(eps)))
+            want = oracle.brute_force_wc(s, polytope=oracle.budgeted_polytope(s, eps))
+            assert want == pytest.approx(1.0 + cap, rel=1e-15, abs=0.0)
+            for family, r in (
+                (wcs.Budgeted(), wcs.wc_budgeted(s, eps)),
+                (wcs.SymmetricBox(), wcs.wc_box_symmetric(s, eps)),
+            ):
+                assert r.value == pytest.approx(want, rel=1e-15, abs=0.0), family.name
+                assert r.worst_q.tolist() == pytest.approx([cap, 1.0 - cap], rel=1e-15, abs=0.0)
+                batch = family.worst_values(np.array([s.costs, s.costs[::-1]]), s.probs, eps)
+                assert batch[0].hex() == r.value.hex()
+            assert wcs.wc_budgeted(s, eps).dual.slope == 1e-310 == wcs.budgeted_slope(s, eps)
+        # a band whose tail mass (1 - L)/(U - L) ~ 2e-315 rounds off by 5e-10 of itself: the
+        # costliest atom's q = L p + (1 - L) p (U - L)/(1 - L) = p U must not carry that error
+        L, U = 1.0 - 2.0**-45, 1.234e301
+        s = wcs.validate([2.0, 1.0], [1e-315, 1.0 - 1e-315])
+        r = wcs.wc_box(s, wcs.BoxParams(L, U))
+        assert r.worst_q[0] == pytest.approx(1e-315 * U, rel=1e-13, abs=0.0)
+        want = oracle.brute_force_wc(s, polytope=oracle.box_polytope(s, L, U))
+        assert r.value == pytest.approx(want, rel=1e-15, abs=0.0)
+        # at the largest eps every cap but the costliest one passes 1
+        s = wcs.validate([3.0, 2.0, 1.0], [2e-310, 3e-310, 1.0 - 5e-310])
+        r = wcs.wc_budgeted(s, 1.7976931348623157e308)
+        want = oracle.brute_force_wc(s, polytope=oracle.budgeted_polytope(s, 1.7976931348623157e308))
+        assert r.value == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestCombination:
