@@ -20,8 +20,8 @@ secants of neighbouring kinks find the best atom and then the best kink in
 the atom gaps around it, where alone kinks are generated, so a solve reads V
 at O(log n) orders. Each search (``_first_nonneg``) is false position over
 the index, which bisects wherever a step does not halve its bracket. V is read in
-blocks of about 2^13 cost entries, value only (the family's
-``worst_values``; Wasserstein, without one, order by order). Of orders
+blocks of about 2^13 cost entries, value only, by the ``block_reader`` the
+family makes once per solve (Wasserstein, without one, order by order). Of orders
 within the tie tolerance 1e-12 (1 + |V|) of the least V, the smallest is
 returned, with the scalar solver's worst case there.
 
@@ -141,9 +141,8 @@ def _check_demand(demand: Scenario) -> None:
         raise NegativeDemand(f"negative demand atoms at {np.nonzero(demand.costs < 0.0)[0].tolist()}")
 
 
-def _memoised(evaluate):
-    """values(xs) lists V at the orders xs, calling evaluate only on new ones."""
-    memo: dict[float, float] = {}
+def _memoised(evaluate, memo: dict[float, float]):
+    """values(xs) lists V at the orders xs, calling evaluate only on those not in memo."""
 
     def values(xs):
         new = [x for x in xs if x not in memo]
@@ -249,27 +248,20 @@ def _transport_kinks(params: NewsvendorParams, atoms: np.ndarray, lo: float, hi:
     return x[(lo < x) & (x < hi)]
 
 
-def _worst_values(
-    params: NewsvendorParams,
-    demand: Scenario,
-    family: UncertaintyFamily,
-    eps: float,
-    xs: np.ndarray,
-) -> np.ndarray:
-    """V(x) for each candidate order x, value only; order by order for Wasserstein, which has
-    no batched kernel, its rows equal to the scalar call's bit for bit (the cost is elementwise)."""
-    vals, rows = [], max(1, _BLOCK_ELEMENTS // demand.n)
-    for i in range(0, xs.size, rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf is reported below
-            f = _newsvendor_cost_vec(params, xs[i : i + rows, None], demand.costs)
-        finite = np.isfinite(f)
-        if not finite.all():  # the first bad row raises NonFiniteCost, as cost_scenario does
-            demand.with_costs(f[finite.all(axis=1).argmin()])
-        block = family.worst_values(f, demand.probs, eps)
-        if block is None:
-            s_xs = (cost_scenario(params, demand, float(x)) for x in xs)
-            return np.array([worstcase.worst_case(s_x, family, eps).value for s_x in s_xs])
-        vals.append(block)
+def _cost_rows(params: NewsvendorParams, demand: Scenario, xs: np.ndarray) -> np.ndarray:
+    """The cost row f(x, .) of each order x; a non-finite cost raises as cost_scenario does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is reported below
+        f = _newsvendor_cost_vec(params, xs[:, None], demand.costs)
+    finite = np.isfinite(f)
+    if not finite.all():
+        demand.with_costs(f[finite.all(axis=1).argmin()])
+    return f
+
+
+def _worst_values(params: NewsvendorParams, demand: Scenario, read, xs: np.ndarray) -> np.ndarray:
+    """V(x) for each candidate order x: read, a family's ``block_reader``, on blocks of cost rows."""
+    rows = max(1, _BLOCK_ELEMENTS // demand.n)
+    vals = [read(_cost_rows(params, demand, xs[i : i + rows])) for i in range(0, xs.size, rows)]
     return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
@@ -299,8 +291,16 @@ def _kink_search(params, demand, family, eps):
     """(x*, bracket, slopes): V's best kink, for a family whose V is linear between its kinks."""
     atoms = distinct(demand.costs)
     top = 1.5 * float(atoms[-1])
-    values = _memoised(lambda new: _worst_values(params, demand, family, eps, new))
-    # the range ends first: an overflowing cost raises there
+    # the range ends' costs first, before the family checks eps: an overflowing cost raises there
+    ends = _cost_rows(params, demand, np.array([0.0, top]))
+    read = family.block_reader(demand.probs, eps)
+    if read is None:  # Wasserstein, read order by order
+        values = _memoised(lambda new: np.array([
+            worstcase.worst_case(cost_scenario(params, demand, x), family, eps).value for x in new.tolist()
+        ]), {})
+    else:
+        memo = dict(zip((0.0, top), read(ends).tolist()))
+        values = _memoised(lambda new: _worst_values(params, demand, read, new), memo)
     v_ends = max(abs(v) for v in values([0.0, top]))
     gap = _tol(v_ends) / max(params.c - params.q, params.r + params.s - params.c)
     between = _transport_kinks if isinstance(family, WassersteinL1) else _crossings

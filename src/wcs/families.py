@@ -6,10 +6,10 @@ its ``growth`` rate g (sqrt(eps) for smooth phi-divergence balls, eps
 otherwise), whether it is ``piecewise_linear`` (a maximum over the vertices
 of a polytope that does not depend on the costs), the ``homogeneity`` degree
 of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
-``worst_case(s, eps)``, and ``worst_values(costs, probs, eps)``, the
-value-only V(eps) of each row of an (m, n) cost block, which the newsvendor
-kink search reads (None, for smooth phi and Wasserstein, means row by row);
-to it ``piecewise_linear`` says that V kinks where two cost lines cross.
+``worst_case(s, eps)``, and ``block_reader(probs, eps)``, which maps an
+(m, n) cost block to each row's value-only V(eps) for the newsvendor kink
+search (None, for smooth phi and Wasserstein, means order by order); to that
+search ``piecewise_linear`` says that V kinks where two cost lines cross.
 
 Wasserstein reads the transport geometry a scenario carries besides its
 costs: the support points ``s.points`` and the piecewise-linear cost
@@ -44,10 +44,10 @@ from .sensitivity import (
     wasserstein_sensitivity,
 )
 from .worstcase import (
-    box_symmetric_values,
-    budgeted_values,
-    combination_values,
-    tv_values,
+    box_symmetric_reader,
+    budgeted_reader,
+    combination_reader,
+    tv_reader,
     wc_box_symmetric,
     wc_budgeted,
     wc_combination,
@@ -65,9 +65,9 @@ class UncertaintyFamily:
     piecewise_linear: ClassVar[bool] = False
     homogeneity: ClassVar[float] = 1.0
 
-    def worst_values(self, costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray | None:
-        """worst_case(row, eps).value for each row of a block of finite costs, or
-        None for a family without a batched kernel (families with one override this)."""
+    def block_reader(self, probs: np.ndarray, eps: float):
+        """A function from a block of finite cost rows to worst_case(row, eps).value of each, or
+        None for a family read order by order (families with one override this)."""
         return None
 
 
@@ -117,8 +117,8 @@ class TotalVariation(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_tv(s, eps)
 
-    def worst_values(self, costs, probs, eps):
-        return tv_values(costs, probs, eps)
+    def block_reader(self, probs, eps):
+        return tv_reader(probs, eps)
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class Budgeted(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_budgeted(s, eps)
 
-    def worst_values(self, costs, probs, eps):
-        return budgeted_values(costs, probs, eps)
+    def block_reader(self, probs, eps):
+        return budgeted_reader(probs, eps)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ class Combination(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_combination(s, self.alpha, eps)
 
-    def worst_values(self, costs, probs, eps):
-        return combination_values(costs, probs, self.alpha, eps)
+    def block_reader(self, probs, eps):
+        return combination_reader(probs, self.alpha, eps)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ class SymmetricBox(UncertaintyFamily):
     def worst_case(self, s, eps):
         return wc_box_symmetric(s, eps)
 
-    def worst_values(self, costs, probs, eps):
-        return box_symmetric_values(costs, probs, eps)
+    def block_reader(self, probs, eps):
+        return box_symmetric_reader(probs, eps)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ never build the dense fill. The budgeted slope sums the atoms ranked
 before the VaR atom the same way (``Tail.excess``).
 ``greedy_fill`` and ``prefix_rank`` run the same boundary search on an
 array already in rank order.
-``row_fsums`` and ``beta_rows`` work on each row of an (m, n) cost block
-at once, bit for bit as the scalar forms; their rows are short, so they
-sum with math.fsum.
+``row_fsums`` sums each row of an (m, n) block and ``fill_rows`` forms the
+CVaR fill of each row of probabilities in rank order, bit for bit as the
+scalar forms; their rows are short, so the sums use math.fsum.
 """
 
 from __future__ import annotations
@@ -365,22 +365,14 @@ def tail_cvar(s: Scenario, tail: Tail | None) -> float:
 
 def row_fsums(a: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-d array."""
-    # one row of Python floats at a time, not the whole block
-    return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
+    return np.array(list(map(math.fsum, a.tolist())), dtype=float)
 
 
-def beta_rows(costs: np.ndarray, probs: np.ndarray, beta) -> np.ndarray:
-    """CVaR of tail mass beta (``beta_tail``) of each row of an (m, n) cost block, bit for bit:
-    one stable sort of the block, and one greedy fill for every row when p is uniform."""
-    order = (-costs).argsort(axis=1, kind="stable")
-    f = costs[np.arange(costs.shape[0])[:, None], order]
+def fill_rows(ranked: np.ndarray, beta) -> np.ndarray:
+    """The CVaR fill of tail mass beta (``beta_tail``) of each row of p in rank order (None: p)."""
     if beta is None:
-        q = probs[order]
-    elif (probs == probs[0]).all():
-        q = greedy_fill(_fill_caps(probs, beta))
-    else:
-        q = np.array([greedy_fill(caps) for caps in _fill_caps(probs, beta)[order]])
-    return row_fsums(q * f)
+        return ranked
+    return np.array([greedy_fill(caps) for caps in _fill_caps(ranked, beta)])
 
 
 def cvar(s: Scenario, alpha) -> float:

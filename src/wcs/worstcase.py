@@ -32,9 +32,9 @@ domain edge so q >= 0, where
    closed form, any other phi solves it by the same Newton. No delta found
    raises NoBracket.
 
-The value-only batches (``*_values``) return V(eps) for each row of a
-cost block, for the piecewise-linear families. The built-in phis are
-picked here alone, by identity. The L1 transport worst case
+The block readers (``*_reader``) return V(eps) for each row of a cost block
+for the piecewise-linear families, by one rank-weighted kernel. The built-in
+phis are picked here alone, by identity. The L1 transport worst case
 (``wc_wasserstein_pl``) is exact at every eps.
 """
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -499,70 +500,77 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 
 
 # ---------------------------------------------------------------------------
-# Value-only batches: V(eps) for each row of an (m, n) cost block
+# Block readers: V(eps) for each row of an (m, n) cost block
 # ---------------------------------------------------------------------------
 #
-# Each row is one finite cost vector under the shared probabilities; each
-# value is exactly the scalar solver's, and no worst_q or dual is built.
-# The newsvendor search reads blocks of 1 to 32 short rows, where numpy's
-# Python-level wrappers cost more than the arithmetic, so a block path calls
-# ndarray methods (``f.max(axis=1)``, ``.cumsum(axis=1)``), sorts with
-# ``(-f).argsort(axis=1, kind="stable")``, gathers by fancy indexing, not
-# ``np.take_along_axis``, and its caller (``dro._worst_values``) tests a
-# block's finiteness once: the same arithmetic, so every value keeps its bits.
+# Each row is one finite cost vector under the shared probabilities, and each
+# value is the scalar solver's bit for bit. Every polytope worst q weighs the
+# costs ranked descending by one vector w, a CVaR fill or TV's gain and strip.
+# A reader is made once per (probs, eps); under uniform p so is w, and a read
+# is one value sort per row and one exact dot, in which tied atoms trade ranks
+# unseen (``riskstats.row_fsums`` is correctly rounded).
 # The smooth-phi row kernels after them serve ``wc_smooth_phi`` on one row.
 
 
-def _by_row(costs: np.ndarray, probs: np.ndarray, solve) -> np.ndarray:
-    """solve() on the non-constant rows; constant rows get their cost, as _degenerate does."""
-    const = (costs == costs[:, :1]).all(axis=1)
-    if not const.any():
-        return solve(costs)
-    out = np.empty(costs.shape[0])
-    out[const] = costs[const, 0]
-    if not const.all():
-        out[~const] = solve(costs[~const])
-    return out
+def _rank_reader(probs: np.ndarray, weigh, keep=None, move=None):
+    """Reads <w, f sorted descending>, or keep E_p f + move that dot, of each row f of a block,
+    w = weigh(p in f's rank order), which may write into its argument. A constant row reads its
+    cost, as ``_degenerate`` gives, so at n = 1 no w is formed."""
+    w = weigh(probs[None, :].copy()) if probs.size > 1 and (probs == probs[0]).all() else None
+
+    def solve(f, up):
+        if w is not None:
+            dot = riskstats.row_fsums(w * up[:, ::-1])
+        else:
+            order = (-f).argsort(axis=1, kind="stable")
+            dot = riskstats.row_fsums(weigh(probs[order]) * f[np.arange(f.shape[0])[:, None], order])
+        return dot if keep is None else keep * riskstats.row_fsums(probs * f) + move * dot
+
+    def read(costs: np.ndarray) -> np.ndarray:
+        up = np.sort(costs, axis=1)  # values only, ascending
+        const = up[:, 0] == up[:, -1]
+        if not const.any():
+            return solve(costs, up)
+        out = costs[:, 0].copy()
+        if not const.all():
+            out[~const] = solve(costs[~const], up[~const])
+        return out
+
+    return read
 
 
-def budgeted_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_budgeted(row, eps).value for each row, bit for bit."""
+def budgeted_reader(probs: np.ndarray, eps: float):
+    """Reads wc_budgeted(row, eps).value of each row of a cost block, bit for bit."""
     _check_eps(eps)
     beta = _budget_beta(min(eps, _budget_saturation(probs)))
-    return _by_row(costs, probs, lambda f: riskstats.beta_rows(f, probs, beta))
+    return _rank_reader(probs, partial(riskstats.fill_rows, beta=beta))
 
 
-def _mixture_values(costs: np.ndarray, probs: np.ndarray, keep, move, beta) -> np.ndarray:
-    """_mixture(row, keep, move, beta).value for each row, bit for bit."""
-    mean, fill = riskstats.row_fsums, riskstats.beta_rows
-    return _by_row(costs, probs, lambda f: keep * mean(probs * f) + move * fill(f, probs, beta))
+def combination_reader(probs: np.ndarray, alpha, eps: float):
+    """Reads wc_combination(row, alpha, eps).value of each row of a cost block, bit for bit."""
+    keep, move, beta = _combination_terms(alpha, eps)
+    return _rank_reader(probs, partial(riskstats.fill_rows, beta=beta), keep, move)
 
 
-def combination_values(costs: np.ndarray, probs: np.ndarray, alpha, eps: float) -> np.ndarray:
-    """wc_combination(row, alpha, eps).value for each row, bit for bit."""
-    return _mixture_values(costs, probs, *_combination_terms(alpha, eps))
-
-
-def box_symmetric_values(costs: np.ndarray, probs: np.ndarray, nu: float) -> np.ndarray:
-    """wc_box_symmetric(row, nu).value for each row, bit for bit."""
+def box_symmetric_reader(probs: np.ndarray, nu: float):
+    """Reads wc_box_symmetric(row, nu).value of each row of a cost block, bit for bit."""
     _check_eps(nu)
-    return _mixture_values(costs, probs, *_box_terms(1.0 / (1.0 + nu), 1.0 + nu))
+    keep, move, beta = _box_terms(1.0 / (1.0 + nu), 1.0 + nu)
+    return _rank_reader(probs, partial(riskstats.fill_rows, beta=beta), keep, move)
 
 
-def tv_values(costs: np.ndarray, probs: np.ndarray, eps: float) -> np.ndarray:
-    """wc_tv(row, eps).value for each row, bit for bit: its strip, run across rows."""
+def tv_reader(probs: np.ndarray, eps: float):
+    """Reads wc_tv(row, eps).value of each row of a cost block, bit for bit: w gains
+    min(eps/2, 1 - its mass) on the top rank, stripped from the bottom (``_strip_cheapest``)."""
     _check_eps(eps)
-    e = min(eps, 2.0)
 
-    def solve(f):
-        order = (-f).argsort(axis=1, kind="stable")
-        q = probs[order]
-        gain = np.minimum(0.5 * e, 1.0 - q[:, 0])
-        q[:, 0] += gain
-        _strip_cheapest(q, gain)
-        return riskstats.row_fsums(q * f[np.arange(f.shape[0])[:, None], order])
+    def weigh(pr):
+        gain = np.minimum(0.5 * min(eps, 2.0), 1.0 - pr[:, 0])
+        pr[:, 0] += gain
+        _strip_cheapest(pr, gain)
+        return pr
 
-    return _by_row(costs, probs, solve)
+    return _rank_reader(probs, weigh)
 
 
 def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:

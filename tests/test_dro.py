@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import json
 import math
 from fractions import Fraction
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import wcs
-from wcs import dro, oracle
+from wcs import cli, dro, oracle
 from wcs.errors import (
     InvalidEpsList,
     InvalidGeneratorArgs,
@@ -241,16 +242,40 @@ class TestBatchedScan:
         with pytest.raises(NonFiniteCost):
             dro.dro_newsvendor(PARAMS, wcs.validate([1e308, 1.0]), wcs.Budgeted(), 0.5)
 
+    @pytest.mark.parametrize(
+        "family",
+        [wcs.Budgeted(), wcs.TotalVariation(), wcs.Combination(0.8), wcs.SymmetricBox()],
+        ids=lambda f: f.name,
+    )
+    def test_an_overflowing_range_end_raises_before_eps_is_checked(self, family):
+        # the range ends' costs are read before the family's block reader checks eps
+        for eps in (-1.0, math.nan, 0.3):
+            with pytest.raises(NonFiniteCost):
+                dro.dro_newsvendor(PARAMS, wcs.validate([1e308, 1.0]), family, eps)
+
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_the_cli_reports_the_overflow_before_eps(self, eps, tmp_path, capsys):
+        path = tmp_path / "demand.csv"
+        path.write_text("demand\n1e308\n1\n")
+        argv = ["solve-newsvendor", "--r", "10", "--c", "2", "--q", "0", "--s", "4", "--alpha", "0.8",
+                "--demand-file", str(path), f"--eps={eps}"]
+        for family in ("budgeted", "tv", "combo", "box"):
+            assert cli.main([*argv, "--family", family]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err) == {
+                "code": "NonFiniteCost", "message": "non-finite cost entries at [0]"
+            }
+
 
 PL_FAMILIES = [wcs.Budgeted(), wcs.TotalVariation(), wcs.Combination(0.7), wcs.SymmetricBox()]
 
 
 def _values(params, demand, family, eps, xs):
-    """V at each order in xs, through the family's batched values on explicit cost rows."""
-    out = []
+    """V at each order in xs, through the family's block reader on explicit cost rows."""
+    out, read = [], family.block_reader(demand.probs, eps)
     for k in range(0, len(xs), 64):
         rows = [dro.cost_scenario(params, demand, float(x)).costs for x in xs[k : k + 64]]
-        out.extend(family.worst_values(np.array(rows), demand.probs, eps).tolist())
+        out.extend(read(np.array(rows)).tolist())
     return np.array(out)
 
 
@@ -922,8 +947,9 @@ class TestWorstValuesBlocks:
         for demand in self._demands():
             xs = self._orders(demand)
             for family, eps in self.EXACT:
-                got = dro._worst_values(params, demand, family, eps, xs)
-                one = dro._worst_values(params, demand, family, eps, xs[7:8])
+                read = family.block_reader(demand.probs, eps)
+                got = dro._worst_values(params, demand, read, xs)
+                one = dro._worst_values(params, demand, read, xs[7:8])
                 assert got.shape == xs.shape and one.shape == (1,)
                 for x, v in zip(xs[[*range(xs.size), 7]], [*got.tolist(), *one.tolist()]):
                     want = _value(params, demand, family, eps, x)
@@ -941,7 +967,7 @@ class TestWorstValuesBlocks:
         assert str(want.value) == "non-finite cost entries at [3]"
         for family, eps in self.EXACT:
             with pytest.raises(NonFiniteCost) as got:
-                dro._worst_values(PARAMS, demand, family, eps, xs)
+                dro._worst_values(PARAMS, demand, family.block_reader(demand.probs, eps), xs)
             assert str(got.value) == str(want.value)
 
 

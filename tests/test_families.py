@@ -116,6 +116,29 @@ def _blocks():
     return out
 
 
+def _edge_blocks():
+    """(label, cost block, probs) on the edges of the rank-weighted reader: newsvendor rows at
+    s = 0, where every atom above the order ties at (c - r) x, rows of 0.0 and -0.0, n = 1 and
+    2, and a mass of 1e-310, whose budgeted and box tail masses go subnormal past eps 4.5e307."""
+    out = []
+    s0 = dro.NewsvendorParams(r=10, c=2, q=0, s=0)
+    atoms = np.array([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0, 8.0])
+    xs = np.array([0.0, 0.5, 1.0, 3.0, 5.0, 8.0, 9.5, 12.0, 20.0, 30.0])
+    weighted = np.array([1.0, 3.0, 2.0, 0.5, 4.0, 1.5, 2.5, 0.5]) / 15.0
+    signed = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, -1.0], [0.0, -0.0, -0.0, 0.0],
+                       [-0.0, -0.0, 2.0, 0.0], [1.0, 0.0, -0.0, 1.0]])
+    for uniform in (True, False):
+        p = np.full(8, 0.125) if uniform else weighted
+        out.append((f"s=0/uniform={uniform}", dro._cost_rows(s0, wcs.validate(atoms, p), xs), p))
+        p = np.full(4, 0.25) if uniform else np.array([0.1, 0.4, 0.3, 0.2])
+        out.append((f"signed zeros/uniform={uniform}", signed, p))
+        p = np.full(2, 0.5) if uniform else np.array([0.3, 0.7])
+        out.append((f"n=2/uniform={uniform}", np.array([[1.0, 2.0], [2.0, 1.0], [0.0, -0.0], [5.0, 5.0]]), p))
+    out.append(("n=1", np.array([[3.0], [-0.0], [1e300]]), np.array([1.0])))
+    out.append(("subnormal tail", np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1e-310, 1.0 - 1e-310])))
+    return out
+
+
 def _scalar_values(family, block, probs, eps):
     demand = wcs.validate(block[0], probs)
     return [family.worst_case(demand.with_costs(row), eps).value for row in block]
@@ -132,7 +155,16 @@ def _user_phi():
 
 
 class TestWorstValues:
-    """``worst_values`` against ``worst_case(...).value`` row by row."""
+    """Each family's ``block_reader`` against ``worst_case(...).value`` row by row."""
+
+    # eps 60 lies past every budgeted saturation point of _blocks and clamps tv; past 2^53
+    # the budgeted and box levels round to 1, and at 1e308 their tail mass is subnormal
+    EPS = {
+        "budgeted": (0.0, 0.3, 1.0, 60.0, 2.0**60, 1e308),
+        "tv": (0.0, 0.3, 1.0, 60.0),
+        "combo": (0.0, 0.3, 1.0),
+        "box": (0.0, 0.3, 1.0, 60.0, 2.0**60, 1e308),
+    }
 
     @pytest.mark.parametrize(
         "family",
@@ -146,35 +178,41 @@ class TestWorstValues:
         ids=repr,
     )
     def test_piecewise_linear_families_bit_for_bit(self, family):
-        # eps = 60 lies past every budgeted saturation point here and clamps tv
-        eps_list = (0.0, 0.3, 1.0) if family.name == "combo" else (0.0, 0.3, 1.0, 60.0)
-        for label, block, probs in _blocks():
-            for eps in eps_list:
-                got = family.worst_values(block, probs, eps)
-                want = _scalar_values(family, block, probs, eps)
-                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (label, eps)
+        groups: dict[bytes, list] = {}
+        for label, block, probs in [*_blocks(), *_edge_blocks()]:
+            groups.setdefault(probs.tobytes(), []).append((label, block, probs))
+        for group in groups.values():
+            probs = group[0][2]
+            for eps in self.EPS[family.name]:
+                # one reader for every block under these probs, and a fresh one per block
+                read = family.block_reader(probs, eps)
+                for label, block, _ in group:
+                    want = [v.hex() for v in _scalar_values(family, block, probs, eps)]
+                    assert [v.hex() for v in read(block).tolist()] == want, (label, eps)
+                    fresh = family.block_reader(probs, eps)(block)
+                    assert [v.hex() for v in fresh.tolist()] == want, (label, eps)
 
-    def test_no_kernel_is_solved_order_by_order(self):
+    def test_no_kernel_is_solved_order_by_order(self, monkeypatch):
         _, block, probs = _blocks()[1]
         user = wcs.SmoothPhi(wcs.PhiFunction("user", **_user_phi()))
         for fam in (wcs.SmoothPhi(), wcs.SmoothPhi(wcs.KL), user, wcs.PenaltyPhi(), wcs.WassersteinL1()):
-            assert fam.worst_values(block, probs, 0.3) is None
-        # the newsvendor value scan then reads each order's scalar worst case
+            assert fam.block_reader(probs, 0.3) is None
+        # the kink search then reads each order's scalar worst case
         params = dro.NewsvendorParams(r=10, c=2, q=0, s=4)
         demand = wcs.validate([3.0, 8.0, 8.0, 20.0, 1.0, 0.0, 12.0])
-        xs = np.array([0.0, 5.5, 8.0, 25.0])
-        for fam in (user, wcs.WassersteinL1()):
-            want = [fam.worst_case(dro.cost_scenario(params, demand, x), 0.3).value for x in xs]
-            assert dro._worst_values(params, demand, fam, 0.3, xs).tolist() == want
+        scalar, read = wcs.worstcase.worst_case, []
+        monkeypatch.setattr(wcs.worstcase, "worst_case", lambda s, f, e: read.append(s) or scalar(s, f, e))
+        dro._kink_search(params, demand, wcs.WassersteinL1(), 0.3)
+        assert len(read) > 2 and all(s.points is not None for s in read)
         with pytest.raises(TypeError):
-            dro._worst_values(params, demand, wcs.PenaltyPhi(), 0.3, xs)
+            dro._kink_search(params, demand, wcs.PenaltyPhi(), 0.3)
 
     def test_eps_errors_match_the_scalar(self):
         _, block, probs = _blocks()[0]
         for fam, eps in ((wcs.Budgeted(), -1.0), (wcs.TotalVariation(), math.inf),
                          (wcs.Combination(0.5), 1.5), (wcs.SymmetricBox(), -0.1)):
             with pytest.raises(wcs.errors.EpsOutOfRange):
-                fam.worst_values(block, probs, eps)
+                fam.block_reader(probs, eps)
 
 
 class TestSmoothPhiRows:

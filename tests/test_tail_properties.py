@@ -11,7 +11,7 @@ On random scenarios of up to 40 atoms, with costs drawn from a few values
 - worst_q is a distribution to 1e-12, lies in the family's set (to 1e-12)
   and reproduces V;
 - V does not depend on the order of the atoms;
-- the batched ``worst_values`` returns ``.value`` bit for bit;
+- the family's ``block_reader`` returns ``.value`` bit for bit;
 - ``Tail.dot`` is the dense sum of its fill, bit for bit, on any values.
 
 Each example runs with ``riskstats._SAMPLE`` lowered to 2, so scenarios of
@@ -168,7 +168,7 @@ def test_invariant_under_permuting_atoms(family, s, eps, data):
 @windowed
 def test_batched_values_are_the_scalar_values(family, s, eps):
     eps = radius(family, eps)
-    batch = family.worst_values(s.costs[None, :], s.probs, eps)[0]
+    batch = family.block_reader(s.probs, eps)(s.costs[None, :])[0]
     assert batch.hex() == family.worst_case(s, eps).value.hex()
 
 

@@ -453,7 +453,7 @@ class TestBudgeted:
         for s in scenarios:
             for eps in self.ROUNDED_LEVEL_EPS:
                 r = wcs.wc_budgeted(s, eps)
-                batch = wcs.Budgeted().worst_values(s.costs[None, :], s.probs, eps)
+                batch = wcs.Budgeted().block_reader(s.probs, eps)(s.costs[None, :])
                 assert batch[0].hex() == r.value.hex()
                 want = oracle.brute_force_wc(s, polytope=oracle.budgeted_polytope(s, eps))
                 assert abs(r.value - want) <= 1e-12 * max(1.0, abs(want))
@@ -473,7 +473,7 @@ class TestBudgeted:
             ):
                 assert r.value == pytest.approx(want, rel=1e-15, abs=0.0), family.name
                 assert r.worst_q.tolist() == pytest.approx([cap, 1.0 - cap], rel=1e-15, abs=0.0)
-                batch = family.worst_values(np.array([s.costs, s.costs[::-1]]), s.probs, eps)
+                batch = family.block_reader(s.probs, eps)(np.array([s.costs, s.costs[::-1]]))
                 assert batch[0].hex() == r.value.hex()
             assert wcs.wc_budgeted(s, eps).dual.slope == 1e-310 == wcs.budgeted_slope(s, eps)
         # a band whose tail mass (1 - L)/(U - L) ~ 2e-315 rounds off by 5e-10 of itself: the
@@ -571,7 +571,7 @@ class TestBox:
             values = [wcs.wc_box_symmetric(s, nu).value for nu in nus]
             slack = 1e-15 * float(np.max(np.abs(s.costs)))
             assert all(b >= a - slack for a, b in zip(values, values[1:]))
-            batch = [wcs.SymmetricBox().worst_values(s.costs[None, :], s.probs, nu)[0] for nu in nus]
+            batch = [wcs.SymmetricBox().block_reader(s.probs, nu)(s.costs[None, :])[0] for nu in nus]
             assert [v.hex() for v in batch] == [v.hex() for v in values]
 
     def test_bands_below_the_rounded_level_keep_the_cvar_formula(self):
@@ -730,7 +730,7 @@ class TestFamilyInvariants:
         rows = np.array([[0.0546875] * 5, [0.0, 1.0, 2.0, 3.0, 4.0]])
         for eps in (0.0, 0.5):
             if family.piecewise_linear:
-                assert family.worst_values(rows, s.probs, eps)[0] == 0.0546875
+                assert family.block_reader(s.probs, eps)(rows)[0] == 0.0546875
 
 
 def _user_chi2_x2():
