@@ -3,13 +3,11 @@
 A family is one ambiguity set around the nominal probabilities p. Its
 descriptor is the one place that knows the set: its command-line ``name``,
 its ``growth`` rate g (sqrt(eps) for smooth phi-divergence balls, eps
-otherwise), whether it is ``piecewise_linear`` (a maximum over the vertices
-of a polytope that does not depend on the costs), the ``homogeneity`` degree
-of its sensitivity, the closed-form ``sensitivity(s)`` and the exact
-``worst_case(s, eps)``, and ``block_reader(probs, eps)``, which maps an
-(m, n) cost block to each row's value-only V(eps) for the newsvendor kink
-search (None, for smooth phi and Wasserstein, means order by order); to that
-search ``piecewise_linear`` says that V kinks where two cost lines cross.
+otherwise), the ``homogeneity`` degree of its sensitivity, the closed-form
+``sensitivity(s)`` and the exact ``worst_case(s, eps)``, and
+``block_reader(probs, eps)``, which maps an (m, n) cost block to each row's
+value-only V(eps) for the newsvendor kink search (None, for smooth phi and
+Wasserstein, means order by order).
 
 Wasserstein reads the transport geometry a scenario carries besides its
 costs: the support points ``s.points`` and the piecewise-linear cost
@@ -62,7 +60,6 @@ class UncertaintyFamily:
 
     name: ClassVar[str]
     growth: ClassVar[str] = GROWTH_LINEAR
-    piecewise_linear: ClassVar[bool] = False
     homogeneity: ClassVar[float] = 1.0
 
     def block_reader(self, probs: np.ndarray, eps: float):
@@ -109,7 +106,6 @@ class TotalVariation(UncertaintyFamily):
     """{q : sum |q - p| <= eps}."""
 
     name = "tv"
-    piecewise_linear = True
 
     def sensitivity(self, s):
         return tv_sensitivity(s)
@@ -126,7 +122,6 @@ class Budgeted(UncertaintyFamily):
     """Likelihood-ratio cap {q : 0 <= q <= (1 + eps) p}."""
 
     name = "budgeted"
-    piecewise_linear = True
 
     def sensitivity(self, s):
         return budgeted_sensitivity(s)
@@ -145,7 +140,6 @@ class Combination(UncertaintyFamily):
     alpha: float
 
     name = "combo"
-    piecewise_linear = True
 
     def __post_init__(self):
         cvar_level(self.alpha)
@@ -165,7 +159,6 @@ class SymmetricBox(UncertaintyFamily):
     """Likelihood-ratio band {q : p / (1 + nu) <= q <= (1 + nu) p}."""
 
     name = "box"
-    piecewise_linear = True
 
     def sensitivity(self, s):
         return symmetric_box_sensitivity(s)

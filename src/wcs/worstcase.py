@@ -27,7 +27,7 @@ domain edge so q >= 0, where
 6. past the saturation divergence: the point mass on the argmax atoms;
 7. modified chi-square's sorted active set, the costliest atoms keeping mass,
    where an active count passes its test (``_chi2_active_tilt``);
-8. one safeguarded Newton on delta (``_tilt_rows``), with D'(delta) =
+8. one safeguarded Newton on delta (``_tilt`` by ``_newton``), with D'(delta) =
    delta sum p h (g - g_h)^2 for h the slope of [phi']^{-1}; KL takes c in
    closed form, any other phi solves it by the same Newton. No delta found
    raises NoBracket.
@@ -189,6 +189,35 @@ def _unresolved(phi: PhiFunction, eps: float) -> bool:
     return eps < 2.0**-105 * phi.curvature
 
 
+def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
+    """The active count of the modified chi-square tilt on standardised costs sorted
+    descending, or None where no count passes the test.
+
+    With the k costliest atoms active, q_i = p_i (1/P_k + delta (g_i - mu_k))
+    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
+    and the p-weighted sum of squared deviations of the active atoms, from
+    prefix sums. The divergence constraint gives delta^2 W_k = 2 eps - (1 -
+    P_k)/P_k (k = n is the unclamped closed form). The count is the first k
+    whose active tilts are >= 0 and whose next atom's tilt is <= 0.
+    """
+    with np.errstate(all="ignore"):
+        pg = p * g
+        P, S = p.cumsum(), pg.cumsum()
+        mu = S / P
+        W = np.maximum((pg * g).cumsum() - S * mu, 0.0)
+        # the mass left off the prefix, against the total rather than 1
+        slack = 2.0 * eps - (P[-1] - P) / P
+        delta = np.sqrt(slack / W)
+        base = 1.0 / P
+        tol = 1e-12 * (base + delta)
+        # atom k, the cheapest active one, keeps a nonnegative tilt ...
+        ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
+        # ... and atom k + 1 would get a nonpositive one
+        ok[:-1] &= base[:-1] + delta[:-1] * (g[1:] - mu[:-1]) <= tol[:-1]
+    k = int(ok.argmax())
+    return k + 1 if ok[k] else None
+
+
 def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
     """The active count of ``_chi2_prefix``'s test, each prefix measured in its own spread.
 
@@ -258,6 +287,130 @@ def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseRe
     return _tilted(st, srt.unsort(q), delta, (1.0 / mass - 1.0) * spread / delta - mu, eps, spread)
 
 
+_TILT_TOL = 1e-14
+# every solve closes within this many steps: x doubles past _DELTA_CAP or
+# brackets its root, and a bisection from there reaches adjacent doubles
+_NEWTON_STEPS = 4096
+
+
+def _newton(x: float, lo: float, hi: float, at):
+    """The root of a rising residual by safeguarded Newton from x in the bracket [lo, hi].
+
+    at(x) returns the residual at x, its rounding noise, a slope() giving the
+    residual's derivative there, and an output. A step that leaves the
+    bracket bisects it, or doubles x while hi is unbounded. The solve stops
+    when |residual| <= noise, or when the bracket closes to adjacent
+    doubles: x is then exact to its last bit, and the residual is noise.
+    Returns x and the output there, or None once x passes _DELTA_CAP
+    unsolved or the step budget runs out.
+    """
+    for _ in range(_NEWTON_STEPS):
+        resid, noise, slope, out = at(x)
+        if resid < 0.0:
+            lo = x
+        elif resid > 0.0:
+            hi = x
+        if abs(resid) <= noise or not math.nextafter(lo, hi) < hi:
+            return x, out
+        if not x <= _DELTA_CAP:
+            return None
+        step = x - resid / slope()
+        x = step if lo < step < hi else 2.0 * x if math.isinf(hi) else 0.5 * (lo + hi)
+    return None
+
+
+def _kl_moments(g: np.ndarray, probs: np.ndarray, eps: float):
+    """``_newton``'s at for KL's delta: q ~ p exp(delta g) in closed form.
+
+    D(delta) = delta E_q g - log Z with D'(delta) = delta Var_q g and c =
+    -log Z / delta. g has some 0 and is <= 0 elsewhere, so exp(delta g) <= 1
+    cannot overflow and Z stays >= the top atoms' mass. The noise is the
+    rounding of D's two terms.
+    """
+
+    def at(delta):
+        w = probs * np.exp(delta * g)
+        z = w.sum()
+        mean = (w * g).sum() / z
+        first, log_z = delta * mean, np.log(z)
+        noise = _TILT_TOL * eps + 2.0**-51 * (abs(first) + abs(log_z))
+
+        def slope():
+            return delta * ((w * (g - mean) ** 2).sum() / z)
+
+        return first - log_z - eps, noise, slope, -log_z / delta
+
+    return at
+
+
+def _inverse_slope(phi: PhiFunction, zeta: np.ndarray) -> np.ndarray:
+    """Slope of the clamped [phi']^{-1} at zeta: central difference, step 2^-26 (|zeta| + phi''(1))."""
+    step = 2.0**-26 * (np.abs(zeta) + phi.curvature)
+    return (phi.inverse_clamped(zeta + step) - phi.inverse_clamped(zeta - step)) / (2.0 * step)
+
+
+def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float):
+    """``_newton``'s at for the delta of any phi, with z = [phi']^{-1}(delta (g + c)).
+
+    At each delta, c solves sum p z = 1 by the same safeguarded Newton on
+    [0, 1] (g + c is <= 0 at c = 0 and >= 0 at c = 1), with slope delta
+    sum p h, where h is the slope of [phi']^{-1}, to within 2^-52, the
+    rounding of a sum near 1; it starts from the last c, first from -E_p g,
+    the root as delta -> 0. D = sum p phi(z) is summed exactly, and
+    D'(delta) = delta sum p h (g - g_h)^2 with g_h the h-weighted mean of g.
+    h only steers the steps. D rounds by about 2^-51 phi''(1); a stop with D
+    farther from eps than 1e-6 eps plus 8 times that found no tilt in the c
+    bracket (Burg's phi' is bounded above, and past its pole the tilt clamps
+    to 0), and its output is None, as it is where the c solve fails.
+    """
+    c = -(g @ probs)
+
+    def at(delta):
+        nonlocal c
+
+        def mass(shift):
+            zeta = delta * (g + shift)
+            z = phi.inverse_clamped(zeta)
+            return z @ probs - 1.0, 2.0**-52, lambda: delta * (_inverse_slope(phi, zeta) @ probs), z
+
+        def slope():
+            h = probs * _inverse_slope(phi, delta * (g + c))
+            g_h = (h * g).sum() / h.sum()
+            return delta * (h * (g - g_h) ** 2).sum()
+
+        solved = _newton(c, 0.0, 1.0, mass)
+        if solved is None:
+            # a NaN c fails every later c solve at its first step, so no delta is found
+            c = math.nan
+            return math.nan, 0.0, slope, None
+        c, z = solved
+        d = exact_sum(probs, phi.value(z))
+        missed = abs(d - eps) > 1e-6 * eps + 2.0**-48 * phi.curvature
+        return d - eps, _TILT_TOL * eps, slope, None if missed else c
+
+    return at
+
+
+def _tilt(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
+    """(delta, c) of the phi tilt with D(q | p) = eps on standardised costs g, or None.
+
+    Newton on delta (``_newton``) runs from delta = sqrt(2 eps / Var_p g)
+    sqrt(phi''(1)), the small-eps expansion, inside the bracket [0, inf).
+    KL's moments are closed-form (``_kl_moments``), any other phi solves c
+    (``_phi_moments``). None where no delta is found: it passes _DELTA_CAP,
+    the steps run out, D misses eps or the c solve fails.
+    """
+    with np.errstate(all="ignore"):
+        mean = g @ probs
+        delta = np.sqrt(2.0 * eps / (((g - mean) ** 2) @ probs)) * math.sqrt(phi.curvature)
+        # by identity: a user phi may reuse a built-in's name with other math
+        at = _kl_moments(g, probs, eps) if phi is KL else _phi_moments(phi, g, probs, eps)
+        solved = _newton(delta, 0.0, math.inf, at)
+    if solved is None or solved[1] is None:
+        return None
+    return float(solved[0]), float(solved[1])
+
+
 def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     """Exact worst case over the phi-divergence ball of radius eps, by the module's ladder."""
     _check_eps(eps)
@@ -302,11 +455,12 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     solved = _chi2_active_tilt(s, st, eps) if chi2 else None
     if solved is not None:
         return solved
-    vg, delta, c = (float(v[0]) for v in _tilt_rows(st.g[None, :], s.probs, phi, eps))
-    if math.isnan(vg):
+    tilt = _tilt(st.g, s.probs, phi, eps)
+    if tilt is None:
         raise NoBracket(
             f"found no delta in [0, {_DELTA_CAP}] meeting the divergence equation at eps={eps}"
         )
+    delta, c = tilt
     if phi is KL:
         # q = p exp(delta g) / Z, with Z summed exactly
         w = s.probs * np.exp(delta * st.g)
@@ -509,7 +663,6 @@ def wc_box_symmetric(s: Scenario, nu: float) -> WorstCaseResult:
 # A reader is made once per (probs, eps); under uniform p so is w, and a read
 # is one value sort per row and one exact dot, in which tied atoms trade ranks
 # unseen (``riskstats.row_fsums`` is correctly rounded).
-# The smooth-phi row kernels after them serve ``wc_smooth_phi`` on one row.
 
 
 def _rank_reader(probs: np.ndarray, weigh, keep=None, move=None):
@@ -571,178 +724,6 @@ def tv_reader(probs: np.ndarray, eps: float):
         return pr
 
     return _rank_reader(probs, weigh)
-
-
-def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
-    """The active count of the modified chi-square tilt on standardised costs sorted
-    descending, or None where no count passes the test.
-
-    With the k costliest atoms active, q_i = p_i (1/P_k + delta (g_i - mu_k))
-    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
-    and the p-weighted sum of squared deviations of the active atoms, from
-    prefix sums. The divergence constraint gives delta^2 W_k = 2 eps - (1 -
-    P_k)/P_k (k = n is the unclamped closed form). The count is the first k
-    whose active tilts are >= 0 and whose next atom's tilt is <= 0.
-    """
-    with np.errstate(all="ignore"):
-        pg = p * g
-        P, S = p.cumsum(), pg.cumsum()
-        mu = S / P
-        W = np.maximum((pg * g).cumsum() - S * mu, 0.0)
-        # the mass left off the prefix, against the total rather than 1
-        slack = 2.0 * eps - (P[-1] - P) / P
-        delta = np.sqrt(slack / W)
-        base = 1.0 / P
-        tol = 1e-12 * (base + delta)
-        # atom k, the cheapest active one, keeps a nonnegative tilt ...
-        ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
-        # ... and atom k + 1 would get a nonpositive one
-        ok[:-1] &= base[:-1] + delta[:-1] * (g[1:] - mu[:-1]) <= tol[:-1]
-    k = int(ok.argmax())
-    return k + 1 if ok[k] else None
-
-
-_TILT_TOL = 1e-14
-# every row closes within this many steps: delta doubles past _DELTA_CAP or
-# brackets its root, and a bisection from there reaches adjacent doubles
-_NEWTON_STEPS = 4096
-
-
-def _kept(keep: np.ndarray, *arrays):
-    """Each array's kept rows; the arrays themselves, uncopied, when every row is kept."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
-def _newton_rows(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, at) -> list[np.ndarray]:
-    """Per-row roots of a rising residual by safeguarded Newton from x in the brackets [lo, hi].
-
-    at(rows, x) returns, for those rows of the block at x, the residual,
-    its rounding noise, a slope(keep) giving the residual's derivative on
-    the rows kept, and a tuple of per-row outputs. A step that leaves the
-    bracket bisects it, or doubles x while hi is unbounded. A row stops
-    when |residual| <= noise, or when its bracket closes to adjacent
-    doubles: x is then exact to its last bit, and the residual is noise.
-    Returns x and the outputs of each row where it stopped; a row whose x
-    passed _DELTA_CAP unsolved is NaN.
-    """
-    n, rows, result = x.size, np.arange(x.size), None
-    for _ in range(_NEWTON_STEPS):
-        # while every row is open, a slice: at's gathers are then views
-        resid, noise, slope, outs = at(rows if rows.size < n else slice(None), x)
-        if result is None:
-            result = [np.full(np.shape(a), np.nan) for a in (x, *outs)]
-        lo = np.where(resid < 0.0, x, lo)
-        hi = np.where(resid > 0.0, x, hi)
-        stop = (np.abs(resid) <= noise) | ~(np.nextafter(lo, hi) < hi)
-        for out, a in zip(result, (x, *outs)):
-            out[rows[stop]] = a[stop]
-        keep = ~stop & (x <= _DELTA_CAP)
-        if not keep.any():
-            break
-        rows, x, lo, hi, resid = _kept(keep, rows, x, lo, hi, resid)
-        step = x - resid / slope(keep)
-        fallback = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))
-        x = np.where((lo < step) & (step < hi), step, fallback)
-    return result
-
-
-def _kl_moments(g: np.ndarray, probs: np.ndarray, eps: float):
-    """``_newton_rows``' at for KL's delta: q ~ p exp(delta g) in closed form.
-
-    D(delta) = delta E_q g - log Z with D'(delta) = delta Var_q g and c =
-    -log Z / delta. Every row has some g = 0 and g <= 0 elsewhere, so
-    exp(delta g) <= 1 cannot overflow and Z stays >= the top atoms' mass.
-    The noise is the rounding of D's two terms.
-    """
-
-    def at(rows, delta):
-        gr = g[rows]
-        w = probs * np.exp(delta[:, None] * gr)
-        z = w.sum(axis=1)
-        mean = (w * gr).sum(axis=1) / z
-        first, log_z = delta * mean, np.log(z)
-        noise = _TILT_TOL * eps + 2.0**-51 * (np.abs(first) + np.abs(log_z))
-
-        def slope(keep):
-            wk, gk, mk, zk, dk = _kept(keep, w, gr, mean, z, delta)
-            return dk * ((wk * (gk - mk[:, None]) ** 2).sum(axis=1) / zk)
-
-        return first - log_z - eps, noise, slope, (mean, -log_z / delta)
-
-    return at
-
-
-def _inverse_slope(phi: PhiFunction, zeta: np.ndarray) -> np.ndarray:
-    """Slope of the clamped [phi']^{-1} at zeta: central difference, step 2^-26 (|zeta| + phi''(1))."""
-    step = 2.0**-26 * (np.abs(zeta) + phi.curvature)
-    return (phi.inverse_clamped(zeta + step) - phi.inverse_clamped(zeta - step)) / (2.0 * step)
-
-
-def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float):
-    """``_newton_rows``' at for the delta of any phi, with z = [phi']^{-1}(delta (g + c)).
-
-    At each delta, c solves sum p z = 1 by the same safeguarded Newton on
-    [0, 1] (g + c is <= 0 at c = 0 and >= 0 at c = 1), with slope delta
-    sum p h, where h is the slope of [phi']^{-1}, to within 2^-52, the
-    rounding of a sum near 1; each row starts from its last c, first from
-    -E_p g, the root as delta -> 0. D = sum p phi(z) is
-    summed exactly per row, and D'(delta) = delta sum p h (g - g_h)^2 with
-    g_h the h-weighted mean of g. h only steers the steps. D rounds by about
-    2^-51 phi''(1); a row that stops with D farther from eps than 1e-6 eps
-    plus 8 times that found no tilt in the c bracket (Burg's phi' is bounded
-    above, and past its pole the tilt clamps to 0), and its E_q g is NaN.
-    """
-    c_last = -(g @ probs)
-
-    def at(rows, delta):
-        gr = g[rows]
-
-        def mass(sub, c):
-            dc, gc = delta[sub], gr[sub]
-            zeta = dc[:, None] * (gc + c[:, None])
-            z = phi.inverse_clamped(zeta)
-            total = z @ probs
-
-            def slope(keep):
-                dk, zk = _kept(keep, dc, zeta)
-                return dk * (_inverse_slope(phi, zk) @ probs)
-
-            return total - 1.0, 2.0**-52, slope, (z,)
-
-        c, z = _newton_rows(c_last[rows], np.zeros(delta.size), np.ones(delta.size), mass)
-        c_last[rows] = c
-        d = np.array([exact_sum(probs, v) for v in phi.value(z)])
-
-        def slope(keep):
-            dk, gk, ck = _kept(keep, delta, gr, c)
-            h = probs * _inverse_slope(phi, dk[:, None] * (gk + ck[:, None]))
-            g_h = (h * gk).sum(axis=1) / h.sum(axis=1)
-            return dk * (h * (gk - g_h[:, None]) ** 2).sum(axis=1)
-
-        mean = (probs * z * gr).sum(axis=1)
-        missed = np.abs(d - eps) > 1e-6 * eps + 2.0**-48 * phi.curvature
-        return d - eps, _TILT_TOL * eps, slope, (np.where(missed, np.nan, mean), c)
-
-    return at
-
-
-def _tilt_rows(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
-    """(E_q g, delta, c) of the phi tilt with D(q | p) = eps, per row of standardised costs g.
-
-    Newton on delta (``_newton_rows``) runs across all rows from delta =
-    sqrt(2 eps / Var_p g) sqrt(phi''(1)), the small-eps expansion, inside a
-    per-row bracket [0, inf); a row whose delta passes _DELTA_CAP is NaN.
-    KL's moments are closed-form (``_kl_moments``), any other phi's solve c
-    per row (``_phi_moments``), whose E_q g is also NaN where D misses eps.
-    """
-    with np.errstate(all="ignore"):
-        mean = g @ probs
-        delta = np.sqrt(2.0 * eps / (((g - mean[:, None]) ** 2) @ probs)) * math.sqrt(phi.curvature)
-        # by identity: a user phi may reuse a built-in's name with other math
-        at = _kl_moments(g, probs, eps) if phi is KL else _phi_moments(phi, g, probs, eps)
-        lo, hi = np.zeros(delta.size), np.full(delta.size, np.inf)
-        delta, mean, c = _newton_rows(delta, lo, hi, at)
-    return mean, delta, c
 
 
 # ---------------------------------------------------------------------------

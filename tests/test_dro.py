@@ -174,7 +174,7 @@ def _reference_scan(params, demand, family, eps):
     atoms = np.unique(demand.costs)
     hi = 1.5 * float(np.max(atoms))
     cands = set(np.linspace(0.0, hi, 400).tolist()) | set(atoms.tolist())
-    if family.piecewise_linear and atoms.size <= 200:
+    if family.block_reader(demand.probs, eps) is not None and atoms.size <= 200:
         r, q, s = params.r, params.q, params.s
         for i in range(atoms.size):
             for j in range(i + 1, atoms.size):
@@ -231,7 +231,7 @@ class TestBatchedScan:
             sol = dro.dro_newsvendor(params, demand, family, eps)
             x_ref, v_ref = _reference_scan(params, demand, family, eps)
             assert sol.worst_case.value <= v_ref + 1e-12 * (1.0 + abs(v_ref)), n
-            if not family.piecewise_linear:
+            if family.block_reader(demand.probs, eps) is None:
                 _check_certificate(params, demand, family, eps, sol, np.random.default_rng(n))
                 continue
             atoms = np.unique(demand.costs)

@@ -45,7 +45,7 @@ class TestRegistry:
 class TestDescriptors:
     def test_attributes(self):
         table = {
-            # name: (growth, piecewise_linear, homogeneity)
+            # name: (growth, has a block reader, homogeneity)
             "phi": ("sqrt", False, 1.0),
             "penalty-phi": ("linear", False, 2.0),
             "tv": ("linear", True, 1.0),
@@ -54,9 +54,10 @@ class TestDescriptors:
             "box": ("linear", True, 1.0),
             "wasserstein": ("linear", False, 1.0),
         }
-        for name, (growth, pl, degree) in table.items():
+        for name, (growth, blocks, degree) in table.items():
             fam = wcs.build_family(name)
-            assert (fam.growth, fam.piecewise_linear, fam.homogeneity) == (growth, pl, degree)
+            has_blocks = fam.block_reader(np.full(3, 1.0 / 3.0), 0.1) is not None
+            assert (fam.growth, has_blocks, fam.homogeneity) == (growth, blocks, degree)
 
     def test_methods_match_the_per_family_functions(self):
         s = scenario()

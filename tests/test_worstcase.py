@@ -9,7 +9,7 @@ import wcs
 from wcs import oracle
 from wcs.errors import EpsOutOfRange
 from wcs.rng import SplitMix64
-from wcs.worstcase import _strip_cheapest
+from wcs.worstcase import _DELTA_CAP, _NEWTON_STEPS, _newton, _strip_cheapest
 
 ALL_SCENARIO_FAMILIES = [
     wcs.SmoothPhi(wcs.MODIFIED_CHI2),
@@ -234,6 +234,25 @@ class TestSmoothPhi:
             with pytest.raises(NoBracket):
                 wcs.wc_smooth_phi(s, burg, eps)
 
+    def test_an_inverse_that_is_nan_past_its_pole_raises_no_bracket(self):
+        # Hellinger's phi' = 2 - 2 / sqrt(z) stays below 2, and this [phi']^{-1} is NaN
+        # past 2: at eps 0.8 the c solve finds no root, which raises NoBracket
+        from wcs.core import PhiFunction
+        from wcs.errors import NoBracket
+
+        hellinger = PhiFunction(
+            name="hellinger",
+            value=lambda z: 2.0 * (np.sqrt(np.asarray(z, dtype=float)) - 1.0) ** 2,
+            inv_deriv=lambda zeta: 1.0 / np.sqrt(1.0 - 0.5 * np.asarray(zeta, dtype=float)) ** 4,
+            zeta_floor=-math.inf,
+            curvature=1.0,
+        )
+        s = wcs.validate([-87.0, -45.0, 47.5], [0.18, 0.64, 0.18])
+        r = wcs.wc_smooth_phi(s, hellinger, 0.1)
+        assert abs(hellinger.divergence(r.worst_q, s.probs) - 0.1) <= 1e-12 * 0.1
+        with pytest.raises(NoBracket):
+            wcs.wc_smooth_phi(s, hellinger, 0.8)
+
     def test_single_atom_scenarios(self):
         s = wcs.validate([5.0])
         for fam in ALL_SCENARIO_FAMILIES:
@@ -263,9 +282,9 @@ class TestSmoothPhi:
             cases.append((s, kl_eps, kl, chi2_eps, chi2))
 
         calls = []
-        real = worstcase._tilt_rows
+        real = worstcase._tilt
         monkeypatch.setattr(
-            worstcase, "_tilt_rows", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
+            worstcase, "_tilt", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
         )
         monkeypatch.setattr(worstcase, "_chi2_active_tilt", lambda s, st, eps: None)
         user_kl = dataclasses.replace(wcs.KL, name="kl-as-user")
@@ -729,12 +748,12 @@ class TestFamilyInvariants:
         assert wcs.worst_case(s, family, 0.5).value == 0.0546875
         rows = np.array([[0.0546875] * 5, [0.0, 1.0, 2.0, 3.0, 4.0]])
         for eps in (0.0, 0.5):
-            if family.piecewise_linear:
-                assert family.block_reader(s.probs, eps)(rows)[0] == 0.0546875
+            if (read := family.block_reader(s.probs, eps)) is not None:
+                assert read(rows)[0] == 0.0546875
 
 
 def _user_chi2_x2():
-    """phi(z) = (z - 1)^2: not a built-in object, so c is solved per row by Newton."""
+    """phi(z) = (z - 1)^2: not a built-in object, so c is solved by Newton."""
     from wcs.core import PhiFunction
 
     return PhiFunction(
@@ -853,9 +872,9 @@ class TestScaleFreeSmoothPhi:
         from wcs import worstcase
 
         calls = []
-        real = worstcase._tilt_rows
+        real = worstcase._tilt
         monkeypatch.setattr(
-            worstcase, "_tilt_rows", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
+            worstcase, "_tilt", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
         )
         s = wcs.validate([1, 5, 3], [0.2, 0.3, 0.5])
         clamped = wcs.wc_chi2(s, 0.3)
@@ -890,3 +909,50 @@ class TestScaleFreeSmoothPhi:
             assert np.allclose(r.worst_q, chi2.worst_q, rtol=0.0, atol=1e-12)
             assert r.dual.delta == pytest.approx(2.0 * K * chi2.dual.delta, rel=1e-12)
             assert abs(tiny.divergence(r.worst_q, s.probs) - 2.0 * K * eps) <= 1e-12 * 2.0 * K * eps
+
+
+def _residual(f, slope, noise=0.0):
+    """An at for ``_newton``: residual f(x), slope(x), and x itself as the output."""
+    seen = []
+
+    def at(x):
+        seen.append(x)
+        return f(x), noise, lambda: slope(x), x
+
+    return at, seen
+
+
+class TestNewton:
+    def test_a_rising_residual_is_solved_to_within_its_noise(self):
+        at, _ = _residual(lambda x: x * x - 2.0, lambda x: 2.0 * x, noise=1e-12)
+        x, out = _newton(1.0, 0.0, math.inf, at)
+        assert abs(x * x - 2.0) <= 1e-12 and out == x
+
+    def test_with_no_noise_it_stops_where_the_bracket_closes_to_adjacent_doubles(self):
+        # x^2 - 2 is 0 at no double: the solve ends between the two around sqrt(2)
+        at, seen = _residual(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+        x, _ = _newton(1.0, 0.0, 2.0, at)
+        lo = max(v for v in seen if v * v < 2.0)
+        hi = min(v for v in seen if v * v > 2.0)
+        assert math.nextafter(lo, hi) == hi and x in (lo, hi)
+
+    def test_a_residual_that_stays_negative_gives_none_past_the_cap(self):
+        # a slope pointing the wrong way sends every step out of the bracket, so x doubles
+        at, seen = _residual(lambda x: -1.0, lambda x: -1.0)
+        assert _newton(1.0, 0.0, math.inf, at) is None
+        assert seen[-1] > _DELTA_CAP >= seen[-2] and len(seen) < _NEWTON_STEPS
+
+    @pytest.mark.parametrize(
+        "x, hi, nan_at, path",
+        [
+            # NaN below 4 doubles x while hi is unbounded ...
+            (1.0, math.inf, lambda x: x < 4.0, [1.0, 2.0, 4.0, 10.0]),
+            # ... and NaN above 5 bisects the bracket [0, 8]
+            (6.0, 8.0, lambda x: x > 5.0, [6.0, 4.0, 3.0]),
+        ],
+    )
+    def test_a_nan_residual_doubles_or_bisects_instead_of_stopping(self, x, hi, nan_at, path):
+        root = path[-1]
+        at, seen = _residual(lambda x: math.nan if nan_at(x) else x - root, lambda x: 1.0)
+        assert _newton(x, 0.0, hi, at) == (root, root)
+        assert seen == path
