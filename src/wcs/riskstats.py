@@ -10,10 +10,13 @@ The rank-dependent quantities (CVaR, its maximizer, VaR, the CVaR
 deviation) need only the atoms ranked before one weighted quantile, in any
 order, and the order inside a window around it: a selection, not a sort
 (``select_tail``). A strided sample of about ``_SAMPLE`` atoms brackets the
-window, and exact sums check that it holds the boundary; a boundary outside
-it widens it, up to every atom, which is also the window whenever n is
-below 2 ``_SAMPLE``. Only the window is sorted, and only its arithmetic
-depends on order, so every result equals the full sort's bit for bit.
+window: it estimates the boundary's rank, and the window spans ``_Z``
+standard errors of that estimate, read off the sample itself, plus
+``_FLOOR`` sample ranks on each side. Exact sums check that it holds the
+boundary; a boundary outside it widens it, up to every atom, which is also
+the window whenever n is below 2 ``_SAMPLE``. Only the window is sorted, and
+only its arithmetic depends on order, so every result equals the full sort's
+bit for bit.
 The CVaR fill of tail mass beta = 1 - alpha is the greedy fill of p / beta
 up to mass 1 (a box or budgeted set whose level rounds to 1 gives beta
 itself, scaled by a power of two below 2^-1022: ``_fill_caps``). The
@@ -46,6 +49,9 @@ from .errors import InvalidCvarLevel, KappaOutOfRange
 
 # atoms in the sample that brackets a window; below twice this n the window is every atom
 _SAMPLE = 8192
+# the first window's margin: _Z standard errors of the estimated boundary rank, plus _FLOOR ranks
+_Z = 2.0
+_FLOOR = 8
 
 _T = TypeVar("_T")
 _NO_HEAD = np.empty(0, dtype=np.intp)
@@ -251,22 +257,31 @@ def _whole(order: np.ndarray) -> Split:
     return Split(_NO_HEAD, np.zeros(order.size, dtype=bool), order, True)
 
 
-def _split(costs: np.ndarray, weights: np.ndarray, target: float, margin: int, through_end: bool) -> Split:
-    """The split whose window spans margin sample ranks on each side of the estimated boundary.
+def _split(costs: np.ndarray, weights: np.ndarray, target: float, widen: int, through_end: bool) -> Split:
+    """The split whose window spans widen first margins of sample ranks on each side of the estimated boundary.
 
     The sample is every stride-th atom; its costs sorted descending and its
     cumulative weight, scaled to the total weight, estimate the rank at
-    which the mass before it reaches target. The window's cost range runs
-    between the sample costs margin ranks above and below (to the cheapest
-    atom if through_end), ties included, so it is a block of whole ranks.
+    which the mass before it reaches target. That rank errs by about
+    sqrt(S F (1 - F)) sample ranks, S the sample size and F target's share
+    of the total, clipped to [0, 1], times the sampled weights' design
+    effect sqrt(mean w^2) / mean w; the first margin is ``_Z`` of these
+    errors plus ``_FLOOR`` ranks. The window's cost range runs between the
+    sample costs widen margins above and below (to the cheapest atom if
+    through_end), ties included, so it is a block of whole ranks.
     """
     stride = costs.size // _SAMPLE
     if stride < 2:
         return _whole(desc_order(costs)[0])
-    sample = costs[::stride]
+    sample, w = costs[::stride], weights[::stride]
     order = np.argsort(-sample)
-    cum = np.cumsum(weights[::stride][order])
-    cum *= np.sum(weights) / cum[-1]
+    cum = np.cumsum(w[order])
+    total = np.sum(weights)
+    share = min(max(target / total, 0.0), 1.0)
+    u = w / cum[-1]  # S sum u^2 is the design effect squared; u <= 1, so u^2 does not overflow
+    error = sample.size * math.sqrt(share * (1.0 - share) * float(u @ u))
+    margin = widen * (math.ceil(_Z * error) + _FLOOR)
+    cum *= total / cum[-1]
     r = int(np.searchsorted(cum, target))
     above, below = r - margin, r + margin
     top = float(sample[order[above]]) if above >= 0 else math.inf
@@ -287,19 +302,19 @@ def select(
 ) -> _T:
     """attempt(split) on ever wider splits around the boundary of weights at target.
 
-    The first split keeps 1/32 of the sample ranks on each side of the
-    estimate, each widening 4x as many, and the last one is every atom,
-    where attempt must succeed.
+    The first split's margin comes from the sample's own error
+    (``_split``), each widening spans 4x as many sample ranks, and the
+    last one is every atom, where attempt must succeed.
     """
-    margin = max(1, _SAMPLE // 32)
+    widen = 1
     while True:
-        split = _split(costs, weights, target, margin, through_end)
+        split = _split(costs, weights, target, widen, through_end)
         found = attempt(split)
         if found is not None:
             return found
         if split.window.size == costs.size:
             raise AssertionError("the boundary lies outside the whole order")
-        margin *= 4
+        widen *= 4
 
 
 def select_tail(costs: np.ndarray, weights: np.ndarray, target: float, strict: bool = False) -> Tail:

@@ -115,6 +115,8 @@ class WorstCaseResult:
 def _clip_q(q: np.ndarray) -> np.ndarray:
     if np.min(q) < -1e-12:
         raise AssertionError(f"worst-case mass went negative: min q = {np.min(q)}")
+    # a copy even where no mass is negative: returning q itself then gives the same bits,
+    # but measured on the n = 1e6 solvers it raised peak resident memory by about 5%
     return np.where(q < 0.0, 0.0, q)
 
 
