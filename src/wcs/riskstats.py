@@ -12,9 +12,9 @@ order, and the order inside a window around it: a selection, not a sort
 (``select_tail``). A strided sample of about ``_SAMPLE`` atoms brackets the
 window: it estimates the boundary's rank, and the window spans ``_Z``
 standard errors of that estimate, read off the sample itself, plus
-``_FLOOR`` sample ranks on each side. Exact sums check that it holds the
-boundary; a boundary outside it widens it, up to every atom, which is also
-the window whenever n is below 2 ``_SAMPLE``. Only the window is sorted, and
+``_SAMPLE // 1024`` sample ranks on each side. Exact sums check that it
+holds the boundary; a boundary outside it widens it, up to every atom,
+which is also the window whenever n is below 2 ``_SAMPLE``. Only the window is sorted, and
 only its arithmetic depends on order, so every result equals the full sort's
 bit for bit.
 The CVaR fill of tail mass beta = 1 - alpha is the greedy fill of p / beta
@@ -49,9 +49,8 @@ from .errors import InvalidCvarLevel, KappaOutOfRange
 
 # atoms in the sample that brackets a window; below twice this n the window is every atom
 _SAMPLE = 8192
-# the first window's margin: _Z standard errors of the estimated boundary rank, plus _FLOOR ranks
+# the first window's margin: _Z standard errors of the estimated boundary rank, plus 1/1024 of the sample
 _Z = 2.0
-_FLOOR = 8
 
 _T = TypeVar("_T")
 _NO_HEAD = np.empty(0, dtype=np.intp)
@@ -266,9 +265,10 @@ def _split(costs: np.ndarray, weights: np.ndarray, target: float, widen: int, th
     sqrt(S F (1 - F)) sample ranks, S the sample size and F target's share
     of the total, clipped to [0, 1], times the sampled weights' design
     effect sqrt(mean w^2) / mean w; the first margin is ``_Z`` of these
-    errors plus ``_FLOOR`` ranks. The window's cost range runs between the
-    sample costs widen margins above and below (to the cheapest atom if
-    through_end), ties included, so it is a block of whole ranks.
+    errors plus ``_SAMPLE // 1024`` ranks, and at least one rank. The
+    window's cost range runs between the sample costs widen margins above
+    and below (to the cheapest atom if through_end), ties included, so it
+    is a block of whole ranks.
     """
     stride = costs.size // _SAMPLE
     if stride < 2:
@@ -280,7 +280,7 @@ def _split(costs: np.ndarray, weights: np.ndarray, target: float, widen: int, th
     share = min(max(target / total, 0.0), 1.0)
     u = w / cum[-1]  # S sum u^2 is the design effect squared; u <= 1, so u^2 does not overflow
     error = sample.size * math.sqrt(share * (1.0 - share) * float(u @ u))
-    margin = widen * (math.ceil(_Z * error) + _FLOOR)
+    margin = widen * max(1, math.ceil(_Z * error) + _SAMPLE // 1024)
     cum *= total / cum[-1]
     r = int(np.searchsorted(cum, target))
     above, below = r - margin, r + margin

@@ -14,10 +14,12 @@ On random scenarios of up to 40 atoms, with costs drawn from a few values
 - the family's ``block_reader`` returns ``.value`` bit for bit;
 - ``Tail.dot`` is the dense sum of its fill, bit for bit, on any values.
 
-Each example runs with ``riskstats._SAMPLE`` lowered to 2, so scenarios of
-4 atoms and more go through the sampled window and its widening rather
-than a sort of every atom, and with ``riskstats.EXACT_SUM_CUTOFF`` lowered
-to 0, so ``Tail.dot`` sums the fill's support instead of the dense fill.
+Each example runs with ``riskstats._SAMPLE`` lowered to 2 and the window's
+margin ``riskstats._Z`` to half a standard error, so scenarios of 4 atoms
+and more go through the sampled window, the head ranked before it and the
+window's widening rather than a sort of every atom (a check counts that
+they do), and with ``riskstats.EXACT_SUM_CUTOFF`` lowered to 0, so
+``Tail.dot`` sums the fill's support instead of the dense fill.
 Examples are derandomized, so every run checks the same cases. A
 deterministic case pins the zero-total fallback, and one at n = 1e5 (a
 real head and window, summed in bins) compares every CVaR-type value with
@@ -62,12 +64,18 @@ def radius(family, eps: float) -> float:
 
 
 def windowed(test):
-    """Run the test with a two-atom sample, so small scenarios take the window path and sum their support."""
+    """Run the test with a two-atom sample and a narrow margin, so small scenarios take the window path.
+
+    At two standard errors a sample of 2 or 3 atoms would put every atom in
+    most first windows; half of one leaves a head and makes some miss. The
+    zero cutoff makes ``Tail.dot`` sum the fill's support.
+    """
 
     @functools.wraps(test)
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(riskstats, "_SAMPLE", 2)
+            mp.setattr(riskstats, "_Z", 0.5)
             mp.setattr(riskstats, "EXACT_SUM_CUTOFF", 0)
             test(*args, **kwargs)
 
@@ -190,6 +198,31 @@ def test_tail_dot_is_the_dense_sum_of_its_fill(s, level, strict, data):
     else:
         tail = riskstats.select_tail(s.costs, s.probs / (1.0 - level), 1.0)
     assert repr(tail.dot(values)) == repr(exact_sum(tail.fill() * values))
+
+
+def test_windowed_examples_split_off_a_head_and_widen():
+    """Windowed examples rank a head before the window and widen a window that misses, so the properties test both."""
+    seen = {"head": 0, "widened": 0}
+    split = riskstats._split
+
+    @PROPERTY_SETTINGS
+    @given(family=families, s=scenarios(), eps=st.floats(0.0, 4.0))
+    @windowed
+    def run(family, s, eps):
+        splits = []
+
+        def spy(costs, weights, target, widen, through_end):
+            splits.append((widen, split(costs, weights, target, widen, through_end)))
+            return splits[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(riskstats, "_split", spy)
+            family.worst_case(s, radius(family, eps))
+        seen["head"] += any(found.head.size for _, found in splits)
+        seen["widened"] += any(widen > 1 for widen, _ in splits)
+
+    run()
+    assert seen["head"] >= 5 and seen["widened"] >= 5, seen
 
 
 @pytest.mark.parametrize("cutoff", [0, None])
