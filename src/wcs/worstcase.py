@@ -23,14 +23,16 @@ domain edge so q >= 0, where
 2. constant costs: degenerate, V the common cost;
 3. eps = 0 or too small to move V off E_p f (``_unresolved``): q = p;
 4. standardise f to g;
-5. modified chi-square's closed form, unsorted, while the cheapest atom's tilt is >= 0;
+5. modified chi-square with every atom active, unsorted, while the cheapest atom's
+   tilt is >= 0: the all-atom piece of its one-dimensional dual (``_chi2_piece``);
 6. past the saturation divergence: the point mass on the argmax atoms;
-7. modified chi-square's sorted active set, the costliest atoms keeping mass,
-   where an active count passes its test (``_chi2_active_tilt``);
-8. one safeguarded Newton on delta (``_tilt`` by ``_newton``), with D'(delta) =
-   delta sum p h (g - g_h)^2 for h the slope of [phi']^{-1}; KL takes c in
-   closed form, any other phi solves it by the same Newton. No delta found
-   raises NoBracket.
+7. modified chi-square, sorted once: the costliest atoms keep mass, their count
+   proposed by prefix sums and certified by its piece's root (``_chi2_dual``).
+   Below saturation this always returns;
+8. any other phi: one safeguarded Newton on delta (``_tilt`` by ``_newton``),
+   with D'(delta) = delta sum p h (g - g_h)^2 for h the slope of [phi']^{-1};
+   KL takes c in closed form, any other phi solves it by the same Newton. No
+   delta found raises NoBracket.
 
 The block readers (``*_reader``) return V(eps) for each row of a cost block
 for the piecewise-linear families, by one rank-weighted kernel. The built-in
@@ -191,102 +193,83 @@ def _unresolved(phi: PhiFunction, eps: float) -> bool:
     return eps < 2.0**-105 * phi.curvature
 
 
-def _chi2_prefix(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
-    """The active count of the modified chi-square tilt on standardised costs sorted
-    descending, or None where no count passes the test.
+def _chi2_piece(g: np.ndarray, p: np.ndarray, k: int, floor: float, eps: float):
+    """Modified chi-square's dual on the piece where the atoms g[:k] are active, floor their
+    cheapest cost and p[k:] the mass of the rest.
 
-    With the k costliest atoms active, q_i = p_i (1/P_k + delta (g_i - mu_k))
-    on them and 0 elsewhere, where P_k, mu_k and W_k are the mass, the mean
-    and the p-weighted sum of squared deviations of the active atoms, from
-    prefix sums. The divergence constraint gives delta^2 W_k = 2 eps - (1 -
-    P_k)/P_k (k = n is the unclamped closed form). The count is the first k
-    whose active tilts are >= 0 and whose next atom's tilt is <= 0.
+    sup E_q g = inf_eta eta + r ||(g - eta)_+||_{2,p} for r^2 = 1 + 2 eps, with q = p (g -
+    eta)_+ / A and A = E_p (g - eta)_+ (Ben-Tal et al. 2013; Duchi & Namkoong 2021). On the
+    piece, eta = floor - spread t for the spread = -floor of the active costs, and r^2 A^2 =
+    E_p (g - eta)_+^2 is a quadratic in t: its root is t = sqrt(W / slack) / P - mu, where P,
+    mu and W are the active atoms' mass, mean offset and squared deviation in spread units,
+    summed exactly, two-pass, and slack = 2 eps - (mass of the rest) / P. Every offset is >= 0
+    and no square underflows. Returns t, inf where the piece has no root, and tilt(t): q on
+    the active atoms, delta = 1 / A and c = -eta - A, both in the spread's units.
     """
-    with np.errstate(all="ignore"):
-        pg = p * g
-        P, S = p.cumsum(), pg.cumsum()
-        mu = S / P
-        W = np.maximum((pg * g).cumsum() - S * mu, 0.0)
-        # the mass left off the prefix, against the total rather than 1
-        slack = 2.0 * eps - (P[-1] - P) / P
-        delta = np.sqrt(slack / W)
-        base = 1.0 / P
-        tol = 1e-12 * (base + delta)
-        # atom k, the cheapest active one, keeps a nonnegative tilt ...
-        ok = np.isfinite(delta) & (base + delta * (g - mu) >= -tol)
-        # ... and atom k + 1 would get a nonpositive one
-        ok[:-1] &= base[:-1] + delta[:-1] * (g[1:] - mu[:-1]) <= tol[:-1]
-    k = int(ok.argmax())
-    return k + 1 if ok[k] else None
+    spread = -floor
+    pa = p[:k]
+    base = (g[:k] - floor) / spread
+    total = exact_sum(pa)
+    mu = exact_sum(pa, base) / total
+    dev = base - mu
+    dev *= dev
+    slack = 2.0 * eps - exact_sum(p[k:]) / total
+    root = math.sqrt(exact_sum(pa, dev) / slack) / total - mu if slack > 0.0 else math.inf
+
+    def tilt(t):
+        a = total * (mu + t)
+        return pa * (base + t) / a, 1.0 / a, spread * (1.0 + t - a)
+
+    return root, tilt
 
 
-def _chi2_spread_count(g: np.ndarray, p: np.ndarray, eps: float) -> int | None:
-    """The active count of ``_chi2_prefix``'s test, each prefix measured in its own spread.
+def _chi2_count(g: np.ndarray, p: np.ndarray, eps: float) -> int:
+    """The active count prefix sums propose on standardised costs sorted descending: the
+    atoms j with h'(g_j) > 0 for the dual h of ``_chi2_piece``.
 
-    The batch test squares g, so where the k + 1 costliest atoms span less
-    than about 1e-154 of the range, W_k underflows and no k passes. Here a
-    Welford update keeps W_k / s_k^2 for the prefix spread s_k = -g_k,
-    rescaled as s_k grows, and the test runs in units of s_k. One Python
-    pass over the atoms; only rows the batch test leaves open come here.
+    h is convex, with h'(g_j) = 1 - r A_j / sqrt(B_j), A_j and B_j the sums of p_i (g_i -
+    g_j) and p_i (g_i - g_j)^2 over the atoms above j. Each grows from the last by terms >=
+    0, so no prefix sum cancels. The top atoms (g = 0) count: there h' tends to 1 - r
+    sqrt(their mass), > 0 below saturation.
     """
-    gl, pl = g.tolist(), p.tolist()
-    total = math.fsum(pl)
-    mass = mean = w = spread = 0.0
-    for k, (gk, pk) in enumerate(zip(gl, pl)):
-        if -gk > spread:
-            ratio = spread / -gk
-            w *= ratio * ratio
-            spread = -gk
-        d = gk - mean
-        mass += pk
-        mean += pk * d / mass
-        if spread == 0.0:
-            continue
-        w += pk * (d / spread) * ((gk - mean) / spread)
-        slack = 2.0 * eps - (total - mass) / mass
-        if not (slack > 0.0 and w > 0.0):
-            continue
-        delta, base = math.sqrt(slack / w), 1.0 / mass
-        tol = 1e-12 * (base + delta)
-        if base + delta * (gk - mean) / spread < -tol:
-            continue
-        if k + 1 == len(gl) or base + delta * (gl[k + 1] - mean) / spread <= tol:
-            return k + 1
-    return None
+    step = g[:-1] - g[1:]
+    mass = p[:-1].cumsum()
+    a, b = np.zeros_like(g), np.zeros_like(g)
+    a[1:] = (mass * step).cumsum()
+    b[1:] = (step * (2.0 * a[:-1] + mass * step)).cumsum()
+    return int(np.count_nonzero(g == 0.0)) + int(np.count_nonzero((1.0 + 2.0 * eps) * a * a < b))
 
 
-def _chi2_active_tilt(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult | None:
-    """The result of the modified chi-square tilt on standardised costs, sorted once, or None.
+def _chi2_dual(s: Scenario, st: _Standardised, eps: float) -> WorstCaseResult:
+    """Modified chi-square's worst case on standardised costs, sorted once.
 
-    The active count comes from the prefix-sum test ``_chi2_prefix`` or,
-    where that test finds none, from ``_chi2_spread_count``; P_k, mu_k and
-    W_k are then summed exactly, two-pass, over the active atoms,
-    since prefix sums leave W with a rounding error that shows in the
-    divergence. In the second case the deviations are measured in the
-    active atoms' spread, so W does not underflow, and delta stays in
-    those units until it is on costs: on g it can pass the largest double.
-    None when no active count passes the test.
+    ``_chi2_count`` proposes the active count k, and the piece of k (``_chi2_piece``)
+    certifies it by a root t in [0, (g_k - g_{k+1}) / spread]: a stationary point of a
+    convex h is its minimum. A root off the piece says on which side the count lies, and
+    the counts are bisected; a root that rounds off every piece lies on a breakpoint.
     """
     srt = sort_desc(s)
     g, p = st.g[srt.order], srt.probs_desc
-    k, spread = _chi2_prefix(g, p, eps), 1.0
-    if k is None:
-        k = _chi2_spread_count(g, p, eps)
-        if k is None:
-            return None
+    n = g.size
+    # counts known to be too few (the top atoms alone, below saturation), and the largest
+    # count that may still hold the root
+    lo, hi = int(np.count_nonzero(g == 0.0)), n
+    k = min(max(_chi2_count(g, p, eps), lo + 1), hi)
+    while True:
         spread = -float(g[k - 1])
-    ga, pa = g[:k], p[:k]
-    mass = exact_sum(pa)
-    mu = exact_sum(pa, ga) / mass
-    dev = (ga - mu) / spread
-    w = exact_sum(pa, dev**2)
-    slack = 2.0 * eps - exact_sum(p[k:]) / mass
-    if not (slack > 0.0 and w > 0.0):
-        return None
-    delta = math.sqrt(slack / w)
+        t, tilt = _chi2_piece(g, p, k, -spread, eps)
+        gap = float(g[k - 1] - g[k]) / spread if k < n else math.inf
+        if t > gap and k < hi:
+            lo = k
+        elif t < 0.0 and k - 1 > lo:
+            hi = k - 1
+        else:
+            break
+        k = (lo + 1 + hi) // 2
+    qa, delta, c = tilt(min(max(t, 0.0), gap))
     q = np.zeros_like(p)
-    q[:k] = pa * np.maximum(1.0 / mass + delta * dev, 0.0)
-    return _tilted(st, srt.unsort(q), delta, (1.0 / mass - 1.0) * spread / delta - mu, eps, spread)
+    q[:k] = qa
+    return _tilted(st, srt.unsort(q), delta, c, eps, spread)
 
 
 _TILT_TOL = 1e-14
@@ -365,7 +348,7 @@ def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float)
     bracket (Burg's phi' is bounded above, and past its pole the tilt clamps
     to 0), and its output is None, as it is where the c solve fails.
     """
-    c = -(g @ probs)
+    c = -(g * probs).sum()
 
     def at(delta):
         nonlocal c
@@ -373,7 +356,11 @@ def _phi_moments(phi: PhiFunction, g: np.ndarray, probs: np.ndarray, eps: float)
         def mass(shift):
             zeta = delta * (g + shift)
             z = phi.inverse_clamped(zeta)
-            return z @ probs - 1.0, 2.0**-52, lambda: delta * (_inverse_slope(phi, zeta) @ probs), z
+
+            def rate():
+                return delta * (_inverse_slope(phi, zeta) * probs).sum()
+
+            return (z * probs).sum() - 1.0, 2.0**-52, rate, z
 
         def slope():
             h = probs * _inverse_slope(phi, delta * (g + c))
@@ -403,8 +390,8 @@ def _tilt(g: np.ndarray, probs: np.ndarray, phi: PhiFunction, eps: float):
     the steps run out, D misses eps or the c solve fails.
     """
     with np.errstate(all="ignore"):
-        mean = g @ probs
-        delta = np.sqrt(2.0 * eps / (((g - mean) ** 2) @ probs)) * math.sqrt(phi.curvature)
+        mean = (g * probs).sum()
+        delta = np.sqrt(2.0 * eps / ((g - mean) ** 2 * probs).sum()) * math.sqrt(phi.curvature)
         # by identity: a user phi may reuse a built-in's name with other math
         at = _kl_moments(g, probs, eps) if phi is KL else _phi_moments(phi, g, probs, eps)
         solved = _newton(delta, 0.0, math.inf, at)
@@ -427,16 +414,10 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
     # by identity: a user phi may reuse a built-in's name with other math
     chi2 = phi is MODIFIED_CHI2
     if chi2:
-        # q_i = p_i (1 + sqrt(2 eps / Var) (g_i - mean)), without a sort, while it stays >= 0
-        m = exact_sum(s.probs, st.g)
-        dev = st.g - m
-        dev *= dev
-        var = exact_sum(s.probs, dev)
-        if var > 0.0:
-            delta = math.sqrt(2.0 * eps / var)
-            # the tilt of the cheapest atom, g = -1, is 1 - delta (1 + m)
-            if delta * (1.0 + m) <= 1.0:
-                return _tilted(st, s.probs * (1.0 + delta * (st.g - m)), delta, -m, eps)
+        # every atom active, without a sort, while the cheapest atom's tilt stays >= 0
+        t, tilt = _chi2_piece(st.g, s.probs, s.n, -1.0, eps)
+        if t >= 0.0:
+            return _tilted(st, *tilt(t), eps)
     # the point mass on the argmax atoms once eps reaches its divergence: -log of their mass
     # for KL, (1 - mass) / (2 mass) for chi-square, mass phi(1 / mass) + (1 - mass) phi(0)
     # for any other phi, out of reach where phi(0) is inf or nan
@@ -454,9 +435,8 @@ def wc_smooth_phi(s: Scenario, phi: PhiFunction, eps: float) -> WorstCaseResult:
         return WorstCaseResult(
             epsilon=eps, value=float(np.max(s.costs)), worst_q=_clip_q(q), dual=None, clamped=True
         )
-    solved = _chi2_active_tilt(s, st, eps) if chi2 else None
-    if solved is not None:
-        return solved
+    if chi2:
+        return _chi2_dual(s, st, eps)
     tilt = _tilt(st.g, s.probs, phi, eps)
     if tilt is None:
         raise NoBracket(

@@ -46,7 +46,9 @@ GOLDEN_ARGVS = (
 # order moved again, to a lower V, when the grid scan gave way to the
 # refined kink search, and again, to a lower V, when the Danskin-slope search
 # with its duality-gap stop replaced the refinement. `worst-case --family wasserstein` was re-captured when the
-# first-order transport value gave way to the exact one (4.4 -> 4.2)
+# first-order transport value gave way to the exact one (4.4 -> 4.2). The chi2 `worst-case --family phi`
+# and `solve-newsvendor --family phi` records moved in their last digits when chi-square went to its
+# one-dimensional dual (same order x)
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
 
 

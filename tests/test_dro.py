@@ -759,14 +759,15 @@ class TestUserPhiValues:
     )
 
     def test_user_phi_orders_keep_their_values(self):
-        # V at these orders, read by the scalar tilt solve, is pinned bit for bit
+        # V at these orders, read by the scalar tilt solve, is pinned bit for bit; its sums
+        # are numpy's own pairwise reductions, so the bits do not depend on the BLAS kernel
         demand = wcs.demand_scenario(dro.gen_mixture_demand(3, seed=42))
         family = wcs.SmoothPhi(self.PHI)
         got = [_value(PARAMS, demand, family, 0.3, x) for x in (0.0, 4.218852587151469, 12.5)]
         assert [repr(v) for v in got] == [
             "52.9608133224922",
-            "10.37914762160666",
-            "-8.723264931521435",
+            "10.379147621606656",
+            "-8.723264931521438",
         ]
 
     def test_newsvendor_reads_each_order_once(self, monkeypatch):

@@ -65,12 +65,15 @@ def test_chi2_closed_form(s):
     p, f = s.probs, s.costs
     top, bottom = float(np.max(f)), float(np.min(f))
     g = (f - top) / (top - bottom)
-    m = _fsum(p, g)
-    var = _fsum(p, (g - m) ** 2)
-    # half the largest eps at which the cheapest atom keeps a nonnegative tilt
-    eps = 0.25 * var / (1.0 + m) ** 2
-    delta = math.sqrt(2.0 * eps / var)
-    q = p * (1.0 + delta * (g - m))
+    # every atom active: q = p (g + 1 + t) / A, the offsets taken from the cheapest atom
+    base = g + 1.0
+    total = math.fsum(p.tolist())
+    mu = _fsum(p, base) / total
+    w = _fsum(p, (base - mu) ** 2)
+    # half the largest eps at which the cheapest atom keeps a nonnegative tilt (t >= 0)
+    eps = 0.25 * w / (total * mu) ** 2
+    t = math.sqrt(w / (2.0 * eps)) / total - mu
+    q = p * (base + t) / (total * (mu + t))
     r = wcs.wc_chi2(s, eps)
     assert repr(r.value) == repr(top + (top - bottom) * _fsum(q, g))
     assert r.worst_q.tobytes() == q.tobytes()

@@ -13,12 +13,18 @@ scenarios of up to 8 atoms:
   the 1e-9 saturation band when the result is clamped) and reproduces V;
 - V does not depend on the order of the atoms.
 
+Modified chi-square also runs on skewed masses, p ~ w^k with k up to 8 and
+masses from 1e-20 down to 1e-300 planted on the costliest atom: there
+worst_q sums to 1 within n ulps and meets D = eps to 1e-12 eps, both
+checked in fractions, and V is non-decreasing in eps.
+
 Examples are derandomized, so every run checks the same cases.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -116,3 +122,46 @@ def test_invariant_under_permuting_atoms(family, s, eps, data):
     moved = wcs.validate(s.costs[perm], s.probs[perm])
     v, w = family.worst_case(s, eps).value, family.worst_case(moved, eps).value
     assert abs(v - w) <= _tol(s)
+
+
+@st.composite
+def skewed_scenarios(draw):
+    n = draw(st.integers(2, 8))
+    costs = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n))
+    k = draw(st.floats(1.0, 8.0))
+    weights = [w**k for w in draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        planted = 10.0 ** -draw(st.floats(20.0, 300.0))
+        weights[int(np.argmax(costs))] = planted * math.fsum(weights)
+    total = math.fsum(weights)
+    return wcs.validate(costs, [w / total for w in weights])
+
+
+# below about 1e-8 the rounding of q alone moves D by more than 1e-12 eps
+skewed_radii = st.floats(1e-3, 10.0)
+CHI2 = wcs.SmoothPhi(wcs.MODIFIED_CHI2)
+
+
+@PROPERTY_SETTINGS
+@given(s=skewed_scenarios(), eps=skewed_radii)
+def test_chi2_on_skewed_masses_is_feasible(s, eps):
+    r = CHI2.worst_case(s, eps)
+    if r.degenerate:
+        return
+    q = [Fraction(v) for v in r.worst_q.tolist()]
+    p = [Fraction(v) for v in s.probs.tolist()]
+    assert min(q) >= 0 and abs(sum(q) - 1) <= s.n * 2.0**-52
+    d = sum(pi * (qi / pi - 1) ** 2 for qi, pi in zip(q, p)) / 2
+    if r.clamped:
+        assert d <= Fraction(eps) + 1e-9 * (1.0 + eps)
+    else:
+        assert abs(d - Fraction(eps)) <= 1e-12 * eps
+    assert abs(math.fsum((r.worst_q * s.costs).tolist()) - r.value) <= _tol(s)
+    assert float(np.min(s.costs)) - _tol(s) <= r.value <= float(np.max(s.costs)) + _tol(s)
+
+
+@PROPERTY_SETTINGS
+@given(s=skewed_scenarios(), a=skewed_radii, b=skewed_radii)
+def test_chi2_on_skewed_masses_is_monotone_in_eps(s, a, b):
+    lo, hi = sorted((a, b))
+    assert CHI2.worst_case(s, lo).value <= CHI2.worst_case(s, hi).value + _tol(s)

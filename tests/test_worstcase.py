@@ -74,6 +74,96 @@ class TestChi2:
             wcs.wc_chi2(wcs.validate([0, 1]), -0.1)
 
 
+def _chi2_in_fractions(r, s):
+    """D(worst_q | p) of the modified chi-square and sum worst_q - 1, exactly."""
+    q = [Fraction(v) for v in r.worst_q.tolist()]
+    p = [Fraction(v) for v in s.probs.tolist()]
+    return sum(pi * (qi / pi - 1) ** 2 for qi, pi in zip(q, p)) / 2, sum(q) - 1
+
+
+def _chi2_dual_minimum(s, eps):
+    """min over eta of eta + sqrt(1 + 2 eps) ||(f - eta)_+||_{2,p}, by golden section.
+
+    By weak duality every eta bounds the chi-square worst case from above, so
+    this bound does not rely on the solver. The minimiser lies above
+    min f - range / sqrt(8 eps), where h is eta + r sqrt(Var + (E f - eta)^2)."""
+    f, p = s.costs, s.probs
+    r = math.sqrt(1.0 + 2.0 * eps)
+
+    def h(eta):
+        return eta + r * math.sqrt(math.fsum((p * np.maximum(f - eta, 0.0) ** 2).tolist()))
+
+    lo, hi = float(f.min() - np.ptp(f) * (1.0 + 1.0 / math.sqrt(2.0 * eps))), float(f.max())
+    for _ in range(200):
+        a, b = lo + 0.381966 * (hi - lo), hi - 0.381966 * (hi - lo)
+        lo, hi = (lo, b) if h(a) <= h(b) else (a, hi)
+    return h(0.5 * (lo + hi))
+
+
+def _skewed_scenario(rng, n):
+    """Costs N(0, 1) and p ~ w^k, k up to 8, with a mass from 1e-20 to 1e-300 planted on the
+    costliest atom in half the draws."""
+    costs = rng.standard_normal(n)
+    w = rng.exponential(1.0, n) ** rng.uniform(1.0, 8.0)
+    if rng.uniform() < 0.5:
+        w[np.argmax(costs)] = 10.0 ** -rng.uniform(20.0, 300.0) * w.sum()
+    return wcs.validate(costs, w / math.fsum(w.tolist()))
+
+
+class TestChi2AdversarialMasses:
+    """Atom masses many decades apart: the active count and its root must not cancel."""
+
+    @pytest.mark.parametrize("top", [1e-20, 1e-40, 1e-107, 3.6e-250])
+    def test_a_tiny_mass_on_the_costliest_atom(self, top):
+        # V was 1.99999984 < 2 at 1e-20, with sum q - 1 = 1.6e-7, and below it no
+        # delta was found (NoBracket); q = (0, .57, .33, 0, 0) / .9 is feasible
+        s = wcs.validate([3, 2, 2, 1, 0], [top, 0.57, 0.33, 0.002, 0.098 - top])
+        r = wcs.wc_chi2(s, 1.0)
+        d, excess = _chi2_in_fractions(r, s)
+        assert not r.clamped and abs(d - 1) <= 1e-12
+        assert abs(excess) <= s.n * 2.0**-52
+        assert 2.0 <= r.value <= 3.0
+        assert abs(r.value - _chi2_dual_minimum(s, 1.0)) <= 1e-9 * 3.0
+
+    def test_the_count_takes_the_whole_tie_run(self, monkeypatch):
+        # whichever count the prefix sums propose, the bisection lands on the same
+        # piece: the whole run at cost 2 keeps mass, with one ratio q / p, and a
+        # count inside the run (a gap of 0) is never accepted
+        from wcs import worstcase
+
+        s = wcs.validate([2, 3, 2, 1, 2, 0], [0.3, 1e-20, 0.3, 0.002, 0.27, 0.128 - 1e-20])
+        want = wcs.wc_chi2(s, 0.5)
+        run = s.costs == 2.0
+        ratio = want.worst_q[run] / s.probs[run]
+        assert np.all(ratio > 0.0) and np.ptp(ratio) <= 4e-16 * ratio.max()
+        assert np.all(want.worst_q[s.costs < 2.0] == 0.0)
+        assert abs(want.value - _chi2_dual_minimum(s, 0.5)) <= 1e-9 * 3.0
+        for k in range(s.n + 2):
+            monkeypatch.setattr(worstcase, "_chi2_count", lambda g, p, eps, k=k: k)
+            got = wcs.wc_chi2(s, 0.5)
+            assert got.value == want.value and got.worst_q.tobytes() == want.worst_q.tobytes()
+            assert got.dual == want.dual
+
+    def test_small_scenarios_against_the_grid_and_the_dual(self):
+        # the grid's best feasible q bounds V from below and any dual eta from
+        # above; the draws with tiny masses take the dual bound alone, as no grid
+        # resolves them
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            s = _skewed_scenario(rng, int(rng.integers(2, 5)))
+            eps = 10.0 ** rng.uniform(-3.0, 1.0)
+            r = wcs.wc_chi2(s, eps)
+            width = float(np.ptp(s.costs))
+            if not r.clamped:
+                d, excess = _chi2_in_fractions(r, s)
+                assert abs(d - Fraction(eps)) <= 1e-12 * eps and abs(excess) <= s.n * 2.0**-52
+                assert abs(r.value - _chi2_dual_minimum(s, eps)) <= 1e-9 * width, (s, eps)
+            if s.n <= 3 and s.probs.min() >= 0.04:
+                member = lambda q: wcs.MODIFIED_CHI2.divergence(q, s.probs) <= eps  # noqa: E731
+                grid = oracle.brute_force_wc(s, member=member, resolution=0.01)
+                assert grid <= r.value + 1e-9 * width
+
+
 class TestSmoothPhi:
     def test_matches_chi2_everywhere(self):
         rng = SplitMix64(21)
@@ -260,9 +350,9 @@ class TestSmoothPhi:
             assert r.degenerate and r.value == 5.0
 
     def test_generic_tilt_matches_the_primary_solve(self, monkeypatch):
-        # chi2 with no active count runs the one-row tilt kernel with the c
-        # solve a user phi runs, and so does a user copy of KL, where the
-        # built-in KL takes c in closed form
+        # a user copy of chi2 runs the generic tilt with the c solve any user
+        # phi runs, against the built-in chi2's dual solve, and so does a user
+        # copy of KL, where the built-in KL takes c in closed form
         from wcs import worstcase
 
         rng = SplitMix64(43)
@@ -286,19 +376,21 @@ class TestSmoothPhi:
         monkeypatch.setattr(
             worstcase, "_tilt", lambda g, p, phi, eps: calls.append(phi) or real(g, p, phi, eps)
         )
-        monkeypatch.setattr(worstcase, "_chi2_active_tilt", lambda s, st, eps: None)
         user_kl = dataclasses.replace(wcs.KL, name="kl-as-user")
+        user_chi2 = dataclasses.replace(wcs.MODIFIED_CHI2, name="chi2-as-user")
         for s, kl_eps, kl, chi2_eps, chi2 in cases:
             width = float(np.ptp(s.costs))
             for phi, eps, want, got in (
                 (user_kl, kl_eps, kl, wcs.wc_smooth_phi(s, user_kl, kl_eps)),
-                (wcs.MODIFIED_CHI2, chi2_eps, chi2, wcs.wc_chi2(s, chi2_eps)),
+                (user_chi2, chi2_eps, chi2, wcs.wc_smooth_phi(s, user_chi2, chi2_eps)),
             ):
                 assert abs(got.value - want.value) <= 1e-12 * width, (phi.name, eps)
                 assert np.allclose(got.worst_q, want.worst_q, rtol=0.0, atol=1e-12)
                 d = phi.divergence(got.worst_q, s.probs)
                 assert abs(d - eps) <= 1e-10 * eps, (phi.name, eps, d)
-        assert calls == [user_kl, wcs.MODIFIED_CHI2] * len(cases)
+            # the built-in chi2 never reaches the generic tilt
+            wcs.wc_chi2(s, chi2_eps)
+        assert calls == [user_kl, user_chi2] * len(cases)
 
 
 class TestTv:
