@@ -8,7 +8,6 @@ imports them.
 from importlib import import_module as _import_module
 
 from .core import (
-    ConcaveGradientCost,
     KL,
     MODIFIED_CHI2,
     PHI_BY_NAME,

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -101,71 +100,58 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload)) + "\n")
 
 
-def _read_text(path: str) -> str:
-    """The file's text, read in one go; an unreadable or undecodable file raises InputFileError."""
+def _read_csv(path: str, primary: str, schema: str):
+    """Header and non-blank data rows of the file as csv.reader reads them; the header opens with ``primary``."""
     try:
         with open(path, newline="") as fh:
-            try:
-                return fh.read()
-            except UnicodeError:
-                # stream it line by line, so the error names the position it always did
-                fh.seek(0)
-                list(csv.reader(fh))
-                raise
+            rows = list(csv.reader(fh))
     except (OSError, UnicodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def _read_csv(path: str, primary: str, schema: str, text: str | None = None):
-    """Header and non-blank data rows of the file, or of its ``text``; the header opens with ``primary``."""
-    try:
-        rows = _split_rows(_read_text(path) if text is None else text)
-    except csv.Error as exc:
-        raise InputFileError(f"{path}: {exc}") from exc
     if not rows or not rows[0] or rows[0][0].strip() != primary:
         raise WcsError(f"{path}: expected header '{schema}'")
     return rows[0], [row for row in rows[1:] if row]
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of ``text``, or None where csv.reader would do more than split them at commas.
-
-    Without quote or NUL characters, csv.reader's default dialect only splits on line
-    ends (CR, LF or CRLF; a CRLF just adds an empty line) and commas. A line longer
-    than csv's field size limit goes to csv.reader too, which raises on it.
-    """
-    lines = text.replace("\r", "\n").split("\n")
+def _lines(fh):
+    """The lines of ``fh`` without their line ends. ValueError at a line that csv.reader's
+    default dialect would do more with than split at commas: one holding a quote or NUL
+    character, or one longer than csv's field size limit, on which csv.reader raises."""
     limit = csv.field_size_limit()
-    if '"' in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
-        return None
-    return lines
+    for line in fh:
+        line = line.rstrip("\r\n")
+        if '"' in line or "\0" in line or len(line) > limit:
+            raise ValueError(f"not a plain line: {line!r}")
+        yield line
 
 
-def _split_rows(text: str) -> list[list[str]]:
-    """csv.reader's rows of ``text``, give or take empty rows, which callers drop."""
-    lines = _plain_lines(text)
-    if lines is None:
-        return list(csv.reader(io.StringIO(text, newline="")))
-    return [line.split(",") if line else [] for line in lines]
+def _cells(line: str, width: int) -> list[str]:
+    """The first ``width`` cells of a plain line; ValueError where it has fewer."""
+    cells = line.split(",", width)
+    if len(cells) < width:
+        raise ValueError(f"short row: {line!r}")
+    return cells[:width]
 
 
 def _read_table(path: str, primary: str, schema: str, width_of) -> tuple[list[str], np.ndarray]:
     """The header, and the first width_of(header) cells of each non-blank data row as floats.
 
-    Plain data lines are split one at a time, at most width cells each, as ``float`` reads
-    them, so no list of rows or of all the cells is kept; other text, or a short row or a
-    cell ``float`` rejects, goes row by row (``_read_csv``, ``_table``), which names the row.
+    The file is streamed a line at a time (CR, LF or CRLF ends, as csv.reader reads them), each
+    line split at commas and its cells read by ``float`` straight into the array, so neither the
+    text nor a list of its lines or cells is held. A line holding a quote or NUL character or
+    longer than csv's field size limit, a header not opening with ``primary``, a short row, a
+    cell ``float`` rejects, or a file that cannot be read or decoded abandons the stream: the
+    whole file is read again by csv.reader (``_read_csv``, ``_table``), so every error is the
+    one csv.reader's rows give, in its order: decoding, then the header, then the first bad row.
     """
-    text = _read_text(path)
-    lines = _plain_lines(text) or [""]
-    header, data = lines[0].split(","), [line for line in lines[1:] if line]
-    if header[0].strip() == primary:
-        width = width_of(header)
-        cells = itertools.chain.from_iterable(line.split(",", width)[:width] for line in data)
-        with contextlib.suppress(ValueError):
-            table = np.fromiter(map(float, cells), np.float64, count=len(data) * width)
-            return header, table.reshape(len(data), width)
-    header, rows = _read_csv(path, primary, schema, text)
+    with contextlib.suppress(OSError, ValueError):  # a UnicodeError is a ValueError
+        with open(path, newline="") as fh:
+            lines = _lines(fh)
+            header = next(lines, "").split(",")
+            if header[0].strip() == primary:
+                width = width_of(header)
+                cells = itertools.chain.from_iterable(_cells(line, width) for line in lines if line)
+                return header, np.fromiter(map(float, cells), np.float64).reshape(-1, width)
+    header, rows = _read_csv(path, primary, schema)
     return header, _table(path, rows, width_of(header))
 
 

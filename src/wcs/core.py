@@ -557,23 +557,6 @@ def interpolated_cost(points, values) -> PiecewiseLinearCost:
     )
 
 
-@dataclass(frozen=True)
-class ConcaveGradientCost:
-    """Concave differentiable multivariate cost, described by its gradient.
-
-    For concave f the transport ratio from a support point equals the dual
-    norm of the gradient there; ``dual_norm_order`` is the q of the
-    (p, q)-Hölder pair for the transport norm.
-    """
-
-    gradient: Callable[[np.ndarray], np.ndarray]
-    dual_norm_order: float = 2.0
-
-    def ratio_from(self, y) -> float:
-        g = np.atleast_1d(np.asarray(self.gradient(np.asarray(y, dtype=float)), dtype=float))
-        return float(np.linalg.norm(g, ord=self.dual_norm_order))
-
-
 def growth_value(growth: str, eps: float) -> float:
     if growth == GROWTH_SQRT:
         return math.sqrt(eps)

@@ -18,6 +18,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,8 @@ ODD_CELLS = st.sampled_from(
 CELLS = st.one_of(NUMBERS, NUMBERS, NUMBERS, ODD_CELLS)
 LABELS = st.sampled_from(["1", "-1", "1.0", "-1.0", " 1", "+1"])
 ODD_HEADERS = st.sampled_from(
-    ["", " ", "value", "cost,weight", '"cost",prob', " label,x1", '"label"\n,x1', "prob,cost"]
+    ["", " ", "value", "cost,weight", '"cost",prob', " label,x1", '"label"\n,x1', "prob,cost",
+     'cost,"prob"', 'label,"x1"']
 )
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -202,27 +204,17 @@ PLAIN_TEXTS = {
     "blank-and-padded": "cost , prob\n\n 1 ,0.5\n\n3, 0.5 \n",
     "extra-columns": "cost,prob,note\n1,0.5,a,b\n3,0.5\n",
     "inf": "cost\ninf\n1\n",
-    "short-row": "cost,prob\n1\n",
 }
-QUOTED_TEXTS = {
+CSV_TEXTS = {
     "quoted-cell": 'cost,prob\n"1",0.5\n3,0.5\n',
     "nul": "cost\n1\0\n",
+    "short-row": "cost,prob\n1\n",
+    "bad-cell": "cost\n1\nx\n",
 }
 
 
-@pytest.mark.parametrize("case", list(PLAIN_TEXTS))
-def test_plain_text_is_split_without_csv(case, monkeypatch):
-    def no_csv(*args, **kwargs):
-        raise AssertionError("csv.reader ran on plain text")
-
-    text = PLAIN_TEXTS[case]
-    want = list(csv.reader(text.splitlines(keepends=True)))
-    monkeypatch.setattr(csv, "reader", no_csv)
-    assert [row for row in cli._split_rows(text) if row] == [row for row in want if row]
-
-
-@pytest.mark.parametrize("case", list(QUOTED_TEXTS))
-def test_quotes_and_nul_go_to_csv(case, monkeypatch):
+def read_with_csv_counted(path, monkeypatch):
+    """The CLI reader's outcome on ``path``, and how many times it ran csv.reader."""
     calls = []
     reader = csv.reader
 
@@ -231,19 +223,71 @@ def test_quotes_and_nul_go_to_csv(case, monkeypatch):
         return reader(*args, **kwargs)
 
     monkeypatch.setattr(csv, "reader", counting_reader)
-    cli._split_rows(QUOTED_TEXTS[case])
-    assert len(calls) == 1
+    got = outcome(cli._read_two_column, path, "cost")
+    monkeypatch.setattr(csv, "reader", reader)
+    return got, len(calls)
 
 
-def test_a_line_past_the_field_size_limit_goes_to_csv():
+def two_column_bytes(result):
+    return result if result[0] == "error" else ("ok", [as_bytes(col) for col in result[1]])
+
+
+@pytest.mark.parametrize("case", list(PLAIN_TEXTS))
+def test_plain_text_is_split_without_csv(case, input_path, monkeypatch):
+    with open(input_path, "w", newline="") as fh:
+        fh.write(PLAIN_TEXTS[case])
+    want = outcome(reference_two_column, input_path, "cost")
+    assert want[0] == "ok"
+    got, calls = read_with_csv_counted(input_path, monkeypatch)
+    assert calls == 0
+    assert two_column_bytes(got) == two_column_bytes(want)
+
+
+@pytest.mark.parametrize("case", list(CSV_TEXTS))
+def test_quotes_and_nul_go_to_csv(case, input_path, monkeypatch):
+    # so do a short row and a cell float rejects: csv.reader's rows name the bad row
+    with open(input_path, "w", newline="") as fh:
+        fh.write(CSV_TEXTS[case])
+    want = outcome(reference_two_column, input_path, "cost")
+    got, calls = read_with_csv_counted(input_path, monkeypatch)
+    assert calls == 1
+    assert two_column_bytes(got) == two_column_bytes(want)
+
+
+def test_a_line_past_the_field_size_limit_goes_to_csv(input_path, monkeypatch):
     # csv.reader raises on a field longer than its limit; float would read it as inf
     previous = csv.field_size_limit(4)
     try:
-        with pytest.raises(csv.Error):
-            cli._split_rows("cost\n12345\n")
-        assert cli._split_rows("cost\r\n1234\r\n") == [["cost"], [], ["1234"], [], []]
+        with open(input_path, "w", newline="") as fh:
+            fh.write("cost\n12345\n")
+        got, calls = read_with_csv_counted(input_path, monkeypatch)
+        assert (got[:2], calls) == (("error", "InputFileError"), 1)
+        assert got == outcome(reference_two_column, input_path, "cost")
+        with open(input_path, "w", newline="") as fh:
+            fh.write("cost\r\n1234\r\n")
+        got, calls = read_with_csv_counted(input_path, monkeypatch)
+        assert (two_column_bytes(got), calls) == (("ok", [as_bytes([1234.0]), None]), 0)
     finally:
         csv.field_size_limit(previous)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ('cost,"prob"\n1,0.25\n3,0.75\n', [[1.0, 3.0], [0.25, 0.75]]),
+        ('label,"x1,x2"\n1,0.5,7\n-1,2,8\n', [[0.5, 2.0], [1.0, -1.0]]),
+    ],
+    ids=["quoted-prob", "comma-in-a-quoted-name"],
+)
+def test_a_quoted_header_is_read_as_csv_reader_reads_it(text, want, input_path):
+    # split at commas, the first header would lose its prob column and the second would gain one
+    with open(input_path, "w", newline="") as fh:
+        fh.write(text)
+    if text.startswith("label"):
+        got = cli._read_classification(input_path)
+        assert [got.features.ravel().tolist(), got.labels.tolist()] == want
+    else:
+        assert [col.tolist() for col in cli._read_two_column(input_path, "cost")] == want
 
 
 @pytest.mark.parametrize(
@@ -259,3 +303,22 @@ def test_an_undecodable_file_names_the_position_csv_reader_did(data, input_path)
     want = outcome(reference_read_csv, input_path, "cost", "cost")
     assert want[:2] == ("error", "InputFileError")
     assert outcome(cli._read_csv, input_path, "cost", "cost") == want
+    # the streaming read meets the bad bytes mid-file, and csv.reader's message still wins
+    assert outcome(cli._read_two_column, input_path, "cost") == want
+
+
+def test_a_classification_read_holds_little_beyond_its_arrays(tmp_path):
+    # the file streams: no copy of its text, nor a list of its lines, is held while it parses
+    rng = np.random.default_rng(0)
+    table = np.column_stack([rng.choice([-1.0, 1.0], 5000), rng.standard_normal((5000, 21))])
+    path = tmp_path / "data.csv"
+    header = ",".join(["label"] + [f"x{j}" for j in range(1, 22)])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    tracemalloc.start()
+    try:
+        data = cli._read_classification(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert as_bytes(data.features) == as_bytes(table[:, 1:])
+    assert peak <= 3 * (data.features.nbytes + data.labels.nbytes)

@@ -9,7 +9,7 @@ import pytest
 
 import wcs
 from wcs import core
-from wcs.core import interpolated_cost, exact_sum, PiecewiseLinearCost, ConcaveGradientCost
+from wcs.core import interpolated_cost, exact_sum, PiecewiseLinearCost
 from wcs.rng import SplitMix64
 from wcs.errors import (
     EmptyInput,
@@ -443,18 +443,6 @@ class TestKnotValues:
                 zs += [200.0 * rng.uniform() - 100.0 for _ in range(20)]
                 got = [cost.value(z).hex() for z in zs]
                 assert got == [_walk_value(cost, z).hex() for z in zs], trial
-
-
-class TestConcaveGradientCost:
-    def test_matches_numeric_sup(self):
-        # f(z) = -z^2; sup_z (f(z)-f(y))/|z-y| = |f'(y)| = 2|y|
-        cost = ConcaveGradientCost(gradient=lambda z: -2.0 * z)
-        zs = np.linspace(-50, 50, 200001)
-        for y in (1.0, -2.0):
-            ratios = [(-(z**2) + y**2) / abs(z - y) for z in zs if z != y]
-            assert cost.ratio_from(y) == pytest.approx(max(ratios), abs=1e-3)
-        rep = wcs.wasserstein_sensitivity([1.0, -2.0], [0.5, 0.5], cost.ratio_from)
-        assert rep.value == pytest.approx(4.0, abs=1e-12)
 
 
 class TestFamilies:

@@ -14,10 +14,10 @@ import pytest
 import wcs
 
 # sorted(wcs.__all__) while the package still imported every module eagerly, less the
-# two retired names CvarLevel and worst_case_sensitivity
+# three retired names ConcaveGradientCost, CvarLevel and worst_case_sensitivity
 PUBLIC_NAMES = [
     "AxiomReport", "BoxParams", "Budgeted", "BudgetedDual", "Combination",
-    "ConcaveGradientCost", "DroSolution", "FAMILIES", "FdReport", "FrontierPoint",
+    "DroSolution", "FAMILIES", "FdReport", "FrontierPoint",
     "KL", "LabeledDataset", "MODIFIED_CHI2", "NewsvendorParams", "PHI_BY_NAME", "PenaltyPhi",
     "PhiFunction", "PiecewiseLinearCost", "Scenario", "SensitivityReport", "SmoothPhi",
     "SmoothPhiDual", "SortedScenario", "SplitMix64", "SymmetricBox", "TotalVariation", "TvDual",

@@ -178,11 +178,6 @@ class TestWasserstein:
         )
         assert rep.value == 10.0
 
-    def test_concave_cost(self):
-        cost = wcs.ConcaveGradientCost(gradient=lambda z: -2.0 * z)
-        rep = wcs.wasserstein_sensitivity([1.0, -2.0], [0.5, 0.5], cost.ratio_from)
-        assert rep.value == pytest.approx(4.0)
-
     def test_constant(self):
         flat = PiecewiseLinearCost((), (0.0,), anchor=(0.0, 1.0))
         rep = wcs.wasserstein_sensitivity([0.0, 1.0], [0.5, 0.5], flat.ratio_from)
