@@ -16,7 +16,6 @@ generating subcommands when --seed is not given explicitly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import itertools
@@ -100,97 +99,72 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload)) + "\n")
 
 
-def _read_csv(path: str, primary: str, schema: str):
-    """Header and non-blank data rows of the file as csv.reader reads them; the header opens with ``primary``."""
+def _rows(fh):
+    """The rows of ``fh`` as csv.reader's default dialect reads them, ``[]`` for a blank line.
+
+    A plain line is split at commas. From the first line holding a quote or NUL character, or
+    longer than csv's field size limit (where csv.reader raises), csv.reader reads the rest: it
+    keeps no state between rows, and splits a plain line the same way.
+    """
+    limit = csv.field_size_limit()
+    for raw in fh:
+        line = raw.rstrip("\r\n")
+        if '"' in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(itertools.chain([raw], fh))
+            return
+        yield line.split(",") if line else []
+
+
+def _read_table(path: str, primary: str, schema: str, width_of) -> np.ndarray:
+    """The first width_of(header) cells of each non-blank data row, as an (n, width) float array.
+
+    The file is read once, a row at a time (``_rows``), each cell parsed by ``float`` straight
+    into the array, so neither its text nor a list of its rows is held. A header not opening
+    with ``primary``, a short row or a cell ``float`` rejects is raised only after the rest of
+    the file is read, so a decode or csv error anywhere in it is the one raised.
+    """
+    row: list[str] = []  # the data row being parsed, named by its error
+
+    def cut(cells: list[str]) -> list[str]:
+        nonlocal row
+        row = cells
+        if len(cells) < width:
+            raise ValueError("short row")
+        return cells[:width]
+
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = _rows(fh)
+            header = next(rows, [])
+            error = WcsError(f"{path}: expected header '{schema}'")
+            if header and header[0].strip() == primary:
+                width = width_of(header)
+                try:
+                    cells = itertools.chain.from_iterable(map(cut, filter(None, rows)))
+                    return np.fromiter(map(float, cells), np.float64).reshape(-1, width)
+                except UnicodeError:  # a ValueError, but the file's and not the row's
+                    raise
+                except ValueError:
+                    error = InputFileError(f"{path}: expected {width} numbers in row {','.join(row)!r}")
+            for _ in rows:
+                pass
+            raise error
     except (OSError, UnicodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    if not rows or not rows[0] or rows[0][0].strip() != primary:
-        raise WcsError(f"{path}: expected header '{schema}'")
-    return rows[0], [row for row in rows[1:] if row]
-
-
-def _lines(fh):
-    """The lines of ``fh`` without their line ends. ValueError at a line that csv.reader's
-    default dialect would do more with than split at commas: one holding a quote or NUL
-    character, or one longer than csv's field size limit, on which csv.reader raises."""
-    limit = csv.field_size_limit()
-    for line in fh:
-        line = line.rstrip("\r\n")
-        if '"' in line or "\0" in line or len(line) > limit:
-            raise ValueError(f"not a plain line: {line!r}")
-        yield line
-
-
-def _cells(line: str, width: int) -> list[str]:
-    """The first ``width`` cells of a plain line; ValueError where it has fewer."""
-    cells = line.split(",", width)
-    if len(cells) < width:
-        raise ValueError(f"short row: {line!r}")
-    return cells[:width]
-
-
-def _read_table(path: str, primary: str, schema: str, width_of) -> tuple[list[str], np.ndarray]:
-    """The header, and the first width_of(header) cells of each non-blank data row as floats.
-
-    The file is streamed a line at a time (CR, LF or CRLF ends, as csv.reader reads them), each
-    line split at commas and its cells read by ``float`` straight into the array, so neither the
-    text nor a list of its lines or cells is held. A line holding a quote or NUL character or
-    longer than csv's field size limit, a header not opening with ``primary``, a short row, a
-    cell ``float`` rejects, or a file that cannot be read or decoded abandons the stream: the
-    whole file is read again by csv.reader (``_read_csv``, ``_table``), so every error is the
-    one csv.reader's rows give, in its order: decoding, then the header, then the first bad row.
-    """
-    with contextlib.suppress(OSError, ValueError):  # a UnicodeError is a ValueError
-        with open(path, newline="") as fh:
-            lines = _lines(fh)
-            header = next(lines, "").split(",")
-            if header[0].strip() == primary:
-                width = width_of(header)
-                cells = itertools.chain.from_iterable(_cells(line, width) for line in lines if line)
-                return header, np.fromiter(map(float, cells), np.float64).reshape(-1, width)
-    header, rows = _read_csv(path, primary, schema)
-    return header, _table(path, rows, width_of(header))
-
-
-def _numbers(path: str, row: list[str], width: int) -> list[float]:
-    """The first ``width`` cells of a data row as floats."""
-    try:
-        return [float(row[i]) for i in range(width)]
-    except (IndexError, ValueError):
-        raise InputFileError(f"{path}: expected {width} numbers in row {','.join(row)!r}") from None
-
-
-def _table(path: str, rows: list[list[str]], width: int) -> np.ndarray:
-    """The first ``width`` cells of every data row as an (n, width) float64 array.
-
-    ``float`` parses each cell, in one pass over all rows. A short row or a
-    cell ``float`` rejects fails the pass, and the first such row is named.
-    """
-    cells = itertools.chain.from_iterable(row[:width] for row in rows)
-    try:
-        flat = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * width)
-    except ValueError:
-        for row in rows:
-            _numbers(path, row, width)
-        raise
-    return flat.reshape(len(rows), width)
 
 
 def _read_two_column(path: str, primary: str) -> tuple[np.ndarray, np.ndarray | None]:
     def width(header):  # two columns where the header names a prob column
         return 1 + (len(header) > 1 and header[1].strip() == "prob")
 
-    _, table = _read_table(path, primary, f"{primary}[,prob]", width)
+    table = _read_table(path, primary, f"{primary}[,prob]", width)
     return table[:, 0], (table[:, 1] if table.shape[1] == 2 else None)
 
 
 def _read_classification(path: str) -> dro.LabeledDataset:
     from . import dro
 
-    _, table = _read_table(path, "label", "label,x1,...,xd", len)
+    table = _read_table(path, "label", "label,x1,...,xd", len)
     # C-ordered copies, as a nested list gave: matmul may sum a strided block in another order
     return dro.labeled_dataset(table[:, 1:].copy(), table[:, 0].copy())
 
@@ -453,10 +427,14 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     source.add_argument("--costs", help="comma-separated cost vector")
     p.add_argument("--probs", help="comma-separated probabilities (default uniform)")
     source.add_argument("--cost-file", help="CSV with header cost[,prob]")
-    p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
-    p.add_argument("--alpha", type=float, default=0.95, help="CVaR level for combo")
     p.add_argument("--points", help="support points for wasserstein (default 0..n-1)")
     p.set_defaults(scenario_parser=p)
+
+
+def _add_family_flags(p: argparse.ArgumentParser, choices: Sequence[str], required: bool = True):
+    p.add_argument("--family", choices=choices, required=required)
+    p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
+    p.add_argument("--alpha", type=float, default=0.95, help="CVaR level for combo")
 
 
 def _add_newsvendor_flags(p: argparse.ArgumentParser, required: bool = True):
@@ -477,23 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sensitivity", help="Table of closed-form worst-case sensitivities")
-    p.add_argument("--family", choices=tuple(families.FAMILIES), required=True)
+    _add_family_flags(p, tuple(families.FAMILIES))
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_sensitivity)
 
     p = sub.add_parser("worst-case", help="exact V(eps), q(eps) and dual certificate")
-    p.add_argument("--family", choices=families.WORST_CASE_NAMES, required=True)
+    _add_family_flags(p, families.WORST_CASE_NAMES)
     p.add_argument("--eps", type=float, required=True)
     _add_scenario_flags(p)
     p.set_defaults(fn=_cmd_worst_case)
 
     p = sub.add_parser("frontier", help="mean-sensitivity frontier sweep")
-    p.add_argument("--family", choices=families.WORST_CASE_NAMES, required=True)
+    _add_family_flags(p, families.WORST_CASE_NAMES)
     p.add_argument("--eps-list", help="comma-separated ascending eps values")
     p.add_argument("--eps-geom", help="start:stop:count geometric eps grid")
     p.add_argument("--measure", choices=tuple(families.FAMILIES), required=True)
-    p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
-    p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument(
         "--out",
         help="write CSV (eps,decision,nominal_mean,sensitivity) here; vector "
@@ -506,10 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-newsvendor", help="SAA or DRO order quantity")
     _add_newsvendor_flags(p)
-    p.add_argument("--family", choices=families.WORST_CASE_NAMES)
+    _add_family_flags(p, families.WORST_CASE_NAMES, required=False)
     p.add_argument("--eps", type=float)
-    p.add_argument("--phi", choices=("chi2", "kl"), default="chi2")
-    p.add_argument("--alpha", type=float, default=0.95)
     p.set_defaults(fn=_cmd_solve_newsvendor)
 
     p = sub.add_parser("solve-logreg", help="norm-regularized (transport-robust) logistic fit")

@@ -1,15 +1,16 @@
-"""The CLI's input-file reader against the csv.reader one it replaced.
+"""The CLI's input-file reader against a plain csv.reader one.
 
-``reference_read_csv`` and ``reference_numbers`` are the reader as it was
-before it split the text itself: csv.reader streams the file, and each
-data row's cells go through ``float`` one by one. On Hypothesis-drawn file
-bytes (blank and whitespace lines; CR, LF and CRLF line ends; quotes,
-NUL and commas inside quotes; short and long rows; padded cells,
-underscores, ``inf``/``nan``, non-ASCII digits and bytes that are not
-UTF-8) the CLI reader returns the same rows, bit-equal arrays, or the
-same error class with the same message. Through ``python -m wcs.cli``
-every such file exits 0, 2 or 3 and never prints a traceback. Examples
-are derandomized, so every run checks the same cases.
+``reference_read_csv`` and ``reference_numbers`` read the whole file with
+csv.reader, then look at the header and pass each data row's cells through
+``float`` one by one. The CLI reader reads the file once, splitting plain
+lines itself until a line needs csv.reader, which then reads the rest. On
+Hypothesis-drawn file bytes (blank and whitespace lines; CR, LF and CRLF
+line ends; quotes, NUL and commas inside quotes; short and long rows;
+padded cells, underscores, ``inf``/``nan``, non-ASCII digits and bytes that
+are not UTF-8) it returns bit-equal arrays, or the same error class with the
+same message. Through ``python -m wcs.cli`` every such file exits 0, 2 or 3
+and never prints a traceback. Examples are derandomized, so every run checks
+the same cases.
 """
 
 from __future__ import annotations
@@ -149,11 +150,6 @@ def test_reader_matches_the_csv_reader(case, input_path):
     primary, data = case
     with open(input_path, "wb") as fh:
         fh.write(data)
-    schema = f"{primary}[,prob]"
-    want = outcome(reference_read_csv, input_path, primary, schema)
-    assert outcome(cli._read_csv, input_path, primary, schema) == want
-    if want[0] == "error":
-        return
     if primary == "label":
         want = outcome(reference_classification, input_path)
         got = outcome(cli._read_classification, input_path)
@@ -205,27 +201,38 @@ PLAIN_TEXTS = {
     "extra-columns": "cost,prob,note\n1,0.5,a,b\n3,0.5\n",
     "inf": "cost\ninf\n1\n",
 }
-CSV_TEXTS = {
-    "quoted-cell": 'cost,prob\n"1",0.5\n3,0.5\n',
-    "nul": "cost\n1\0\n",
-    "short-row": "cost,prob\n1\n",
-    "bad-cell": "cost\n1\nx\n",
+CSV_TEXTS = {  # text, and how many csv.readers reading it builds
+    "quoted-cell": ('cost,prob\n"1",0.5\n3,0.5\n', 1),
+    "nul": ("cost\n1\0\n", 1),
+    "short-row": ("cost,prob\n1\n", 0),
+    "bad-cell": ("cost\n1\nx\n", 0),
+    # a blank line is the header even where a valid one follows it
+    "blank-first-line": ("\ncost\n1\n", 0),
+    # csv.reader takes over mid-file, reads the line end inside the quotes, then plain rows
+    "line-end-in-quotes-mid-file": ('cost,prob\n1,0.25\n2,0.25\n"3\r\n",0.25\n4,0.25\n', 1),
+    "bad-row-then-quotes": ('cost\nx\n"1"\n', 1),
 }
 
 
-def read_with_csv_counted(path, monkeypatch):
-    """The CLI reader's outcome on ``path``, and how many times it ran csv.reader."""
-    calls = []
+def read_counted(path, monkeypatch):
+    """The CLI reader's outcome on ``path``, how many times it opened a file and how many
+    csv.readers it built."""
+    opens, readers = [], []
     reader = csv.reader
 
+    def counting_open(*args, **kwargs):
+        opens.append(args)
+        return open(*args, **kwargs)
+
     def counting_reader(*args, **kwargs):
-        calls.append(args)
+        readers.append(args)
         return reader(*args, **kwargs)
 
-    monkeypatch.setattr(csv, "reader", counting_reader)
-    got = outcome(cli._read_two_column, path, "cost")
-    monkeypatch.setattr(csv, "reader", reader)
-    return got, len(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "open", counting_open, raising=False)
+        patch.setattr(csv, "reader", counting_reader)
+        got = outcome(cli._read_two_column, path, "cost")
+    return got, len(opens), len(readers)
 
 
 def two_column_bytes(result):
@@ -238,19 +245,21 @@ def test_plain_text_is_split_without_csv(case, input_path, monkeypatch):
         fh.write(PLAIN_TEXTS[case])
     want = outcome(reference_two_column, input_path, "cost")
     assert want[0] == "ok"
-    got, calls = read_with_csv_counted(input_path, monkeypatch)
-    assert calls == 0
+    got, opens, calls = read_counted(input_path, monkeypatch)
+    assert (opens, calls) == (1, 0)
     assert two_column_bytes(got) == two_column_bytes(want)
 
 
 @pytest.mark.parametrize("case", list(CSV_TEXTS))
 def test_quotes_and_nul_go_to_csv(case, input_path, monkeypatch):
-    # so do a short row and a cell float rejects: csv.reader's rows name the bad row
+    # csv.reader reads from the first line that needs it on; a short row, a cell float rejects
+    # or a bad header in plain text needs none. Every file, good or bad, is opened once
+    text, readers = CSV_TEXTS[case]
     with open(input_path, "w", newline="") as fh:
-        fh.write(CSV_TEXTS[case])
+        fh.write(text)
     want = outcome(reference_two_column, input_path, "cost")
-    got, calls = read_with_csv_counted(input_path, monkeypatch)
-    assert calls == 1
+    got, opens, calls = read_counted(input_path, monkeypatch)
+    assert (opens, calls) == (1, readers)
     assert two_column_bytes(got) == two_column_bytes(want)
 
 
@@ -260,13 +269,13 @@ def test_a_line_past_the_field_size_limit_goes_to_csv(input_path, monkeypatch):
     try:
         with open(input_path, "w", newline="") as fh:
             fh.write("cost\n12345\n")
-        got, calls = read_with_csv_counted(input_path, monkeypatch)
-        assert (got[:2], calls) == (("error", "InputFileError"), 1)
+        got, opens, calls = read_counted(input_path, monkeypatch)
+        assert (got[:2], opens, calls) == (("error", "InputFileError"), 1, 1)
         assert got == outcome(reference_two_column, input_path, "cost")
         with open(input_path, "w", newline="") as fh:
             fh.write("cost\r\n1234\r\n")
-        got, calls = read_with_csv_counted(input_path, monkeypatch)
-        assert (two_column_bytes(got), calls) == (("ok", [as_bytes([1234.0]), None]), 0)
+        got, opens, calls = read_counted(input_path, monkeypatch)
+        assert (two_column_bytes(got), opens, calls) == (("ok", [as_bytes([1234.0]), None]), 1, 0)
     finally:
         csv.field_size_limit(previous)
 
@@ -292,33 +301,59 @@ def test_a_quoted_header_is_read_as_csv_reader_reads_it(text, want, input_path):
 
 @pytest.mark.parametrize(
     "data",
-    [b"cost\n1\xc3", b"cost\n" + b"1\n" * 6000 + b"\xff\n"],
-    ids=["truncated-at-the-end", "past-the-first-read-chunk"],
+    [
+        b"cost\n1\xc3",
+        b"cost\n" + b"1\n" * 6000 + b"\xff\n",
+        b"cost\nx\n" + b"1\n" * 6000 + b"\xff\n",
+        b"value\n" + b"1\n" * 6000 + b"\xff\n",
+    ],
+    ids=["truncated-at-the-end", "past-the-first-read-chunk", "after-a-bad-row", "after-a-bad-header"],
 )
-def test_an_undecodable_file_names_the_position_csv_reader_did(data, input_path):
+def test_an_undecodable_file_names_the_position_csv_reader_did(data, input_path, monkeypatch):
     # reading the whole text would count from the file's start, and read a
-    # truncated last character where csv.reader's stream reads position 0
+    # truncated last character where csv.reader's stream reads position 0; and bad
+    # bytes past the first read chunk are named before an earlier bad row or header
     with open(input_path, "wb") as fh:
         fh.write(data)
     want = outcome(reference_read_csv, input_path, "cost", "cost")
     assert want[:2] == ("error", "InputFileError")
-    assert outcome(cli._read_csv, input_path, "cost", "cost") == want
-    # the streaming read meets the bad bytes mid-file, and csv.reader's message still wins
-    assert outcome(cli._read_two_column, input_path, "cost") == want
+    # the streaming read meets the bad bytes mid-file, and names them as csv.reader did
+    assert read_counted(input_path, monkeypatch) == (want, 1, 0)
 
 
-def test_a_classification_read_holds_little_beyond_its_arrays(tmp_path):
-    # the file streams: no copy of its text, nor a list of its lines, is held while it parses
+def classification_file(tmp_path, quote_row=None):
+    """A 5000-row file of 21 features, the first cell of row ``quote_row`` quoted, and its table."""
     rng = np.random.default_rng(0)
     table = np.column_stack([rng.choice([-1.0, 1.0], 5000), rng.standard_normal((5000, 21))])
     path = tmp_path / "data.csv"
     header = ",".join(["label"] + [f"x{j}" for j in range(1, 22)])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    if quote_row is not None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1 + quote_row] = '"' + lines[1 + quote_row].replace(",", '",', 1)
+        path.write_text("".join(lines))
+    return str(path), table
+
+
+def assert_read_holds_little_beyond_its_arrays(path, table):
     tracemalloc.start()
     try:
-        data = cli._read_classification(str(path))
+        data = cli._read_classification(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert as_bytes(data.features) == as_bytes(table[:, 1:])
     assert peak <= 3 * (data.features.nbytes + data.labels.nbytes)
+
+
+def test_a_classification_read_holds_little_beyond_its_arrays(tmp_path):
+    # the file streams: no copy of its text, nor a list of its lines, is held while it parses
+    path, table = classification_file(tmp_path)
+    assert_read_holds_little_beyond_its_arrays(path, table)
+
+
+def test_a_quoted_classification_file_streams_too(tmp_path):
+    # from its quoted row on, csv.reader reads the file a row at a time
+    path, table = classification_file(tmp_path, quote_row=2)
+    assert (tmp_path / "data.csv").read_text().count('"') == 2
+    assert_read_holds_little_beyond_its_arrays(path, table)
