@@ -11,6 +11,10 @@ Input file schemas (CSV with header row):
 
 The environment variable WCS_SEED overrides the default --seed of the
 generating subcommands when --seed is not given explicitly.
+
+run() is the process entry of both the ``wcs`` command and ``python -m wcs.cli``;
+it freezes the heap left by the imports, so that the collections of interpreter
+shutdown skip it. main(argv) is the in-process call and changes no process state.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -515,5 +520,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry: freeze the import-time heap, so that the run's full collections and those
+    of interpreter shutdown skip it, then exit with main()'s code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,6 +1,9 @@
 import contextlib
+import gc
+import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,14 +447,62 @@ def test_rejected_input_exits_three_with_its_code(case, tmp_path):
     assert json.loads(proc.stderr)["code"] == code
 
 
+# what the generated `wcs` script runs, and its `python -m wcs.cli` equivalent
+CONSOLE_SCRIPT = "from wcs.cli import run; run()"
+MODULE = "import runpy; runpy.run_module('wcs.cli', run_name='__main__', alter_sys=True)"
+# an atexit hook runs after run()'s sys.exit and reports the heap it left frozen
+FREEZE_PROBE = (
+    "import atexit, gc, sys; "
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n')); "
+)
+TV_SENSITIVITY = ["sensitivity", "--family", "tv", "--costs", "1,5,3"]
+
+
+def run_python(args, argv):
+    return subprocess.run([sys.executable, "-W", "error", *args, *argv], capture_output=True)
+
+
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "wcs.cli", "sensitivity", "--family", "tv", "--costs", "1,5,3"],
-        capture_output=True,
-        text=True,
-    )
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    script = re.search(r'^\[project\.scripts\][^\[]*?^wcs\s*=\s*"([^"]*)"', pyproject, re.M | re.S)
+    assert script is not None and script.group(1) == "wcs.cli:run"
+    module, _, name = script.group(1).partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+    proc = run_python(["-c", CONSOLE_SCRIPT], TV_SENSITIVITY)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b'{"value": 2.0, "family": "tv", "growth": "linear"}\n'
+    by_module = run_python(["-m", "wcs.cli"], TV_SENSITIVITY)
+    assert (by_module.returncode, by_module.stdout, by_module.stderr) == (0, proc.stdout, b"")
+
+
+@pytest.mark.parametrize("entry", [CONSOLE_SCRIPT, MODULE], ids=["console-script", "module"])
+def test_the_process_entry_exits_with_the_import_heap_frozen(entry):
+    proc = run_python(["-c", FREEZE_PROBE + entry], TV_SENSITIVITY)
     assert proc.returncode == 0
-    assert proc.stdout == '{"value": 2.0, "family": "tv", "growth": "linear"}\n'
+    assert proc.stdout == b'{"value": 2.0, "family": "tv", "growth": "linear"}\n'
+    frozen = re.fullmatch(rb"frozen (\d+)\n", proc.stderr)
+    assert frozen is not None and int(frozen.group(1)) > 0
+
+
+def test_main_leaves_the_heap_unfrozen():
+    # tests and the benchmark's traced pass call main in-process; a freeze would keep their cycles
+    before = gc.get_freeze_count()
+    assert run_cli(TV_SENSITIVITY)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_keeps_the_exit_codes(tmp_path):
+    usage = run_python(["-c", CONSOLE_SCRIPT], ["verify", "--trials", "0"])
+    assert usage.returncode == 2 and usage.stdout == b""
+    assert b"--trials: must be at least 1" in usage.stderr
+    content, argv, code = REJECTED_INPUTS["negative-demand-saa"]
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    domain = run_python(["-c", CONSOLE_SCRIPT], [a.format(file=path) for a in argv])
+    assert domain.returncode == 3 and domain.stdout == b""
+    # one JSON line and nothing else under -W error
+    assert domain.stderr.count(b"\n") == 1
+    assert json.loads(domain.stderr)["code"] == code
 
 
 def test_probs_is_a_usage_error_next_to_a_cost_file(tmp_path, capsys):
